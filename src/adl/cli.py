@@ -2,9 +2,9 @@
 
 Subcommands: simulate, hopdist, estimate, experiment, verify, protocol-dump.
 Exit codes: 0 = success / all checks pass, 1 = a verdict or check failed,
-2 = usage or validation error.  Every subcommand is deterministic given its
-flags; parallelism (experiment only) is capped by ADL_THREADS and cannot
-change any output byte except the wall-time field.
+2 = usage or validation error, for any input, always with a message on
+stderr.  Every subcommand is deterministic given its flags; only the
+experiment report's wall-time field varies between runs.
 """
 
 from __future__ import annotations
@@ -17,22 +17,16 @@ from fractions import Fraction
 
 from adl import closed_form, oracle
 from adl.diffusion import Snapshot, simulate
-from adl.estimators import (
-    generic_mle,
-    k_obs_subtree,
-    single_mle,
-    three_obs_intersection,
-    two_obs_path,
-    uniform_mle_cases,
-)
+from adl.estimators import ESTIMATORS, estimator_for
 from adl.experiments import ConfigError, ExperimentConfig, run
 from adl.protocol import (
+    PROTOCOLS,
     Protocol,
     hop_distribution,
+    hop_horizon,
     infected_count_even,
-    load_protocol_table,
-    local_spreading_protocol,
     perfect_protocol,
+    protocol_from_spec,
     stay_probability_at,
     uniform_protocol,
 )
@@ -43,30 +37,21 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--protocol",
         required=True,
-        choices=["uniform", "perfect", "local", "table"],
+        choices=PROTOCOLS,
         help="protocol family",
     )
     p.add_argument("--gamma", type=float, help="gamma for --protocol local")
     p.add_argument("--table", help="CSV path for --protocol table")
 
 
-def _protocol_from_args(args: argparse.Namespace) -> Protocol:
-    if args.protocol == "uniform":
-        return uniform_protocol(args.d)
-    if args.protocol == "perfect":
-        return perfect_protocol(args.d)
-    if args.protocol == "local":
-        if args.gamma is None:
-            raise ValueError("--protocol local needs --gamma")
-        return local_spreading_protocol(args.d, args.gamma)
-    if args.table is None:
-        raise ValueError("--protocol table needs --table")
-    with open(args.table, "rb") as fh:
-        return load_protocol_table(fh.read(), args.d)
+def _protocol(args: argparse.Namespace) -> Protocol:
+    return protocol_from_spec(
+        args.d, {"name": args.protocol, "gamma": args.gamma, "table": args.table}
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    protocol = _protocol_from_args(args)
+    protocol = _protocol(args)
     tr = simulate(protocol, args.t, args.seed)
     if args.json:
         print(json.dumps(json.loads(tr.to_json()), indent=2))
@@ -76,55 +61,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hopdist(args: argparse.Namespace) -> int:
-    protocol = _protocol_from_args(args)
+    protocol = _protocol(args)
     hop = hop_distribution(protocol, args.T, exact=True if args.exact else None)
     sys.stdout.write(hop.to_csv(exact=args.exact))
     return 0
 
 
-_METHODS = {
-    "mle": "generic",
-    "single-mle": "single",
-    "two-obs-path": "two",
-    "three-obs": "three",
-    "k-obs": "kobs",
-    "cases": "cases",
-}
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    protocol = _protocol_from_args(args)
+    protocol = _protocol(args)
     with open(args.snapshots, "r", encoding="utf-8") as fh:
-        snaps = [Snapshot.from_dict(obj) for obj in json.load(fh)]
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError(f"the snapshots file must hold a JSON array, got {type(raw).__name__}")
+    snaps = [Snapshot.from_dict(obj) for obj in raw]
     for s in snaps:
         if s.d != args.d:
             raise ValueError(f"snapshot degree {s.d} disagrees with --d {args.d}")
-    rng = random.Random(args.seed)
-    kind = _METHODS[args.method]
-    hop = None
-    if kind in ("generic", "single"):
-        t_eff = max(t if t % 2 == 0 else t - 1 for t in (s.t for s in snaps))
-        hop = hop_distribution(protocol, max(2, t_eff))
-    if kind == "single":
-        if len(snaps) != 1:
-            raise ValueError("single-mle takes exactly one snapshot")
-        est = single_mle(snaps[0], hop, protocol, rng)
-    elif kind == "generic":
-        est = generic_mle(snaps, hop, protocol, rng, search_depth=args.search_depth)
-    elif kind == "two":
-        if len(snaps) != 2:
-            raise ValueError("two-obs-path takes exactly two snapshots")
-        est = two_obs_path(snaps[0], snaps[1], rng)
-    elif kind == "three":
-        if len(snaps) != 3:
-            raise ValueError("three-obs takes exactly three snapshots")
-        est = three_obs_intersection(snaps[0], snaps[1], snaps[2], rng)
-    elif kind == "kobs":
-        est = k_obs_subtree(snaps, rng)
-    else:
-        if len(snaps) != 2:
-            raise ValueError("cases takes exactly two snapshots")
-        est = uniform_mle_cases(snaps[0], snaps[1], rng)
+    name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
+    params = {key: getattr(args, key) for key in info.params}
+    estimator_for(name, len(snaps), protocol, params)
+    hop = hop_distribution(protocol, hop_horizon(s.t for s in snaps)) if info.needs_hop else None
+    est = info.estimate(snaps, hop, protocol, random.Random(args.seed), params)
     print(est.to_json())
     return 0
 
@@ -275,7 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocol_dump(args: argparse.Namespace) -> int:
-    protocol = _protocol_from_args(args)
+    protocol = _protocol(args)
     lines = ["t,h,alpha"]
     for t in range(2, args.T + 1, 2):
         for h in range(1, t // 2 + 1):
@@ -317,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run one estimator on a snapshots file")
     _add_protocol_flags(p)
     p.add_argument("--snapshots", required=True, help="JSON array of snapshot objects")
-    p.add_argument("--method", required=True, choices=sorted(_METHODS))
+    p.add_argument(
+        "--method", required=True, choices=sorted(info.alias for info in ESTIMATORS.values())
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--search-depth", type=int, default=3)
     p.set_defaults(fn=_cmd_estimate)
@@ -351,7 +310,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: too deeply nested JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

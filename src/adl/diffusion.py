@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from adl.protocol import Protocol
+from adl.protocol import Protocol, even_floor
 from adl.tree import (
     Label,
     SOURCE,
@@ -33,6 +33,21 @@ from adl.tree import (
     format_label,
     parse_label,
 )
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(obj: dict, key: str, kind: type):
+    """``obj[key]``, which must be present and a ``kind`` (a bool is no int)."""
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    if not (is_int(value) if kind is int else isinstance(value, kind)):
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,12 +100,15 @@ class Trajectory:
 
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
+        """Parse and validate; any malformed field raises ValueError."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a trajectory must be a JSON object, got {obj!r}")
         return cls(
-            d=obj["d"],
-            protocol=obj["protocol"],
-            seed=obj["seed"],
-            vs=tuple(parse_label(s) for s in obj["vs"]),
+            d=_field(obj, "d", int),
+            protocol=_field(obj, "protocol", str),
+            seed=_field(obj, "seed", int),
+            vs=tuple(parse_label(s) for s in _field(obj, "vs", list)),
         )
 
 
@@ -102,7 +120,7 @@ def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    last_even = T - 1 if (T - 1) % 2 == 0 else T - 2
+    last_even = even_floor(T - 1)
     if protocol.t_max is not None and last_even >= 2 and last_even > protocol.t_max:
         raise ValueError(
             f"T={T} needs alpha at t={last_even} but the protocol stops at {protocol.t_max}"
@@ -199,11 +217,14 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Snapshot":
+        """Parse and validate; any malformed field raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a snapshot must be a JSON object, got {obj!r}")
         return cls(
-            d=obj["d"],
-            t=obj["t"],
-            vs_prev=parse_label(obj["vs_prev"]),
-            vs_now=parse_label(obj["vs_now"]),
+            d=_field(obj, "d", int),
+            t=_field(obj, "t", int),
+            vs_prev=parse_label(_field(obj, "vs_prev", str)),
+            vs_now=parse_label(_field(obj, "vs_now", str)),
         )
 
 

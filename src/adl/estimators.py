@@ -19,15 +19,16 @@ sampling it).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from adl.diffusion import Snapshot
-from adl.protocol import HopDistribution, Protocol
+from adl.diffusion import Snapshot, is_int
+from adl.protocol import HopDistribution, Protocol, even_floor
 from adl.tree import (
     Label,
     TreeContext,
@@ -203,7 +204,7 @@ def _snapshot_hop_weights(s: Snapshot, hop: HopDistribution, protocol: Protocol,
     dropped; each weight still has to be divided by d(d-1)^(h-1) to become a
     per-vertex score.
     """
-    t_eff = s.t if s.t % 2 == 0 else s.t - 1
+    t_eff = even_floor(s.t)
     if t_eff < 2:
         raise ValueError(f"snapshot at t={s.t} is too early for likelihood inference")
     p = hop.p_exact if exact else hop.p
@@ -690,3 +691,96 @@ def _cases_odd_odd_nonballs(ctx: TreeContext, s1: Snapshot, s2: Snapshot):
     scores = {v: _dist(v, a) * _dist(v, b) for v in feas}
     best = max(scores.values())
     return frozenset(v for v, sc in scores.items() if sc == best), "odd-odd-10"
+
+
+# ---------------------------------------------------------------------------
+# registry: what every entry point (config, CLI, oracle) knows of an estimator
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EstimatorInfo:
+    """One estimator as the config, the CLI and the oracle see it.
+
+    ``estimate(snaps, hop, protocol, rng, params)`` runs the public estimator.
+    ``candidates(snaps, hop, protocol, params)`` lists its deterministic
+    core's candidate set once per equally likely choice of one virtual source
+    per snapshot (a single set unless the estimator draws that choice).  Both
+    look the estimator functions up as module attributes on every call, so a
+    wrapper installed on this module is seen.
+    """
+
+    alias: str  # the CLI --method name
+    arity: Optional[int]  # number of snapshots taken; None for any k >= 1
+    needs_hop: bool  # takes a hop distribution and the protocol
+    uniform_only: bool  # valid only for snapshots of the uniform protocol
+    params: tuple  # accepted ``params`` keys, each a non-negative integer
+    estimate: Callable
+    candidates: Callable
+
+
+def _resolutions(snaps: Sequence[Snapshot]):
+    """Every choice of one virtual source per snapshot."""
+    return itertools.product(*(s.virtual_sources() for s in snaps))
+
+
+ESTIMATORS = {
+    "single_mle": EstimatorInfo(
+        alias="single-mle", arity=1, needs_hop=True, uniform_only=False, params=(),
+        estimate=lambda snaps, hop, protocol, rng, params: single_mle(*snaps, hop, protocol, rng),
+        candidates=lambda snaps, hop, protocol, params: [
+            single_mle_candidates(*snaps, hop, protocol)[0]
+        ],
+    ),
+    "two_obs_path": EstimatorInfo(
+        alias="two-obs-path", arity=2, needs_hop=False, uniform_only=False, params=(),
+        estimate=lambda snaps, hop, protocol, rng, params: two_obs_path(*snaps, rng),
+        candidates=lambda snaps, hop, protocol, params: [two_obs_path_candidates(*snaps)[0]],
+    ),
+    "three_obs_intersection": EstimatorInfo(
+        alias="three-obs", arity=3, needs_hop=False, uniform_only=False, params=(),
+        estimate=lambda snaps, hop, protocol, rng, params: three_obs_intersection(*snaps, rng),
+        candidates=lambda snaps, hop, protocol, params: [
+            three_obs_candidates(snaps[0].d, *vs) for vs in _resolutions(snaps)
+        ],
+    ),
+    "k_obs_subtree": EstimatorInfo(
+        alias="k-obs", arity=None, needs_hop=False, uniform_only=False, params=(),
+        estimate=lambda snaps, hop, protocol, rng, params: k_obs_subtree(snaps, rng),
+        candidates=lambda snaps, hop, protocol, params: [
+            k_obs_candidates(snaps[0].d, list(vs))[0] for vs in _resolutions(snaps)
+        ],
+    ),
+    "generic_mle": EstimatorInfo(
+        alias="mle", arity=None, needs_hop=True, uniform_only=False, params=("search_depth",),
+        estimate=lambda snaps, hop, protocol, rng, params: generic_mle(
+            snaps, hop, protocol, rng, **params
+        ),
+        candidates=lambda snaps, hop, protocol, params: [
+            generic_mle_candidates(snaps, hop, protocol, **params)[0]
+        ],
+    ),
+    "uniform_mle_cases": EstimatorInfo(
+        alias="cases", arity=2, needs_hop=False, uniform_only=True, params=(),
+        estimate=lambda snaps, hop, protocol, rng, params: uniform_mle_cases(*snaps, rng),
+        candidates=lambda snaps, hop, protocol, params: [uniform_mle_cases_candidates(*snaps)[0]],
+    ),
+}
+
+
+def estimator_for(name, k: int, protocol: Protocol, params: dict) -> EstimatorInfo:
+    """The registry entry of ``name``, once it is known to accept ``k``
+    snapshots of ``protocol`` and these ``params``; ValueError otherwise."""
+    info = ESTIMATORS.get(name) if isinstance(name, str) else None
+    if info is None:
+        raise ValueError(f"unknown method {name!r} (known: {sorted(ESTIMATORS)})")
+    if info.arity is not None and k != info.arity:
+        raise ValueError(f"{name} needs exactly {info.arity} snapshots, got {k}")
+    if info.uniform_only and protocol.name != "uniform":
+        raise ValueError(f"{name} is valid only under the uniform protocol, not {protocol.name!r}")
+    for key, value in params.items():
+        if key not in info.params:
+            raise ValueError(f"{name} accepts no param {key!r} (accepted: {list(info.params)})")
+        if not (is_int(value) and value >= 0):
+            raise ValueError(f"param {key!r} must be an integer >= 0, got {value!r}")
+    return info

@@ -10,37 +10,26 @@ with Wilson 95% intervals.
 Determinism: the seed of diffusion i in trial n is derive_seed(master, n, i);
 estimator j in trial n draws from derive_seed(master, n, ESTIMATOR_STREAM+j).
 derive_seed is a splitmix64 chain, so any scheduling or chunking of trials
-yields bit-identical reports (aggregation is a commutative sum); thread count
-(ADL_THREADS) cannot change the result body.
+yields bit-identical reports (aggregation is a commutative sum).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import Snapshot, simulate
-from adl.estimators import (
-    generic_mle,
-    k_obs_subtree,
-    single_mle,
-    three_obs_intersection,
-    two_obs_path,
-    uniform_mle_cases,
-)
+from adl.diffusion import is_int, simulate
+from adl.estimators import ESTIMATORS, estimator_for
 from adl.protocol import (
     Protocol,
     hop_distribution,
-    load_protocol_table,
-    local_spreading_protocol,
-    perfect_protocol,
+    hop_horizon,
+    protocol_from_spec,
     uniform_protocol,
 )
 from adl.tree import SOURCE
@@ -76,15 +65,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
-
-ESTIMATOR_ARITY = {
-    "single_mle": 1,
-    "two_obs_path": 2,
-    "three_obs_intersection": 3,
-    "uniform_mle_cases": 2,
-    "k_obs_subtree": None,  # any k >= 1
-    "generic_mle": None,
-}
 
 _FORMULA_TARGETS: dict[str, Callable] = {
     "two_obs_detection_lower": lambda d, times, p: closed_form.two_obs_detection_lower(
@@ -135,27 +115,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        """Validate a parsed config; every problem found goes into one ConfigError."""
+        if not isinstance(obj, dict):
+            raise ConfigError([f"config must be a JSON object, got {obj!r}"])
         problems: list[str] = []
 
         d = obj.get("d")
-        if not isinstance(d, int) or d < 3:
+        if not is_int(d) or d < 3:
             problems.append(f"d must be an integer >= 3, got {d!r}")
             d = 3
 
         trials = obj.get("trials")
-        if not isinstance(trials, int) or trials < 1:
+        if not is_int(trials) or trials < 1:
             problems.append(f"trials must be an integer >= 1, got {trials!r}")
             trials = 1
 
         seed = obj.get("seed", 0)
-        if not isinstance(seed, int):
+        if not is_int(seed):
             problems.append(f"seed must be an integer, got {seed!r}")
             seed = 0
 
         times_raw = obj.get("times")
         k = obj.get("k")
-        if isinstance(times_raw, int):
-            times = [times_raw] * (k if isinstance(k, int) and k >= 1 else 1)
+        if k is not None and not (is_int(k) and k >= 1):
+            problems.append(f"k must be an integer >= 1, got {k!r}")
+            k = None
+        if is_int(times_raw):
+            times = [times_raw] * (k or 1)
             if k is None:
                 problems.append("scalar 'times' needs an explicit 'k'")
         elif isinstance(times_raw, list) and times_raw:
@@ -165,9 +151,11 @@ class ExperimentConfig:
         else:
             problems.append(f"times must be an int or a nonempty list, got {times_raw!r}")
             times = [2]
+        times_ok = True
         for t in times:
-            if not isinstance(t, int) or t < 1:
+            if not is_int(t) or t < 1:
                 problems.append(f"every observation time must be an integer >= 1, got {t!r}")
+                times_ok = False
 
         protocol = None
         spec = obj.get("protocol")
@@ -175,7 +163,7 @@ class ExperimentConfig:
             problems.append(f"protocol must be an object with a 'name', got {spec!r}")
         else:
             try:
-                protocol = _build_protocol(d, spec)
+                protocol = protocol_from_spec(d, spec)
             except (ValueError, OSError) as exc:
                 problems.append(f"protocol: {exc}")
         if protocol is None:
@@ -190,28 +178,22 @@ class ExperimentConfig:
                 if not isinstance(e, dict) or "method" not in e:
                     problems.append(f"estimators[{idx}] must be an object with a 'method'")
                     continue
-                method = e["method"]
-                if method not in ESTIMATOR_ARITY:
-                    problems.append(
-                        f"estimators[{idx}]: unknown method {method!r} "
-                        f"(known: {sorted(ESTIMATOR_ARITY)})"
-                    )
+                params = e.get("params", {})
+                if not isinstance(params, dict):
+                    problems.append(f"estimators[{idx}].params must be an object, got {params!r}")
                     continue
-                arity = ESTIMATOR_ARITY[method]
-                if arity is not None and len(times) != arity:
-                    problems.append(
-                        f"estimators[{idx}]: {method} needs exactly {arity} snapshots, "
-                        f"config has {len(times)}"
-                    )
+                try:
+                    estimator_for(e["method"], len(times), protocol, params)
+                except ValueError as exc:
+                    problems.append(f"estimators[{idx}]: {exc}")
+                    continue
                 target = None
-                if "target" in e and e["target"] is not None:
+                if e.get("target") is not None and times_ok:
                     try:
                         target = _build_target(e["target"], d, times)
                     except ValueError as exc:
                         problems.append(f"estimators[{idx}].target: {exc}")
-                specs.append(
-                    EstimatorSpec(method=method, params=e.get("params", {}), target=target)
-                )
+                specs.append(EstimatorSpec(method=e["method"], params=params, target=target))
 
         if problems:
             raise ConfigError(problems)
@@ -229,36 +211,28 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _build_protocol(d: int, spec: dict) -> Protocol:
-    name = spec["name"]
-    if name == "uniform":
-        return uniform_protocol(d)
-    if name == "perfect":
-        return perfect_protocol(d)
-    if name == "local":
-        if "gamma" not in spec:
-            raise ValueError("local protocol needs 'gamma'")
-        return local_spreading_protocol(d, spec["gamma"])
-    if name == "table":
-        if "table" in spec:
-            with open(spec["table"], "rb") as fh:
-                return load_protocol_table(fh.read(), d)
-        if "table_csv" in spec:
-            return load_protocol_table(spec["table_csv"], d)
-        raise ValueError("table protocol needs 'table' (path) or 'table_csv' (inline)")
-    raise ValueError(f"unknown protocol {name!r} (known: uniform, perfect, local, table)")
-
-
-def _build_target(spec: dict, d: int, times: Sequence[int]) -> closed_form.Target:
+def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
+    if not isinstance(spec, dict):
+        raise ValueError(f"must be an object, got {spec!r}")
     if "formula" in spec:
         name = spec["formula"]
-        if name not in _FORMULA_TARGETS:
+        formula = _FORMULA_TARGETS.get(name) if isinstance(name, str) else None
+        if formula is None:
             raise ValueError(f"unknown formula {name!r} (known: {sorted(_FORMULA_TARGETS)})")
-        return _FORMULA_TARGETS[name](d, list(times), spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict) or not all(is_int(v) for v in params.values()):
+            raise ValueError(f"formula params must be an object of integers, got {params!r}")
+        try:
+            return formula(d, list(times), params)
+        except IndexError:
+            raise ValueError(f"formula {name!r} needs two observation times") from None
     if "kind" in spec and "value" in spec:
+        value = spec["value"]
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"target value must be a number, got {value!r}")
         return closed_form.Target(
             kind=spec["kind"],
-            value=float(spec["value"]),
+            value=float(value),
             provenance=spec.get("provenance", "inline"),
         )
     raise ValueError("target needs either 'formula' or ('kind' and 'value')")
@@ -267,26 +241,6 @@ def _build_target(spec: dict, d: int, times: Sequence[int]) -> closed_form.Targe
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
-
-_RUNNERS = {
-    "single_mle": lambda snaps, hop, proto, rng, params: single_mle(
-        snaps[0], hop, proto, rng
-    ),
-    "two_obs_path": lambda snaps, hop, proto, rng, params: two_obs_path(
-        snaps[0], snaps[1], rng
-    ),
-    "three_obs_intersection": lambda snaps, hop, proto, rng, params: three_obs_intersection(
-        snaps[0], snaps[1], snaps[2], rng
-    ),
-    "uniform_mle_cases": lambda snaps, hop, proto, rng, params: uniform_mle_cases(
-        snaps[0], snaps[1], rng
-    ),
-    "k_obs_subtree": lambda snaps, hop, proto, rng, params: k_obs_subtree(snaps, rng),
-    "generic_mle": lambda snaps, hop, proto, rng, params: generic_mle(
-        snaps, hop, proto, rng, search_depth=params.get("search_depth", 3)
-    ),
-}
-
 
 @dataclass
 class EstimatorResult:
@@ -384,64 +338,43 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _needs_hop(config: ExperimentConfig) -> bool:
-    return any(s.method in ("single_mle", "generic_mle") for s in config.estimators)
+def run(config: ExperimentConfig) -> ExperimentReport:
+    """Execute the job: every trial simulates the snapshots once and runs
+    every estimator on them."""
+    start = time.perf_counter()
 
+    hop = None
+    if any(ESTIMATORS[s.method].needs_hop for s in config.estimators):
+        hop = hop_distribution(config.protocol, hop_horizon(config.times))
 
-def _run_block(config: ExperimentConfig, hop, trial_range) -> list[tuple[int, int]]:
+    runners = [(ESTIMATORS[s.method].estimate, s.params) for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
-    for n in trial_range:
-        snaps: list[Snapshot] = []
+    for n in range(config.trials):
+        snaps = []
         for i, t in enumerate(config.times):
             tr = simulate(config.protocol, t, derive_seed(config.seed, n, i))
             snaps.append(tr.snapshot_at(t))
-        for j, spec in enumerate(config.estimators):
+        for j, (estimate, params) in enumerate(runners):
             rng = random.Random(derive_seed(config.seed, n, ESTIMATOR_STREAM + j))
             try:
-                est = _RUNNERS[spec.method](snaps, hop, config.protocol, rng, spec.params)
+                est = estimate(snaps, hop, config.protocol, rng, params)
             except ValueError:
                 tallies[j][1] += 1
                 continue
             if est.chosen == SOURCE:
                 tallies[j][0] += 1
-    return [(s, f) for s, f in tallies]
 
-
-def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
-    """Execute the job.  ``threads`` defaults to the ADL_THREADS environment
-    variable (or 1); the report body is identical for every thread count."""
-    start = time.perf_counter()
-    if threads is None:
-        threads = max(1, int(os.environ.get("ADL_THREADS", "1") or "1"))
-
-    hop = None
-    if _needs_hop(config):
-        t_eff = max(t if t % 2 == 0 else t - 1 for t in config.times)
-        hop = hop_distribution(config.protocol, max(2, t_eff))
-
-    n = config.trials
-    if threads <= 1 or n < 2 * threads:
-        blocks = [_run_block(config, hop, range(n))]
-    else:
-        step = (n + threads - 1) // threads
-        ranges = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda r: _run_block(config, hop, r), ranges))
-
-    results = []
-    for j, spec in enumerate(config.estimators):
-        successes = sum(b[j][0] for b in blocks)
-        failures = sum(b[j][1] for b in blocks)
-        results.append(
-            EstimatorResult(
-                method=spec.method,
-                params=spec.params,
-                successes=successes,
-                failures=failures,
-                trials=config.trials,
-                target=spec.target,
-            )
+    results = [
+        EstimatorResult(
+            method=spec.method,
+            params=spec.params,
+            successes=successes,
+            failures=failures,
+            trials=config.trials,
+            target=spec.target,
         )
+        for spec, (successes, failures) in zip(config.estimators, tallies)
+    ]
     return ExperimentReport(
         d=config.d,
         protocol=config.protocol.name,

@@ -20,27 +20,11 @@ from math import prod
 from typing import Sequence, Union
 
 from adl.diffusion import Snapshot
-from adl.estimators import (
-    generic_mle_candidates,
-    k_obs_candidates,
-    single_mle_candidates,
-    three_obs_candidates,
-    two_obs_path_candidates,
-    uniform_mle_cases_candidates,
-)
-from adl.protocol import Protocol, hop_distribution
+from adl.estimators import estimator_for
+from adl.protocol import Protocol, even_floor, hop_distribution, hop_horizon
 from adl.tree import SOURCE, TreeContext, labels_at_depth, sphere_size
 
 DEFAULT_BUDGET = 10_000_000
-
-ORACLE_ESTIMATORS = (
-    "single_mle",
-    "two_obs_path",
-    "three_obs_intersection",
-    "k_obs_subtree",
-    "generic_mle",
-    "uniform_mle_cases",
-)
 
 
 @dataclass(frozen=True)
@@ -87,7 +71,7 @@ def enumerate_single(
             WeightedOutcome(SOURCE, (i,), one / d) for i in range(d)
         ]
 
-    t_eff = t if t % 2 == 0 else t - 1
+    t_eff = even_floor(t)
     hop = hop_distribution(protocol, t_eff, exact=exact)
     p = hop.p_exact if exact else hop.p
     out: list[WeightedOutcome] = []
@@ -111,80 +95,45 @@ def enumerate_single(
     return out
 
 
-def _resolutions(snaps: Sequence[Snapshot], exact: bool):
-    """All ways to pick one virtual source per snapshot, with weights."""
-    sets = [s.virtual_sources() for s in snaps]
-    denom = prod(len(vs) for vs in sets)
-    w = Fraction(1, denom) if exact else 1.0 / denom
-    for choice in itertools.product(*sets):
-        yield choice, w
-
-
-def _success_fraction(
-    estimator: str,
-    snaps: list[Snapshot],
-    hop,
-    protocol: Protocol,
-    search_depth: int,
-    exact: bool,
-):
-    """P(chosen = origin | these snapshots), tie-break integrated out."""
+def _success_fraction(info, snaps, hop, protocol, params, exact):
+    """P(chosen = origin | these snapshots), with the tie-break and the
+    estimator's virtual-source draws integrated out."""
 
     def hit(cands):
         if not cands.contains(SOURCE):
             return Fraction(0) if exact else 0.0
         return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
 
-    if estimator == "single_mle":
-        (s,) = snaps
-        return hit(single_mle_candidates(s, hop, protocol)[0])
-    if estimator == "two_obs_path":
-        s1, s2 = snaps
-        return hit(two_obs_path_candidates(s1, s2)[0])
-    if estimator == "uniform_mle_cases":
-        s1, s2 = snaps
-        return hit(uniform_mle_cases_candidates(s1, s2)[0])
-    if estimator == "generic_mle":
-        return hit(generic_mle_candidates(snaps, hop, protocol, search_depth)[0])
-    if estimator == "three_obs_intersection":
-        d = snaps[0].d
-        total = Fraction(0) if exact else 0.0
-        for (v1, v2, v3), w in _resolutions(snaps, exact):
-            total += w * hit(three_obs_candidates(d, v1, v2, v3))
-        return total
-    if estimator == "k_obs_subtree":
-        d = snaps[0].d
-        total = Fraction(0) if exact else 0.0
-        for choice, w in _resolutions(snaps, exact):
-            total += w * hit(k_obs_candidates(d, list(choice))[0])
-        return total
-    raise ValueError(f"unknown estimator {estimator!r}; pick one of {ORACLE_ESTIMATORS}")
+    sets = info.candidates(snaps, hop, protocol, params)
+    if len(sets) == 1:  # no virtual-source draw to average over
+        return hit(sets[0])
+    w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
+    total = Fraction(0) if exact else 0.0
+    for cands in sets:
+        total += w * hit(cands)
+    return total
 
 
 def exact_success(
     estimator: str,
     protocol: Protocol,
     times: Sequence[int],
-    search_depth: int = 3,
+    *,
     budget: int = DEFAULT_BUDGET,
+    **params,
 ):
     """Exact probability that the estimator's pick equals the origin.
 
-    Sums over the full joint enumeration of the independent diffusions; every
-    source of estimator randomness (tie-break, odd-snapshot virtual-source
-    disambiguation) is integrated analytically, so the result carries no
-    sampling noise at all.
+    ``params`` are the estimator's config params (``search_depth`` for
+    ``generic_mle``).  Sums over the full joint enumeration of the
+    independent diffusions; every source of estimator randomness (tie-break,
+    odd-snapshot virtual-source disambiguation) is integrated analytically,
+    so the result carries no sampling noise at all.
     """
-    if estimator not in ORACLE_ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; pick one of {ORACLE_ESTIMATORS}")
-    if estimator == "uniform_mle_cases" and protocol.name != "uniform":
-        raise ValueError("the closed-form case dispatch is only valid for the uniform protocol")
     times = list(times)
     if not times:
         raise ValueError("at least one observation time required")
-    arity = {"single_mle": 1, "two_obs_path": 2, "uniform_mle_cases": 2, "three_obs_intersection": 3}
-    if estimator in arity and len(times) != arity[estimator]:
-        raise ValueError(f"{estimator} takes exactly {arity[estimator]} observation times")
+    info = estimator_for(estimator, len(times), protocol, params)
 
     combos = prod(outcome_count(protocol.d, t) for t in times)
     if combos > budget:
@@ -192,10 +141,7 @@ def exact_success(
 
     exact = protocol.exact
     singles = [enumerate_single(protocol, t, budget) for t in times]
-    hop = None
-    if estimator in ("single_mle", "generic_mle"):
-        t_eff = max(t if t % 2 == 0 else t - 1 for t in times)
-        hop = hop_distribution(protocol, t_eff, exact=exact)
+    hop = hop_distribution(protocol, hop_horizon(times), exact=exact) if info.needs_hop else None
 
     d = protocol.d
     total = Fraction(0) if exact else 0.0
@@ -205,9 +151,7 @@ def exact_success(
             for t, o in zip(times, combo)
         ]
         weight = prod(o.prob for o in combo)
-        total += weight * _success_fraction(
-            estimator, snaps, hop, protocol, search_depth, exact
-        )
+        total += weight * _success_fraction(info, snaps, hop, protocol, params, exact)
     return total
 
 

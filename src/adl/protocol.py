@@ -26,7 +26,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from adl.tree import ball_size
 
@@ -210,6 +210,38 @@ def load_protocol_table(source: Union[str, bytes, io.IOBase], d: int) -> Protoco
     )
 
 
+PROTOCOLS = ("uniform", "perfect", "local", "table")
+
+
+def protocol_from_spec(d: int, spec: dict) -> Protocol:
+    """Build a protocol from ``{"name", "gamma", "table" | "table_csv"}``.
+
+    ``gamma`` is required by ``local``; ``table`` (a CSV path) or
+    ``table_csv`` (inline CSV text) by ``table``.  A malformed spec raises
+    ValueError, an unreadable table file OSError.
+    """
+    name = spec.get("name")
+    if name == "uniform":
+        return uniform_protocol(d)
+    if name == "perfect":
+        return perfect_protocol(d)
+    if name == "local":
+        gamma = spec.get("gamma")
+        try:
+            gamma = Fraction(gamma)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"local protocol needs a numeric 'gamma', got {gamma!r}") from None
+        return local_spreading_protocol(d, gamma)
+    if name == "table":
+        if isinstance(spec.get("table"), str):
+            with open(spec["table"], "rb") as fh:
+                return load_protocol_table(fh.read(), d)
+        if isinstance(spec.get("table_csv"), str):
+            return load_protocol_table(spec["table_csv"], d)
+        raise ValueError("table protocol needs 'table' (path) or 'table_csv' (inline)")
+    raise ValueError(f"unknown protocol {name!r} (known: {', '.join(PROTOCOLS)})")
+
+
 @dataclass(frozen=True)
 class HopDistribution:
     """p(t, h) = P(h_t = h) for even 2 <= t <= t_max, 1 <= h <= t/2.
@@ -272,6 +304,17 @@ class HopDistribution:
                 v = self._table[(t, h)]
                 writer.writerow([t, h, str(Fraction(v)) if exact else repr(float(v))])
         return out.getvalue()
+
+
+def even_floor(t: int) -> int:
+    """The last even time at or before t: the hop-table time a time-t
+    snapshot depends on."""
+    return t - t % 2
+
+
+def hop_horizon(times: Iterable[int]) -> int:
+    """Even horizon of the hop table that snapshots at ``times`` need (at least 2)."""
+    return max([2] + [even_floor(t) for t in times])
 
 
 def hop_distribution(protocol: Protocol, T: int, exact: Optional[bool] = None) -> HopDistribution:

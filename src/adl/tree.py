@@ -48,8 +48,8 @@ def check_label(ctx: TreeContext, v: Label) -> Label:
 
 def parse_label(text: str) -> Label:
     """Parse the text form: "/" is the origin, "/2/0/1" is the label (2, 0, 1)."""
-    if not text.startswith("/"):
-        raise ValueError(f"label text must start with '/': {text!r}")
+    if not isinstance(text, str) or not text.startswith("/"):
+        raise ValueError(f"label text must be a string starting with '/': {text!r}")
     body = text[1:]
     if not body:
         return ()

@@ -1,0 +1,301 @@
+"""Malformed input is rejected where it enters: snapshot and trajectory JSON,
+experiment configs, CLI flags.  Every rejection is exit code 2 with a
+message, never a traceback; the uniform-only precondition of the case
+dispatch holds at every entry point."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from adl import oracle
+from adl.cli import main
+from adl.diffusion import Snapshot, Trajectory
+from adl.experiments import ConfigError, ExperimentConfig
+from adl.protocol import (
+    load_protocol_table,
+    local_spreading_protocol,
+    perfect_protocol,
+)
+
+TABLE_CSV = "t,h,alpha\n2,1,0.5\n4,1,0.5\n4,2,0.3333333\n6,1,0.5\n6,2,0.4\n6,3,0.25\n"
+
+SNAPSHOTS = [
+    {"d": 3, "t": 6, "vs_prev": "/0/0", "vs_now": "/0/0"},
+    {"d": 3, "t": 7, "vs_prev": "/0/1", "vs_now": "/0/1/0"},
+]
+
+CONFIGS = [
+    {
+        "d": 3, "protocol": {"name": "local", "gamma": 0.5}, "times": 6, "k": 3,
+        "trials": 3, "seed": 1,
+        "estimators": [
+            {"method": "k_obs_subtree",
+             "target": {"formula": "multi_obs_lower", "params": {"k": 3}}},
+            {"method": "generic_mle", "params": {"search_depth": 1}},
+        ],
+    },
+    {
+        "d": 3, "protocol": {"name": "table", "table_csv": TABLE_CSV}, "times": [6, 7],
+        "trials": 3, "seed": 2,
+        "estimators": [
+            {"method": "two_obs_path",
+             "target": {"kind": "lower_bound", "value": 0.1, "provenance": "inline"}},
+            {"method": "generic_mle", "params": {"search_depth": 2},
+             "target": {"formula": "two_obs_obfuscation_upper"}},
+        ],
+    },
+    {
+        "d": 3, "protocol": {"name": "uniform"}, "times": [6, 5], "trials": 3, "seed": 3,
+        "estimators": [
+            {"method": "uniform_mle_cases", "target": {"formula": "even_odd_mle_exact"}},
+            {"method": "two_obs_path"},
+        ],
+    },
+]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def estimate(doc, method="two-obs-path", protocol=("--protocol", "uniform")):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snaps.json"
+        path.write_text(json.dumps(doc))
+        return run_main(["estimate", "--d", "3", *protocol, "--snapshots", str(path),
+                         "--method", method])
+
+
+def experiment(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        return run_main(["experiment", "--config", str(path)])
+
+
+def assert_usage_error(result, token):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert token in err
+    assert "Traceback" not in err
+
+
+DELETE = object()
+
+
+def with_snapshot(**changes):
+    snap = dict(SNAPSHOTS[0])
+    for key, value in changes.items():
+        if value is DELETE:
+            del snap[key]
+        else:
+            snap[key] = value
+    return snap
+
+
+# ---------------------------------------------------------------------------
+# snapshots and trajectories
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("snap, token", [
+    (with_snapshot(d=DELETE), "missing key 'd'"),
+    (with_snapshot(vs_now=DELETE), "missing key 'vs_now'"),
+    (with_snapshot(t="5"), "'t' must be of type int"),
+    (with_snapshot(t=True), "'t' must be of type int"),
+    (with_snapshot(d=3.0), "'d' must be of type int"),
+    (with_snapshot(vs_prev=5), "'vs_prev' must be of type str"),
+    (with_snapshot(vs_now=["/0"]), "'vs_now' must be of type str"),
+    (1, "must be a JSON object"),
+    ([SNAPSHOTS[0]], "must be a JSON object"),
+])
+def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
+    with pytest.raises(ValueError, match=token):
+        Snapshot.from_dict(snap)
+
+
+@pytest.mark.parametrize("doc, token", [
+    ([with_snapshot(d=DELETE), SNAPSHOTS[1]], "missing key 'd'"),
+    ([with_snapshot(t="5"), SNAPSHOTS[1]], "'t' must be of type int"),
+    ([1, 2], "must be a JSON object"),
+    ([with_snapshot(vs_prev=5), SNAPSHOTS[1]], "'vs_prev' must be of type str"),
+    ({"snapshots": SNAPSHOTS}, "must hold a JSON array"),
+    ([with_snapshot(t=-4), SNAPSHOTS[1]], "observation time"),
+])
+def test_estimate_rejects_malformed_snapshot_file(doc, token):
+    assert_usage_error(estimate(doc), token)
+
+
+def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = run_main(["estimate", "--d", "3", "--protocol", "uniform",
+                       "--snapshots", str(path), "--method", "k-obs"])
+    assert_usage_error(result, "recursion")
+
+
+def test_trajectory_from_json_validates_fields():
+    good = {"d": 3, "protocol": "uniform", "seed": 7, "vs": ["/", "/2", "/2"]}
+    assert Trajectory.from_json(json.dumps(good)).T == 2
+    for bad in (
+        [good],
+        {**good, "seed": True},
+        {**good, "d": "3"},
+        {**good, "protocol": 1},
+        {**good, "vs": "/,/2"},
+        {**good, "vs": ["/", 2]},
+        {k: v for k, v in good.items() if k != "vs"},
+    ):
+        with pytest.raises(ValueError):
+            Trajectory.from_json(json.dumps(bad))
+
+
+# ---------------------------------------------------------------------------
+# experiment configs
+# ---------------------------------------------------------------------------
+
+
+def config_with(**changes):
+    doc = copy.deepcopy(CONFIGS[2])
+    doc.update(changes)
+    return doc
+
+
+def cases_with(**entry):
+    return config_with(estimators=[{"method": "uniform_mle_cases", **entry}])
+
+
+@pytest.mark.parametrize("doc, token", [
+    ([], "config must be a JSON object"),
+    (config_with(trials=True), "trials must be an integer"),
+    (config_with(seed=False), "seed must be an integer"),
+    (config_with(times=[True, 2]), "every observation time"),
+    (config_with(times=True, k=2), "times must be an int or a nonempty list"),
+    (config_with(times=6, k=True), "k must be an integer"),
+    (cases_with(params="x"), "params must be an object"),
+    (cases_with(params={"search_depth": 2}), "accepts no param 'search_depth'"),
+    (config_with(estimators=[{"method": "generic_mle", "params": {"search_depth": "2"}}]),
+     "'search_depth' must be an integer >= 0"),
+    (config_with(estimators=[{"method": "generic_mle", "params": {"search_depth": -1}}]),
+     "'search_depth' must be an integer >= 0"),
+    (config_with(estimators=[{"method": "generic_mle", "params": {"depth": 2}}]),
+     "accepts no param 'depth'"),
+    (config_with(estimators=[{"method": ["two_obs_path"]}]), "unknown method"),
+    (cases_with(target=5), "target: must be an object"),
+    (cases_with(target={"formula": ["x"]}), "unknown formula"),
+    (cases_with(target={"kind": "exact", "value": [0.5]}), "target value must be a number"),
+    (config_with(times=[6], estimators=[
+        {"method": "single_mle", "target": {"formula": "two_obs_detection_lower"}}]),
+     "needs two observation times"),
+    (config_with(estimators=[
+        {"method": "k_obs_subtree", "target": {"formula": "multi_obs_lower", "params": "x"}}]),
+     "formula params must be an object"),
+    (config_with(protocol={"name": "local", "gamma": [0.5]}), "numeric 'gamma'"),
+    (config_with(protocol={"name": "local", "gamma": None}), "numeric 'gamma'"),
+    (config_with(protocol={"name": "table", "table": 3}), "table protocol needs"),
+])
+def test_experiment_rejects_malformed_config(doc, token):
+    with pytest.raises(ConfigError, match=token):
+        ExperimentConfig.from_dict(doc)
+    assert_usage_error(experiment(doc), "config error: ")
+
+
+# ---------------------------------------------------------------------------
+# the case dispatch is valid only under the uniform protocol
+# ---------------------------------------------------------------------------
+
+NON_UNIFORM = {
+    "perfect": ({"name": "perfect"}, ("--protocol", "perfect"), perfect_protocol(3)),
+    "local": ({"name": "local", "gamma": 0.5}, ("--protocol", "local", "--gamma", "0.5"),
+              local_spreading_protocol(3, 0.5)),
+    "table": ({"name": "table", "table_csv": TABLE_CSV}, None,
+              load_protocol_table(TABLE_CSV, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIFORM))
+def test_cases_rejected_for_non_uniform_config(name):
+    doc = config_with(protocol=NON_UNIFORM[name][0])
+    with pytest.raises(ConfigError, match="valid only under the uniform protocol"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIFORM))
+def test_cases_rejected_for_non_uniform_estimate(name, tmp_path):
+    flags = NON_UNIFORM[name][1]
+    if flags is None:
+        table = tmp_path / "table.csv"
+        table.write_text(TABLE_CSV)
+        flags = ("--protocol", "table", "--table", str(table))
+    result = estimate(SNAPSHOTS, method="cases", protocol=flags)
+    assert_usage_error(result, "valid only under the uniform protocol")
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIFORM))
+def test_cases_rejected_for_non_uniform_oracle(name):
+    with pytest.raises(ValueError, match="valid only under the uniform protocol"):
+        oracle.exact_success("uniform_mle_cases", NON_UNIFORM[name][2], (4, 5))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one field of a valid document mutated
+# ---------------------------------------------------------------------------
+
+WRONG_VALUES = [None, "x", 1.5, True, False, -3, [], [1, 2], {}, {"a": 1}]
+
+
+def _paths(doc, prefix=()):
+    """The path of every entry inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutants(draw, docs):
+    """A copy of one of ``docs`` with one entry deleted or replaced by a
+    value of the wrong type (the whole document is one of the entries)."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    path = draw(st.sampled_from([(), *_paths(doc)]))
+    value = draw(st.sampled_from(WRONG_VALUES if not path else [DELETE, *WRONG_VALUES]))
+    if not path:
+        return value
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutants([SNAPSHOTS]))
+def test_fuzzed_snapshot_file_is_a_usage_error(doc):
+    # every mutant breaks the two-snapshot input, so each one must exit 2
+    code, out, err = estimate(doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutants(CONFIGS))
+def test_fuzzed_config_never_crashes(doc):
+    code, out, err = experiment(doc)
+    if code == 2:
+        assert out == "" and err.startswith(("config error: ", "error: "))
+    else:
+        assert code in (0, 1) and json.loads(out)["trials"] == doc["trials"]

@@ -89,14 +89,6 @@ def test_config_arity_mismatch_is_reported():
         )
 
 
-def test_report_is_thread_count_invariant():
-    config = ExperimentConfig.from_dict(config_dict(trials=300))
-    body1 = run(config, threads=1).body_dict()
-    body2 = run(config, threads=2).body_dict()
-    body7 = run(config, threads=7).body_dict()
-    assert body1 == body2 == body7
-
-
 def test_report_json_and_csv_round_trip():
     config = ExperimentConfig.from_dict(config_dict(trials=50))
     report = run(config)
