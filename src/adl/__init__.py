@@ -11,7 +11,7 @@ from adl.protocol import (
     load_protocol_table,
     hop_distribution,
 )
-from adl.diffusion import Trajectory, Snapshot, simulate
+from adl.diffusion import Trajectory, Snapshot, simulate, sample_snapshot
 
 __all__ = [
     "TreeContext",
@@ -27,4 +27,5 @@ __all__ = [
     "Trajectory",
     "Snapshot",
     "simulate",
+    "sample_snapshot",
 ]

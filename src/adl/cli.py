@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from adl import closed_form, oracle
-from adl.diffusion import Snapshot, simulate
+from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import ESTIMATORS, estimator_for
 from adl.experiments import ConfigError, ExperimentConfig, run
 from adl.protocol import (
@@ -193,7 +193,7 @@ def _suite_generic_vs_cases():
         for t1, t2 in ((4, 4), (4, 5), (5, 4), (5, 5), (6, 7), (7, 7), (8, 9), (9, 9)):
             for n in range(150):
                 snaps = [
-                    simulate(proto, t, derive_seed(20_000 + d, n, i)).snapshot_at(t)
+                    sample_snapshot(proto, t, derive_seed(20_000 + d, n, i))
                     for i, t in enumerate((t1, t2))
                 ]
                 a, _ = generic_mle_candidates(snaps, hop, proto, 3)

@@ -12,7 +12,12 @@ The generator is stdlib ``random.Random`` (seeded Mersenne Twister, whose
 versions), and the draw sequence is fixed: one ``randrange(d)`` for the first
 step, then exactly one ``random()`` and one ``randrange(d-1)`` per even time,
 both always drawn even when alpha is 0 or 1, so runs with different alpha
-tables but equal seeds stay coupled draw-for-draw.
+tables but equal seeds stay coupled draw-for-draw.  Each step compares its
+``random()`` draw with a float from the protocol's alpha table
+(``Protocol.alpha_rows``), which holds exactly the values ``Protocol.alpha``
+returns.  ``simulate`` returns the whole validated trajectory;
+``sample_snapshot`` runs the same walk and keeps only (vs_{t-1}, vs_t), which
+is all a Monte Carlo trial needs.
 """
 
 from __future__ import annotations
@@ -112,8 +117,8 @@ class Trajectory:
         )
 
 
-def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
-    """Sample the virtual-source chain for T steps.
+def _walk(protocol: Protocol, T: int, seed: int) -> list:
+    """The virtual-source path vs_0 ... vs_T as a list; the one draw loop.
 
     t=0: move to a uniform neighbor of the origin.  Odd t: stay.  Even t:
     stay with probability alpha(t, h_t), else append a uniform child entry.
@@ -125,22 +130,40 @@ def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
         raise ValueError(
             f"T={T} needs alpha at t={last_even} but the protocol stops at {protocol.t_max}"
         )
+    rows = protocol.alpha_rows(last_even)
     d = protocol.d
     rng = random.Random(seed)
+    draw, pick = rng.random, rng.randrange
     vs: list[Label] = [SOURCE]
     if T >= 1:
-        vs.append((rng.randrange(d),))
+        vs.append((pick(d),))
     cur = vs[-1]
     for t in range(1, T):
         if t % 2 == 1:
             vs.append(cur)
             continue
-        u = rng.random()
-        child = rng.randrange(d - 1)  # always drawn: keeps seeds couplable
-        if u >= protocol.alpha(t, len(cur)):
+        u = draw()
+        child = pick(d - 1)  # always drawn: keeps seeds couplable
+        if u >= rows[t][len(cur)]:
             cur = cur + (child,)
         vs.append(cur)
-    return Trajectory(d=d, protocol=protocol.name, seed=seed, vs=tuple(vs))
+    return vs
+
+
+def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
+    """Sample the virtual-source chain for T steps as a validated trajectory."""
+    return Trajectory(d=protocol.d, protocol=protocol.name, seed=seed,
+                      vs=tuple(_walk(protocol, T, seed)))
+
+
+def sample_snapshot(protocol: Protocol, t: int, seed: int) -> "Snapshot":
+    """The time-t snapshot of the walk that ``simulate(protocol, t, seed)``
+    samples, built without the full trajectory: the same draws, and equal to
+    ``simulate(protocol, t, seed).snapshot_at(t)``."""
+    if t < 1:
+        raise ValueError(f"snapshot time must be >= 1, got {t}")
+    vs = _walk(protocol, t, seed)
+    return Snapshot(d=protocol.d, t=t, vs_prev=vs[t - 1], vs_now=vs[t])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import is_int, simulate
+from adl.diffusion import is_int, sample_snapshot
 from adl.estimators import ESTIMATORS, estimator_for
 from adl.protocol import (
     Protocol,
@@ -36,6 +36,7 @@ from adl.tree import SOURCE
 
 _MASK64 = (1 << 64) - 1
 ESTIMATOR_STREAM = 1_000_000
+MAX_SNAPSHOTS = 10_000  # largest k (or len(times)) a config may ask for
 
 
 def _splitmix64(x: int) -> int:
@@ -45,12 +46,17 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _fold(x: int, s: int) -> int:
+    """One link of the derive_seed chain: mix stream index ``s`` into ``x``."""
+    return _splitmix64(x ^ ((s & _MASK64) * 0x9E3779B97F4A7C15 & _MASK64))
+
+
 def derive_seed(master: int, *stream: int) -> int:
     """Counter-mix seed derivation: fold each stream index into a splitmix64
     chain.  Pure function of (master, stream), independent of call order."""
     x = _splitmix64(master & _MASK64)
     for s in stream:
-        x = _splitmix64(x ^ ((s & _MASK64) * 0x9E3779B97F4A7C15 & _MASK64))
+        x = _fold(x, s)
     return x
 
 
@@ -137,8 +143,8 @@ class ExperimentConfig:
 
         times_raw = obj.get("times")
         k = obj.get("k")
-        if k is not None and not (is_int(k) and k >= 1):
-            problems.append(f"k must be an integer >= 1, got {k!r}")
+        if k is not None and not (is_int(k) and 1 <= k <= MAX_SNAPSHOTS):
+            problems.append(f"k must be an integer in 1..{MAX_SNAPSHOTS}, got {k!r}")
             k = None
         if is_int(times_raw):
             times = [times_raw] * (k or 1)
@@ -146,7 +152,10 @@ class ExperimentConfig:
                 problems.append("scalar 'times' needs an explicit 'k'")
         elif isinstance(times_raw, list) and times_raw:
             times = list(times_raw)
-            if k is not None and k != len(times):
+            if len(times) > MAX_SNAPSHOTS:
+                problems.append(f"times may list at most {MAX_SNAPSHOTS} observations, "
+                                f"got {len(times)}")
+            elif k is not None and k != len(times):
                 problems.append(f"k={k} disagrees with len(times)={len(times)}")
         else:
             problems.append(f"times must be an int or a nonempty list, got {times_raw!r}")
@@ -349,15 +358,17 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 
     runners = [(ESTIMATORS[s.method].estimate, s.params) for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
+    protocol = config.protocol
+    root = derive_seed(config.seed)
     for n in range(config.trials):
-        snaps = []
-        for i, t in enumerate(config.times):
-            tr = simulate(config.protocol, t, derive_seed(config.seed, n, i))
-            snaps.append(tr.snapshot_at(t))
+        trial = _fold(root, n)  # derive_seed(seed, n), extended below
+        snaps = [
+            sample_snapshot(protocol, t, _fold(trial, i)) for i, t in enumerate(config.times)
+        ]
         for j, (estimate, params) in enumerate(runners):
-            rng = random.Random(derive_seed(config.seed, n, ESTIMATOR_STREAM + j))
+            rng = random.Random(_fold(trial, ESTIMATOR_STREAM + j))
             try:
-                est = estimate(snaps, hop, config.protocol, rng, params)
+                est = estimate(snaps, hop, protocol, rng, params)
             except ValueError:
                 tallies[j][1] += 1
                 continue

@@ -92,6 +92,8 @@ class Protocol:
     _alpha: Callable[[int, int], Fraction] = field(repr=False)
     t_max: Optional[int] = None  # inclusive horizon for table-backed protocols
     exact: bool = True  # whether _alpha returns exact rationals
+    # even t -> [unused, alpha(t, 1), ..., alpha(t, t/2)], filled by alpha_rows
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 3:
@@ -99,6 +101,24 @@ class Protocol:
 
     def alpha(self, t: int, h: int) -> float:
         return float(self._alpha_checked(t, h))
+
+    def alpha_rows(self, t_last: int) -> dict:
+        """Float alphas ``rows[t][h] == self.alpha(t, h)`` for every even
+        2 <= t <= t_last (index 0 of a row is unused).
+
+        Rows are computed through :meth:`alpha` on first request and kept on
+        this instance, so later walks read a list instead of building a
+        Fraction per step.  Rows are added in increasing t, so the presence
+        of the last one implies all earlier ones.
+        """
+        rows = self._rows
+        t_last = even_floor(t_last)
+        if t_last < 2 or t_last in rows:
+            return rows
+        for t in range(2, t_last + 1, 2):
+            if t not in rows:
+                rows[t] = [0.0] + [self.alpha(t, h) for h in range(1, t // 2 + 1)]
+        return rows
 
     def alpha_exact(self, t: int, h: int) -> Fraction:
         if not self.exact:

@@ -132,17 +132,17 @@ def _step_toward(ctx: TreeContext, frm: Label, to: Label) -> Label:
 def steiner_tree(ctx: TreeContext, terminals: Iterable[Label]) -> set[Label]:
     """Minimal subtree spanning the terminals, as a vertex set.
 
-    Equals the union of path_between over all terminal pairs; computed as the
-    union of paths from one fixed terminal, which is the same set.
+    Equals the union of path_between over all terminal pairs.  Every such
+    path climbs from one terminal to a meet no shallower than the terminals'
+    common prefix and descends to the other, so the set is every prefix of a
+    terminal that is at least as long as that common prefix.
     """
-    terms = list(terminals)
+    terms = {check_label(ctx, t) for t in terminals}
     if not terms:
         raise ValueError("steiner_tree requires a nonempty terminal set")
-    base = terms[0]
-    out: set[Label] = {check_label(ctx, base)}
-    for t in terms[1:]:
-        out.update(path_between(ctx, base, t))
-    return out
+    base = next(iter(terms))
+    top = min(lcp_len(base, t) for t in terms)
+    return {t[:i] for t in terms for i in range(top, len(t) + 1)}
 
 
 def bfs_depths(ctx: TreeContext, core: Iterable[Label], depth: int) -> dict:

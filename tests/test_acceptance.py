@@ -13,7 +13,7 @@ import pytest
 
 from adl import closed_form as cf
 from adl import oracle
-from adl.diffusion import local_radius, simulate
+from adl.diffusion import local_radius, sample_snapshot, simulate
 from adl.estimators import (
     generic_mle_candidates,
     k_obs_subtree,
@@ -45,7 +45,7 @@ def mc_frequency(protocol, times, run_one, trials, master):
     hits = 0
     for n in range(trials):
         snaps = [
-            simulate(protocol, t, derive_seed(master, n, i)).snapshot_at(t)
+            sample_snapshot(protocol, t, derive_seed(master, n, i))
             for i, t in enumerate(times)
         ]
         rng = random.Random(derive_seed(master, n, 10 ** 6))

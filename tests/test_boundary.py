@@ -203,6 +203,9 @@ def cases_with(**entry):
     (config_with(protocol={"name": "local", "gamma": [0.5]}), "numeric 'gamma'"),
     (config_with(protocol={"name": "local", "gamma": None}), "numeric 'gamma'"),
     (config_with(protocol={"name": "table", "table": 3}), "table protocol needs"),
+    (config_with(times=4, k=100_000_000_000), "k must be an integer in 1..10000"),
+    (config_with(times=4, k=10 ** 21), "k must be an integer in 1..10000"),
+    (config_with(times=[4] * 10_001), "at most 10000 observations"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

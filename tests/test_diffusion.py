@@ -1,13 +1,16 @@
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adl.diffusion import Snapshot, Trajectory, local_radius, simulate
+from adl.diffusion import Snapshot, Trajectory, local_radius, sample_snapshot, simulate
+from adl.experiments import derive_seed
 from adl.protocol import (
     constant_protocol,
     hop_distribution,
+    load_protocol_table,
     local_spreading_protocol,
     local_hop_target,
     perfect_protocol,
@@ -212,3 +215,83 @@ def test_hop_frequencies_match_dp_three_sigma():
             p = hop.p(12, h)
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[h] / n - p) <= 3 * sigma
+
+
+# ---------------------------------------------------------------------------
+# the draw contract, pinned against the loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(protocol, T, seed):
+    """The draw loop as first written: Protocol.alpha queried at every even
+    step and the full path kept."""
+    d = protocol.d
+    rng = random.Random(seed)
+    vs = [SOURCE]
+    if T >= 1:
+        vs.append((rng.randrange(d),))
+    cur = vs[-1]
+    for t in range(1, T):
+        if t % 2 == 1:
+            vs.append(cur)
+            continue
+        u = rng.random()
+        child = rng.randrange(d - 1)
+        if u >= protocol.alpha(t, len(cur)):
+            cur = cur + (child,)
+        vs.append(cur)
+    return tuple(vs)
+
+
+def table_csv(t_max, d):
+    """An irregular alpha table (no closed form) up to even t_max."""
+    rows = ["t,h,alpha"]
+    for t in range(2, t_max + 1, 2):
+        for h in range(1, t // 2 + 1):
+            rows.append(f"{t},{h},{((7 * t + 3 * h * d) % 11) / 10!r}")
+    return "\n".join(rows) + "\n"
+
+
+CONTRACT_PROTOCOLS = {
+    "uniform": uniform_protocol,
+    "perfect": perfect_protocol,
+    "local": lambda d: local_spreading_protocol(d, 0.5),
+    "table": lambda d: load_protocol_table(table_csv(14, d), d),
+    "const0": lambda d: constant_protocol(d, 0),
+    "const1": lambda d: constant_protocol(d, 1),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
+def test_walk_matches_reference_loop(name, d):
+    proto = CONTRACT_PROTOCOLS[name](d)
+    for T in range(1, 17):
+        for n in range(200):
+            seed = derive_seed(31, d, T, n)
+            tr = simulate(proto, T, seed)
+            assert tr.vs == reference_walk(proto, T, seed)
+            assert sample_snapshot(proto, T, seed) == tr.snapshot_at(T)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
+def test_alpha_rows_equal_alpha(name):
+    for d in (3, 4, 5):
+        proto = CONTRACT_PROTOCOLS[name](d)
+        rows = proto.alpha_rows(14)
+        assert sorted(rows) == list(range(2, 15, 2))
+        for t, row in rows.items():
+            assert len(row) == t // 2 + 1
+            for h in range(1, t // 2 + 1):
+                assert row[h] == proto.alpha(t, h)
+
+
+def test_table_protocol_raises_past_its_horizon():
+    proto = load_protocol_table(table_csv(6, 3), 3)
+    assert simulate(proto, 8, 1).T == 8  # alpha needed up to t=6 only
+    sample_snapshot(proto, 8, 1)
+    for T in (9, 10, 16):
+        with pytest.raises(ValueError, match="protocol stops at 6"):
+            simulate(proto, T, 1)
+        with pytest.raises(ValueError, match="protocol stops at 6"):
+            sample_snapshot(proto, T, 1)

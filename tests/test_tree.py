@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adl.tree import (
     SOURCE,
@@ -142,16 +142,46 @@ def test_same_subtree_of_source_is_first_entry_equality(data):
     assert (SOURCE not in path_between(ctx, x, y)) == expect
 
 
-@given(st.data())
-def test_steiner_tree_equals_pairwise_path_union(data):
-    d = data.draw(st.sampled_from([3, 4]))
-    ctx = TreeContext(d)
-    terms = data.draw(st.lists(labels(d, 5), min_size=1, max_size=5))
-    brute = set()
+def steiner_by_paths(ctx, terms):
+    """The Steiner tree's definition: the union of every pairwise path."""
+    out = set()
     for a in terms:
         for b in terms:
-            brute.update(path_between(ctx, a, b))
-    assert steiner_tree(ctx, terms) == brute
+            out.update(path_between(ctx, a, b))
+    return out
+
+
+@st.composite
+def terminal_lists(draw):
+    """(d, 1-60 labels of depth <= 8), sometimes with a repeated label and a
+    label that is a prefix of another."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    terms = draw(st.lists(labels(d, 8), min_size=1, max_size=58))
+    if draw(st.booleans()):
+        terms.append(draw(st.sampled_from(terms)))
+    if draw(st.booleans()):
+        longest = max(terms, key=len)
+        terms.append(longest[: draw(st.integers(0, len(longest)))])
+    return d, draw(st.permutations(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terminal_lists())
+def test_steiner_tree_equals_pairwise_path_union(case):
+    d, terms = case
+    ctx = TreeContext(d)
+    assert steiner_tree(ctx, terms) == steiner_by_paths(ctx, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terminal_lists(), st.data())
+def test_steiner_tree_rejects_an_invalid_terminal(case, data):
+    d, terms = case
+    bad = data.draw(st.sampled_from([(d,), (0, d - 1), (d - 1,) + (0,) * 6 + (d,)]))
+    terms = list(terms)
+    terms.insert(data.draw(st.integers(0, len(terms))), bad)
+    with pytest.raises(ValueError):
+        steiner_tree(TreeContext(d), terms)
 
 
 @given(st.sampled_from([3, 4, 5]), st.integers(1, 5))
