@@ -1,7 +1,7 @@
 """Adaptive diffusion on the infinite d-regular tree: simulation, source
 inference, and exact verification of detection probabilities."""
 
-from adl.tree import TreeContext, parse_label, format_label
+from adl.tree import parse_label, format_label
 from adl.protocol import (
     Protocol,
     HopDistribution,
@@ -14,7 +14,6 @@ from adl.protocol import (
 from adl.diffusion import Trajectory, Snapshot, simulate, sample_snapshot
 
 __all__ = [
-    "TreeContext",
     "parse_label",
     "format_label",
     "Protocol",

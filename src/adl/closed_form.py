@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from adl.protocol import infected_count_even
+from adl.tree import check_degree
 
 Number = Union[int, float, Fraction]
 
@@ -50,15 +51,10 @@ def _prob_target(kind: str, raw: Number, provenance: str) -> Target:
     )
 
 
-def _check_degree(d: int) -> None:
-    if d < 3:
-        raise ValueError(f"degree must be >= 3, got {d}")
-
-
 def two_obs_detection_lower(d: int, t1: int, t2: int) -> Target:
     """Protocol-agnostic success floor of the two-snapshot path estimator:
     (d-1)/d * 2/min(t1, t2)."""
-    _check_degree(d)
+    check_degree(d)
     if min(t1, t2) < 2:
         raise ValueError("requires t1, t2 >= 2")
     raw = Fraction(d - 1, d) * Fraction(2, min(t1, t2))
@@ -68,7 +64,7 @@ def two_obs_detection_lower(d: int, t1: int, t2: int) -> Target:
 def two_obs_obfuscation_upper(d: int, t1: int, t2: int) -> Target:
     """Success ceiling of the best two-snapshot obfuscator:
     (d-1)/d * 7/min(t1, t2)."""
-    _check_degree(d)
+    check_degree(d)
     if min(t1, t2) < 1:
         raise ValueError("requires t1, t2 >= 1")
     raw = Fraction(d - 1, d) * Fraction(7, min(t1, t2))
@@ -90,7 +86,7 @@ def even_even_mle_coincide_part(d: int, t1: int, t2: int) -> Fraction:
 def even_even_mle_exact(d: int, t1: int, t2: int) -> Target:
     """Exact success probability of the uniform-protocol MLE, both times even:
     (d-1)/d * split_part + 1/d * coincide_part."""
-    _check_degree(d)
+    check_degree(d)
     if t1 % 2 or t2 % 2 or min(t1, t2) < 4:
         raise ValueError("requires even t1, t2 >= 4")
     raw = Fraction(d - 1, d) * even_even_mle_split_part(d, t1, t2) + Fraction(
@@ -106,7 +102,7 @@ def even_odd_mle_exact(d: int, t_even: int, t_odd: int) -> Target:
     (d-1)/d * (2/te + 4/(to+1) - 8/(te (to+1)))
       + 1/d * 4/(te (to+1)) * (1/d + 1/(d-1) + 6/((to-1)(d-1))).
     """
-    _check_degree(d)
+    check_degree(d)
     if t_even % 2 or t_even < 4:
         raise ValueError("requires even t_even >= 4")
     if t_odd % 2 == 0 or t_odd < 5:
@@ -123,7 +119,7 @@ def even_odd_mle_exact(d: int, t_even: int, t_odd: int) -> Target:
 def odd_odd_mle_upper(d: int, t1: int, t2: int) -> Target:
     """Upper bound for the uniform-protocol MLE, both times odd:
     (d-1)/d * (6 + 2/3) / (min(t1, t2) + 1)."""
-    _check_degree(d)
+    check_degree(d)
     if t1 % 2 == 0 or t2 % 2 == 0 or min(t1, t2) < 5:
         raise ValueError("requires odd t1, t2 >= 5")
     raw = Fraction(d - 1, d) * Fraction(20, 3) / (min(t1, t2) + 1)
@@ -135,7 +131,7 @@ def odd_odd_mle_upper(d: int, t1: int, t2: int) -> Target:
 def three_obs_lower(d: int) -> Target:
     """Protocol-agnostic floor of the three-path intersection estimator:
     (d-1)(d-2)/d^2 (the three first steps all differ)."""
-    _check_degree(d)
+    check_degree(d)
     raw = Fraction((d - 1) * (d - 2), d * d)
     return _prob_target("lower_bound", raw, f"(d-1)(d-2)/d^2 at d={d}")
 
@@ -143,7 +139,7 @@ def three_obs_lower(d: int) -> Target:
 def multi_obs_lower(d: int, k: int) -> Target:
     """Protocol-agnostic floor of the k-snapshot subtree-count estimator:
     1 - d exp(-(d-2)^2 k / (2 d^2))."""
-    _check_degree(d)
+    check_degree(d)
     if k < 1:
         raise ValueError("requires k >= 1")
     raw = 1.0 - d * math.exp(-((d - 2) ** 2) * k / (2.0 * d * d))
@@ -156,7 +152,7 @@ def radius_upper_from_obfuscation(d: int, t: int, gamma: float, C: float) -> Tar
     """If the single-snapshot MLE succeeds with probability <= C / N_t^gamma,
     the mean fully-infected radius obeys
     E[R_t] <= (1 - gamma) t/2 + log(C t)/log(d-1) + 2."""
-    _check_degree(d)
+    check_degree(d)
     if t < 2 or t % 2:
         raise ValueError("requires even t >= 2")
     if not 0 < gamma < 1:
@@ -176,7 +172,7 @@ def local_protocol_targets(d: int, t: int, gamma: float) -> tuple[Target, Target
     """Guarantees of the gamma local-spreading protocol at even t: a bound on
     E[R_t] (equality t/2 - 1 while t <= 2/gamma, floor (1-gamma) t/2 after)
     and the MLE success ceiling 2(d-1)/N_t^gamma."""
-    _check_degree(d)
+    check_degree(d)
     if t < 2 or t % 2:
         raise ValueError("requires even t >= 2")
     g = Fraction(gamma)

@@ -25,14 +25,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from adl.protocol import Protocol, even_floor
 from adl.tree import (
     Label,
     SOURCE,
-    TreeContext,
     ball_size,
+    check_degree,
     check_label,
     distance,
     format_label,
@@ -57,7 +56,10 @@ def _field(obj: dict, key: str, kind: type):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Virtual-source path vs_0 ... vs_T in origin-rooted coordinates."""
+    """Virtual-source path vs_0 ... vs_T in origin-rooted coordinates.
+
+    Construction checks the degree, every label and every step of the walk.
+    """
 
     d: int
     protocol: str
@@ -65,11 +67,11 @@ class Trajectory:
     vs: tuple  # tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        ctx = TreeContext(self.d)
+        check_degree(self.d)
         if not self.vs or self.vs[0] != SOURCE:
             raise ValueError("trajectory must start at the origin")
         for v in self.vs:
-            check_label(ctx, v)
+            check_label(self.d, v)
         if len(self.vs) > 1 and len(self.vs[1]) != 1:
             raise ValueError("vs_1 must be a neighbor of the origin")
         for t in range(1, len(self.vs) - 1):
@@ -171,8 +173,9 @@ class Snapshot:
     """One observed infected subgraph, reduced to (t, vs_{t-1}, vs_t).
 
     At t = 1 the pair is (vs_0, vs_1) = (origin, first step); for every t >= 2
-    neither entry can be the origin.  Construction checks the pair is
-    consistent (equal at even t, equal-or-adjacent at odd t).
+    neither entry can be the origin.  Construction checks the degree and
+    both labels, and that the pair is consistent (equal at even t,
+    equal-or-adjacent at odd t); code past this point takes them as given.
     """
 
     d: int
@@ -181,14 +184,14 @@ class Snapshot:
     vs_now: Label
 
     def __post_init__(self) -> None:
-        ctx = TreeContext(self.d)
-        check_label(ctx, self.vs_prev)
-        check_label(ctx, self.vs_now)
+        check_degree(self.d)
+        check_label(self.d, self.vs_prev)
+        check_label(self.d, self.vs_now)
         if self.t < 1:
             raise ValueError(f"observation time must be >= 1, got {self.t}")
         if self.t % 2 == 0 and self.vs_prev != self.vs_now:
             raise ValueError("even-time snapshots have vs_prev == vs_now")
-        if self.vs_prev != self.vs_now and distance(ctx, self.vs_prev, self.vs_now) != 1:
+        if self.vs_prev != self.vs_now and distance(self.vs_prev, self.vs_now) != 1:
             raise ValueError("a moved virtual source must be adjacent to its predecessor")
         if self.t >= 2 and (self.vs_prev == SOURCE or self.vs_now == SOURCE):
             raise ValueError("the virtual source never sits at the origin for t >= 2")
@@ -202,10 +205,6 @@ class Snapshot:
         """Ball radius: t/2 at even t, (t-1)/2 at odd t."""
         return self.t // 2
 
-    @cached_property
-    def _ctx(self) -> TreeContext:
-        return TreeContext(self.d)
-
     def virtual_sources(self) -> tuple:
         """The identifiable virtual-source set: one label (ball) or two (edge)."""
         if self.vs_prev == self.vs_now:
@@ -214,10 +213,10 @@ class Snapshot:
 
     def min_vs_distance(self, v: Label) -> int:
         """min over the virtual-source set of the distance to v."""
-        dv = distance(self._ctx, v, self.vs_now)
+        dv = distance(v, self.vs_now)
         if self.vs_prev == self.vs_now:
             return dv
-        return min(dv, distance(self._ctx, v, self.vs_prev))
+        return min(dv, distance(v, self.vs_prev))
 
     def contains(self, v: Label) -> bool:
         """Membership in the infected set."""

@@ -31,8 +31,8 @@ from adl.diffusion import Snapshot, is_int
 from adl.protocol import HopDistribution, Protocol, even_floor
 from adl.tree import (
     Label,
-    TreeContext,
     bfs_depths,
+    distance,
     format_label,
     neighbors,
     path_between,
@@ -40,16 +40,6 @@ from adl.tree import (
 )
 
 _REL_TOL = 1e-12  # float-mode tie grouping for log-likelihood comparisons
-
-
-def _dist(u: Label, v: Label) -> int:
-    # internal fast path: labels are already validated
-    n = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        n += 1
-    return len(u) + len(v) - 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +97,7 @@ class ShellCandidates:
         return sum(self._shell_size(r) for r in self.radii)
 
     def _set_distance(self, v: Label) -> int:
-        return min(_dist(v, c) for c in self.centers)
+        return min(distance(v, c) for c in self.centers)
 
     def contains(self, v: Label) -> bool:
         return self._set_distance(v) in self.radii
@@ -121,18 +111,17 @@ class ShellCandidates:
             if pick < s:
                 break
             pick -= s
-        ctx = TreeContext(self.d)
         if len(self.centers) == 1:
             prev, cur = self.centers[0], None
-            options = neighbors(ctx, prev)
+            options = neighbors(self.d, prev)
         else:
             a, b = self.centers
             prev = a if rng.randrange(2) == 0 else b
             other = b if prev == a else a
-            options = [w for w in neighbors(ctx, prev) if w != other]
+            options = [w for w in neighbors(self.d, prev) if w != other]
         cur = options[rng.randrange(len(options))]
         for _ in range(r - 1):
-            options = [w for w in neighbors(ctx, cur) if w != prev]
+            options = [w for w in neighbors(self.d, cur) if w != prev]
             prev, cur = cur, options[rng.randrange(len(options))]
         return cur
 
@@ -271,26 +260,25 @@ def single_mle(
 # ---------------------------------------------------------------------------
 
 
-def _closest_pair(ctx: TreeContext, set1: Sequence[Label], set2: Sequence[Label]):
+def _closest_pair(set1: Sequence[Label], set2: Sequence[Label]):
     return min(
         ((x, y) for x in set1 for y in set2),
-        key=lambda xy: (_dist(xy[0], xy[1]), xy),
+        key=lambda xy: (distance(xy[0], xy[1]), xy),
     )
 
 
 def two_obs_path_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
     d = _check_common([s1, s2])
-    ctx = TreeContext(d)
     vs1, vs2 = s1.virtual_sources(), s2.virtual_sources()
     known = set(vs1) | set(vs2)
-    x, y = _closest_pair(ctx, vs1, vs2)
-    interior = [v for v in path_between(ctx, x, y)[1:-1] if v not in known]
+    x, y = _closest_pair(vs1, vs2)
+    interior = [v for v in path_between(x, y)[1:-1] if v not in known]
     s_set = [v for v in interior if s1.contains(v) and s2.contains(v)]
     if s_set:
         return ExplicitCandidates(frozenset(s_set)), {"S_size": len(s_set), "fallback": False}
     # the connecting path has no interior (virtual sources coincide or touch):
     # fall back to a uniform pick among the fringe of the known virtual sources
-    fringe = {w for v in known for w in neighbors(ctx, v)} - known
+    fringe = {w for v in known for w in neighbors(d, v)} - known
     return ExplicitCandidates(frozenset(fringe)), {"S_size": 0, "fallback": True}
 
 
@@ -307,10 +295,9 @@ def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
 
 
 def three_obs_candidates(d: int, v1: Label, v2: Label, v3: Label) -> Candidates:
-    ctx = TreeContext(d)
-    p12 = set(path_between(ctx, v1, v2))
-    p13 = set(path_between(ctx, v1, v3))
-    p23 = set(path_between(ctx, v2, v3))
+    p12 = set(path_between(v1, v2))
+    p13 = set(path_between(v1, v3))
+    p23 = set(path_between(v2, v3))
     meet = p12 & p13 & p23
     if not meet:
         raise ValueError("pairwise paths in a tree always meet")  # unreachable
@@ -350,12 +337,11 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     """
     if not resolved:
         raise ValueError("at least one virtual source required")
-    ctx = TreeContext(d)
     k = len(resolved)
     mult: dict = {}
     for v in resolved:
         mult[v] = mult.get(v, 0) + 1
-    domain = steiner_tree(ctx, list(mult))
+    domain = steiner_tree(mult)
     top = min(domain, key=lambda v: (len(v), v))
     children: dict = {v: [] for v in domain}
     for v in domain:
@@ -400,7 +386,6 @@ def generic_mle_candidates(
     if search_depth < 0:
         raise ValueError("search_depth must be >= 0")
     d = _check_common(snaps)
-    ctx = TreeContext(d)
     exact = hop.exact and protocol.exact
 
     per_snap = []
@@ -411,8 +396,8 @@ def generic_mle_candidates(
         all_vs.extend(vs)
         per_snap.append((vs, t_eff // 2, weights))
 
-    core = steiner_tree(ctx, all_vs)
-    depths = bfs_depths(ctx, core, search_depth)
+    core = steiner_tree(all_vs)
+    depths = bfs_depths(d, core, search_depth)
 
     # likelihood depends on a vertex only through its hop vector, so score
     # each distinct vector once and bucket the domain by it
@@ -420,9 +405,9 @@ def generic_mle_candidates(
     for v in depths:
         key = []
         for vs, max_h, _ in per_snap:
-            x = _dist(v, vs[0])
+            x = distance(v, vs[0])
             if len(vs) == 2:
-                x2 = _dist(v, vs[1])
+                x2 = distance(v, vs[1])
                 if x2 < x:
                     x = x2
             if x < 1 or x > max_h:  # excluded virtual source, or outside V_t
@@ -441,7 +426,7 @@ def generic_mle_candidates(
     }
     if not buckets:
         first = snaps[0].virtual_sources()[0]
-        fringe = set(neighbors(ctx, first)) - set(all_vs)
+        fringe = set(neighbors(d, first)) - set(all_vs)
         diagnostics["fallback"] = True
         return ExplicitCandidates(frozenset(fringe)), diagnostics
 
@@ -475,7 +460,7 @@ def generic_mle_candidates(
         )
     if not win:
         first = snaps[0].virtual_sources()[0]
-        fringe = set(neighbors(ctx, first)) - set(all_vs)
+        fringe = set(neighbors(d, first)) - set(all_vs)
         diagnostics["fallback"] = True
         return ExplicitCandidates(frozenset(fringe)), diagnostics
 
@@ -511,20 +496,14 @@ def generic_mle(
 # ---------------------------------------------------------------------------
 
 
-def _nbrs_minus(ctx: TreeContext, centers: Sequence[Label], minus) -> frozenset:
-    out = {w for c in centers for w in neighbors(ctx, c)}
+def _nbrs_minus(d: int, centers: Sequence[Label], minus) -> frozenset:
+    out = {w for c in centers for w in neighbors(d, c)}
     return frozenset(out - set(minus) - set(centers))
 
 
-def _feasible_interior(
-    ctx: TreeContext, a: Label, b: Label, s1: Snapshot, s2: Snapshot
-) -> list[Label]:
+def _feasible_interior(a: Label, b: Label, s1: Snapshot, s2: Snapshot) -> list[Label]:
     """Interior of the a-b path, filtered to vertices infected in both."""
-    return [
-        v
-        for v in path_between(ctx, a, b)[1:-1]
-        if s1.contains(v) and s2.contains(v)
-    ]
+    return [v for v in path_between(a, b)[1:-1] if s1.contains(v) and s2.contains(v)]
 
 
 def _require(cands, case: str) -> frozenset:
@@ -541,16 +520,15 @@ def uniform_mle_cases_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates
             raise ValueError(
                 f"case dispatch needs t >= {low} at {'even' if low == 4 else 'odd'} times, got t={s.t}"
             )
-    ctx = TreeContext(d)
     if s1.t % 2 == 0 and s2.t % 2 == 0:
-        members, case = _cases_even_even(ctx, s1, s2)
+        members, case = _cases_even_even(d, s1, s2)
     elif s1.t % 2 == 0:
-        members, case = _cases_even_odd(ctx, s1, s2)
+        members, case = _cases_even_odd(d, s1, s2)
     elif s2.t % 2 == 0:
-        members, case = _cases_even_odd(ctx, s2, s1)
+        members, case = _cases_even_odd(d, s2, s1)
         case += "-swapped"
     else:
-        members, case = _cases_odd_odd(ctx, s1, s2)
+        members, case = _cases_odd_odd(d, s1, s2)
     return ExplicitCandidates(members), {"case": case}
 
 
@@ -566,129 +544,129 @@ def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimat
     return _finish("uniform_mle_cases", cands, diagnostics, rng)
 
 
-def _cases_even_even(ctx: TreeContext, s1: Snapshot, s2: Snapshot):
+def _cases_even_even(d: int, s1: Snapshot, s2: Snapshot):
     v1, v2 = s1.vs_now, s2.vs_now
-    gap = _dist(v1, v2)
+    gap = distance(v1, v2)
     if gap == 0:
-        return _require(_nbrs_minus(ctx, [v1], []), "even-even-1"), "even-even-1"
+        return _require(_nbrs_minus(d, [v1], []), "even-even-1"), "even-even-1"
     if gap == 1:
-        return _require(_nbrs_minus(ctx, [v1, v2], []), "even-even-2"), "even-even-2"
-    s_set = _feasible_interior(ctx, v1, v2, s1, s2)
+        return _require(_nbrs_minus(d, [v1, v2], []), "even-even-2"), "even-even-2"
+    s_set = _feasible_interior(v1, v2, s1, s2)
     return _require(s_set, "even-even-3"), "even-even-3"
 
 
-def _cases_even_odd(ctx: TreeContext, se: Snapshot, so: Snapshot):
+def _cases_even_odd(d: int, se: Snapshot, so: Snapshot):
     """se has even t (ball, center vs1); so has odd t."""
     vs1 = se.vs_now
     pair = so.virtual_sources()
-    x2 = min(_dist(vs1, w) for w in pair)
+    x2 = min(distance(vs1, w) for w in pair)
     if so.is_ball:
         vs2 = so.vs_now
         if x2 == 0:
-            return _require(_nbrs_minus(ctx, [vs1], []), "even-odd-1"), "even-odd-1"
+            return _require(_nbrs_minus(d, [vs1], []), "even-odd-1"), "even-odd-1"
         if x2 == 1:
-            return _require(_nbrs_minus(ctx, [vs2], [vs1]), "even-odd-3"), "even-odd-3"
+            return _require(_nbrs_minus(d, [vs2], [vs1]), "even-odd-3"), "even-odd-3"
         # deterministic: the feasible path vertex closest to the odd center
-        feas = _feasible_interior(ctx, vs1, vs2, se, so)
+        feas = _feasible_interior(vs1, vs2, se, so)
         _require(feas, "even-odd-5")
-        best = min(feas, key=lambda v: _dist(v, vs2))
+        best = min(feas, key=lambda v: distance(v, vs2))
         return frozenset([best]), "even-odd-5"
     if x2 <= 1:
         case = "even-odd-2" if x2 == 0 else "even-odd-4"
-        return _require(_nbrs_minus(ctx, [vs1], pair), case), case
-    near = min(pair, key=lambda w: (_dist(vs1, w), w))
-    feas = _feasible_interior(ctx, vs1, near, se, so)
+        return _require(_nbrs_minus(d, [vs1], pair), case), case
+    near = min(pair, key=lambda w: (distance(vs1, w), w))
+    feas = _feasible_interior(vs1, near, se, so)
     _require(feas, "even-odd-6")
-    best = min(feas, key=lambda v: _dist(v, vs1))
+    best = min(feas, key=lambda v: distance(v, vs1))
     return frozenset([best]), "even-odd-6"
 
 
-def _cases_odd_odd(ctx: TreeContext, s1: Snapshot, s2: Snapshot):
+def _cases_odd_odd(d: int, s1: Snapshot, s2: Snapshot):
     if s1.is_ball and s2.is_ball:
-        return _cases_odd_odd_balls(ctx, s1, s2)
+        return _cases_odd_odd_balls(d, s1, s2)
     if s1.is_ball:
-        members, case = _cases_odd_odd_ball_nonball(ctx, s1, s2)
+        members, case = _cases_odd_odd_ball_nonball(d, s1, s2)
     elif s2.is_ball:
-        members, case = _cases_odd_odd_ball_nonball(ctx, s2, s1)
+        members, case = _cases_odd_odd_ball_nonball(d, s2, s1)
         case += "-swapped"
     else:
-        return _cases_odd_odd_nonballs(ctx, s1, s2)
+        return _cases_odd_odd_nonballs(d, s1, s2)
     return members, case
 
 
-def _cases_odd_odd_balls(ctx: TreeContext, s1: Snapshot, s2: Snapshot):
+def _cases_odd_odd_balls(d: int, s1: Snapshot, s2: Snapshot):
     v1, v2 = s1.vs_now, s2.vs_now
     t1, t2 = s1.t, s2.t
-    gap = _dist(v1, v2)
+    gap = distance(v1, v2)
     if gap == 0:
-        return _require(_nbrs_minus(ctx, [v1], []), "odd-odd-1"), "odd-odd-1"
+        return _require(_nbrs_minus(d, [v1], []), "odd-odd-1"), "odd-odd-1"
     if gap == 1:
         # the later snapshot localizes better; equal times leave both sides tied
         if t1 == t2:
-            members = _nbrs_minus(ctx, [v1, v2], [])
+            members = _nbrs_minus(d, [v1, v2], [])
         elif t1 > t2:
-            members = _nbrs_minus(ctx, [v2], [v1])
+            members = _nbrs_minus(d, [v2], [v1])
         else:
-            members = _nbrs_minus(ctx, [v1], [v2])
+            members = _nbrs_minus(d, [v1], [v2])
         return _require(members, "odd-odd-2"), "odd-odd-2"
-    feas = _feasible_interior(ctx, v1, v2, s1, s2)
+    feas = _feasible_interior(v1, v2, s1, s2)
     _require(feas, "odd-odd-3")
     scores = {
-        v: (t1 + 1 - 2 * _dist(v, v1)) * (t2 + 1 - 2 * _dist(v, v2)) for v in feas
+        v: (t1 + 1 - 2 * distance(v, v1)) * (t2 + 1 - 2 * distance(v, v2)) for v in feas
     }
     best = max(scores.values())
     return frozenset(v for v, sc in scores.items() if sc == best), "odd-odd-3"
 
 
-def _cases_odd_odd_ball_nonball(ctx: TreeContext, sb: Snapshot, sn: Snapshot):
+def _cases_odd_odd_ball_nonball(d: int, sb: Snapshot, sn: Snapshot):
     """sb is the odd ball, sn the odd non-ball."""
     vb = sb.vs_now
     pair = sn.virtual_sources()
-    x = min(_dist(vb, w) for w in pair)
+    x = min(distance(vb, w) for w in pair)
     if x == 0:
-        return _require(_nbrs_minus(ctx, [vb], pair), "odd-odd-4"), "odd-odd-4"
+        return _require(_nbrs_minus(d, [vb], pair), "odd-odd-4"), "odd-odd-4"
     if x == 1:
-        return _require(_nbrs_minus(ctx, [vb], pair), "odd-odd-5"), "odd-odd-5"
-    near = min(pair, key=lambda w: (_dist(vb, w), w))
-    feas = _feasible_interior(ctx, vb, near, sb, sn)
+        return _require(_nbrs_minus(d, [vb], pair), "odd-odd-5"), "odd-odd-5"
+    near = min(pair, key=lambda w: (distance(vb, w), w))
+    feas = _feasible_interior(vb, near, sb, sn)
     _require(feas, "odd-odd-6")
-    best = min(feas, key=lambda v: _dist(v, vb))
+    best = min(feas, key=lambda v: distance(v, vb))
     return frozenset([best]), "odd-odd-6"
 
 
-def _cases_odd_odd_nonballs(ctx: TreeContext, s1: Snapshot, s2: Snapshot):
+def _cases_odd_odd_nonballs(d: int, s1: Snapshot, s2: Snapshot):
     e1, e2 = s1.virtual_sources(), s2.virtual_sources()
-    gap = min(_dist(a, b) for a in e1 for b in e2)
+    gap = min(distance(a, b) for a in e1 for b in e2)
     union = set(e1) | set(e2)
     if gap == 0:
         if set(e1) == set(e2):
-            if ctx.d >= 4:
-                return _require(_nbrs_minus(ctx, e1, []), "odd-odd-7"), "odd-odd-7"
+            if d >= 4:
+                return _require(_nbrs_minus(d, e1, []), "odd-odd-7"), "odd-odd-7"
             band = {
                 v
-                for v, r in bfs_depths(ctx, e1, 2).items()
+                for v, r in bfs_depths(d, e1, 2).items()
                 if r in (1, 2)
             }
             return _require(band, "odd-odd-7(d=3)"), "odd-odd-7(d=3)"
         (shared,) = set(e1) & set(e2)
-        if ctx.d >= 4:
-            return _require(_nbrs_minus(ctx, [shared], union), "odd-odd-8"), "odd-odd-8"
+        if d >= 4:
+            return _require(_nbrs_minus(d, [shared], union), "odd-odd-8"), "odd-odd-8"
         near2 = {
             v
-            for v, r in bfs_depths(ctx, [shared], 2).items()
+            for v, r in bfs_depths(d, [shared], 2).items()
             if r in (1, 2) and v not in union
         }
         return _require(near2, "odd-odd-8(d=3)"), "odd-odd-8(d=3)"
-    a, b = _closest_pair(ctx, e1, e2)
+    a, b = _closest_pair(e1, e2)
     if gap == 1:
-        return _require(_nbrs_minus(ctx, [a, b], union), "odd-odd-9"), "odd-odd-9"
-    if ctx.d == 3 and gap == 2:
-        (mid,) = [v for v in path_between(ctx, a, b)[1:-1]]
-        (w2,) = [w for w in neighbors(ctx, mid) if w not in (a, b)]
+        return _require(_nbrs_minus(d, [a, b], union), "odd-odd-9"), "odd-odd-9"
+    if d == 3 and gap == 2:
+        (mid,) = [v for v in path_between(a, b)[1:-1]]
+        (w2,) = [w for w in neighbors(d, mid) if w not in (a, b)]
         return frozenset([mid, w2]), "odd-odd-10(d=3,gap=2)"
-    feas = _feasible_interior(ctx, a, b, s1, s2)
+    feas = _feasible_interior(a, b, s1, s2)
     _require(feas, "odd-odd-10")
-    scores = {v: _dist(v, a) * _dist(v, b) for v in feas}
+    scores = {v: distance(v, a) * distance(v, b) for v in feas}
     best = max(scores.values())
     return frozenset(v for v, sc in scores.items() if sc == best), "odd-odd-10"
 

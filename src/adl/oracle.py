@@ -22,7 +22,7 @@ from typing import Sequence, Union
 from adl.diffusion import Snapshot
 from adl.estimators import estimator_for
 from adl.protocol import Protocol, even_floor, hop_distribution, hop_horizon
-from adl.tree import SOURCE, TreeContext, labels_at_depth, sphere_size
+from adl.tree import SOURCE, labels_at_depth, sphere_size
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -62,7 +62,6 @@ def enumerate_single(
     if n > budget:
         raise ValueError(f"enumeration needs {n} outcomes, over the budget of {budget}")
     d = protocol.d
-    ctx = TreeContext(d)
     exact = protocol.exact
     one = Fraction(1) if exact else 1.0
 
@@ -79,13 +78,13 @@ def enumerate_single(
         for h in hop.support(t):
             per_vertex = p(t, h) / sphere_size(d, h)
             if per_vertex:
-                out.extend(WeightedOutcome(v, v, per_vertex) for v in labels_at_depth(ctx, h))
+                out.extend(WeightedOutcome(v, v, per_vertex) for v in labels_at_depth(d, h))
         return out
     a = protocol.alpha_exact if exact else protocol.alpha
     for h in hop.support(t_eff):
         stay = p(t_eff, h) * a(t_eff, h) / sphere_size(d, h)
         move = p(t_eff, h) * (one - a(t_eff, h)) / (sphere_size(d, h) * (d - 1))
-        for v in labels_at_depth(ctx, h):
+        for v in labels_at_depth(d, h):
             if stay:
                 out.append(WeightedOutcome(v, v, stay))
             if move:
@@ -140,17 +139,20 @@ def exact_success(
         raise ValueError(f"joint enumeration needs {combos} outcomes, over the budget of {budget}")
 
     exact = protocol.exact
-    singles = [enumerate_single(protocol, t, budget) for t in times]
+    # each outcome's Snapshot is built (and checked) once, not once per joint combination
+    singles = [
+        [
+            (Snapshot(d=protocol.d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now), o.prob)
+            for o in enumerate_single(protocol, t, budget)
+        ]
+        for t in times
+    ]
     hop = hop_distribution(protocol, hop_horizon(times), exact=exact) if info.needs_hop else None
 
-    d = protocol.d
     total = Fraction(0) if exact else 0.0
     for combo in itertools.product(*singles):
-        snaps = [
-            Snapshot(d=d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now)
-            for t, o in zip(times, combo)
-        ]
-        weight = prod(o.prob for o in combo)
+        snaps = [s for s, _ in combo]
+        weight = prod(p for _, p in combo)
         total += weight * _success_fraction(info, snaps, hop, protocol, params, exact)
     return total
 

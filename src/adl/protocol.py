@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from adl.tree import ball_size
+from adl.tree import ball_size, check_degree
 
 Rational = Union[int, Fraction]
 
@@ -48,8 +48,7 @@ def alpha_uniform(t: int, h: int) -> Fraction:
 
 def alpha_perfect(d: int, t: int, h: int) -> Fraction:
     """Stay probability ((d-1)^(t/2-h+1) - 1) / ((d-1)^(t/2+1) - 1)."""
-    if d < 3:
-        raise ValueError(f"degree must be >= 3, got {d}")
+    check_degree(d)
     _check_domain(t, h)
     m = d - 1
     return Fraction(m ** (t // 2 - h + 1) - 1, m ** (t // 2 + 1) - 1)
@@ -96,8 +95,7 @@ class Protocol:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.d < 3:
-            raise ValueError(f"degree must be >= 3, got {self.d}")
+        check_degree(self.d)
 
     def alpha(self, t: int, h: int) -> float:
         return float(self._alpha_checked(t, h))

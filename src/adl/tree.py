@@ -11,12 +11,15 @@ This coordinate system exists for the benefit of simulators and exhaustive
 enumerators; inference code is expected to treat labels as opaque and go
 through the operations in this module only (results must be invariant under
 relabelling of child indices; see the test suite).
+
+Labels are checked once, where they enter: ``Snapshot`` and ``Trajectory``
+call :func:`check_degree` and :func:`check_label` when they are built.  Every
+other operation here takes its labels as given.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Label = tuple  # tuple[int, ...]; alias kept loose for 3.10-friendly hot paths
@@ -24,39 +27,37 @@ Label = tuple  # tuple[int, ...]; alias kept loose for 3.10-friendly hot paths
 SOURCE: Label = ()
 
 
-@dataclass(frozen=True)
-class TreeContext:
-    """Degree of the regular tree; everything else is derived."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 3:
-            raise ValueError(f"degree must be >= 3, got {self.d}")
+def check_degree(d: int) -> None:
+    """Reject a tree degree below 3."""
+    if d < 3:
+        raise ValueError(f"degree must be >= 3, got {d}")
 
 
-def check_label(ctx: TreeContext, v: Label) -> Label:
-    """Validate entry ranges for degree ``ctx.d``; returns ``v`` unchanged."""
+def check_label(d: int, v: Label) -> None:
+    """Validate entry ranges for degree ``d``."""
     if v:
-        if not 0 <= v[0] < ctx.d:
-            raise ValueError(f"first label entry {v[0]} out of range for d={ctx.d}")
+        if not 0 <= v[0] < d:
+            raise ValueError(f"first label entry {v[0]} out of range for d={d}")
         for step in v[1:]:
-            if not 0 <= step < ctx.d - 1:
-                raise ValueError(f"label entry {step} out of range for d={ctx.d}")
-    return v
+            if not 0 <= step < d - 1:
+                raise ValueError(f"label entry {step} out of range for d={d}")
 
 
 def parse_label(text: str) -> Label:
-    """Parse the text form: "/" is the origin, "/2/0/1" is the label (2, 0, 1)."""
+    """Parse the text form: "/" is the origin, "/2/0/1" is the label (2, 0, 1).
+
+    Only the canonical text that :func:`format_label` writes is accepted, so
+    "/01", "/+1", "/ 1" or "/1_0" are malformed rather than read as numbers.
+    """
     if not isinstance(text, str) or not text.startswith("/"):
         raise ValueError(f"label text must be a string starting with '/': {text!r}")
-    body = text[1:]
-    if not body:
-        return ()
     try:
-        return tuple(int(part) for part in body.split("/"))
+        v = tuple(int(part) for part in text[1:].split("/")) if text != "/" else ()
     except ValueError:
-        raise ValueError(f"malformed label text: {text!r}") from None
+        v = None
+    if v is None or format_label(v) != text:
+        raise ValueError(f"malformed label text: {text!r}")
+    return v
 
 
 def format_label(v: Label) -> str:
@@ -74,62 +75,48 @@ def lcp_len(u: Label, v: Label) -> int:
     return n
 
 
-def distance(ctx: TreeContext, u: Label, v: Label) -> int:
+def distance(u: Label, v: Label) -> int:
     """Graph distance: |u| + |v| - 2 * lcp(u, v)."""
-    check_label(ctx, u)
-    check_label(ctx, v)
     return len(u) + len(v) - 2 * lcp_len(u, v)
 
 
-def path_between(ctx: TreeContext, u: Label, v: Label) -> list[Label]:
+def path_between(u: Label, v: Label) -> list[Label]:
     """The unique path from u to v inclusive; passes through their meet.
 
     Length is always distance(u, v) + 1 vertices.
     """
-    check_label(ctx, u)
-    check_label(ctx, v)
     k = lcp_len(u, v)
     down = [u[:i] for i in range(len(u), k, -1)]  # u ... just above the meet
     up = [v[:i] for i in range(k, len(v) + 1)]  # meet ... v
     return down + up
 
 
-def parent(v: Label) -> Label:
-    """Neighbor of ``v`` toward the origin; undefined for the origin."""
-    if not v:
-        raise ValueError("the origin has no parent")
-    return v[:-1]
-
-
-def neighbors(ctx: TreeContext, v: Label) -> list[Label]:
+def neighbors(d: int, v: Label) -> list[Label]:
     """All d neighbors of ``v``: parent first (if any), then children in order."""
-    check_label(ctx, v)
     if not v:
-        return [(i,) for i in range(ctx.d)]
-    return [v[:-1]] + [v + (j,) for j in range(ctx.d - 1)]
+        return [(i,) for i in range(d)]
+    return [v[:-1]] + [v + (j,) for j in range(d - 1)]
 
 
-def same_subtree(ctx: TreeContext, root: Label, x: Label, y: Label) -> bool:
+def same_subtree(root: Label, x: Label, y: Label) -> bool:
     """True iff x and y fall in the same component of the tree minus ``root``.
 
     Decided via the neighbor of ``root`` closest to each argument; for
     root = origin this reduces to first-entry equality.
     """
-    check_label(ctx, root)
     if x == root or y == root:
         raise ValueError("same_subtree arguments must differ from the root")
-    return _step_toward(ctx, root, x) == _step_toward(ctx, root, y)
+    return _step_toward(root, x) == _step_toward(root, y)
 
 
-def _step_toward(ctx: TreeContext, frm: Label, to: Label) -> Label:
+def _step_toward(frm: Label, to: Label) -> Label:
     """The neighbor of ``frm`` on the path toward ``to`` (to != frm)."""
-    check_label(ctx, to)
     if lcp_len(frm, to) == len(frm):  # frm is a prefix of to: step down
         return to[: len(frm) + 1]
     return frm[:-1]
 
 
-def steiner_tree(ctx: TreeContext, terminals: Iterable[Label]) -> set[Label]:
+def steiner_tree(terminals: Iterable[Label]) -> set[Label]:
     """Minimal subtree spanning the terminals, as a vertex set.
 
     Equals the union of path_between over all terminal pairs.  Every such
@@ -137,7 +124,7 @@ def steiner_tree(ctx: TreeContext, terminals: Iterable[Label]) -> set[Label]:
     common prefix and descends to the other, so the set is every prefix of a
     terminal that is at least as long as that common prefix.
     """
-    terms = {check_label(ctx, t) for t in terminals}
+    terms = set(terminals)
     if not terms:
         raise ValueError("steiner_tree requires a nonempty terminal set")
     base = next(iter(terms))
@@ -145,11 +132,11 @@ def steiner_tree(ctx: TreeContext, terminals: Iterable[Label]) -> set[Label]:
     return {t[:i] for t in terms for i in range(top, len(t) + 1)}
 
 
-def bfs_depths(ctx: TreeContext, core: Iterable[Label], depth: int) -> dict:
+def bfs_depths(d: int, core: Iterable[Label], depth: int) -> dict:
     """Map every vertex within ``depth`` of the core to its distance from it."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dist: dict = {check_label(ctx, v): 0 for v in core}
+    dist: dict = {v: 0 for v in core}
     if not dist:
         raise ValueError("core must be nonempty")
     frontier = deque(dist)
@@ -158,16 +145,11 @@ def bfs_depths(ctx: TreeContext, core: Iterable[Label], depth: int) -> dict:
         r = dist[v]
         if r == depth:
             continue
-        for w in neighbors(ctx, v):
+        for w in neighbors(d, v):
             if w not in dist:
                 dist[w] = r + 1
                 frontier.append(w)
     return dist
-
-
-def neighborhood_of_set(ctx: TreeContext, core: Iterable[Label], depth: int) -> set[Label]:
-    """All vertices at distance <= depth from some core vertex."""
-    return set(bfs_depths(ctx, core, depth))
 
 
 def ball_size(d: int, radius: int) -> int:
@@ -186,17 +168,17 @@ def sphere_size(d: int, radius: int) -> int:
     return d * (d - 1) ** (radius - 1)
 
 
-def labels_at_depth(ctx: TreeContext, depth: int) -> Iterator[Label]:
+def labels_at_depth(d: int, depth: int) -> Iterator[Label]:
     """All labels at the given distance from the origin, lexicographically."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
         yield ()
         return
-    stack: list[Label] = [(i,) for i in range(ctx.d - 1, -1, -1)]
+    stack: list[Label] = [(i,) for i in range(d - 1, -1, -1)]
     while stack:
         v = stack.pop()
         if len(v) == depth:
             yield v
         else:
-            stack.extend(v + (j,) for j in range(ctx.d - 2, -1, -1))
+            stack.extend(v + (j,) for j in range(d - 2, -1, -1))

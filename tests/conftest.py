@@ -9,7 +9,7 @@ import pytest
 
 from adl.diffusion import Trajectory
 from adl.experiments import derive_seed
-from adl.tree import SOURCE, TreeContext, bfs_depths, distance, neighbors
+from adl.tree import SOURCE, bfs_depths, distance, neighbors
 
 
 def stepwise_infected_set(tr: Trajectory, t: int) -> set:
@@ -17,17 +17,16 @@ def stepwise_infected_set(tr: Trajectory, t: int) -> set:
     Snapshot.contains: even times take the ball around the current virtual
     source; at odd times the set either freezes (stay) or grows by the
     boundary vertices at distance (t-1)/2 from the new virtual source."""
-    ctx = TreeContext(tr.d)
     infected = {SOURCE}
     for s in range(1, t + 1):
         if s == 1:
             infected = {SOURCE, tr.vs[1]}
         elif s % 2 == 0:
-            infected = set(bfs_depths(ctx, [tr.vs[s]], s // 2))
+            infected = set(bfs_depths(tr.d, [tr.vs[s]], s // 2))
         elif tr.vs[s] != tr.vs[s - 1]:
-            boundary = {w for v in infected for w in neighbors(ctx, v)} - infected
+            boundary = {w for v in infected for w in neighbors(tr.d, v)} - infected
             infected |= {
-                w for w in boundary if distance(ctx, w, tr.vs[s]) == (s - 1) // 2
+                w for w in boundary if distance(w, tr.vs[s]) == (s - 1) // 2
             }
     return infected
 
@@ -56,8 +55,7 @@ def make_automorphism(d: int, seed: int):
 
 def shell_members(d: int, centers, radius: int) -> set:
     """Explicit enumeration of a distance shell (for checking symbolic sets)."""
-    ctx = TreeContext(d)
-    return {v for v, r in bfs_depths(ctx, list(centers), radius).items() if r == radius}
+    return {v for v, r in bfs_depths(d, list(centers), radius).items() if r == radius}
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from adl.protocol import (
     stay_probability_at,
     uniform_protocol,
 )
-from adl.tree import SOURCE, TreeContext, bfs_depths
+from adl.tree import SOURCE, bfs_depths
 
 
 def report(tag: str, ok: bool, detail: str = "") -> bool:
@@ -271,9 +271,8 @@ def test_criterion_13_local_radius_identity_brute_force():
     ok = True
     checked = 0
     for d in (3, 4):
-        ctx = TreeContext(d)
         proto = uniform_protocol(d)
-        balls = {t: bfs_depths(ctx, [SOURCE], t // 2) for t in (4, 8, 12)}
+        balls = {t: bfs_depths(d, [SOURCE], t // 2) for t in (4, 8, 12)}
         level_sizes = {
             t: {r: sum(1 for x in ball.values() if x == r) for r in range(t // 2 + 1)}
             for t, ball in balls.items()

@@ -118,6 +118,8 @@ def with_snapshot(**changes):
     (with_snapshot(vs_now=["/0"]), "'vs_now' must be of type str"),
     (1, "must be a JSON object"),
     ([SNAPSHOTS[0]], "must be a JSON object"),
+    (with_snapshot(d=2), "degree must be >= 3"),
+    (with_snapshot(vs_now="/3"), "out of range for d=3"),
 ])
 def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     with pytest.raises(ValueError, match=token):
@@ -131,6 +133,9 @@ def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     ([with_snapshot(vs_prev=5), SNAPSHOTS[1]], "'vs_prev' must be of type str"),
     ({"snapshots": SNAPSHOTS}, "must hold a JSON array"),
     ([with_snapshot(t=-4), SNAPSHOTS[1]], "observation time"),
+    ([with_snapshot(vs_prev="/ 0/+0", vs_now="/0/0_0"), SNAPSHOTS[1]], "malformed label text"),
+    ([with_snapshot(d=2), SNAPSHOTS[1]], "degree must be >= 3"),
+    ([with_snapshot(vs_now="/3"), SNAPSHOTS[1]], "out of range for d=3"),
 ])
 def test_estimate_rejects_malformed_snapshot_file(doc, token):
     assert_usage_error(estimate(doc), token)
@@ -155,6 +160,7 @@ def test_trajectory_from_json_validates_fields():
         {**good, "vs": "/,/2"},
         {**good, "vs": ["/", 2]},
         {k: v for k, v in good.items() if k != "vs"},
+        {**good, "vs": ["/", "/02", "/02"]},
     ):
         with pytest.raises(ValueError):
             Trajectory.from_json(json.dumps(bad))

@@ -16,7 +16,7 @@ from adl.protocol import (
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE, TreeContext, bfs_depths, distance
+from adl.tree import SOURCE, bfs_depths, distance
 from conftest import stepwise_infected_set
 
 
@@ -86,6 +86,8 @@ def test_trajectory_rejects_inconsistent_walks():
         Trajectory(d=3, protocol="x", seed=0, vs=((), (0,), (0,), (1,)))  # jumped sideways
     with pytest.raises(ValueError):
         Trajectory(d=3, protocol="x", seed=0, vs=((0,), (0,)))  # must start at origin
+    with pytest.raises(ValueError, match="out of range for d=3"):
+        Trajectory(d=3, protocol="x", seed=0, vs=((), (3,), (3,)))
 
 
 def test_snapshot_dict_round_trip():
@@ -100,7 +102,7 @@ def test_snapshot_projection_and_validation():
     assert s.vs_prev == s.vs_now == tr.vs[8]
     assert s.is_ball
     s5 = tr.snapshot_at(5)
-    assert not s5.is_ball and distance(TreeContext(3), s5.vs_prev, s5.vs_now) == 1
+    assert not s5.is_ball and distance(s5.vs_prev, s5.vs_now) == 1
     with pytest.raises(ValueError):
         tr.snapshot_at(9)
     with pytest.raises(ValueError):
@@ -122,7 +124,7 @@ def test_contains_examples():
     assert s.contains((0, 1))
     assert s.contains(SOURCE)
     far = (0, 1, 0, 0, 0, 1)  # distance 4 > 3
-    assert distance(TreeContext(3), far, (0, 1)) == 4
+    assert distance(far, (0, 1)) == 4
     assert not s.contains(far)
     odd = Snapshot(d=3, t=5, vs_prev=(1,), vs_now=(1, 0))
     assert odd.min_vs_distance((0,)) == 2
@@ -140,14 +142,13 @@ def test_infected_set_matches_stepwise_rule(d):
     # the membership predicate and the count both agree with the literal
     # step-by-step construction of the spreading rule
     proto = uniform_protocol(d)
-    ctx = TreeContext(d)
     for seed in range(12):
         tr = simulate(proto, 10, seed=seed)
         for t in range(1, 11):
             expected = stepwise_infected_set(tr, t)
             s = tr.snapshot_at(t)
             assert s.infected_count() == len(expected)
-            probe = set(bfs_depths(ctx, [SOURCE], t // 2 + 2)) | expected
+            probe = set(bfs_depths(d, [SOURCE], t // 2 + 2)) | expected
             for v in probe:
                 assert s.contains(v) == (v in expected)
 
@@ -164,12 +165,11 @@ def test_local_radius_identity_brute_force():
     # max{r : B_r(origin) fully infected} really is t/2 - h_t
     for d in (3, 4):
         proto = uniform_protocol(d)
-        ctx = TreeContext(d)
         for seed in range(10):
             tr = simulate(proto, 12, seed=seed)
             for t in (4, 8, 12):
                 s = tr.snapshot_at(t)
-                ball = bfs_depths(ctx, [SOURCE], t // 2)
+                ball = bfs_depths(d, [SOURCE], t // 2)
                 by_r = Counter()
                 for v, r in ball.items():
                     by_r[r] += s.contains(v)
@@ -206,11 +206,12 @@ def test_snapshot_pair_is_always_consistent(seed):
 
 def test_hop_frequencies_match_dp_three_sigma():
     # bridging: Monte Carlo h_12 frequencies against the exact hop table,
-    # per cell, for both a flat and a sharply skewed hop law
+    # per cell, for both a flat and a sharply skewed hop law; h_12 is the
+    # depth of vs_12, read off the endpoint-only walk
     n = 100_000
     for proto in (uniform_protocol(3), perfect_protocol(3)):
         hop = hop_distribution(proto, 12)
-        counts = Counter(simulate(proto, 12, seed=s).h(12) for s in range(n))
+        counts = Counter(len(sample_snapshot(proto, 12, s).vs_now) for s in range(n))
         for h in hop.support(12):
             p = hop.p(12, h)
             sigma = math.sqrt(p * (1 - p) / n)

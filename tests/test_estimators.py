@@ -28,7 +28,7 @@ from adl.protocol import (
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE, TreeContext, bfs_depths, distance, neighbors
+from adl.tree import SOURCE, bfs_depths, distance, neighbors
 from conftest import make_automorphism, shell_members
 
 UNI3 = uniform_protocol(3)
@@ -132,12 +132,11 @@ def test_single_mle_chosen_lies_on_the_shell():
         s = tr.snapshot_at(12)
         est = single_mle(s, HOP3, UNI3, rng)
         assert est.candidates.contains(est.chosen)
-        assert distance(TreeContext(3), est.chosen, s.vs_now) in est.diagnostics["h_star"]
+        assert distance(est.chosen, s.vs_now) in est.diagnostics["h_star"]
 
 
 def test_single_mle_brute_force_argmax_small():
     # enumerate every infected vertex and maximize the per-vertex posterior
-    ctx = TreeContext(3)
     for seed in range(40):
         t = 6 + 2 * (seed % 3)
         s = simulate(UNI3, t, seed=seed).snapshot_at(t)
@@ -351,7 +350,7 @@ def test_cases_even_even_coincident_sources():
     s2 = snap(3, 12, (0, 1), (0, 1))
     cands, diag = uniform_mle_cases_candidates(s1, s2)
     assert diag["case"] == "even-even-1"
-    assert cands.members == set(neighbors(TreeContext(3), (0, 1)))
+    assert cands.members == set(neighbors(3, (0, 1)))
 
 
 def test_cases_even_even_adjacent_sources():
@@ -443,7 +442,6 @@ def _brute_force_pair_mle(s1, s2, hop, proto):
     the intersection of the infected sets and maximize the product of the
     per-vertex posteriors, written out from first principles."""
     d = s1.d
-    ctx = TreeContext(d)
 
     def posterior(s, v):
         x = s.min_vs_distance(v)
@@ -459,7 +457,7 @@ def _brute_force_pair_mle(s1, s2, hop, proto):
         return base * (1 - a) / (d - 1)
 
     centers = list(s1.virtual_sources()) + list(s2.virtual_sources())
-    domain = bfs_depths(ctx, centers, max(s1.radius, s2.radius))
+    domain = bfs_depths(d, centers, max(s1.radius, s2.radius))
     scores = {}
     for v in domain:
         score = posterior(s1, v) * posterior(s2, v)

@@ -1,16 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adl.diffusion import Snapshot, Trajectory
+from adl.protocol import uniform_protocol
 from adl.tree import (
     SOURCE,
-    TreeContext,
     ball_size,
     bfs_depths,
+    check_degree,
     check_label,
     distance,
     format_label,
     labels_at_depth,
-    neighborhood_of_set,
     neighbors,
     parse_label,
     path_between,
@@ -18,8 +19,6 @@ from adl.tree import (
     sphere_size,
     steiner_tree,
 )
-
-C3 = TreeContext(3)
 
 
 def labels(d: int, max_depth: int = 6):
@@ -33,18 +32,25 @@ def labels(d: int, max_depth: int = 6):
     )
 
 
-def test_context_requires_degree_three():
-    with pytest.raises(ValueError):
-        TreeContext(2)
+def test_degree_below_three_is_rejected():
+    check_degree(3)
+    with pytest.raises(ValueError, match="degree must be >= 3"):
+        check_degree(2)
+    with pytest.raises(ValueError, match="degree must be >= 3"):
+        Snapshot(d=2, t=2, vs_prev=(0,), vs_now=(0,))
+    with pytest.raises(ValueError, match="degree must be >= 3"):
+        Trajectory(d=2, protocol="x", seed=0, vs=((), (0,)))
+    with pytest.raises(ValueError, match="degree must be >= 3"):
+        uniform_protocol(2)  # Protocol.__post_init__
 
 
 def test_label_validation():
-    check_label(C3, (2, 0, 1))
+    check_label(3, (2, 0, 1))
     with pytest.raises(ValueError):
-        check_label(C3, (3,))
+        check_label(3, (3,))
     with pytest.raises(ValueError):
-        check_label(C3, (0, 2))  # later entries limited to d-2
-    check_label(TreeContext(4), (3, 2, 0))
+        check_label(3, (0, 2))  # later entries limited to d-2
+    check_label(4, (3, 2, 0))
 
 
 def test_label_text_round_trip():
@@ -56,33 +62,42 @@ def test_label_text_round_trip():
         parse_label("2/0")
     with pytest.raises(ValueError):
         parse_label("/a")
+    # only the canonical text format_label writes is accepted
+    for text in ("/ 1", "/+1", "/01", "/\u0661", "/1 /0", "/1_0", "//", "/1/", "/0/0_0"):
+        with pytest.raises(ValueError, match="malformed label text"):
+            parse_label(text)
+
+
+@given(st.lists(st.integers(0, 10**6), max_size=12).map(tuple))
+def test_label_text_round_trips(v):
+    assert parse_label(format_label(v)) == v
 
 
 def test_distance_examples():
-    assert distance(C3, (0,), (1,)) == 2
-    assert distance(C3, (0, 1, 0), (0, 1)) == 1
-    assert distance(C3, (), (2, 0)) == 2
+    assert distance((0,), (1,)) == 2
+    assert distance((0, 1, 0), (0, 1)) == 1
+    assert distance((), (2, 0)) == 2
 
 
 def test_path_between_examples():
-    assert path_between(C3, (0, 1), (0,)) == [(0, 1), (0,)]
-    assert path_between(C3, (0,), (1,)) == [(0,), (), (1,)]
-    assert path_between(C3, (), ()) == [()]
+    assert path_between((0, 1), (0,)) == [(0, 1), (0,)]
+    assert path_between((0,), (1,)) == [(0,), (), (1,)]
+    assert path_between((), ()) == [()]
 
 
 def test_same_subtree_examples():
-    assert same_subtree(C3, (), (0, 1), (0,))
-    assert not same_subtree(C3, (), (0,), (1,))
+    assert same_subtree((), (0, 1), (0,))
+    assert not same_subtree((), (0,), (1,))
     # both () and (1,) sit on the non-(0,*) side of vertex (0,)
-    assert same_subtree(C3, (0,), (), (1,))
+    assert same_subtree((0,), (), (1,))
     with pytest.raises(ValueError):
-        same_subtree(C3, (0,), (0,), (1,))
+        same_subtree((0,), (0,), (1,))
 
 
 def test_steiner_tree_examples():
-    assert steiner_tree(C3, [(0,)]) == {(0,)}
-    assert steiner_tree(C3, [(0,), (1,)]) == {(0,), (), (1,)}
-    assert steiner_tree(C3, [(0,), (1, 0), (2, 1)]) == {
+    assert steiner_tree([(0,)]) == {(0,)}
+    assert steiner_tree([(0,), (1,)]) == {(0,), (), (1,)}
+    assert steiner_tree([(0,), (1, 0), (2, 1)]) == {
         (0,),
         (),
         (1,),
@@ -91,19 +106,19 @@ def test_steiner_tree_examples():
         (2, 1),
     }
     with pytest.raises(ValueError):
-        steiner_tree(C3, [])
+        steiner_tree([])
 
 
 def test_neighborhood_examples():
-    assert neighborhood_of_set(C3, [()], 1) == {(), (0,), (1,), (2,)}
-    assert neighborhood_of_set(C3, [()], 0) == {()}
-    assert len(neighborhood_of_set(C3, [(0,)], 2)) == 10
+    assert set(bfs_depths(3, [()], 1)) == {(), (0,), (1,), (2,)}
+    assert set(bfs_depths(3, [()], 0)) == {()}
+    assert len(set(bfs_depths(3, [(0,)], 2))) == 10
 
 
 def test_neighbors_degree():
-    assert len(neighbors(C3, ())) == 3
-    assert len(neighbors(C3, (1, 0))) == 3
-    assert set(neighbors(C3, (1,))) == {(), (1, 0), (1, 1)}
+    assert len(neighbors(3, ())) == 3
+    assert len(neighbors(3, (1, 0))) == 3
+    assert set(neighbors(3, (1,))) == {(), (1, 0), (1, 1)}
 
 
 @given(st.data())
@@ -111,43 +126,40 @@ def test_distance_is_a_metric(data):
     d = data.draw(st.sampled_from([3, 4, 5]))
     lab = labels(d)
     u, v, w = data.draw(lab), data.draw(lab), data.draw(lab)
-    ctx = TreeContext(d)
-    assert distance(ctx, u, v) == distance(ctx, v, u)
-    assert (distance(ctx, u, v) == 0) == (u == v)
-    assert distance(ctx, u, w) <= distance(ctx, u, v) + distance(ctx, v, w)
+    assert distance(u, v) == distance(v, u)
+    assert (distance(u, v) == 0) == (u == v)
+    assert distance(u, w) <= distance(u, v) + distance(v, w)
 
 
 @given(st.data())
 def test_path_matches_distance_and_steps(data):
     d = data.draw(st.sampled_from([3, 4, 5]))
-    ctx = TreeContext(d)
     u, v = data.draw(labels(d)), data.draw(labels(d))
-    path = path_between(ctx, u, v)
-    assert len(path) == distance(ctx, u, v) + 1
+    path = path_between(u, v)
+    assert len(path) == distance(u, v) + 1
     assert path[0] == u and path[-1] == v
     for a, b in zip(path, path[1:]):
-        assert distance(ctx, a, b) == 1
+        assert distance(a, b) == 1
     assert len(set(path)) == len(path)
 
 
 @given(st.data())
 def test_same_subtree_of_source_is_first_entry_equality(data):
     d = data.draw(st.sampled_from([3, 4]))
-    ctx = TreeContext(d)
     nonroot = labels(d).filter(lambda v: v != ())
     x, y = data.draw(nonroot), data.draw(nonroot)
     expect = x[0] == y[0]
-    assert same_subtree(ctx, SOURCE, x, y) == expect
+    assert same_subtree(SOURCE, x, y) == expect
     # equivalently: the connecting path avoids the source exactly then
-    assert (SOURCE not in path_between(ctx, x, y)) == expect
+    assert (SOURCE not in path_between(x, y)) == expect
 
 
-def steiner_by_paths(ctx, terms):
+def steiner_by_paths(terms):
     """The Steiner tree's definition: the union of every pairwise path."""
     out = set()
     for a in terms:
         for b in terms:
-            out.update(path_between(ctx, a, b))
+            out.update(path_between(a, b))
     return out
 
 
@@ -168,34 +180,32 @@ def terminal_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(terminal_lists())
 def test_steiner_tree_equals_pairwise_path_union(case):
-    d, terms = case
-    ctx = TreeContext(d)
-    assert steiner_tree(ctx, terms) == steiner_by_paths(ctx, terms)
+    _, terms = case
+    assert steiner_tree(terms) == steiner_by_paths(terms)
 
 
 @settings(max_examples=100, deadline=None)
-@given(terminal_lists(), st.data())
-def test_steiner_tree_rejects_an_invalid_terminal(case, data):
-    d, terms = case
-    bad = data.draw(st.sampled_from([(d,), (0, d - 1), (d - 1,) + (0,) * 6 + (d,)]))
-    terms = list(terms)
-    terms.insert(data.draw(st.integers(0, len(terms))), bad)
-    with pytest.raises(ValueError):
-        steiner_tree(TreeContext(d), terms)
+@given(st.sampled_from([3, 4, 5]))
+def test_snapshot_rejects_an_invalid_terminal(d):
+    # tree operations take labels as given; a label out of range for d is
+    # refused where it enters, so no estimator ever sees one as a terminal
+    for bad in [(d,), (0, d - 1), (d - 1,) + (0,) * 6 + (d,)]:
+        with pytest.raises(ValueError, match="out of range"):
+            Snapshot(d=d, t=2 * len(bad), vs_prev=bad, vs_now=bad)
+        with pytest.raises(ValueError, match="out of range"):
+            Snapshot(d=d, t=2 * len(bad) + 1, vs_prev=bad[:-1], vs_now=bad)
 
 
 @given(st.sampled_from([3, 4, 5]), st.integers(1, 5))
 def test_ball_size_formula(d, r):
-    ctx = TreeContext(d)
-    assert len(neighborhood_of_set(ctx, [()], r)) == ball_size(d, r)
+    assert len(set(bfs_depths(d, [()], r))) == ball_size(d, r)
     assert ball_size(d, r) == 1 + d * ((d - 1) ** r - 1) // (d - 2)
 
 
 def test_sphere_enumeration_agrees_with_count():
     for d in (3, 4):
-        ctx = TreeContext(d)
         for depth in range(4):
-            got = list(labels_at_depth(ctx, depth))
+            got = list(labels_at_depth(d, depth))
             assert len(got) == sphere_size(d, depth)
             assert len(set(got)) == len(got)
             assert got == sorted(got)
@@ -203,8 +213,7 @@ def test_sphere_enumeration_agrees_with_count():
 
 
 def test_bfs_depths_are_true_distances():
-    ctx = TreeContext(3)
     core = [(0, 0), (1,)]
-    depths = bfs_depths(ctx, core, 3)
+    depths = bfs_depths(3, core, 3)
     for v, r in depths.items():
-        assert r == min(distance(ctx, v, c) for c in core)
+        assert r == min(distance(v, c) for c in core)
