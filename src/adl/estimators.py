@@ -294,7 +294,7 @@ def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def three_obs_candidates(d: int, v1: Label, v2: Label, v3: Label) -> Candidates:
+def three_obs_candidates(v1: Label, v2: Label, v3: Label) -> Candidates:
     p12 = set(path_between(v1, v2))
     p13 = set(path_between(v1, v3))
     p23 = set(path_between(v2, v3))
@@ -313,9 +313,9 @@ def three_obs_intersection(
     over a larger intersection is kept for safety.  Odd non-ball snapshots
     contribute a uniformly chosen element of their virtual-source pair.
     """
-    d = _check_common([s1, s2, s3])
+    _check_common([s1, s2, s3])
     v1, v2, v3 = (_resolve_vs(s, rng) for s in (s1, s2, s3))
-    cands = three_obs_candidates(d, v1, v2, v3)
+    cands = three_obs_candidates(v1, v2, v3)
     return _finish(
         "three_obs_intersection", cands, {"intersection_size": cands.size()}, rng
     )
@@ -333,7 +333,8 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     the search runs over the spanning subtree of the resolved virtual
     sources.  A virtual source sitting exactly at v belongs to no subtree of
     v, which makes k = 1 degenerate (the virtual source itself wins with
-    score 0).
+    score 0).  Labels are taken as given; ``d`` is only passed on to
+    :func:`steiner_tree`, which does not read it.
     """
     if not resolved:
         raise ValueError("at least one virtual source required")
@@ -341,7 +342,7 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     mult: dict = {}
     for v in resolved:
         mult[v] = mult.get(v, 0) + 1
-    domain = steiner_tree(mult)
+    domain = steiner_tree(d, mult)
     top = min(domain, key=lambda v: (len(v), v))
     children: dict = {v: [] for v in domain}
     for v in domain:
@@ -396,7 +397,7 @@ def generic_mle_candidates(
         all_vs.extend(vs)
         per_snap.append((vs, t_eff // 2, weights))
 
-    core = steiner_tree(all_vs)
+    core = steiner_tree(d, all_vs)
     depths = bfs_depths(d, core, search_depth)
 
     # likelihood depends on a vertex only through its hop vector, so score
@@ -719,7 +720,7 @@ ESTIMATORS = {
         alias="three-obs", arity=3, needs_hop=False, uniform_only=False, params=(),
         estimate=lambda snaps, hop, protocol, rng, params: three_obs_intersection(*snaps, rng),
         candidates=lambda snaps, hop, protocol, params: [
-            three_obs_candidates(snaps[0].d, *vs) for vs in _resolutions(snaps)
+            three_obs_candidates(*vs) for vs in _resolutions(snaps)
         ],
     ),
     "k_obs_subtree": EstimatorInfo(

@@ -139,7 +139,7 @@ def exact_success(
         raise ValueError(f"joint enumeration needs {combos} outcomes, over the budget of {budget}")
 
     exact = protocol.exact
-    # each outcome's Snapshot is built (and checked) once, not once per joint combination
+    # Snapshots are built once per single outcome and shared across joint combinations
     singles = [
         [
             (Snapshot(d=protocol.d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now), o.prob)

@@ -20,6 +20,7 @@ other operation here takes its labels as given.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Label = tuple  # tuple[int, ...]; alias kept loose for 3.10-friendly hot paths
@@ -31,6 +32,20 @@ def check_degree(d: int) -> None:
     """Reject a tree degree below 3."""
     if d < 3:
         raise ValueError(f"degree must be >= 3, got {d}")
+
+
+@dataclass(frozen=True)
+class TreeContext:
+    """A checked tree degree, for code written against the earlier
+    ``steiner_tree(ctx, terminals)`` call (``benchmarks/selftest.py``).
+
+    Nothing in this package builds or reads one.
+    """
+
+    d: int
+
+    def __post_init__(self) -> None:
+        check_degree(self.d)
 
 
 def check_label(d: int, v: Label) -> None:
@@ -116,8 +131,12 @@ def _step_toward(frm: Label, to: Label) -> Label:
     return frm[:-1]
 
 
-def steiner_tree(terminals: Iterable[Label]) -> set[Label]:
+def steiner_tree(d, terminals: Iterable[Label]) -> set[Label]:
     """Minimal subtree spanning the terminals, as a vertex set.
+
+    ``d`` (the degree, or a :class:`TreeContext`) is not read: the set
+    follows from prefix arithmetic alone.  It stays first so that calls
+    written against the earlier ``steiner_tree(ctx, terminals)`` still work.
 
     Equals the union of path_between over all terminal pairs.  Every such
     path climbs from one terminal to a meet no shallower than the terminals'

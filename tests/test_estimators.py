@@ -201,12 +201,12 @@ def test_two_obs_path_odd_times_use_both_endpoints():
 
 
 def test_three_obs_distinct_directions_hit_source():
-    cands = three_obs_candidates(3, (0,), (1, 0), (2, 1))
+    cands = three_obs_candidates((0,), (1, 0), (2, 1))
     assert cands.members == {SOURCE}
 
 
 def test_three_obs_collinear_sources():
-    cands = three_obs_candidates(3, (0, 1), (0,), (1,))
+    cands = three_obs_candidates((0, 1), (0,), (1,))
     assert cands.members == {(0,)}
 
 

@@ -18,6 +18,7 @@ from adl.tree import (
     same_subtree,
     sphere_size,
     steiner_tree,
+    TreeContext,
 )
 
 
@@ -42,6 +43,8 @@ def test_degree_below_three_is_rejected():
         Trajectory(d=2, protocol="x", seed=0, vs=((), (0,)))
     with pytest.raises(ValueError, match="degree must be >= 3"):
         uniform_protocol(2)  # Protocol.__post_init__
+    with pytest.raises(ValueError, match="degree must be >= 3"):
+        TreeContext(2)
 
 
 def test_label_validation():
@@ -95,9 +98,10 @@ def test_same_subtree_examples():
 
 
 def test_steiner_tree_examples():
-    assert steiner_tree([(0,)]) == {(0,)}
-    assert steiner_tree([(0,), (1,)]) == {(0,), (), (1,)}
-    assert steiner_tree([(0,), (1, 0), (2, 1)]) == {
+    assert steiner_tree(3, [(0,)]) == {(0,)}
+    assert steiner_tree(3, [(0,), (1,)]) == {(0,), (), (1,)}
+    assert steiner_tree(TreeContext(3), [(0,), (1,)]) == {(0,), (), (1,)}  # earlier call form
+    assert steiner_tree(3, [(0,), (1, 0), (2, 1)]) == {
         (0,),
         (),
         (1,),
@@ -106,7 +110,7 @@ def test_steiner_tree_examples():
         (2, 1),
     }
     with pytest.raises(ValueError):
-        steiner_tree([])
+        steiner_tree(3, [])
 
 
 def test_neighborhood_examples():
@@ -180,8 +184,8 @@ def terminal_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(terminal_lists())
 def test_steiner_tree_equals_pairwise_path_union(case):
-    _, terms = case
-    assert steiner_tree(terms) == steiner_by_paths(terms)
+    d, terms = case
+    assert steiner_tree(d, terms) == steiner_by_paths(terms)
 
 
 @settings(max_examples=100, deadline=None)
