@@ -22,6 +22,7 @@ from adl.experiments import ConfigError, ExperimentConfig, run
 from adl.protocol import (
     PROTOCOLS,
     Protocol,
+    check_horizon,
     hop_distribution,
     hop_horizon,
     infected_count_even,
@@ -78,10 +79,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         if s.d != args.d:
             raise ValueError(f"snapshot degree {s.d} disagrees with --d {args.d}")
     name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
-    params = {key: getattr(args, key) for key in info.params}
-    estimator_for(name, len(snaps), protocol, params)
+    estimator_for(name, len(snaps), protocol)
     hop = hop_distribution(protocol, hop_horizon(s.t for s in snaps)) if info.needs_hop else None
-    est = info.estimate(snaps, hop, protocol, random.Random(args.seed), params)
+    est = info.estimate(snaps, hop, protocol, random.Random(args.seed))
     print(est.to_json())
     return 0
 
@@ -196,7 +196,7 @@ def _suite_generic_vs_cases():
                     sample_snapshot(proto, t, derive_seed(20_000 + d, n, i))
                     for i, t in enumerate((t1, t2))
                 ]
-                a, _ = generic_mle_candidates(snaps, hop, proto, 3)
+                a, _ = generic_mle_candidates(snaps, hop, proto)
                 b, _ = uniform_mle_cases_candidates(snaps[0], snaps[1])
                 checked += 1
                 if a.members != b.members:
@@ -233,14 +233,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_protocol_dump(args: argparse.Namespace) -> int:
     protocol = _protocol(args)
+    check_horizon(args.T)
     lines = ["t,h,alpha"]
     for t in range(2, args.T + 1, 2):
         for h in range(1, t // 2 + 1):
-            a = (
-                str(protocol.alpha_exact(t, h))
-                if args.exact and protocol.exact
-                else repr(protocol.alpha(t, h))
-            )
+            a = str(protocol.alpha_exact(t, h)) if args.exact else repr(protocol.alpha(t, h))
             lines.append(f"{t},{h},{a}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", required=True, choices=sorted(info.alias for info in ESTIMATORS.values())
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--search-depth", type=int, default=3)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment config")

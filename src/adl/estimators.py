@@ -14,7 +14,8 @@ estimator) follow the same policy and flag themselves in diagnostics.
 
 Each public estimator has a deterministic ``*_candidates`` core (used by the
 exhaustive oracle, which integrates the tie-break analytically instead of
-sampling it).
+sampling it).  No estimator takes a tuning parameter: the likelihood-based
+ones score their whole feasible set, so each returns the true argmax.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from adl.diffusion import Snapshot, is_int
+from adl.diffusion import Snapshot
 from adl.protocol import HopDistribution, Protocol, even_floor
 from adl.tree import (
     Label,
@@ -379,13 +380,8 @@ def k_obs_subtree(snaps: Sequence[Snapshot], rng: random.Random) -> Estimate:
 
 
 def generic_mle_candidates(
-    snaps: Sequence[Snapshot],
-    hop: HopDistribution,
-    protocol: Protocol,
-    search_depth: int = 3,
+    snaps: Sequence[Snapshot], hop: HopDistribution, protocol: Protocol
 ) -> tuple[Candidates, dict]:
-    if search_depth < 0:
-        raise ValueError("search_depth must be >= 0")
     d = _check_common(snaps)
     exact = hop.exact and protocol.exact
 
@@ -397,39 +393,22 @@ def generic_mle_candidates(
         all_vs.extend(vs)
         per_snap.append((vs, t_eff // 2, weights))
 
+    # Every virtual source lies on the core, so a vertex at outward depth r
+    # from core vertex c has hop vector x(c) + r.  Each piece (c, r) thus has
+    # one likelihood, and no feasible vertex lies deeper than the smallest
+    # slack max_h - x_i(c): the search over pieces is exhaustive.
     core = steiner_tree(d, all_vs)
-    depths = bfs_depths(d, core, search_depth)
-
-    # likelihood depends on a vertex only through its hop vector, so score
-    # each distinct vector once and bucket the domain by it
-    buckets: dict = {}
-    for v in depths:
-        key = []
-        for vs, max_h, _ in per_snap:
-            x = distance(v, vs[0])
-            if len(vs) == 2:
-                x2 = distance(v, vs[1])
-                if x2 < x:
-                    x = x2
-            if x < 1 or x > max_h:  # excluded virtual source, or outside V_t
-                key = None
-                break
-            key.append(x)
-        if key is not None:
-            buckets.setdefault(tuple(key), []).append(v)
-
-    diagnostics = {
-        "domain_size": len(depths),
-        "feasible_count": sum(len(vs) for vs in buckets.values()),
-        "exact": exact,
-        "fallback": False,
-        "domain_boundary": False,
-    }
-    if not buckets:
-        first = snaps[0].virtual_sources()[0]
-        fringe = set(neighbors(d, first)) - set(all_vs)
-        diagnostics["fallback"] = True
-        return ExplicitCandidates(frozenset(fringe)), diagnostics
+    pieces: dict = {}  # hop vector -> pieces (c, r) sharing it
+    feasible = 0
+    for c in core:
+        x = [min(distance(c, v) for v in vs) for vs, _, _ in per_snap]
+        free = sum(w not in core for w in neighbors(d, c))  # off-core neighbours
+        last = min(max_h - xi for (_, max_h, _), xi in zip(per_snap, x))
+        if not free:  # nothing hangs off c: only c itself can be a candidate
+            last = min(last, 0)
+        for r in range(0 if min(x) > 0 else 1, last + 1):
+            pieces.setdefault(tuple(xi + r for xi in x), []).append((c, r))
+            feasible += free * (d - 1) ** (r - 1) if r else 1
 
     def score_of(key):
         if exact:
@@ -445,50 +424,57 @@ def generic_mle_candidates(
             total += math.log(w) - (x - 1) * math.log(d - 1)
         return total
 
-    scored = {key: score_of(key) for key in buckets}
+    scored = {key: score_of(key) for key in pieces}
     if exact:
-        best = max(scored.values())
-        if best == 0:
-            best = None
-        win = [k for k, sc in scored.items() if sc == best] if best is not None else []
+        best = max(scored.values(), default=0)
+        win = [k for k, sc in scored.items() if sc == best] if best else []
     else:
-        finite = {k: sc for k, sc in scored.items() if sc is not None}
-        best = max(finite.values(), default=None)
-        win = (
-            [k for k, sc in finite.items() if math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=1e-300)]
-            if best is not None
-            else []
-        )
+        best = max((sc for sc in scored.values() if sc is not None), default=None)
+        win = [
+            k
+            for k, sc in scored.items()
+            if sc is not None and math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=1e-300)
+        ]
+
+    diagnostics = {"feasible_count": feasible, "exact": exact, "fallback": not win}
     if not win:
+        # no vertex has positive likelihood: a uniform pick among the fringe
+        # of the first virtual source
         first = snaps[0].virtual_sources()[0]
         fringe = set(neighbors(d, first)) - set(all_vs)
-        diagnostics["fallback"] = True
         return ExplicitCandidates(frozenset(fringe)), diagnostics
-
-    ties = [v for k in win for v in buckets[k]]
-    diagnostics["domain_boundary"] = any(depths[v] == search_depth for v in ties)
+    ties = [v for k in win for c, r in pieces[k] for v in _outward(d, core, c, r)]
     return ExplicitCandidates(frozenset(ties)), diagnostics
 
 
-def generic_mle(
-    snaps: Sequence[Snapshot],
-    hop: HopDistribution,
-    protocol: Protocol,
-    rng: random.Random,
-    search_depth: int = 3,
-) -> Estimate:
-    """Joint log-likelihood argmax over the Steiner tree of all virtual
-    sources expanded by ``search_depth``, intersected with every infected set
-    and minus every virtual source.
+def _outward(d: int, core: set, c: Label, r: int) -> list[Label]:
+    """The vertices at outward depth r from core vertex c (c itself at r = 0),
+    by a non-backtracking walk that leaves the core at its first step."""
+    if r == 0:
+        return [c]
+    layer = [(c, w) for w in neighbors(d, c) if w not in core]
+    for _ in range(r - 1):
+        layer = [(v, w) for prev, v in layer for w in neighbors(d, v) if w != prev]
+    return [v for _, v in layer]
 
-    Candidates with a zero hop probability are excluded (log 0 = -inf).  For
-    the built-in protocols likelihoods are compared as exact rationals; for
-    table protocols a float log-likelihood with relative tie tolerance is
-    used.  For arbitrary alpha tables no claim is made that the true argmax
-    lies inside the truncated domain; when the winners touch the outer BFS
-    fringe, diagnostics["domain_boundary"] is set.
+
+def generic_mle(
+    snaps: Sequence[Snapshot], hop: HopDistribution, protocol: Protocol, rng: random.Random
+) -> Estimate:
+    """Joint likelihood argmax over every vertex infected in all snapshots,
+    minus every virtual source.
+
+    A vertex's likelihood depends only on its hop vector, the distances to
+    each snapshot's virtual sources.  Off the Steiner core of the virtual
+    sources that vector is the attaching core vertex's vector plus the
+    outward depth, so the scoring runs over (core vertex, depth) pieces and
+    covers the whole feasible intersection; only the winning pieces are
+    listed.  Candidates with a zero hop probability are excluded (log 0 =
+    -inf).  For the built-in protocols likelihoods are compared as exact
+    rationals; for table protocols a float log-likelihood with relative tie
+    tolerance is used.
     """
-    cands, diagnostics = generic_mle_candidates(snaps, hop, protocol, search_depth)
+    cands, diagnostics = generic_mle_candidates(snaps, hop, protocol)
     return _finish("generic_mle", cands, diagnostics, rng)
 
 
@@ -681,10 +667,10 @@ def _cases_odd_odd_nonballs(d: int, s1: Snapshot, s2: Snapshot):
 class EstimatorInfo:
     """One estimator as the config, the CLI and the oracle see it.
 
-    ``estimate(snaps, hop, protocol, rng, params)`` runs the public estimator.
-    ``candidates(snaps, hop, protocol, params)`` lists its deterministic
-    core's candidate set once per equally likely choice of one virtual source
-    per snapshot (a single set unless the estimator draws that choice).  Both
+    ``estimate(snaps, hop, protocol, rng)`` runs the public estimator.
+    ``candidates(snaps, hop, protocol)`` lists its deterministic core's
+    candidate set once per equally likely choice of one virtual source per
+    snapshot (a single set unless the estimator draws that choice).  Both
     look the estimator functions up as module attributes on every call, so a
     wrapper installed on this module is seen.
     """
@@ -693,7 +679,6 @@ class EstimatorInfo:
     arity: Optional[int]  # number of snapshots taken; None for any k >= 1
     needs_hop: bool  # takes a hop distribution and the protocol
     uniform_only: bool  # valid only for snapshots of the uniform protocol
-    params: tuple  # accepted ``params`` keys, each a non-negative integer
     estimate: Callable
     candidates: Callable
 
@@ -705,51 +690,45 @@ def _resolutions(snaps: Sequence[Snapshot]):
 
 ESTIMATORS = {
     "single_mle": EstimatorInfo(
-        alias="single-mle", arity=1, needs_hop=True, uniform_only=False, params=(),
-        estimate=lambda snaps, hop, protocol, rng, params: single_mle(*snaps, hop, protocol, rng),
-        candidates=lambda snaps, hop, protocol, params: [
-            single_mle_candidates(*snaps, hop, protocol)[0]
-        ],
+        alias="single-mle", arity=1, needs_hop=True, uniform_only=False,
+        estimate=lambda snaps, hop, protocol, rng: single_mle(*snaps, hop, protocol, rng),
+        candidates=lambda snaps, hop, protocol: [single_mle_candidates(*snaps, hop, protocol)[0]],
     ),
     "two_obs_path": EstimatorInfo(
-        alias="two-obs-path", arity=2, needs_hop=False, uniform_only=False, params=(),
-        estimate=lambda snaps, hop, protocol, rng, params: two_obs_path(*snaps, rng),
-        candidates=lambda snaps, hop, protocol, params: [two_obs_path_candidates(*snaps)[0]],
+        alias="two-obs-path", arity=2, needs_hop=False, uniform_only=False,
+        estimate=lambda snaps, hop, protocol, rng: two_obs_path(*snaps, rng),
+        candidates=lambda snaps, hop, protocol: [two_obs_path_candidates(*snaps)[0]],
     ),
     "three_obs_intersection": EstimatorInfo(
-        alias="three-obs", arity=3, needs_hop=False, uniform_only=False, params=(),
-        estimate=lambda snaps, hop, protocol, rng, params: three_obs_intersection(*snaps, rng),
-        candidates=lambda snaps, hop, protocol, params: [
+        alias="three-obs", arity=3, needs_hop=False, uniform_only=False,
+        estimate=lambda snaps, hop, protocol, rng: three_obs_intersection(*snaps, rng),
+        candidates=lambda snaps, hop, protocol: [
             three_obs_candidates(*vs) for vs in _resolutions(snaps)
         ],
     ),
     "k_obs_subtree": EstimatorInfo(
-        alias="k-obs", arity=None, needs_hop=False, uniform_only=False, params=(),
-        estimate=lambda snaps, hop, protocol, rng, params: k_obs_subtree(snaps, rng),
-        candidates=lambda snaps, hop, protocol, params: [
+        alias="k-obs", arity=None, needs_hop=False, uniform_only=False,
+        estimate=lambda snaps, hop, protocol, rng: k_obs_subtree(snaps, rng),
+        candidates=lambda snaps, hop, protocol: [
             k_obs_candidates(snaps[0].d, list(vs))[0] for vs in _resolutions(snaps)
         ],
     ),
     "generic_mle": EstimatorInfo(
-        alias="mle", arity=None, needs_hop=True, uniform_only=False, params=("search_depth",),
-        estimate=lambda snaps, hop, protocol, rng, params: generic_mle(
-            snaps, hop, protocol, rng, **params
-        ),
-        candidates=lambda snaps, hop, protocol, params: [
-            generic_mle_candidates(snaps, hop, protocol, **params)[0]
-        ],
+        alias="mle", arity=None, needs_hop=True, uniform_only=False,
+        estimate=lambda snaps, hop, protocol, rng: generic_mle(snaps, hop, protocol, rng),
+        candidates=lambda snaps, hop, protocol: [generic_mle_candidates(snaps, hop, protocol)[0]],
     ),
     "uniform_mle_cases": EstimatorInfo(
-        alias="cases", arity=2, needs_hop=False, uniform_only=True, params=(),
-        estimate=lambda snaps, hop, protocol, rng, params: uniform_mle_cases(*snaps, rng),
-        candidates=lambda snaps, hop, protocol, params: [uniform_mle_cases_candidates(*snaps)[0]],
+        alias="cases", arity=2, needs_hop=False, uniform_only=True,
+        estimate=lambda snaps, hop, protocol, rng: uniform_mle_cases(*snaps, rng),
+        candidates=lambda snaps, hop, protocol: [uniform_mle_cases_candidates(*snaps)[0]],
     ),
 }
 
 
-def estimator_for(name, k: int, protocol: Protocol, params: dict) -> EstimatorInfo:
+def estimator_for(name, k: int, protocol: Protocol) -> EstimatorInfo:
     """The registry entry of ``name``, once it is known to accept ``k``
-    snapshots of ``protocol`` and these ``params``; ValueError otherwise."""
+    snapshots of ``protocol``; ValueError otherwise."""
     info = ESTIMATORS.get(name) if isinstance(name, str) else None
     if info is None:
         raise ValueError(f"unknown method {name!r} (known: {sorted(ESTIMATORS)})")
@@ -757,9 +736,4 @@ def estimator_for(name, k: int, protocol: Protocol, params: dict) -> EstimatorIn
         raise ValueError(f"{name} needs exactly {info.arity} snapshots, got {k}")
     if info.uniform_only and protocol.name != "uniform":
         raise ValueError(f"{name} is valid only under the uniform protocol, not {protocol.name!r}")
-    for key, value in params.items():
-        if key not in info.params:
-            raise ValueError(f"{name} accepts no param {key!r} (accepted: {list(info.params)})")
-        if not (is_int(value) and value >= 0):
-            raise ValueError(f"param {key!r} must be an integer >= 0, got {value!r}")
     return info

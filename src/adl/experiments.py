@@ -19,7 +19,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
@@ -106,7 +106,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class EstimatorSpec:
     method: str
-    params: dict = field(default_factory=dict)
     target: Optional[closed_form.Target] = None
 
 
@@ -191,8 +190,12 @@ class ExperimentConfig:
                 if not isinstance(params, dict):
                     problems.append(f"estimators[{idx}].params must be an object, got {params!r}")
                     continue
+                if params:
+                    problems.append(f"estimators[{idx}]: {e['method']} accepts no param "
+                                    f"{next(iter(params))!r}")
+                    continue
                 try:
-                    estimator_for(e["method"], len(times), protocol, params)
+                    estimator_for(e["method"], len(times), protocol)
                 except ValueError as exc:
                     problems.append(f"estimators[{idx}]: {exc}")
                     continue
@@ -202,7 +205,7 @@ class ExperimentConfig:
                         target = _build_target(e["target"], d, times)
                     except ValueError as exc:
                         problems.append(f"estimators[{idx}].target: {exc}")
-                specs.append(EstimatorSpec(method=e["method"], params=params, target=target))
+                specs.append(EstimatorSpec(method=e["method"], target=target))
 
         if problems:
             raise ConfigError(problems)
@@ -254,7 +257,6 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
 @dataclass
 class EstimatorResult:
     method: str
-    params: dict
     successes: int
     failures: int
     trials: int
@@ -283,7 +285,7 @@ class EstimatorResult:
         low, high = wilson_interval(self.successes, self.trials)
         out = {
             "method": self.method,
-            "params": self.params,
+            "params": {},  # no estimator takes params; the report layout keeps the key
             "successes": self.successes,
             "failures": self.failures,
             "trials": self.trials,
@@ -356,7 +358,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     if any(ESTIMATORS[s.method].needs_hop for s in config.estimators):
         hop = hop_distribution(config.protocol, hop_horizon(config.times))
 
-    runners = [(ESTIMATORS[s.method].estimate, s.params) for s in config.estimators]
+    runners = [ESTIMATORS[s.method].estimate for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
     protocol = config.protocol
     root = derive_seed(config.seed)
@@ -365,10 +367,10 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         snaps = [
             sample_snapshot(protocol, t, _fold(trial, i)) for i, t in enumerate(config.times)
         ]
-        for j, (estimate, params) in enumerate(runners):
+        for j, estimate in enumerate(runners):
             rng = random.Random(_fold(trial, ESTIMATOR_STREAM + j))
             try:
-                est = estimate(snaps, hop, protocol, rng, params)
+                est = estimate(snaps, hop, protocol, rng)
             except ValueError:
                 tallies[j][1] += 1
                 continue
@@ -378,7 +380,6 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     results = [
         EstimatorResult(
             method=spec.method,
-            params=spec.params,
             successes=successes,
             failures=failures,
             trials=config.trials,

@@ -94,7 +94,7 @@ def enumerate_single(
     return out
 
 
-def _success_fraction(info, snaps, hop, protocol, params, exact):
+def _success_fraction(info, snaps, hop, protocol, exact):
     """P(chosen = origin | these snapshots), with the tie-break and the
     estimator's virtual-source draws integrated out."""
 
@@ -103,7 +103,7 @@ def _success_fraction(info, snaps, hop, protocol, params, exact):
             return Fraction(0) if exact else 0.0
         return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
 
-    sets = info.candidates(snaps, hop, protocol, params)
+    sets = info.candidates(snaps, hop, protocol)
     if len(sets) == 1:  # no virtual-source draw to average over
         return hit(sets[0])
     w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
@@ -119,20 +119,18 @@ def exact_success(
     times: Sequence[int],
     *,
     budget: int = DEFAULT_BUDGET,
-    **params,
 ):
     """Exact probability that the estimator's pick equals the origin.
 
-    ``params`` are the estimator's config params (``search_depth`` for
-    ``generic_mle``).  Sums over the full joint enumeration of the
-    independent diffusions; every source of estimator randomness (tie-break,
-    odd-snapshot virtual-source disambiguation) is integrated analytically,
-    so the result carries no sampling noise at all.
+    Sums over the full joint enumeration of the independent diffusions;
+    every source of estimator randomness (tie-break, odd-snapshot
+    virtual-source disambiguation) is integrated analytically, so the result
+    carries no sampling noise at all.
     """
     times = list(times)
     if not times:
         raise ValueError("at least one observation time required")
-    info = estimator_for(estimator, len(times), protocol, params)
+    info = estimator_for(estimator, len(times), protocol)
 
     combos = prod(outcome_count(protocol.d, t) for t in times)
     if combos > budget:
@@ -153,7 +151,7 @@ def exact_success(
     for combo in itertools.product(*singles):
         snaps = [s for s, _ in combo]
         weight = prod(p for _, p in combo)
-        total += weight * _success_fraction(info, snaps, hop, protocol, params, exact)
+        total += weight * _success_fraction(info, snaps, hop, protocol, exact)
     return total
 
 

@@ -335,6 +335,12 @@ def hop_horizon(times: Iterable[int]) -> int:
     return max([2] + [even_floor(t) for t in times])
 
 
+def check_horizon(T: int) -> None:
+    """Reject a hop-table horizon that is not an even integer >= 2."""
+    if T < 2 or T % 2:
+        raise ValueError(f"horizon must be an even integer >= 2, got {T}")
+
+
 def hop_distribution(protocol: Protocol, T: int, exact: Optional[bool] = None) -> HopDistribution:
     """Run the hop recurrence up to even horizon T.
 
@@ -345,8 +351,7 @@ def hop_distribution(protocol: Protocol, T: int, exact: Optional[bool] = None) -
     with p(t, h) = 0 outside 1 <= h <= t/2.  The recurrence never queries
     alpha outside its domain.
     """
-    if T < 2 or T % 2:
-        raise ValueError(f"horizon must be an even integer >= 2, got {T}")
+    check_horizon(T)
     if protocol.t_max is not None and T - 2 > protocol.t_max:
         raise ValueError(
             f"horizon {T} needs alpha up to t={T - 2} but the protocol stops at {protocol.t_max}"

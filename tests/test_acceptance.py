@@ -208,7 +208,7 @@ def test_criterion_10_generic_mle_equals_case_dispatch():
             t1, t2 = rng.choice(r1), rng.choice(r2)
             s1 = simulate(protos[d], t1, derive_seed(1011, parity_idx, n, 0)).snapshot_at(t1)
             s2 = simulate(protos[d], t2, derive_seed(1011, parity_idx, n, 1)).snapshot_at(t2)
-            a, _ = generic_mle_candidates([s1, s2], hops[d], protos[d], search_depth=3)
+            a, _ = generic_mle_candidates([s1, s2], hops[d], protos[d])
             b, _ = uniform_mle_cases_candidates(s1, s2)
             mismatches += a.members != b.members
     assert report(

@@ -37,7 +37,7 @@ CONFIGS = [
         "estimators": [
             {"method": "k_obs_subtree",
              "target": {"formula": "multi_obs_lower", "params": {"k": 3}}},
-            {"method": "generic_mle", "params": {"search_depth": 1}},
+            {"method": "generic_mle"},
         ],
     },
     {
@@ -46,7 +46,7 @@ CONFIGS = [
         "estimators": [
             {"method": "two_obs_path",
              "target": {"kind": "lower_bound", "value": 0.1, "provenance": "inline"}},
-            {"method": "generic_mle", "params": {"search_depth": 2},
+            {"method": "generic_mle", "params": {},
              "target": {"formula": "two_obs_obfuscation_upper"}},
         ],
     },
@@ -63,7 +63,10 @@ CONFIGS = [
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected a flag
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -149,6 +152,20 @@ def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):
     assert_usage_error(result, "recursion")
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["protocol-dump", "--d", "3", "--protocol", "uniform", "-T", "-4"],
+     "horizon must be an even integer >= 2"),
+    (["protocol-dump", "--d", "3", "--protocol", "uniform", "-T", "3"],
+     "horizon must be an even integer >= 2"),
+    (["hopdist", "--d", "3", "--protocol", "uniform", "-T", "3"],
+     "horizon must be an even integer >= 2"),
+    (["estimate", "--d", "3", "--protocol", "uniform", "--snapshots", "snaps.json",
+      "--method", "mle", "--search-depth", "3"], "unrecognized arguments: --search-depth"),
+])
+def test_cli_rejects_malformed_flags(argv, token):
+    assert_usage_error(run_main(argv), token)
+
+
 def test_trajectory_from_json_validates_fields():
     good = {"d": 3, "protocol": "uniform", "seed": 7, "vs": ["/", "/2", "/2"]}
     assert Trajectory.from_json(json.dumps(good)).T == 2
@@ -191,9 +208,9 @@ def cases_with(**entry):
     (cases_with(params="x"), "params must be an object"),
     (cases_with(params={"search_depth": 2}), "accepts no param 'search_depth'"),
     (config_with(estimators=[{"method": "generic_mle", "params": {"search_depth": "2"}}]),
-     "'search_depth' must be an integer >= 0"),
+     "accepts no param 'search_depth'"),
     (config_with(estimators=[{"method": "generic_mle", "params": {"search_depth": -1}}]),
-     "'search_depth' must be an integer >= 0"),
+     "accepts no param 'search_depth'"),
     (config_with(estimators=[{"method": "generic_mle", "params": {"depth": 2}}]),
      "accepts no param 'depth'"),
     (config_with(estimators=[{"method": ["two_obs_path"]}]), "unknown method"),

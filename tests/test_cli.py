@@ -197,15 +197,21 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_hopdist_exact_rejected_for_table_protocols(capsys, tmp_path):
+    # both subcommands that take --exact refuse it for a float-only table
     path = tmp_path / "table.csv"
     path.write_text("t,h,alpha\n2,1,0.5\n")
-    code, _, err = run_cli(
-        capsys,
-        "hopdist", "--d", "3", "--protocol", "table", "--table", str(path),
-        "-T", "2", "--exact",
-    )
-    assert code == 2
-    assert "exact" in err
+    for command, message in (
+        ("hopdist", "cannot provide exact alphas"),
+        ("protocol-dump", "has no exact alpha values"),
+    ):
+        code, out, err = run_cli(
+            capsys,
+            command, "--d", "3", "--protocol", "table", "--table", str(path),
+            "-T", "2", "--exact",
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_protocol_dump_round_trips(capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from adl.diffusion import Snapshot, simulate
+from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import (
     ExplicitCandidates,
     ShellCandidates,
@@ -24,11 +24,12 @@ from adl.estimators import (
 from adl.experiments import derive_seed
 from adl.protocol import (
     hop_distribution,
+    load_protocol_table,
     local_spreading_protocol,
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE, bfs_depths, distance, neighbors
+from adl.tree import SOURCE, bfs_depths, distance, neighbors, steiner_tree
 from conftest import make_automorphism, shell_members
 
 UNI3 = uniform_protocol(3)
@@ -274,17 +275,21 @@ def test_k_obs_runs_through_public_interface():
 
 
 def test_generic_mle_single_snapshot_matches_single_mle():
-    for seed in range(60):
-        t = (6, 8, 10, 12)[seed % 4]
-        s = simulate(UNI3, t, seed=seed).snapshot_at(t)
-        shell, diag1 = single_mle_candidates(s, HOP3, UNI3)
-        explicit, _ = generic_mle_candidates([s], HOP3, UNI3, search_depth=t // 2)
-        # same argmax hops: every generic candidate sits on a winning shell
-        assert all(shell.contains(v) for v in explicit.members)
-        want = set()
-        for h in diag1["h_star"]:
-            want |= shell_members(3, list(s.virtual_sources()), h)
-        assert explicit.members == want
+    per3 = perfect_protocol(3)
+    for proto, hop in ((UNI3, HOP3), (per3, hop_distribution(per3, 12))):
+        for seed in range(60):
+            t = (6, 8, 10, 12)[seed % 4]
+            s = simulate(proto, t, seed=seed).snapshot_at(t)
+            shell, diag1 = single_mle_candidates(s, hop, proto)
+            explicit, diag = generic_mle_candidates([s], hop, proto)
+            # same argmax hops: every generic candidate sits on a winning shell
+            assert all(shell.contains(v) for v in explicit.members)
+            want = set()
+            for h in diag1["h_star"]:
+                want |= shell_members(3, list(s.virtual_sources()), h)
+            assert explicit.members == want
+            every_hop = ShellCandidates(3, s.virtual_sources(), tuple(range(1, t // 2 + 1)))
+            assert diag["feasible_count"] == every_hop.size()
 
 
 def test_generic_mle_even_even_equals_path_minimizer():
@@ -323,10 +328,83 @@ def test_generic_mle_empty_domain_falls_back():
     assert est.diagnostics["fallback"]
 
 
-def test_generic_mle_flags_boundary_argmax():
-    s = snap(3, 10, (0, 1), (0, 1))
-    _, diag = generic_mle_candidates([s], HOP3, UNI3, search_depth=1)
-    assert diag["domain_boundary"]
+def _brute_force_generic_mle(snaps, hop, proto):
+    """Independent reference for the joint MLE: score every vertex within
+    min_i floor(t_i / 2) of the Steiner core of all virtual sources (no
+    feasible vertex lies farther) by the product of its per-snapshot
+    posteriors, in exact rationals (a table protocol's floats converted
+    exactly).  None when no vertex has positive likelihood."""
+    d = snaps[0].d
+    p = hop.p_exact if hop.exact else lambda t, h: Fraction(hop.p(t, h))
+    a = proto.alpha_exact if proto.exact else lambda t, h: Fraction(proto.alpha(t, h))
+
+    def posterior(s, x):
+        t_eff = s.t - s.t % 2
+        base = p(t_eff, x) / (d * (d - 1) ** (x - 1))
+        if s.t % 2 == 0:
+            return base
+        return base * (a(t_eff, x) if s.is_ball else 1 - a(t_eff, x))
+
+    core = steiner_tree(d, [v for s in snaps for v in s.virtual_sources()])
+    feasible = 0
+    scores = {}
+    for v in bfs_depths(d, core, min(s.t // 2 for s in snaps)):
+        xs = [s.min_vs_distance(v) for s in snaps]
+        if all(1 <= x <= s.t // 2 for s, x in zip(snaps, xs)):
+            feasible += 1
+            score = math.prod(posterior(s, x) for s, x in zip(snaps, xs))
+            if score:
+                scores[v] = score
+    if not scores:
+        return None, feasible
+    best = max(scores.values())
+    return {v for v, sc in scores.items() if sc == best}, feasible
+
+
+# dyadic alphas keep the float hop table exact, so rational scores tie
+# exactly where the float log-likelihoods tie within tolerance
+DYADIC_TABLE = "t,h,alpha\n" + "".join(
+    f"{t},{h},{(0.5, 0.25, 0.75, 0.375, 0.625)[(t + h) % 5]}\n"
+    for t in range(2, 11, 2)
+    for h in range(1, t // 2 + 1)
+)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("name", ["uniform", "perfect", "local", "table"])
+def test_generic_mle_equals_brute_force(name, d):
+    proto = {
+        "uniform": uniform_protocol,
+        "perfect": perfect_protocol,
+        "local": lambda d: local_spreading_protocol(d, 0.5),
+        "table": lambda d: load_protocol_table(DYADIC_TABLE, d),
+    }[name](d)
+    hop = hop_distribution(proto, 10)
+    rng = random.Random(derive_seed(31, d, len(name)))
+    for n in range(60):
+        k = 1 + n % 3
+        times = [rng.randint(2, 10) for _ in range(k)]
+        snaps = [
+            sample_snapshot(proto, t, derive_seed(32, d, n, i)) for i, t in enumerate(times)
+        ]
+        want, feasible = _brute_force_generic_mle(snaps, hop, proto)
+        got, diag = generic_mle_candidates(snaps, hop, proto)
+        assert diag["feasible_count"] == feasible, (name, d, times)
+        assert diag["fallback"] == (want is None), (name, d, times)
+        if want is not None:
+            assert got.members == want, (name, d, times)
+
+
+def test_generic_mle_skips_the_empty_pieces_of_interior_core_vertices():
+    # every neighbour of the virtual source (0, 0) lies on the core, so no
+    # vertex hangs off it: its depth-1 hop vector (1, 2, 2, 2) scores best
+    # but has no vertex, and the true argmax lies elsewhere
+    snaps = [snap(3, 8, v, v) for v in [(0, 0), (0,), (0, 0, 0), (0, 0, 1)]]
+    hop = hop_distribution(UNI3, 8)
+    want, feasible = _brute_force_generic_mle(snaps, hop, UNI3)
+    got, diag = generic_mle_candidates(snaps, hop, UNI3)
+    assert got.members == want and diag["feasible_count"] == feasible
+    assert not diag["fallback"]
 
 
 def test_generic_mle_float_mode_matches_exact_mode():

@@ -191,16 +191,15 @@ def test_shipped_acceptance_configs_are_valid():
         assert report.trials == 30
 
 
-def test_generic_mle_params_pass_through():
-    config = ExperimentConfig.from_dict(
-        config_dict(
-            times=[6, 7],
-            trials=40,
-            estimators=[{"method": "generic_mle", "params": {"search_depth": 2}}],
-        )
-    )
-    report = run(config)
-    assert report.results[0].params == {"search_depth": 2}
+def test_generic_mle_rejects_search_depth_param():
+    # the exact MLE has no search depth; an empty params object stays legal
+    doc = config_dict(times=[6, 7], trials=40,
+                      estimators=[{"method": "generic_mle", "params": {"search_depth": 2}}])
+    with pytest.raises(ConfigError, match="generic_mle accepts no param 'search_depth'"):
+        ExperimentConfig.from_dict(doc)
+    doc["estimators"][0]["params"] = {}
+    report = run(ExperimentConfig.from_dict(doc))
+    assert report.body_dict()["results"][0]["params"] == {}
     assert report.results[0].failures == 0
 
 

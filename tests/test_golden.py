@@ -2,7 +2,10 @@
 
 Each digest is the sha256 of a report body (sorted-key JSON) or of the
 ``estimate`` stdout, recorded before the estimator/protocol dispatch was
-consolidated.  Any change to simulation, seeding, dispatch, tie-breaking or
+consolidated.  Two were re-recorded when the generic MLE became exact: its
+report body (the config lost ``"params": {"search_depth": 2}``; the body
+differs only in that ``params`` entry) and the ``mle`` output (same chosen
+vertex and tie count, without the removed search-domain diagnostics).  Any change to simulation, seeding, dispatch, tie-breaking or
 report layout shows up here as a digest mismatch.
 """
 
@@ -40,7 +43,7 @@ CONFIGS = {
     },
     "generic_mle": {
         "d": 3, "protocol": {"name": "uniform"}, "times": [6, 7], "trials": 100, "seed": 15,
-        "estimators": [{"method": "generic_mle", "params": {"search_depth": 2},
+        "estimators": [{"method": "generic_mle",
                         "target": {"kind": "upper_bound", "value": 0.5}}],
     },
     "uniform_mle_cases": {
@@ -55,7 +58,7 @@ REPORT_DIGESTS = {
     "two_obs_path": "b34df44856056bb01b610f073bbe7ed23155d44d2e9e44cb32fe22f2433c4a8d",
     "three_obs_intersection": "abc03b99a297fb895c3d2368c3b1b104340aacd21e8c6ac50b2afba8da8a144b",
     "k_obs_subtree": "fba2e2fc94cc29b2d83b3caa7f79e50b7367b30933d019b36c32e19ca7ec7654",
-    "generic_mle": "432037b33d2b598e0b8985c5e4a8fee73b94e651c6b4bc7b2066709796bfc706",
+    "generic_mle": "06deecbe58417ce46a150c93319ccee6666c4252fe100d1e5f26442c4bcfb9d1",
     "uniform_mle_cases": "735e03745d99c32d64b86cae9c22c854cd95956b306d3086314cda2512318445",
 }
 
@@ -90,7 +93,7 @@ ESTIMATES = {
 }
 
 ESTIMATE_DIGESTS = {
-    "mle": "f2b2e83dfdd2d86a3f7e478e8cd58c0891701863c200e657907285572249ce24",
+    "mle": "13d809ec15d44306f12d6baaa2769150f847d53d50a1664e7fa0d779061d2c9f",
     "single-mle": "af63fc7c5bfd9cbc41672252635171f9d5806b15d7bcf7e7615d6217bea4681f",
     "two-obs-path": "edbfd35d3ed7926646e27ef7c5fde1aa8381341d233f7857992be1c1e3851a31",
     "three-obs": "c178269133dcc5ac8a82cf765ebcfed95e538304d8605562149176f5e172d88f",

@@ -95,6 +95,15 @@ def test_exact_success_generic_equals_cases():
         assert a == b
 
 
+def test_exact_success_generic_is_the_untruncated_argmax():
+    # uniform: the even-even closed form; perfect: every feasible vertex ties,
+    # which a search truncated 3 hops off the core (5794/14415) misses
+    want = cf.even_even_mle_exact(3, 8, 8).exact_value
+    assert oracle.exact_success("generic_mle", UNI3, (8, 8)) == want == Fraction(89, 288)
+    got = oracle.exact_success("generic_mle", perfect_protocol(3), (9, 10))
+    assert got == Fraction(17383, 43245)
+
+
 def test_exact_success_three_obs_t2_is_split_probability():
     # with three radius-1 balls the estimator wins exactly when all first
     # steps differ: 3!/27 = 2/9, the same as the general lower bound
