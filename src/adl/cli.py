@@ -41,7 +41,7 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
         choices=PROTOCOLS,
         help="protocol family",
     )
-    p.add_argument("--gamma", type=float, help="gamma for --protocol local")
+    p.add_argument("--gamma", help="gamma for --protocol local: a decimal or a ratio such as 1/3")
     p.add_argument("--table", help="CSV path for --protocol table")
 
 
@@ -179,6 +179,32 @@ def _suite_oracle_odd_odd():
     yield "oracle odd-odd MLE (d=3, t=(5,5)) is a probability", 0 <= got <= 1
 
 
+def _suite_oracle_large_t():
+    """Certifications far past brute-force reach; the oracle sums over orbits."""
+    uni3, uni4 = uniform_protocol(3), uniform_protocol(4)
+    got = oracle.exact_success("uniform_mle_cases", uni3, (20, 20))
+    want = closed_form.even_even_mle_exact(3, 20, 20).exact_value
+    yield "oracle even-even MLE (d=3, t=(20,20)) == closed form", got == want
+    want = closed_form.even_odd_mle_exact(3, 20, 17).exact_value
+    for t1, t2 in ((20, 17), (17, 20)):
+        got = oracle.exact_success("uniform_mle_cases", uni3, (t1, t2))
+        yield f"oracle even-odd MLE (d=3, t=({t1},{t2})) == closed form", got == want
+    got = oracle.exact_success("uniform_mle_cases", uni3, (17, 17))
+    cap = closed_form.odd_odd_mle_upper(3, 17, 17).exact_value
+    yield "oracle odd-odd MLE (d=3, t=(17,17)) <= closed-form cap", 0 <= got <= cap
+    got = oracle.exact_success("uniform_mle_cases", uni4, (12, 12))
+    want = closed_form.even_even_mle_exact(4, 12, 12).exact_value
+    yield "oracle even-even MLE (d=4, t=(12,12)) == closed form", got == want
+    got = oracle.exact_success("generic_mle", uni4, (12, 12))
+    yield "oracle generic MLE (d=4, t=(12,12)) == closed form", got == want
+    got = oracle.exact_success("three_obs_intersection", uni4, (8, 8, 8))
+    want = closed_form.three_obs_lower(4).exact_value
+    yield "oracle three-obs (d=4, t=(8,8,8)) == (d-1)(d-2)/d^2", got == want
+    got = oracle.exact_success("two_obs_path", perfect_protocol(4), (12, 12))
+    floor = closed_form.two_obs_detection_lower(4, 12, 12).exact_value
+    yield "oracle two-obs path, perfect (d=4, t=(12,12)) >= detection floor", got >= floor
+
+
 def _suite_generic_vs_cases():
     """Candidate-set equality of the generic MLE and the case dispatch on a
     small deterministic sweep (the full randomized sweep lives in the tests)."""
@@ -210,6 +236,7 @@ _SUITES = {
     "oracle-even-even": _suite_oracle_even_even,
     "oracle-even-odd": _suite_oracle_even_odd,
     "oracle-odd-odd": _suite_oracle_odd_odd,
+    "oracle-large-t": _suite_oracle_large_t,
     "generic-vs-cases": _suite_generic_vs_cases,
 }
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from adl.protocol import infected_count_even
+from adl.protocol import gamma_fraction, infected_count_even
 from adl.tree import check_degree
 
 Number = Union[int, float, Fraction]
@@ -175,9 +175,7 @@ def local_protocol_targets(d: int, t: int, gamma: float) -> tuple[Target, Target
     check_degree(d)
     if t < 2 or t % 2:
         raise ValueError("requires even t >= 2")
-    g = Fraction(gamma)
-    if not 0 < g < 1:
-        raise ValueError("gamma must lie in (0, 1)")
+    g = gamma_fraction(gamma)
     if t * g <= 2:
         radius = Target(
             kind="exact",

@@ -1,19 +1,23 @@
-"""Exhaustive small-instance oracle for exact detection probabilities.
+"""Exhaustive oracle for exact detection probabilities.
 
 Instead of sampling the virtual-source chain, enumerate every reachable
 snapshot endpoint pair (vs_{t-1}, vs_t) with its exact probability, run an
-estimator's deterministic candidate core on every joint combination, and
+estimator's deterministic candidate core on the joint outcomes, and
 integrate the uniform tie-break analytically (a candidate set C contributes
 [origin in C] / |C|).  With a built-in protocol everything is a Fraction, so
 identities can be certified exactly; table protocols fall back to floats.
 
-Outcome counts grow like (d-1)^(t/2) per snapshot, so this is a desk-scale
-instrument; joint enumerations are capped by an outcome budget.
+An outcome's probability depends only on its hop and on whether the virtual
+source stayed or moved, and every estimator core is equivariant under
+relabelling of child indices.  So the joint sum runs over the orbits of the
+automorphisms that fix the origin: one canonical joint outcome per orbit,
+weighted by the orbit's size.  The orbit count grows polynomially in t, not
+like (d-1)^(t/2) per snapshot; the budget still caps the nominal number of
+joint outcomes the sum stands for.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -21,7 +25,7 @@ from typing import Sequence, Union
 
 from adl.diffusion import Snapshot
 from adl.estimators import estimator_for
-from adl.protocol import Protocol, even_floor, hop_distribution, hop_horizon
+from adl.protocol import HopDistribution, Protocol, even_floor, hop_distribution, hop_horizon
 from adl.tree import SOURCE, labels_at_depth, sphere_size
 
 DEFAULT_BUDGET = 10_000_000
@@ -46,52 +50,93 @@ def outcome_count(d: int, t: int) -> int:
     return sum(sphere_size(d, h) * d for h in range(1, (t - 1) // 2 + 1))
 
 
+def _check_time(t: int) -> None:
+    if t < 1:
+        raise ValueError(f"observation time must be >= 1, got {t}")
+
+
+def _law(protocol: Protocol, hop: HopDistribution, t: int) -> list:
+    """The law of one diffusion observed at time t, as rows (depth, moved,
+    probability of each single outcome at that depth).
+
+    An outcome is identified by the label of vs_t; when the virtual source
+    moved, vs_{t-1} is that label's parent (at t = 1, the origin).  Distinct
+    move timings that land on the same pair are merged: p(t, h) is split
+    evenly over the d (d-1)^(h-1) positions at hop h, times the stay or move
+    factor at odd t.  Rows of probability zero are left out.
+    """
+    d = protocol.d
+    one = Fraction(1) if hop.exact else 1.0
+    if t == 1:
+        return [(1, True, one / d)]
+    t_eff = even_floor(t)
+    p = hop.p_exact if hop.exact else hop.p
+    if t % 2 == 0:
+        rows = [(h, False, p(t, h) / sphere_size(d, h)) for h in hop.support(t)]
+    else:
+        a = protocol.alpha_exact if hop.exact else protocol.alpha
+        rows = []
+        for h in hop.support(t_eff):
+            rows.append((h, False, p(t_eff, h) * a(t_eff, h) / sphere_size(d, h)))
+            rows.append((h + 1, True, p(t_eff, h) * (one - a(t_eff, h)) / sphere_size(d, h + 1)))
+    return [row for row in rows if row[2]]
+
+
 def enumerate_single(
     protocol: Protocol, t: int, budget: int = DEFAULT_BUDGET
 ) -> list[WeightedOutcome]:
     """All endpoint pairs of one diffusion observed at time t, with exact
-    probabilities (Fractions for built-in protocols).
-
-    Distinct move timings that land on the same pair are merged: the pair
-    determines the geometry, and its mass is p(t, h) split evenly over the
-    d (d-1)^(h-1) positions at hop h (times the move/stay factor at odd t).
-    """
-    if t < 1:
-        raise ValueError(f"observation time must be >= 1, got {t}")
+    probabilities (Fractions for built-in protocols): the single-diffusion
+    law expanded over every label at each depth."""
+    _check_time(t)
     n = outcome_count(protocol.d, t)
     if n > budget:
         raise ValueError(f"enumeration needs {n} outcomes, over the budget of {budget}")
-    d = protocol.d
-    exact = protocol.exact
-    one = Fraction(1) if exact else 1.0
+    hop = hop_distribution(protocol, hop_horizon([t]), exact=protocol.exact)
+    return [
+        WeightedOutcome(v[:-1] if moved else v, v, prob)
+        for h, moved, prob in _law(protocol, hop, t)
+        for v in labels_at_depth(protocol.d, h)
+    ]
 
-    if t == 1:
-        return [
-            WeightedOutcome(SOURCE, (i,), one / d) for i in range(d)
-        ]
 
-    t_eff = even_floor(t)
-    hop = hop_distribution(protocol, t_eff, exact=exact)
-    p = hop.p_exact if exact else hop.p
-    out: list[WeightedOutcome] = []
-    if t % 2 == 0:
-        for h in hop.support(t):
-            per_vertex = p(t, h) / sphere_size(d, h)
-            if per_vertex:
-                out.extend(WeightedOutcome(v, v, per_vertex) for v in labels_at_depth(d, h))
-        return out
-    a = protocol.alpha_exact if exact else protocol.alpha
-    for h in hop.support(t_eff):
-        stay = p(t_eff, h) * a(t_eff, h) / sphere_size(d, h)
-        move = p(t_eff, h) * (one - a(t_eff, h)) / (sphere_size(d, h) * (d - 1))
-        for v in labels_at_depth(d, h):
-            if stay:
-                out.append(WeightedOutcome(v, v, stay))
-            if move:
-                out.extend(
-                    WeightedOutcome(v, v + (j,), move) for j in range(d - 1)
-                )
-    return out
+def _orbits(d: int, times: Sequence[int], laws: Sequence[list]):
+    """One canonical joint outcome per orbit of the automorphisms that fix
+    the origin, as (one Snapshot per time, orbit size times probability).
+
+    In canonical form, the children used at each vertex across snapshots
+    1..k are numbered in first-use order.  A label is built one step at a
+    time: at a vertex that already uses m children it either reuses one of
+    them or opens child m, which has n - m images under the group (n = d at
+    the origin, d - 1 elsewhere).  Each Snapshot is built once and shared by
+    every outcome that extends it.
+    """
+    k = len(laws)
+    used: dict = {}  # vertex -> number of its children in use
+    snaps: list = [None] * k
+
+    def pick(i, weight):
+        if i == k:
+            yield list(snaps), weight
+            return
+        for depth, moved, p in laws[i]:
+            yield from descend(i, SOURCE, depth, moved, weight * p)
+
+    def descend(i, v, depth, moved, weight):
+        if len(v) == depth:
+            snaps[i] = Snapshot(d=d, t=times[i], vs_prev=v[:-1] if moved else v, vs_now=v)
+            yield from pick(i + 1, weight)
+            return
+        m = used.get(v, 0)
+        for c in range(m):
+            yield from descend(i, v + (c,), depth, moved, weight)
+        n = d - 1 if v else d
+        if m < n:
+            used[v] = m + 1
+            yield from descend(i, v + (m,), depth, moved, weight * (n - m))
+            used[v] = m
+
+    yield from pick(0, 1)
 
 
 def _success_fraction(info, snaps, hop, protocol, exact):
@@ -122,10 +167,11 @@ def exact_success(
 ):
     """Exact probability that the estimator's pick equals the origin.
 
-    Sums over the full joint enumeration of the independent diffusions;
-    every source of estimator randomness (tie-break, odd-snapshot
-    virtual-source disambiguation) is integrated analytically, so the result
-    carries no sampling noise at all.
+    Sums over the orbits of the joint outcomes of the independent diffusions
+    (see the module docstring); the budget caps the number of joint outcomes
+    that sum stands for.  Every source of estimator randomness (tie-break,
+    odd-snapshot virtual-source disambiguation) is integrated analytically,
+    so the result carries no sampling noise at all.
     """
     times = list(times)
     if not times:
@@ -135,22 +181,14 @@ def exact_success(
     combos = prod(outcome_count(protocol.d, t) for t in times)
     if combos > budget:
         raise ValueError(f"joint enumeration needs {combos} outcomes, over the budget of {budget}")
+    for t in times:
+        _check_time(t)
 
     exact = protocol.exact
-    # Snapshots are built once per single outcome and shared across joint combinations
-    singles = [
-        [
-            (Snapshot(d=protocol.d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now), o.prob)
-            for o in enumerate_single(protocol, t, budget)
-        ]
-        for t in times
-    ]
-    hop = hop_distribution(protocol, hop_horizon(times), exact=exact) if info.needs_hop else None
-
+    hop = hop_distribution(protocol, hop_horizon(times), exact=exact)
+    laws = [_law(protocol, hop, t) for t in times]
     total = Fraction(0) if exact else 0.0
-    for combo in itertools.product(*singles):
-        snaps = [s for s, _ in combo]
-        weight = prod(p for _, p in combo)
+    for snaps, weight in _orbits(protocol.d, times, laws):
         total += weight * _success_fraction(info, snaps, hop, protocol, exact)
     return total
 

@@ -54,6 +54,25 @@ def alpha_perfect(d: int, t: int, h: int) -> Fraction:
     return Fraction(m ** (t // 2 - h + 1) - 1, m ** (t // 2 + 1) - 1)
 
 
+def gamma_fraction(gamma: Union[float, str, Fraction]) -> Fraction:
+    """The local-spreading parameter as an exact rational in (0, 1).
+
+    A float is read through its shortest decimal form, so 0.3 is 3/10, the
+    value that was written, not the binary float just below it.  A string
+    may be a decimal or a ratio such as "1/3"; one with an exponent is read
+    as a float first, so "1e-999999999" is not expanded into a huge integer.
+    """
+    try:
+        if isinstance(gamma, str) and "e" in gamma.lower():
+            gamma = float(gamma)
+        g = Fraction(repr(gamma)) if isinstance(gamma, float) else Fraction(gamma)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"local protocol needs a numeric 'gamma', got {gamma!r}") from None
+    if not 0 < g < 1:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    return g
+
+
 def alpha_local_spreading(gamma: Union[float, str, Fraction], t: int, h: int) -> int:
     """0/1 stay rule of the local-spreading protocol with parameter gamma.
 
@@ -62,9 +81,7 @@ def alpha_local_spreading(gamma: Union[float, str, Fraction], t: int, h: int) ->
     hop target does not advance at the next even time.  Evaluated in exact
     rational arithmetic so floor boundaries are unambiguous.
     """
-    g = Fraction(gamma)
-    if not 0 < g < 1:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    g = gamma_fraction(gamma)
     _check_domain(t, h)
     if t * g <= 2:
         return 1
@@ -73,7 +90,7 @@ def alpha_local_spreading(gamma: Union[float, str, Fraction], t: int, h: int) ->
 
 def local_hop_target(gamma: Union[float, str, Fraction], t: int) -> int:
     """Deterministic h_t of the local-spreading protocol at even t."""
-    g = Fraction(gamma)
+    g = gamma_fraction(gamma)
     if t < 2 or t % 2:
         raise ValueError(f"even t >= 2 required, got {t}")
     if t * g <= 2:
@@ -142,9 +159,7 @@ def perfect_protocol(d: int) -> Protocol:
 
 
 def local_spreading_protocol(d: int, gamma: Union[float, str, Fraction]) -> Protocol:
-    g = Fraction(gamma)
-    if not 0 < g < 1:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    g = gamma_fraction(gamma)
     return Protocol(
         d=d,
         name=f"local(gamma={float(g):g})",
@@ -244,12 +259,7 @@ def protocol_from_spec(d: int, spec: dict) -> Protocol:
     if name == "perfect":
         return perfect_protocol(d)
     if name == "local":
-        gamma = spec.get("gamma")
-        try:
-            gamma = Fraction(gamma)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"local protocol needs a numeric 'gamma', got {gamma!r}") from None
-        return local_spreading_protocol(d, gamma)
+        return local_spreading_protocol(d, spec.get("gamma"))
     if name == "table":
         if isinstance(spec.get("table"), str):
             with open(spec["table"], "rb") as fh:

@@ -70,6 +70,20 @@ def test_hopdist_perfect_identity(capsys):
     assert rows[(4, 1)] == "1/3" and rows[(4, 2)] == "2/3"
 
 
+def test_hopdist_local_reads_gamma_as_written(capsys):
+    # --gamma is text: 0.3 is 3/10 (h_20 = 3), the same table as "3/10"
+    outs = []
+    for gamma in ("0.3", "3/10"):
+        code, out, _ = run_cli(
+            capsys, "hopdist", "--d", "3", "--protocol", "local", "--gamma", gamma,
+            "-T", "20", "--exact",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "20,3,1" in outs[0].splitlines()
+
+
 def test_estimate_three_obs_hits_source(capsys, tmp_path):
     snaps = [
         {"d": 3, "t": 4, "vs_prev": "/0", "vs_now": "/0"},
@@ -188,6 +202,12 @@ def test_verify_oracle_even_even_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-even-even")
     assert code == 0
     assert "41/72" in out
+
+
+def test_verify_oracle_large_t_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-large-t")
+    assert code == 0
+    assert out.count("[PASS]") == 8 and "FAIL" not in out
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

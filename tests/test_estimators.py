@@ -571,10 +571,17 @@ def _map_snapshot(phi, s):
     return Snapshot(d=s.d, t=s.t, vs_prev=phi(s.vs_prev), vs_now=phi(s.vs_now))
 
 
+def _assert_shells_correspond(phi, a, b):
+    assert {phi(c) for c in a.centers} == set(b.centers)
+    assert a.radii == b.radii and a.size() == b.size()
+    assert a.contains(SOURCE) == b.contains(SOURCE)
+
+
 def test_relabelling_invariance_of_candidate_sets():
     # applying a child-index automorphism to every snapshot maps each
     # explicit candidate set exactly, and preserves the symbolic shells;
-    # hence hit probabilities 1{origin in C}/|C| are invariant
+    # hence hit probabilities 1{origin in C}/|C| are invariant, which the
+    # oracle's sum over orbits of joint outcomes rests on
     for trial in range(40):
         d = (3, 4)[trial % 2]
         proto = uniform_protocol(d)
@@ -607,6 +614,31 @@ def test_relabelling_invariance_of_candidate_sets():
         ka, _ = k_obs_candidates(d, [s1.virtual_sources()[0], s2.virtual_sources()[0]])
         kb, _ = k_obs_candidates(d, [m1.virtual_sources()[0], m2.virtual_sources()[0]])
         assert {phi(v) for v in ka.members} == kb.members
+
+        more = [sample_snapshot(proto, t, derive_seed(7, trial, i))
+                for i, t in ((2, 3 + trial % 5), (3, 8), (4, 11))]
+        vs = [s.virtual_sources()[-1] for s in [s1, s2] + more]
+        a = three_obs_candidates(*vs[:3])
+        assert {phi(v) for v in a.members} == three_obs_candidates(*map(phi, vs[:3])).members
+        for k in (3, 4, 5):
+            ka, _ = k_obs_candidates(d, vs[:k])
+            kb, _ = k_obs_candidates(d, [phi(v) for v in vs[:k]])
+            assert {phi(v) for v in ka.members} == kb.members
+
+        for other in (perfect_protocol(d), local_spreading_protocol(d, 0.5)):
+            other_hop = hop_distribution(other, 12)
+            o1, o2 = (sample_snapshot(other, t, derive_seed(9, trial, i))
+                      for i, t in enumerate((t1, t2)))
+            n1, n2 = _map_snapshot(phi, o1), _map_snapshot(phi, o2)
+            a, _ = generic_mle_candidates([o1, o2], other_hop, other)
+            b, _ = generic_mle_candidates([n1, n2], other_hop, other)
+            assert {phi(v) for v in a.members} == b.members
+            for o, n in ((o1, n1), (o2, n2)):
+                _assert_shells_correspond(
+                    phi,
+                    single_mle_candidates(o, other_hop, other)[0],
+                    single_mle_candidates(n, other_hop, other)[0],
+                )
 
 
 def test_estimate_json_shape():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,17 +7,40 @@ import pytest
 
 from adl import closed_form as cf
 from adl import oracle
-from adl.diffusion import simulate
-from adl.estimators import three_obs_intersection, uniform_mle_cases
+from adl.diffusion import Snapshot, simulate
+from adl.estimators import ESTIMATORS, estimator_for, three_obs_intersection, uniform_mle_cases
 from adl.experiments import derive_seed
 from adl.protocol import (
     constant_protocol,
     hop_distribution,
+    hop_horizon,
+    load_protocol_table,
+    local_spreading_protocol,
     perfect_protocol,
     uniform_protocol,
 )
 
 UNI3 = uniform_protocol(3)
+
+
+def brute_force_success(estimator, protocol, times):
+    """The reference for ``exact_success``: the estimator core run on every
+    joint outcome of the full product, each weighted by its probability."""
+    info = estimator_for(estimator, len(times), protocol)
+    exact = protocol.exact
+    singles = [
+        [
+            (Snapshot(d=protocol.d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now), o.prob)
+            for o in oracle.enumerate_single(protocol, t)
+        ]
+        for t in times
+    ]
+    hop = hop_distribution(protocol, hop_horizon(times), exact=exact) if info.needs_hop else None
+    total = Fraction(0) if exact else 0.0
+    for combo in itertools.product(*singles):
+        weight = math.prod(p for _, p in combo)
+        total += weight * oracle._success_fraction(info, [s for s, _ in combo], hop, protocol, exact)
+    return total
 
 
 def test_enumerate_first_step_is_uniform():
@@ -154,6 +178,79 @@ def test_exact_success_two_obs_at_acceptance_times():
     assert got == cf.even_even_mle_exact(3, 12, 12).exact_value
     per = oracle.exact_success("two_obs_path", perfect_protocol(3), (12, 12))
     assert per >= Fraction(1, 9)
+
+
+# times per number of snapshots: t = 1, odd, even and unequal times
+CROSS_CHECK_TIMES = {
+    1: [(1,), (4,), (5,), (7,)],
+    2: [(1, 4), (4, 5), (3, 3), (5, 3), (6, 3)],
+    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1)],
+    4: [(2, 3, 1, 2)],
+}
+
+
+def _table_protocol(d):
+    # non-dyadic alphas, so the float sums really are rounded
+    rows = [
+        f"{t},{h},{(7 * t + 3 * h) % 10 / 10 + 0.05:.2f}"
+        for t in (2, 4, 6)
+        for h in range(1, t // 2 + 1)
+    ]
+    return load_protocol_table("t,h,alpha\n" + "\n".join(rows) + "\n", d)
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_exact_success_equals_brute_force():
+    # the orbit sum must give what the full product gives: the same Fraction
+    # for a built-in protocol, the same float up to rounding for a table,
+    # and a ValueError exactly where the product raises one
+    compared = 0
+    for d in (3, 4):
+        protocols = (uniform_protocol(d), perfect_protocol(d),
+                     local_spreading_protocol(d, "1/2"), _table_protocol(d))
+        for name, info in ESTIMATORS.items():
+            if info.arity:
+                arities = [info.arity]
+            else:
+                arities = [1, 2, 3, 4] if name == "k_obs_subtree" else [1, 2, 3]
+            for protocol, k in itertools.product(protocols, arities):
+                for times in CROSS_CHECK_TIMES[k]:
+                    want = _value_or_error(brute_force_success, name, protocol, times)
+                    got = _value_or_error(oracle.exact_success, name, protocol, times)
+                    case = (name, protocol.name, d, times)
+                    if want is ValueError or protocol.exact:
+                        assert got == want, case
+                    else:
+                        assert got is not ValueError and math.isclose(got, want, rel_tol=1e-12), case
+                    compared += want is not ValueError
+    assert compared > 200
+
+
+def test_exact_success_at_large_times():
+    # certifications far past brute-force reach (9.4M outcomes at d=3, (20,20);
+    # 4.1M at d=4, (8,8,8)), each inside the default budget
+    uni4 = uniform_protocol(4)
+    got = oracle.exact_success("uniform_mle_cases", UNI3, (20, 20))
+    assert got == cf.even_even_mle_exact(3, 20, 20).exact_value == Fraction(233, 1800)
+    want = cf.even_odd_mle_exact(3, 20, 17).exact_value
+    assert want == Fraction(2641, 12960)
+    assert oracle.exact_success("uniform_mle_cases", UNI3, (20, 17)) == want
+    assert oracle.exact_success("uniform_mle_cases", UNI3, (17, 20)) == want
+    got = oracle.exact_success("uniform_mle_cases", UNI3, (17, 17))
+    assert got == Fraction(86663, 373248) <= cf.odd_odd_mle_upper(3, 17, 17).exact_value
+    got = oracle.exact_success("uniform_mle_cases", uni4, (12, 12))
+    assert got == oracle.exact_success("generic_mle", uni4, (12, 12)) == Fraction(403, 1728)
+    assert got == cf.even_even_mle_exact(4, 12, 12).exact_value
+    got = oracle.exact_success("three_obs_intersection", uni4, (8, 8, 8))
+    assert got == cf.three_obs_lower(4).exact_value == Fraction(3, 8)
+    got = oracle.exact_success("two_obs_path", perfect_protocol(4), (12, 12))
+    assert got >= cf.two_obs_detection_lower(4, 12, 12).exact_value
 
 
 def test_exact_success_respects_budget_and_arity():

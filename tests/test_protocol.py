@@ -16,6 +16,7 @@ from adl.protocol import (
     local_hop_target,
     local_spreading_protocol,
     perfect_protocol,
+    protocol_from_spec,
     stay_probability_at,
     uniform_protocol,
 )
@@ -155,6 +156,22 @@ def test_local_protocol_hop_is_deterministic_floor():
         target = local_hop_target(g, t)
         assert hop.p_exact(t, target) == 1
         assert all(hop.p_exact(t, h) == 0 for h in hop.support(t) if h != target)
+
+
+def test_local_gamma_is_read_as_written():
+    # a float 0.3 is the decimal 3/10, not the binary float just below it,
+    # which would put h_20 at floor(0.2999... * 10) = 2 instead of 3
+    assert local_hop_target(0.3, 20) == 3
+    decimal = hop_distribution(protocol_from_spec(3, {"name": "local", "gamma": 0.3}), 40)
+    ratio = hop_distribution(protocol_from_spec(3, {"name": "local", "gamma": "3/10"}), 40)
+    assert decimal.to_csv(exact=True) == ratio.to_csv(exact=True)
+    assert decimal.p_exact(20, 3) == 1
+    third = protocol_from_spec(3, {"name": "local", "gamma": "1/3"})
+    assert hop_distribution(third, 12).p_exact(12, 2) == 1
+    with pytest.raises(ValueError, match="numeric 'gamma'"):
+        protocol_from_spec(3, {"name": "local", "gamma": "1/0"})
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        protocol_from_spec(3, {"name": "local", "gamma": "1e-999999999"})
 
 
 def test_hop_csv_round_trip():
