@@ -14,8 +14,11 @@ estimator) follow the same policy and flag themselves in diagnostics.
 
 Each public estimator has a deterministic ``*_candidates`` core (used by the
 exhaustive oracle, which integrates the tie-break analytically instead of
-sampling it).  No estimator takes a tuning parameter: the likelihood-based
-ones score their whole feasible set, so each returns the true argmax.
+sampling it).  The three-snapshot path intersection has none of its own: on
+a tree the meet of the three pairwise paths is the median, the k-snapshot
+subtree-count core's unique winner at k = 3, so it runs that core.  No
+estimator takes a tuning parameter: the likelihood-based ones score their
+whole feasible set, so each returns the true argmax.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -291,39 +294,7 @@ def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# three snapshots: path intersection
-# ---------------------------------------------------------------------------
-
-
-def three_obs_candidates(v1: Label, v2: Label, v3: Label) -> Candidates:
-    p12 = set(path_between(v1, v2))
-    p13 = set(path_between(v1, v3))
-    p23 = set(path_between(v2, v3))
-    meet = p12 & p13 & p23
-    if not meet:
-        raise ValueError("pairwise paths in a tree always meet")  # unreachable
-    return ExplicitCandidates(frozenset(meet))
-
-
-def three_obs_intersection(
-    s1: Snapshot, s2: Snapshot, s3: Snapshot, rng: random.Random
-) -> Estimate:
-    """Intersection of the three pairwise virtual-source paths.
-
-    On a tree this is always a single vertex (the median); a uniform pick
-    over a larger intersection is kept for safety.  Odd non-ball snapshots
-    contribute a uniformly chosen element of their virtual-source pair.
-    """
-    _check_common([s1, s2, s3])
-    v1, v2, v3 = (_resolve_vs(s, rng) for s in (s1, s2, s3))
-    cands = three_obs_candidates(v1, v2, v3)
-    return _finish(
-        "three_obs_intersection", cands, {"intersection_size": cands.size()}, rng
-    )
-
-
-# ---------------------------------------------------------------------------
-# k snapshots: subtree-count minimax
+# k snapshots: subtree-count minimax (the median at k = 3)
 # ---------------------------------------------------------------------------
 
 
@@ -340,29 +311,20 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     if not resolved:
         raise ValueError("at least one virtual source required")
     k = len(resolved)
-    mult: dict = {}
+    domain = steiner_tree(d, resolved)
+    top = min(map(len, domain))  # depth of the Steiner top
+    # below[v]: virtual sources in v's subtree, counted along their prefixes
+    below = dict.fromkeys(domain, 0)
     for v in resolved:
-        mult[v] = mult.get(v, 0) + 1
-    domain = steiner_tree(d, mult)
-    top = min(domain, key=lambda v: (len(v), v))
-    children: dict = {v: [] for v in domain}
-    for v in domain:
-        if v != top:
-            children[v[:-1]].append(v)
-    below: dict = {}
-    for v in sorted(domain, key=len, reverse=True):
-        below[v] = mult.get(v, 0) + sum(below[c] for c in children[v])
-    best: Optional[int] = None
-    ties: list[Label] = []
-    for v in domain:
-        counts = [below[c] for c in children[v]]
-        if v != top:
-            counts.append(k - below[v])
-        worst = max(counts, default=0)
-        if best is None or worst < best:
-            best, ties = worst, [v]
-        elif worst == best:
-            ties.append(v)
+        for i in range(top, len(v) + 1):
+            below[v[:i]] += 1
+    # worst[v]: the side above v (k - below[v], 0 at the top) or its heaviest child
+    worst = {v: k - n for v, n in below.items()}
+    for v, n in below.items():
+        if len(v) > top and n > worst[v[:-1]]:
+            worst[v[:-1]] = n
+    best = min(worst.values())
+    ties = [v for v, w in worst.items() if w == best]
     diagnostics = {"k": k, "min_max_subtree_count": best, "well_defined": len(ties) == 1}
     return ExplicitCandidates(frozenset(ties)), diagnostics
 
@@ -372,6 +334,21 @@ def k_obs_subtree(snaps: Sequence[Snapshot], rng: random.Random) -> Estimate:
     resolved = [_resolve_vs(s, rng) for s in snaps]
     cands, diagnostics = k_obs_candidates(d, resolved)
     return _finish("k_obs_subtree", cands, diagnostics, rng)
+
+
+def three_obs_intersection(
+    s1: Snapshot, s2: Snapshot, s3: Snapshot, rng: random.Random
+) -> Estimate:
+    """The paper's three-snapshot estimator: the meet of the three pairwise
+    virtual-source paths.
+
+    On a tree that meet is the median of the three virtual sources, which is
+    the unique minimax-subtree vertex at k = 3, so this is
+    :func:`k_obs_subtree` on three snapshots, reported under its own name.
+    Odd non-ball snapshots contribute a uniformly chosen element of their
+    virtual-source pair.
+    """
+    return replace(k_obs_subtree([s1, s2, s3], rng), method="three_obs_intersection")
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +665,10 @@ def _resolutions(snaps: Sequence[Snapshot]):
     return itertools.product(*(s.virtual_sources() for s in snaps))
 
 
+def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
+    return [k_obs_candidates(snaps[0].d, vs)[0] for vs in _resolutions(snaps)]
+
+
 ESTIMATORS = {
     "single_mle": EstimatorInfo(
         alias="single-mle", arity=1, needs_hop=True, uniform_only=False,
@@ -702,16 +683,12 @@ ESTIMATORS = {
     "three_obs_intersection": EstimatorInfo(
         alias="three-obs", arity=3, needs_hop=False, uniform_only=False,
         estimate=lambda snaps, hop, protocol, rng: three_obs_intersection(*snaps, rng),
-        candidates=lambda snaps, hop, protocol: [
-            three_obs_candidates(*vs) for vs in _resolutions(snaps)
-        ],
+        candidates=lambda snaps, hop, protocol: _k_obs_cores(snaps),
     ),
     "k_obs_subtree": EstimatorInfo(
         alias="k-obs", arity=None, needs_hop=False, uniform_only=False,
         estimate=lambda snaps, hop, protocol, rng: k_obs_subtree(snaps, rng),
-        candidates=lambda snaps, hop, protocol: [
-            k_obs_candidates(snaps[0].d, list(vs))[0] for vs in _resolutions(snaps)
-        ],
+        candidates=lambda snaps, hop, protocol: _k_obs_cores(snaps),
     ),
     "generic_mle": EstimatorInfo(
         alias="mle", arity=None, needs_hop=True, uniform_only=False,

@@ -238,14 +238,18 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
             return formula(d, list(times), params)
         except IndexError:
             raise ValueError(f"formula {name!r} needs two observation times") from None
+        except OverflowError:
+            raise ValueError(f"formula {name!r}: a param is too large for a float") from None
     if "kind" in spec and "value" in spec:
         value = spec["value"]
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"target value must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError("target value is too large for a float") from None
         return closed_form.Target(
-            kind=spec["kind"],
-            value=float(value),
-            provenance=spec.get("provenance", "inline"),
+            kind=spec["kind"], value=value, provenance=spec.get("provenance", "inline")
         )
     raise ValueError("target needs either 'formula' or ('kind' and 'value')")
 

@@ -192,16 +192,3 @@ def exact_success(
         total += weight * _success_fraction(info, snaps, hop, protocol, exact)
     return total
 
-
-def total_mass(outcomes: Sequence[WeightedOutcome]):
-    return sum(o.prob for o in outcomes)
-
-
-def outcomes_to_csv(outcomes: Sequence[WeightedOutcome]) -> str:
-    """Debug dump: ``vs_prev,vs_now,prob`` rows."""
-    from adl.tree import format_label
-
-    lines = ["vs_prev,vs_now,prob"]
-    for o in outcomes:
-        lines.append(f"{format_label(o.vs_prev)},{format_label(o.vs_now)},{o.prob}")
-    return "\n".join(lines) + "\n"

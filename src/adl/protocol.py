@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
@@ -175,20 +176,15 @@ def constant_protocol(d: int, value: Rational, name: Optional[str] = None) -> Pr
     return Protocol(d=d, name=name or f"const({float(v):g})", _alpha=lambda t, h: v)
 
 
-def load_protocol_table(source: Union[str, bytes, io.IOBase], d: int) -> Protocol:
+def load_protocol_table(source: Union[str, bytes], d: int) -> Protocol:
     """Build a table-backed protocol from CSV with header ``t,h,alpha``.
 
     The table must cover every even t from 2 up to its largest t, with every
     h in 1..t/2 present exactly once.  Violations (odd t, h out of range,
-    alpha outside [0, 1], duplicates, gaps) are collected and reported.
+    alpha outside [0, 1], duplicates, gaps) are collected and reported; a
+    gap report lists at most the first ten missing pairs.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [c.strip() for c in header] != ["t", "h", "alpha"]:
@@ -225,13 +221,14 @@ def load_protocol_table(source: Union[str, bytes, io.IOBase], d: int) -> Protoco
     if not table:
         raise ValueError("protocol table is empty")
     t_max = max(t for t, _ in table)
-    missing = [
-        (t, h)
-        for t in range(2, t_max + 1, 2)
-        for h in range(1, t // 2 + 1)
-        if (t, h) not in table
-    ]
-    if missing:
+    # rows are unique and in range, so a full table has exactly n(n+1)/2 of them
+    n_missing = (t_max // 2) * (t_max // 2 + 1) // 2 - len(table)
+    if n_missing:
+        every_pair = ((t, h) for t in range(2, t_max + 1, 2) for h in range(1, t // 2 + 1))
+        missing = list(itertools.islice((p for p in every_pair if p not in table), 10))
+        if n_missing > len(missing):
+            raise ValueError(f"protocol table has gaps: {n_missing} pairs missing, "
+                             f"the first {missing}")
         raise ValueError(f"protocol table has gaps: missing {missing}")
 
     return Protocol(

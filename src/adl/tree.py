@@ -113,24 +113,6 @@ def neighbors(d: int, v: Label) -> list[Label]:
     return [v[:-1]] + [v + (j,) for j in range(d - 1)]
 
 
-def same_subtree(root: Label, x: Label, y: Label) -> bool:
-    """True iff x and y fall in the same component of the tree minus ``root``.
-
-    Decided via the neighbor of ``root`` closest to each argument; for
-    root = origin this reduces to first-entry equality.
-    """
-    if x == root or y == root:
-        raise ValueError("same_subtree arguments must differ from the root")
-    return _step_toward(root, x) == _step_toward(root, y)
-
-
-def _step_toward(frm: Label, to: Label) -> Label:
-    """The neighbor of ``frm`` on the path toward ``to`` (to != frm)."""
-    if lcp_len(frm, to) == len(frm):  # frm is a prefix of to: step down
-        return to[: len(frm) + 1]
-    return frm[:-1]
-
-
 def steiner_tree(d, terminals: Iterable[Label]) -> set[Label]:
     """Minimal subtree spanning the terminals, as a vertex set.
 

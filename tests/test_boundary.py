@@ -229,11 +229,30 @@ def cases_with(**entry):
     (config_with(times=4, k=100_000_000_000), "k must be an integer in 1..10000"),
     (config_with(times=4, k=10 ** 21), "k must be an integer in 1..10000"),
     (config_with(times=[4] * 10_001), "at most 10000 observations"),
+    (config_with(times=6, k=3, estimators=[{"method": "k_obs_subtree", "target": {
+        "formula": "multi_obs_lower", "params": {"k": 10 ** 400}}}]),
+     "a param is too large for a float"),
+    (cases_with(target={"kind": "lower_bound", "value": 10 ** 400}),
+     "target value is too large for a float"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):
         ExperimentConfig.from_dict(doc)
     assert_usage_error(experiment(doc), "config error: ")
+
+
+@pytest.mark.parametrize("t_max", [10 ** 8, 10 ** 18])
+def test_protocol_table_with_a_far_row_is_rejected_at_once(t_max, tmp_path):
+    # the gap check counts rows before it lists any missing pair, and lists
+    # at most ten, so a huge t costs nothing
+    table = tmp_path / "table.csv"
+    table.write_text(f"t,h,alpha\n2,1,0.5\n{t_max},1,0.5\n")
+    missing = (t_max // 2) * (t_max // 2 + 1) // 2 - 2
+    result = run_main(["protocol-dump", "--d", "3", "--protocol", "table",
+                       "--table", str(table), "-T", "4"])
+    assert_usage_error(result, f"protocol table has gaps: {missing} pairs missing, the first "
+                               "[(4, 1), (4, 2), (6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), "
+                               "(8, 4), (10, 1)]")
 
 
 # ---------------------------------------------------------------------------

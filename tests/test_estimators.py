@@ -14,7 +14,6 @@ from adl.estimators import (
     k_obs_subtree,
     single_mle,
     single_mle_candidates,
-    three_obs_candidates,
     three_obs_intersection,
     two_obs_path,
     two_obs_path_candidates,
@@ -29,7 +28,7 @@ from adl.protocol import (
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE, bfs_depths, distance, neighbors, steiner_tree
+from adl.tree import SOURCE, bfs_depths, distance, neighbors, path_between, steiner_tree
 from conftest import make_automorphism, shell_members
 
 UNI3 = uniform_protocol(3)
@@ -197,18 +196,43 @@ def test_two_obs_path_odd_times_use_both_endpoints():
 
 
 # ---------------------------------------------------------------------------
-# three-snapshot intersection
+# three-snapshot intersection: the k-snapshot core at k = 3
 # ---------------------------------------------------------------------------
 
 
+def path_meet(v1, v2, v3):
+    """The three-snapshot estimator as the paper states it: the intersection
+    of the three pairwise virtual-source paths."""
+    return set(path_between(v1, v2)) & set(path_between(v1, v3)) & set(path_between(v2, v3))
+
+
 def test_three_obs_distinct_directions_hit_source():
-    cands = three_obs_candidates((0,), (1, 0), (2, 1))
+    cands, _ = k_obs_candidates(3, [(0,), (1, 0), (2, 1)])
     assert cands.members == {SOURCE}
 
 
 def test_three_obs_collinear_sources():
-    cands = three_obs_candidates((0, 1), (0,), (1,))
+    cands, _ = k_obs_candidates(3, [(0, 1), (0,), (1,)])
     assert cands.members == {(0,)}
+
+
+def test_three_obs_intersection_picks_the_path_meet():
+    # odd snapshots make the estimator draw one virtual source of a pair;
+    # a replica of its RNG replays those draws
+    for seed in range(300):
+        d = (3, 4)[seed % 2]
+        proto = (uniform_protocol(d), perfect_protocol(d))[seed // 2 % 2]
+        times = ((5, 8, 11), (7, 7, 4), (9, 6, 13))[seed % 3]
+        snaps = [sample_snapshot(proto, t, derive_seed(21, seed, i)) for i, t in enumerate(times)]
+        est = three_obs_intersection(*snaps, random.Random(seed))
+        replica = random.Random(seed)
+        vs = [s.virtual_sources()[replica.randrange(2)] if len(s.virtual_sources()) == 2
+              else s.vs_now for s in snaps]
+        assert est.method == "three_obs_intersection"
+        assert est.candidates.members == path_meet(*vs) == {est.chosen}
+        # the median has at most one virtual source behind each neighbour
+        assert est.diagnostics == {"k": 3, "min_max_subtree_count": int(len(set(vs)) > 1),
+                                   "well_defined": True}
 
 
 def test_three_obs_intersection_is_always_a_single_vertex():
@@ -258,6 +282,39 @@ def test_k_obs_single_snapshot_degenerates_to_virtual_source():
     cands, diag = k_obs_candidates(3, [(0, 1)])
     assert cands.members == {(0, 1)}
     assert diag["min_max_subtree_count"] == 0
+
+
+def k_obs_brute_force(d, resolved):
+    """The minimax subtree count scored vertex by vertex over the union of
+    the pairwise virtual-source paths and its neighbour ring: a vertex's
+    score is the largest number of virtual sources behind one neighbour."""
+    core = {v for a in resolved for b in resolved for v in path_between(a, b)}
+    scores = {}
+    for v in core | {w for c in core for w in neighbors(d, c)}:
+        behind = {}
+        for u in resolved:
+            if u != v:
+                first = path_between(v, u)[1]
+                behind[first] = behind.get(first, 0) + 1
+        scores[v] = max(behind.values(), default=0)
+    best = min(scores.values())
+    return {v for v, sc in scores.items() if sc == best}, best
+
+
+def test_k_obs_candidates_match_brute_force():
+    rng = random.Random(20261018)
+    for _ in range(600):
+        d = rng.choice((3, 4, 5))
+        k = rng.randint(1, 7)
+        pool = []
+        for _ in range(rng.randint(1, k)):  # a small pool repeats labels
+            depth = rng.randint(0, 5)
+            pool.append(tuple(rng.randrange(d if i == 0 else d - 1) for i in range(depth)))
+        resolved = [rng.choice(pool) for _ in range(k)]
+        cands, diag = k_obs_candidates(d, resolved)
+        ties, best = k_obs_brute_force(d, resolved)
+        assert cands.members == ties
+        assert diag == {"k": k, "min_max_subtree_count": best, "well_defined": len(ties) == 1}
 
 
 def test_k_obs_runs_through_public_interface():
@@ -618,9 +675,7 @@ def test_relabelling_invariance_of_candidate_sets():
         more = [sample_snapshot(proto, t, derive_seed(7, trial, i))
                 for i, t in ((2, 3 + trial % 5), (3, 8), (4, 11))]
         vs = [s.virtual_sources()[-1] for s in [s1, s2] + more]
-        a = three_obs_candidates(*vs[:3])
-        assert {phi(v) for v in a.members} == three_obs_candidates(*map(phi, vs[:3])).members
-        for k in (3, 4, 5):
+        for k in (3, 4, 5):  # k = 3 is the three-snapshot estimator's core
             ka, _ = k_obs_candidates(d, vs[:k])
             kb, _ = k_obs_candidates(d, [phi(v) for v in vs[:k]])
             assert {phi(v) for v in ka.members} == kb.members

@@ -5,8 +5,12 @@ Each digest is the sha256 of a report body (sorted-key JSON) or of the
 consolidated.  Two were re-recorded when the generic MLE became exact: its
 report body (the config lost ``"params": {"search_depth": 2}``; the body
 differs only in that ``params`` entry) and the ``mle`` output (same chosen
-vertex and tie count, without the removed search-domain diagnostics).  Any change to simulation, seeding, dispatch, tie-breaking or
-report layout shows up here as a digest mismatch.
+vertex and tie count, without the removed search-domain diagnostics).  The
+``three-obs`` output was re-recorded when the three-snapshot estimator began
+running the k-snapshot core at k = 3: same chosen vertex and tie count, with
+the core's diagnostics (``k``, ``min_max_subtree_count``, ``well_defined``)
+in place of ``intersection_size``.  Any change to simulation, seeding,
+dispatch, tie-breaking or report layout shows up here as a digest mismatch.
 """
 
 import hashlib
@@ -96,7 +100,7 @@ ESTIMATE_DIGESTS = {
     "mle": "13d809ec15d44306f12d6baaa2769150f847d53d50a1664e7fa0d779061d2c9f",
     "single-mle": "af63fc7c5bfd9cbc41672252635171f9d5806b15d7bcf7e7615d6217bea4681f",
     "two-obs-path": "edbfd35d3ed7926646e27ef7c5fde1aa8381341d233f7857992be1c1e3851a31",
-    "three-obs": "c178269133dcc5ac8a82cf765ebcfed95e538304d8605562149176f5e172d88f",
+    "three-obs": "151e9b17ac0d66262a0d808c87d362b19776b2f0bcf75e784c51c905f1bd04b5",
     "k-obs": "1d4833fbca234a68e0a39375b5ff0d13398ec487a30a666fe4e81dcc889d34aa",
     "cases": "e2f185458523925606ba5a70e4b495dab81b1e27be8fe88220f163ca81ccdadd",
 }

@@ -78,6 +78,14 @@ def test_load_protocol_table_rejects(body):
         load_protocol_table("t,h,alpha\n" + body, 3)
 
 
+def test_load_protocol_table_lists_small_gaps_in_full():
+    with pytest.raises(ValueError) as exc:
+        load_protocol_table("t,h,alpha\n2,1,0.5\n6,1,0.5\n", 3)
+    assert str(exc.value) == (
+        "protocol table has gaps: missing [(4, 1), (4, 2), (6, 2), (6, 3)]"
+    )
+
+
 def test_load_protocol_table_accepts_bytes():
     proto = load_protocol_table(b"t,h,alpha\n2,1,0.25\n", 4)
     assert proto.alpha(2, 1) == 0.25

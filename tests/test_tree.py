@@ -15,7 +15,6 @@ from adl.tree import (
     neighbors,
     parse_label,
     path_between,
-    same_subtree,
     sphere_size,
     steiner_tree,
     TreeContext,
@@ -88,15 +87,6 @@ def test_path_between_examples():
     assert path_between((), ()) == [()]
 
 
-def test_same_subtree_examples():
-    assert same_subtree((), (0, 1), (0,))
-    assert not same_subtree((), (0,), (1,))
-    # both () and (1,) sit on the non-(0,*) side of vertex (0,)
-    assert same_subtree((0,), (), (1,))
-    with pytest.raises(ValueError):
-        same_subtree((0,), (0,), (1,))
-
-
 def test_steiner_tree_examples():
     assert steiner_tree(3, [(0,)]) == {(0,)}
     assert steiner_tree(3, [(0,), (1,)]) == {(0,), (), (1,)}
@@ -152,10 +142,9 @@ def test_same_subtree_of_source_is_first_entry_equality(data):
     d = data.draw(st.sampled_from([3, 4]))
     nonroot = labels(d).filter(lambda v: v != ())
     x, y = data.draw(nonroot), data.draw(nonroot)
-    expect = x[0] == y[0]
-    assert same_subtree(SOURCE, x, y) == expect
-    # equivalently: the connecting path avoids the source exactly then
-    assert (SOURCE not in path_between(x, y)) == expect
+    # x and y share a component of the tree minus the source exactly when the
+    # connecting path avoids the source
+    assert (SOURCE not in path_between(x, y)) == (x[0] == y[0])
 
 
 def steiner_by_paths(terms):
