@@ -202,40 +202,65 @@ def _snapshot_hop_weights(s: Snapshot, hop: HopDistribution, protocol: Protocol,
         raise ValueError(f"snapshot at t={s.t} is too early for likelihood inference")
     p = hop.p_exact if exact else hop.p
     if s.t % 2 == 0:
-        return t_eff, [p(t_eff, h) for h in range(1, t_eff // 2 + 1)]
+        return [p(t_eff, h) for h in range(1, t_eff // 2 + 1)]
     a = protocol.alpha_exact if exact else protocol.alpha
     one = Fraction(1) if exact else 1.0
     if s.is_ball:
-        return t_eff, [p(t_eff, h) * a(t_eff, h) for h in range(1, t_eff // 2 + 1)]
-    return t_eff, [p(t_eff, h) * (one - a(t_eff, h)) for h in range(1, t_eff // 2 + 1)]
+        return [p(t_eff, h) * a(t_eff, h) for h in range(1, t_eff // 2 + 1)]
+    return [p(t_eff, h) * (one - a(t_eff, h)) for h in range(1, t_eff // 2 + 1)]
 
 
-def _argmax_hops(d: int, weights: list, exact: bool) -> list[int]:
-    """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1))."""
-    if exact:
-        scores = [Fraction(w, d * (d - 1) ** h) for h, w in enumerate(weights)]
-        best = max(scores)
-        if best == 0:
-            raise ValueError("all hop likelihoods are zero for this snapshot")
-        return [h + 1 for h, sc in enumerate(scores) if sc == best]
-    scores = [w / (d * (d - 1) ** h) for h, w in enumerate(weights)]
-    best = max(scores)
-    if best <= 0.0:
-        raise ValueError("all hop likelihoods are zero for this snapshot")
-    return [
-        h + 1
-        for h, sc in enumerate(scores)
-        if math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=0.0)
-    ]
+def _hop_scores(s: Snapshot, hop: HopDistribution, protocol: Protocol) -> list:
+    """Per-hop likelihood row of one snapshot: entry x - 1 scores each
+    vertex at hop x from the virtual-source set.
+
+    Exact: integers proportional to weight(x) / (d (d-1)^(x-1)), all scaled
+    by the lcm of their denominators, so products of rows order and tie
+    exactly as the rational products do.  Float: log weight(x) - (x-1)
+    log(d-1), None where weight(x) <= 0.  A row depends only on (protocol,
+    t, ball), so it is built once and kept on ``hop``.  The snapshot is on
+    the protocol's tree, as every entry point checks.
+    """
+    key = (protocol, s.t, s.is_ball)
+    row = hop._scores.get(key)
+    if row is None:
+        d = protocol.d
+        exact = hop.exact and protocol.exact
+        weights = _snapshot_hop_weights(s, hop, protocol, exact)
+        if exact:
+            scores = [Fraction(w, d * (d - 1) ** h) for h, w in enumerate(weights)]
+            scale = math.lcm(*(sc.denominator for sc in scores))
+            row = [sc.numerator * (scale // sc.denominator) for sc in scores]
+        else:
+            row = [
+                None if w <= 0.0 else math.log(w) - h * math.log(d - 1)
+                for h, w in enumerate(weights)
+            ]
+        hop._scores[key] = row
+    return row
 
 
 def single_mle_candidates(
     s: Snapshot, hop: HopDistribution, protocol: Protocol
 ) -> tuple[Candidates, dict]:
-    exact = hop.exact and protocol.exact
-    t_eff, weights = _snapshot_hop_weights(s, hop, protocol, exact)
-    h_star = _argmax_hops(s.d, weights, exact)
-    cands = ShellCandidates(d=s.d, centers=s.virtual_sources(), radii=tuple(h_star))
+    """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)), as shells."""
+    d = s.d
+    if hop.exact and protocol.exact:
+        scores = _hop_scores(s, hop, protocol)
+        best = max(scores)
+        h_star = [h + 1 for h, sc in enumerate(scores) if sc == best]
+    else:
+        weights = _snapshot_hop_weights(s, hop, protocol, False)
+        scores = [w / (d * (d - 1) ** h) for h, w in enumerate(weights)]
+        best = max(scores)
+        h_star = [
+            h + 1
+            for h, sc in enumerate(scores)
+            if math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=0.0)
+        ]
+    if best <= 0:
+        raise ValueError("all hop likelihoods are zero for this snapshot")
+    cands = ShellCandidates(d=d, centers=s.virtual_sources(), radii=tuple(h_star))
     diagnostics = {"h_star": h_star, "ball": s.is_ball, "candidate_count": cands.size()}
     if s.t % 2 == 0:
         diagnostics["success_probability"] = float(hop.mle_success_probability(s.t))
@@ -362,25 +387,24 @@ def generic_mle_candidates(
     d = _check_common(snaps)
     exact = hop.exact and protocol.exact
 
-    per_snap = []
+    per_snap = []  # (virtual sources, per-hop row) of each snapshot
     all_vs: list[Label] = []
     for s in snaps:
-        t_eff, weights = _snapshot_hop_weights(s, hop, protocol, exact)
         vs = s.virtual_sources()
         all_vs.extend(vs)
-        per_snap.append((vs, t_eff // 2, weights))
+        per_snap.append((vs, _hop_scores(s, hop, protocol)))
 
     # Every virtual source lies on the core, so a vertex at outward depth r
     # from core vertex c has hop vector x(c) + r.  Each piece (c, r) thus has
     # one likelihood, and no feasible vertex lies deeper than the smallest
-    # slack max_h - x_i(c): the search over pieces is exhaustive.
+    # slack floor(t_i/2) - x_i(c): the search over pieces is exhaustive.
     core = steiner_tree(d, all_vs)
     pieces: dict = {}  # hop vector -> pieces (c, r) sharing it
     feasible = 0
     for c in core:
-        x = [min(distance(c, v) for v in vs) for vs, _, _ in per_snap]
+        x = [min(distance(c, v) for v in vs) for vs, _ in per_snap]
         free = sum(w not in core for w in neighbors(d, c))  # off-core neighbours
-        last = min(max_h - xi for (_, max_h, _), xi in zip(per_snap, x))
+        last = min(len(row) - xi for (_, row), xi in zip(per_snap, x))
         if not free:  # nothing hangs off c: only c itself can be a candidate
             last = min(last, 0)
         for r in range(0 if min(x) > 0 else 1, last + 1):
@@ -388,17 +412,14 @@ def generic_mle_candidates(
             feasible += free * (d - 1) ** (r - 1) if r else 1
 
     def score_of(key):
+        terms = (row[x - 1] for (_, row), x in zip(per_snap, key))
         if exact:
-            total = Fraction(1)
-            for (_, _, weights), x in zip(per_snap, key):
-                total *= Fraction(weights[x - 1], d * (d - 1) ** (x - 1))
-            return total
+            return math.prod(terms)
         total = 0.0
-        for (_, _, weights), x in zip(per_snap, key):
-            w = weights[x - 1]
-            if w <= 0.0:
+        for term in terms:
+            if term is None:
                 return None
-            total += math.log(w) - (x - 1) * math.log(d - 1)
+            total += term
         return total
 
     scored = {key: score_of(key) for key in pieces}

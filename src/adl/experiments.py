@@ -234,6 +234,9 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
         params = spec.get("params", {})
         if not isinstance(params, dict) or not all(is_int(v) for v in params.values()):
             raise ValueError(f"formula params must be an object of integers, got {params!r}")
+        unread = [key for key in params if (name, key) != ("multi_obs_lower", "k")]
+        if unread:
+            raise ValueError(f"formula {name!r} takes no param {unread[0]!r}")
         try:
             return formula(d, list(times), params)
         except IndexError:
@@ -248,9 +251,10 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
             value = float(value)
         except OverflowError:
             raise ValueError("target value is too large for a float") from None
-        return closed_form.Target(
-            kind=spec["kind"], value=value, provenance=spec.get("provenance", "inline")
-        )
+        provenance = spec.get("provenance", "inline")
+        if not isinstance(provenance, str):
+            raise ValueError(f"target provenance must be a string, got {provenance!r}")
+        return closed_form.Target(kind=spec["kind"], value=value, provenance=provenance)
     raise ValueError("target needs either 'formula' or ('kind' and 'value')")
 
 

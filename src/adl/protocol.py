@@ -281,6 +281,8 @@ class HopDistribution:
     t_max: int
     _table: dict = field(repr=False)  # (t, h) -> Fraction or float
     exact: bool = True
+    # (protocol, t, ball) -> per-hop likelihood row, filled by the estimators
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check_t(self, t: int) -> None:
         if t < 2 or t % 2:

@@ -234,6 +234,14 @@ def cases_with(**entry):
      "a param is too large for a float"),
     (cases_with(target={"kind": "lower_bound", "value": 10 ** 400}),
      "target value is too large for a float"),
+    # a formula param the formula never reads is named, not ignored
+    (config_with(times=6, k=5, estimators=[{"method": "k_obs_subtree", "target": {
+        "formula": "multi_obs_lower", "params": {"K": 500}}}]),
+     "formula 'multi_obs_lower' takes no param 'K'"),
+    (cases_with(target={"formula": "even_even_mle_exact", "params": {"x": 1}}),
+     "formula 'even_even_mle_exact' takes no param 'x'"),
+    (cases_with(target={"kind": "exact", "value": 0.5, "provenance": {"nested": [1, 2]}}),
+     "target provenance must be a string"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

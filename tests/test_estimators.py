@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import (
     ExplicitCandidates,
     ShellCandidates,
+    _hop_scores,
     generic_mle,
     generic_mle_candidates,
     k_obs_candidates,
@@ -22,6 +24,7 @@ from adl.estimators import (
 )
 from adl.experiments import derive_seed
 from adl.protocol import (
+    constant_protocol,
     hop_distribution,
     load_protocol_table,
     local_spreading_protocol,
@@ -473,6 +476,98 @@ def test_generic_mle_float_mode_matches_exact_mode():
         a, _ = generic_mle_candidates([s1, s2], HOP3, UNI3)
         b, _ = generic_mle_candidates([s1, s2], hop_f, UNI3)
         assert a.members == b.members
+
+
+def _old_hop_terms(s, hop, proto, exact):
+    """The per-hop scores as the estimators computed them per call before
+    rows were kept: Fraction(w, d (d-1)^(x-1)) exact, the log term in floats."""
+    d, t_eff = s.d, s.t - s.t % 2
+    p = hop.p_exact if exact else hop.p
+    a = proto.alpha_exact if exact else proto.alpha
+    one = Fraction(1) if exact else 1.0
+    out = []
+    for x in range(1, t_eff // 2 + 1):
+        w = p(t_eff, x)
+        if s.t % 2:
+            w *= a(t_eff, x) if s.is_ball else one - a(t_eff, x)
+        if exact:
+            out.append(Fraction(w, d * (d - 1) ** (x - 1)))
+        else:
+            out.append(None if w <= 0.0 else math.log(w) - (x - 1) * math.log(d - 1))
+    return out
+
+
+def _row_snapshots(d):
+    """Even snapshots at t <= 20, and an odd ball and an odd non-ball at t <= 21."""
+    for t in range(2, 22):
+        yield snap(d, t, (0,), (0,))
+        if t % 2:
+            yield snap(d, t, (0,), (0, 0))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("name", ["uniform", "perfect", "local", "const"])
+def test_hop_scores_order_and_tie_like_the_rational_scores(name, d):
+    proto = {
+        "uniform": uniform_protocol,
+        "perfect": perfect_protocol,
+        "local": lambda d: local_spreading_protocol(d, "1/3"),
+        "const": lambda d: constant_protocol(d, Fraction(1, 2)),
+    }[name](d)
+    hop = hop_distribution(proto, 20)
+    for s in _row_snapshots(d):
+        row, old = _hop_scores(s, hop, proto), _old_hop_terms(s, hop, proto, True)
+        assert all(type(v) is int and v >= 0 for v in row), (s.t, s.is_ball)
+        # one positive factor scales every entry, so zeros stay zeros and
+        # any product of rows orders and ties like the Fraction product
+        assert [v == 0 for v in row] == [w == 0 for w in old], (s.t, s.is_ball)
+        scales = {Fraction(v) / w for v, w in zip(row, old) if w}
+        assert len(scales) <= 1 and all(c > 0 for c in scales), (s.t, s.is_ball)
+        for i, j in itertools.product(range(len(row)), repeat=2):
+            assert (row[i] < row[j]) == (old[i] < old[j]), (s.t, s.is_ball, i, j)
+            assert (row[i] == row[j]) == (old[i] == old[j]), (s.t, s.is_ball, i, j)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_float_hop_scores_equal_the_old_log_terms_bit_for_bit(d):
+    # zeros and ones in the table give zero weights, which score None
+    table = "t,h,alpha\n" + "".join(
+        f"{t},{h},{(0.0, 0.3, 1.0, 0.7, 0.55)[(t + 2 * h) % 5]}\n"
+        for t in range(2, 21, 2)
+        for h in range(1, t // 2 + 1)
+    )
+    proto = load_protocol_table(table, d)
+    hop = hop_distribution(proto, 20)
+    seen_none = False
+    for s in _row_snapshots(d):
+        row, old = _hop_scores(s, hop, proto), _old_hop_terms(s, hop, proto, False)
+        assert [v if v is None else v.hex() for v in row] == [
+            w if w is None else w.hex() for w in old
+        ], (s.t, s.is_ball)
+        seen_none |= None in row
+    assert seen_none
+
+
+def test_hop_rows_kept_on_a_long_lived_hop_change_no_result():
+    # one hop table serves many snapshots of two protocols; every call must
+    # match a fresh table's, which has no rows kept yet
+    perf3 = perfect_protocol(3)
+    hop = hop_distribution(UNI3, 14)
+    rng = random.Random(derive_seed(41))
+    for n in range(120):
+        proto = (UNI3, perf3)[n % 2]
+        times = [rng.randint(2, 14) for _ in range(1 + n % 3)]
+        snaps = [
+            sample_snapshot(proto, t, derive_seed(42, n, i)) for i, t in enumerate(times)
+        ]
+        got = generic_mle_candidates(snaps, hop, proto)
+        assert got == generic_mle_candidates(snaps, hop_distribution(UNI3, 14), proto), times
+        for s in snaps:
+            got = single_mle_candidates(s, hop, proto)
+            assert got == single_mle_candidates(s, hop_distribution(UNI3, 14), proto), s
+    assert hop._scores
+    fresh = hop_distribution(UNI3, 14)
+    assert hop == fresh and repr(hop) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------
