@@ -18,7 +18,7 @@ from fractions import Fraction
 from adl import closed_form, oracle
 from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import ESTIMATORS, estimator_for
-from adl.experiments import ConfigError, ExperimentConfig, run
+from adl.experiments import MAX_TIME, ConfigError, ExperimentConfig, run
 from adl.protocol import (
     PROTOCOLS,
     Protocol,
@@ -51,7 +51,14 @@ def _protocol(args: argparse.Namespace) -> Protocol:
     )
 
 
+def _check_time(t: int, what: str) -> None:
+    """Reject a time past MAX_TIME: the walk and the hop DP grow with it."""
+    if t > MAX_TIME:
+        raise ValueError(f"{what} must be at most {MAX_TIME}, got {t}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_time(args.t, "-t")
     protocol = _protocol(args)
     tr = simulate(protocol, args.t, args.seed)
     if args.json:
@@ -62,6 +69,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hopdist(args: argparse.Namespace) -> int:
+    _check_time(args.T, "-T")
     protocol = _protocol(args)
     hop = hop_distribution(protocol, args.T, exact=True if args.exact else None)
     sys.stdout.write(hop.to_csv(exact=args.exact))
@@ -78,6 +86,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     for s in snaps:
         if s.d != args.d:
             raise ValueError(f"snapshot degree {s.d} disagrees with --d {args.d}")
+        _check_time(s.t, "snapshot time")
     name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
     estimator_for(name, len(snaps), protocol)
     hop = hop_distribution(protocol, hop_horizon(s.t for s in snaps)) if info.needs_hop else None
@@ -259,6 +268,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocol_dump(args: argparse.Namespace) -> int:
+    _check_time(args.T, "-T")
     protocol = _protocol(args)
     check_horizon(args.T)
     lines = ["t,h,alpha"]

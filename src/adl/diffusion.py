@@ -12,12 +12,15 @@ The generator is stdlib ``random.Random`` (seeded Mersenne Twister, whose
 versions), and the draw sequence is fixed: one ``randrange(d)`` for the first
 step, then exactly one ``random()`` and one ``randrange(d-1)`` per even time,
 both always drawn even when alpha is 0 or 1, so runs with different alpha
-tables but equal seeds stay coupled draw-for-draw.  Each step compares its
-``random()`` draw with a float from the protocol's alpha table
-(``Protocol.alpha_rows``), which holds exactly the values ``Protocol.alpha``
-returns.  ``simulate`` returns the whole validated trajectory;
-``sample_snapshot`` runs the same walk and keeps only (vs_{t-1}, vs_t), which
-is all a Monte Carlo trial needs.
+tables but equal seeds stay coupled draw-for-draw.  The walk draws
+``randrange(n)`` as CPython does: ``getrandbits(n.bit_length())`` until the
+value is below n.  Each step compares its ``random()`` draw with a float from
+the protocol's alpha table (``Protocol.alpha_rows``), which holds exactly the
+values ``Protocol.alpha`` returns.  ``simulate`` returns the whole validated
+trajectory; ``sample_snapshot`` runs the same walk and keeps only
+(vs_{t-1}, vs_t), which is all a Monte Carlo trial needs.  Both seed a fresh
+``random.Random(seed)``; ``draw_snapshot`` draws from a generator the caller
+reseeded, so a Monte Carlo job keeps one generator with the same draws.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class Trajectory:
         )
 
 
-def _walk(protocol: Protocol, T: int, seed: int) -> list:
+def _walk(protocol: Protocol, T: int, rng: random.Random) -> list:
     """The virtual-source path vs_0 ... vs_T as a list; the one draw loop.
 
     t=0: move to a uniform neighbor of the origin.  Odd t: stay.  Even t:
@@ -134,18 +137,24 @@ def _walk(protocol: Protocol, T: int, seed: int) -> list:
         )
     rows = protocol.alpha_rows(last_even)
     d = protocol.d
-    rng = random.Random(seed)
-    draw, pick = rng.random, rng.randrange
+    n_child = d - 1
+    draw, bits = rng.random, rng.getrandbits
+    k_first, k_child = d.bit_length(), n_child.bit_length()
     vs: list[Label] = [SOURCE]
     if T >= 1:
-        vs.append((pick(d),))
+        first = bits(k_first)
+        while first >= d:
+            first = bits(k_first)
+        vs.append((first,))
     cur = vs[-1]
     for t in range(1, T):
         if t % 2 == 1:
             vs.append(cur)
             continue
         u = draw()
-        child = pick(d - 1)  # always drawn: keeps seeds couplable
+        child = bits(k_child)  # always drawn: keeps seeds couplable
+        while child >= n_child:
+            child = bits(k_child)
         if u >= rows[t][len(cur)]:
             cur = cur + (child,)
         vs.append(cur)
@@ -155,16 +164,22 @@ def _walk(protocol: Protocol, T: int, seed: int) -> list:
 def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
     """Sample the virtual-source chain for T steps as a validated trajectory."""
     return Trajectory(d=protocol.d, protocol=protocol.name, seed=seed,
-                      vs=tuple(_walk(protocol, T, seed)))
+                      vs=tuple(_walk(protocol, T, random.Random(seed))))
 
 
 def sample_snapshot(protocol: Protocol, t: int, seed: int) -> "Snapshot":
     """The time-t snapshot of the walk that ``simulate(protocol, t, seed)``
     samples, built without the full trajectory: the same draws, and equal to
     ``simulate(protocol, t, seed).snapshot_at(t)``."""
+    return draw_snapshot(protocol, t, random.Random(seed))
+
+
+def draw_snapshot(protocol: Protocol, t: int, rng: random.Random) -> "Snapshot":
+    """``sample_snapshot`` on a generator the caller has seeded: after
+    ``rng.seed(seed)`` it returns ``sample_snapshot(protocol, t, seed)``."""
     if t < 1:
         raise ValueError(f"snapshot time must be >= 1, got {t}")
-    vs = _walk(protocol, t, seed)
+    vs = _walk(protocol, t, rng)
     return Snapshot(d=protocol.d, t=t, vs_prev=vs[t - 1], vs_now=vs[t])
 
 
@@ -186,7 +201,8 @@ class Snapshot:
     def __post_init__(self) -> None:
         check_degree(self.d)
         check_label(self.d, self.vs_prev)
-        check_label(self.d, self.vs_now)
+        if self.vs_now is not self.vs_prev:  # one object: already checked
+            check_label(self.d, self.vs_now)
         if self.t < 1:
             raise ValueError(f"observation time must be >= 1, got {self.t}")
         if self.t % 2 == 0 and self.vs_prev != self.vs_now:

@@ -27,8 +27,10 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from adl.diffusion import Snapshot
@@ -38,6 +40,7 @@ from adl.tree import (
     bfs_depths,
     distance,
     format_label,
+    lcp_len,
     neighbors,
     path_between,
     steiner_tree,
@@ -326,30 +329,47 @@ def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
 def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dict]:
     """argmin_v max_(w ~ v) #(virtual sources in the subtree behind w).
 
-    Any vertex off every virtual-source-to-virtual-source path scores k, so
-    the search runs over the spanning subtree of the resolved virtual
-    sources.  A virtual source sitting exactly at v belongs to no subtree of
-    v, which makes k = 1 degenerate (the virtual source itself wins with
-    score 0).  Labels are taken as given; ``d`` is only passed on to
-    :func:`steiner_tree`, which does not read it.
+    The minimax subtree count is a weighted tree centroid (Shah and Zaman,
+    "Rumors in a Network: Who's the Culprit?", 2011).  From the top of the
+    virtual sources' spanning subtree, step into a child holding more than
+    k/2 of them while there is one.  Where this stops, at c, no child holds
+    more than k/2 and the side above holds less, so c scores at most k/2,
+    while any other vertex has at least k/2 behind its neighbour toward c.
+    So c wins, alone unless it scores exactly k/2.  Then v ties when all k/2
+    virtual sources of a branch of c lie behind v: each child of c holding
+    k/2, and the path down from it through vertices that are not virtual
+    sources and have one child in the spanning subtree.  That subtree comes
+    from one :func:`steiner_tree` call, whose span the benchmark self-test
+    counts; the tie path walks its children.  A virtual source at v is in no
+    subtree of v, so at k = 1 it wins with score 0.  Labels are taken as given.
     """
     if not resolved:
         raise ValueError("at least one virtual source required")
     k = len(resolved)
     domain = steiner_tree(d, resolved)
-    top = min(map(len, domain))  # depth of the Steiner top
-    # below[v]: virtual sources in v's subtree, counted along their prefixes
-    below = dict.fromkeys(domain, 0)
-    for v in resolved:
-        for i in range(top, len(v) + 1):
-            below[v[:i]] += 1
-    # worst[v]: the side above v (k - below[v], 0 at the top) or its heaviest child
-    worst = {v: k - n for v, n in below.items()}
-    for v, n in below.items():
-        if len(v) > top and n > worst[v[:-1]]:
-            worst[v[:-1]] = n
-    best = min(worst.values())
-    ties = [v for v, w in worst.items() if w == best]
+    lo, hi = min(resolved), max(resolved)
+    c = lo[: lcp_len(lo, hi)]  # the Steiner top
+    inside = resolved  # the virtual sources in c's subtree
+    while True:
+        n = len(c)
+        counts = Counter(v[n] for v in inside if len(v) > n)  # per child of c
+        step, heavy = max(counts.items(), key=itemgetter(1), default=(None, 0))
+        if 2 * heavy <= k:
+            break
+        c += (step,)
+        inside = [v for v in inside if len(v) > n and v[n] == step]
+    best = max(k - len(inside), heavy)
+    ties = {c}
+    if 2 * best == k:  # then best is a child's count, not the side above c
+        sources = set(inside)
+        for w in [c + (step,) for step, count in counts.items() if count == best]:
+            ties.add(w)
+            while w not in sources:
+                below = [w + (j,) for j in range(d - 1) if w + (j,) in domain]
+                if len(below) != 1:
+                    break
+                w = below[0]
+                ties.add(w)
     diagnostics = {"k": k, "min_max_subtree_count": best, "well_defined": len(ties) == 1}
     return ExplicitCandidates(frozenset(ties)), diagnostics
 
@@ -681,13 +701,10 @@ class EstimatorInfo:
     candidates: Callable
 
 
-def _resolutions(snaps: Sequence[Snapshot]):
-    """Every choice of one virtual source per snapshot."""
-    return itertools.product(*(s.virtual_sources() for s in snaps))
-
-
 def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
-    return [k_obs_candidates(snaps[0].d, vs)[0] for vs in _resolutions(snaps)]
+    """The core on every choice of one virtual source per snapshot."""
+    resolutions = itertools.product(*(s.virtual_sources() for s in snaps))
+    return [k_obs_candidates(snaps[0].d, vs)[0] for vs in resolutions]
 
 
 ESTIMATORS = {

@@ -10,7 +10,9 @@ with Wilson 95% intervals.
 Determinism: the seed of diffusion i in trial n is derive_seed(master, n, i);
 estimator j in trial n draws from derive_seed(master, n, ESTIMATOR_STREAM+j).
 derive_seed is a splitmix64 chain, so any scheduling or chunking of trials
-yields bit-identical reports (aggregation is a commutative sum).
+yields bit-identical reports (aggregation is a commutative sum).  The job
+keeps one ``random.Random`` and reseeds it for every stream, which draws
+exactly what a fresh ``random.Random(seed)`` would.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import is_int, sample_snapshot
+from adl.diffusion import draw_snapshot, is_int
 from adl.estimators import ESTIMATORS, estimator_for
 from adl.protocol import (
     Protocol,
@@ -37,6 +39,7 @@ from adl.tree import SOURCE
 _MASK64 = (1 << 64) - 1
 ESTIMATOR_STREAM = 1_000_000
 MAX_SNAPSHOTS = 10_000  # largest k (or len(times)) a config may ask for
+MAX_TIME = 1_000  # largest observation time or horizon a config or the CLI may ask for
 
 
 def _splitmix64(x: int) -> int:
@@ -161,8 +164,9 @@ class ExperimentConfig:
             times = [2]
         times_ok = True
         for t in times:
-            if not is_int(t) or t < 1:
-                problems.append(f"every observation time must be an integer >= 1, got {t!r}")
+            if not is_int(t) or not 1 <= t <= MAX_TIME:
+                problems.append(f"every observation time must be an integer in 1..{MAX_TIME}, "
+                                f"got {t!r}")
                 times_ok = False
 
         protocol = None
@@ -370,13 +374,15 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     tallies = [[0, 0] for _ in config.estimators]
     protocol = config.protocol
     root = derive_seed(config.seed)
+    rng = random.Random()  # reseeded for every stream: the same draws as a fresh one
     for n in range(config.trials):
         trial = _fold(root, n)  # derive_seed(seed, n), extended below
-        snaps = [
-            sample_snapshot(protocol, t, _fold(trial, i)) for i, t in enumerate(config.times)
-        ]
+        snaps = []
+        for i, t in enumerate(config.times):
+            rng.seed(_fold(trial, i))
+            snaps.append(draw_snapshot(protocol, t, rng))
         for j, estimate in enumerate(runners):
-            rng = random.Random(_fold(trial, ESTIMATOR_STREAM + j))
+            rng.seed(_fold(trial, ESTIMATOR_STREAM + j))
             try:
                 est = estimate(snaps, hop, protocol, rng)
             except ValueError:

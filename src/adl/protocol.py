@@ -283,6 +283,8 @@ class HopDistribution:
     exact: bool = True
     # (protocol, t, ball) -> per-hop likelihood row, filled by the estimators
     _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # t -> mle_success_probability(t), kept on first use
+    _success: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check_t(self, t: int) -> None:
         if t < 2 or t % 2:
@@ -315,11 +317,13 @@ class HopDistribution:
 
     def mle_success_probability(self, t: int):
         """max_h p(t, h) / (d (d-1)^(h-1)): single-snapshot MLE hit rate at even t."""
-        self._check_t(t)
-        d = self.d
-        return max(
-            self._table[(t, h)] / (d * (d - 1) ** (h - 1)) for h in self.support(t)
-        )
+        value = self._success.get(t)
+        if value is None:
+            d = self.d
+            value = self._success[t] = max(
+                self._table[(t, h)] / (d * (d - 1) ** (h - 1)) for h in self.support(t)
+            )
+        return value
 
     def to_csv(self, exact: bool = False) -> str:
         """Dump as ``t,h,p`` rows; with exact=True p is a rational string."""

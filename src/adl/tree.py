@@ -123,13 +123,14 @@ def steiner_tree(d, terminals: Iterable[Label]) -> set[Label]:
     Equals the union of path_between over all terminal pairs.  Every such
     path climbs from one terminal to a meet no shallower than the terminals'
     common prefix and descends to the other, so the set is every prefix of a
-    terminal that is at least as long as that common prefix.
+    terminal that is at least as long as that common prefix.  In
+    lexicographic order every label between two others shares their common
+    prefix, so that prefix is the one of the smallest and largest terminal.
     """
     terms = set(terminals)
     if not terms:
         raise ValueError("steiner_tree requires a nonempty terminal set")
-    base = next(iter(terms))
-    top = min(lcp_len(base, t) for t in terms)
+    top = lcp_len(min(terms), max(terms))
     return {t[:i] for t in terms for i in range(top, len(t) + 1)}
 
 

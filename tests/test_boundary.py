@@ -139,6 +139,9 @@ def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     ([with_snapshot(vs_prev="/ 0/+0", vs_now="/0/0_0"), SNAPSHOTS[1]], "malformed label text"),
     ([with_snapshot(d=2), SNAPSHOTS[1]], "degree must be >= 3"),
     ([with_snapshot(vs_now="/3"), SNAPSHOTS[1]], "out of range for d=3"),
+    # a huge time is well formed but asks for unbounded work: it is capped
+    ([with_snapshot(t=10 ** 12), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
+    ([with_snapshot(t=10 ** 400), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
 ])
 def test_estimate_rejects_malformed_snapshot_file(doc, token):
     assert_usage_error(estimate(doc), token)
@@ -161,9 +164,22 @@ def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):
      "horizon must be an even integer >= 2"),
     (["estimate", "--d", "3", "--protocol", "uniform", "--snapshots", "snaps.json",
       "--method", "mle", "--search-depth", "3"], "unrecognized arguments: --search-depth"),
+    (["simulate", "--d", "3", "--protocol", "uniform", "-t", str(10 ** 12)],
+     "-t must be at most 1000, got 1000000000000"),
+    (["simulate", "--d", "3", "--protocol", "uniform", "-t", "1001"],
+     "-t must be at most 1000, got 1001"),
+    (["hopdist", "--d", "3", "--protocol", "uniform", "-T", str(10 ** 400)],
+     "-T must be at most 1000, got 10"),
+    (["protocol-dump", "--d", "3", "--protocol", "uniform", "-T", str(10 ** 12)],
+     "-T must be at most 1000, got 1000000000000"),
 ])
 def test_cli_rejects_malformed_flags(argv, token):
     assert_usage_error(run_main(argv), token)
+
+
+def test_cli_accepts_a_time_at_the_cap():
+    code, out, _ = run_main(["simulate", "--d", "3", "--protocol", "uniform", "-t", "1000"])
+    assert code == 0 and len(json.loads(out)["vs"]) == 1001
 
 
 def test_trajectory_from_json_validates_fields():
@@ -242,6 +258,10 @@ def cases_with(**entry):
      "formula 'even_even_mle_exact' takes no param 'x'"),
     (cases_with(target={"kind": "exact", "value": 0.5, "provenance": {"nested": [1, 2]}}),
      "target provenance must be a string"),
+    # a huge time is well formed but asks for unbounded work: it is capped
+    (config_with(times=[10 ** 12, 10 ** 12]), "observation time must be an integer in 1..1000"),
+    (config_with(times=[10 ** 400, 6]), "observation time must be an integer in 1..1000"),
+    (config_with(times=1001, k=2), "observation time must be an integer in 1..1000"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

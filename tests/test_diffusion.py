@@ -263,7 +263,9 @@ CONTRACT_PROTOCOLS = {
 }
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
+# d - 1 (d = 3, 5, 9) and d (d = 4, 8) powers of two: randrange rejects half
+# of its getrandbits draws there
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 9])
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
 def test_walk_matches_reference_loop(name, d):
     proto = CONTRACT_PROTOCOLS[name](d)

@@ -308,16 +308,34 @@ def test_k_obs_candidates_match_brute_force():
     rng = random.Random(20261018)
     for _ in range(600):
         d = rng.choice((3, 4, 5))
-        k = rng.randint(1, 7)
+        k = rng.choice((2, 2, 4, 4, 6, 6, 8, 10, 12, 1, 3, 5, 7, 9, 11))  # even k ties
         pool = []
         for _ in range(rng.randint(1, k)):  # a small pool repeats labels
-            depth = rng.randint(0, 5)
+            depth = rng.randint(0, 7)
             pool.append(tuple(rng.randrange(d if i == 0 else d - 1) for i in range(depth)))
         resolved = [rng.choice(pool) for _ in range(k)]
         cands, diag = k_obs_candidates(d, resolved)
         ties, best = k_obs_brute_force(d, resolved)
         assert cands.members == ties
         assert diag == {"k": k, "min_max_subtree_count": best, "well_defined": len(ties) == 1}
+
+
+def test_k_obs_tie_path_runs_down_to_the_heavy_branch():
+    # the centroid () scores k/2 = 2, and so does every vertex between it and
+    # the two virtual sources at (0, 0, 0, 1): each has both behind it
+    cands, diag = k_obs_candidates(3, [(0, 0, 0, 1), (0, 0, 0, 1), (1,), (2,)])
+    assert cands.members == {(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 1)}
+    assert diag == {"k": 4, "min_max_subtree_count": 2, "well_defined": False}
+    # the path stops at a virtual source and where the branch splits
+    cands, _ = k_obs_candidates(3, [(0, 0), (0, 0, 1, 0), (1,), (2,)])
+    assert cands.members == {(), (0,), (0, 0)}
+    cands, _ = k_obs_candidates(4, [(0, 1, 0), (0, 1, 2), (1,), (2, 0, 0)])
+    assert cands.members == {(), (0,), (0, 1)}
+    # a centroid below the top: (0,) holds 5 of 8 and its child (0, 1) holds 4
+    cands, diag = k_obs_candidates(3, [(0,), (0, 1, 1), (0, 1, 1), (0, 1, 1, 0), (0, 1, 1, 1),
+                                       (1,), (2, 0), (2, 1)])
+    assert cands.members == {(0,), (0, 1), (0, 1, 1)}
+    assert diag["min_max_subtree_count"] == 4
 
 
 def test_k_obs_runs_through_public_interface():
@@ -565,7 +583,7 @@ def test_hop_rows_kept_on_a_long_lived_hop_change_no_result():
         for s in snaps:
             got = single_mle_candidates(s, hop, proto)
             assert got == single_mle_candidates(s, hop_distribution(UNI3, 14), proto), s
-    assert hop._scores
+    assert hop._scores and hop._success  # rows and MLE hit rates were kept
     fresh = hop_distribution(UNI3, 14)
     assert hop == fresh and repr(hop) == repr(fresh)
 

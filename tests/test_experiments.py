@@ -1,17 +1,24 @@
 import json
 import math
+import random
 
 import pytest
 
 from adl import oracle
+from adl.diffusion import sample_snapshot
+from adl.estimators import ESTIMATORS
 from adl.experiments import (
+    ESTIMATOR_STREAM,
     ConfigError,
+    EstimatorResult,
     ExperimentConfig,
+    ExperimentReport,
     derive_seed,
     run,
     wilson_interval,
 )
-from adl.protocol import uniform_protocol
+from adl.protocol import hop_distribution, hop_horizon, uniform_protocol
+from adl.tree import SOURCE
 
 
 def config_dict(**overrides):
@@ -217,3 +224,65 @@ def test_table_protocol_config(tmp_path):
     report = run(config)
     assert report.protocol == "table"
     assert report.results[0].successes + report.results[0].failures <= 10
+
+
+def reference_report(config):
+    """The trial loop with a fresh ``random.Random(seed)`` for every walk and
+    every estimator stream, and how often it saw an odd snapshot whose virtual
+    source moved (a resolution draw) and a tie set of more than one vertex."""
+    protocol = config.protocol
+    hop = None
+    if any(ESTIMATORS[spec.method].needs_hop for spec in config.estimators):
+        hop = hop_distribution(protocol, hop_horizon(config.times))
+    tallies = [[0, 0] for _ in config.estimators]
+    moved = ties = 0
+    for n in range(config.trials):
+        snaps = [sample_snapshot(protocol, t, derive_seed(config.seed, n, i))
+                 for i, t in enumerate(config.times)]
+        moved += sum(not s.is_ball for s in snaps)
+        for j, spec in enumerate(config.estimators):
+            rng = random.Random(derive_seed(config.seed, n, ESTIMATOR_STREAM + j))
+            try:
+                est = ESTIMATORS[spec.method].estimate(snaps, hop, protocol, rng)
+            except ValueError:
+                tallies[j][1] += 1
+                continue
+            ties += est.tie_count() > 1
+            tallies[j][0] += est.chosen == SOURCE
+    results = [
+        EstimatorResult(method=spec.method, successes=hits, failures=fails,
+                        trials=config.trials, target=spec.target)
+        for spec, (hits, fails) in zip(config.estimators, tallies)
+    ]
+    report = ExperimentReport(d=config.d, protocol=protocol.name, times=config.times,
+                              trials=config.trials, seed=config.seed, results=results,
+                              wall_time_s=0.0)
+    return report.body_dict(), moved, ties
+
+
+TABLE_D4 = "t,h,alpha\n" + "".join(
+    f"{t},{h},{((7 * t + 5 * h) % 11) / 10!r}\n" for t in (2, 4, 6) for h in range(1, t // 2 + 1)
+)
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": 3, "protocol": {"name": "local", "gamma": 0.5}, "times": [5, 7, 6, 9],
+     "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
+    {"d": 4, "protocol": {"name": "table", "table_csv": TABLE_D4}, "times": 7, "k": 6,
+     "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [6, 5],
+     "estimators": [{"method": "uniform_mle_cases"}, {"method": "two_obs_path"},
+                    {"method": "generic_mle"}]},
+    {"d": 5, "protocol": {"name": "perfect"}, "times": [7, 9, 7],
+     "estimators": [{"method": "three_obs_intersection"}]},
+    {"d": 4, "protocol": {"name": "uniform"}, "times": [8],
+     "estimators": [{"method": "single_mle"}]},
+], ids=["local", "table", "uniform", "perfect", "single"])
+def test_run_matches_a_fresh_generator_per_stream(doc):
+    # run() reseeds one generator for every stream; the report body must be
+    # the one a fresh random.Random(seed) per walk and per estimator gives
+    config = ExperimentConfig.from_dict({**doc, "trials": 150, "seed": 77})
+    body, moved, ties = reference_report(config)
+    assert run(config).body_dict() == body
+    assert ties > 0 or len(config.times) % 2  # even k ties
+    assert moved > 0 or all(t % 2 == 0 for t in config.times)
