@@ -4,23 +4,23 @@ Instead of sampling the virtual-source chain, enumerate every reachable
 snapshot endpoint pair (vs_{t-1}, vs_t) with its exact probability, run an
 estimator's deterministic candidate core on the joint outcomes, and
 integrate the uniform tie-break analytically (a candidate set C contributes
-[origin in C] / |C|).  With a built-in protocol everything is a Fraction, so
-identities can be certified exactly; table protocols fall back to floats.
+[origin in C] / |C|).  With a built-in protocol the sum runs in integers
+and ends in one exact Fraction; table protocols fall back to floats.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
 relabelling of child indices.  So the joint sum runs over the orbits of the
 automorphisms that fix the origin: one canonical joint outcome per orbit,
-weighted by the orbit's size.  The orbit count grows polynomially in t, not
-like (d-1)^(t/2) per snapshot; the budget still caps the nominal number of
-joint outcomes the sum stands for.
+weighted by the orbit's size and reached by callback.  The orbit count
+grows polynomially in t, not like (d-1)^(t/2) per snapshot; the budget
+still caps the nominal number of joint outcomes the sum stands for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import fsum, lcm, prod
 from typing import Sequence, Union
 
 from adl.diffusion import Snapshot
@@ -100,16 +100,17 @@ def enumerate_single(
     ]
 
 
-def _orbits(d: int, times: Sequence[int], laws: Sequence[list]):
-    """One canonical joint outcome per orbit of the automorphisms that fix
-    the origin, as (one Snapshot per time, orbit size times probability).
+def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
+    """Call ``visit(snaps, weight)`` once per orbit of the automorphisms that
+    fix the origin, with one canonical joint outcome (one Snapshot per time)
+    and the orbit's size times the product of its row weights.
 
     In canonical form, the children used at each vertex across snapshots
     1..k are numbered in first-use order.  A label is built one step at a
     time: at a vertex that already uses m children it either reuses one of
     them or opens child m, which has n - m images under the group (n = d at
     the origin, d - 1 elsewhere).  Each Snapshot is built once and shared by
-    every outcome that extends it.
+    every outcome that extends it; ``visit`` must not keep ``snaps``.
     """
     k = len(laws)
     used: dict = {}  # vertex -> number of its children in use
@@ -117,45 +118,26 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list]):
 
     def pick(i, weight):
         if i == k:
-            yield list(snaps), weight
+            visit(snaps, weight)
             return
         for depth, moved, p in laws[i]:
-            yield from descend(i, SOURCE, depth, moved, weight * p)
+            descend(i, SOURCE, depth, moved, weight * p)
 
     def descend(i, v, depth, moved, weight):
         if len(v) == depth:
             snaps[i] = Snapshot(d=d, t=times[i], vs_prev=v[:-1] if moved else v, vs_now=v)
-            yield from pick(i + 1, weight)
+            pick(i + 1, weight)
             return
         m = used.get(v, 0)
         for c in range(m):
-            yield from descend(i, v + (c,), depth, moved, weight)
+            descend(i, v + (c,), depth, moved, weight)
         n = d - 1 if v else d
         if m < n:
             used[v] = m + 1
-            yield from descend(i, v + (m,), depth, moved, weight * (n - m))
+            descend(i, v + (m,), depth, moved, weight * (n - m))
             used[v] = m
 
-    yield from pick(0, 1)
-
-
-def _success_fraction(info, snaps, hop, protocol, exact):
-    """P(chosen = origin | these snapshots), with the tie-break and the
-    estimator's virtual-source draws integrated out."""
-
-    def hit(cands):
-        if not cands.contains(SOURCE):
-            return Fraction(0) if exact else 0.0
-        return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
-
-    sets = info.candidates(snaps, hop, protocol)
-    if len(sets) == 1:  # no virtual-source draw to average over
-        return hit(sets[0])
-    w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
-    total = Fraction(0) if exact else 0.0
-    for cands in sets:
-        total += w * hit(cands)
-    return total
+    pick(0, 1)
 
 
 def exact_success(
@@ -171,7 +153,9 @@ def exact_success(
     (see the module docstring); the budget caps the number of joint outcomes
     that sum stands for.  Every source of estimator randomness (tie-break,
     odd-snapshot virtual-source disambiguation) is integrated analytically,
-    so the result carries no sampling noise at all.
+    so the result carries no sampling noise at all: an orbit's weight goes to
+    hits[q], q = L |C|, for each of the core's L candidate sets C holding the
+    origin, and the result is sum_q hits[q] / q over the laws' denominators.
     """
     times = list(times)
     if not times:
@@ -187,8 +171,24 @@ def exact_success(
     exact = protocol.exact
     hop = hop_distribution(protocol, hop_horizon(times), exact=exact)
     laws = [_law(protocol, hop, t) for t in times]
-    total = Fraction(0) if exact else 0.0
-    for snaps, weight in _orbits(protocol.d, times, laws):
-        total += weight * _success_fraction(info, snaps, hop, protocol, exact)
-    return total
+    dens = []
+    if exact:  # integer numerators over each law's common denominator
+        dens = [lcm(*(p.denominator for _, _, p in law)) for law in laws]
+        laws = [[(h, moved, p.numerator * (den // p.denominator)) for h, moved, p in law]
+                for law, den in zip(laws, dens)]
+
+    hits: dict = {}  # q -> summed weight of the candidate sets with 1/q mass on the origin
+
+    def visit(snaps, weight):
+        sets = info.candidates(snaps, hop, protocol)
+        for cands in sets:
+            if cands.contains(SOURCE):
+                q = len(sets) * cands.size()
+                hits[q] = hits.get(q, 0) + weight
+
+    _orbits(protocol.d, times, laws, visit)
+    if not exact:
+        return fsum(w / q for q, w in hits.items())
+    scale = lcm(*hits)
+    return Fraction(sum(w * (scale // q) for q, w in hits.items()), scale * prod(dens))
 

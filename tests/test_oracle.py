@@ -19,15 +19,34 @@ from adl.protocol import (
     perfect_protocol,
     uniform_protocol,
 )
+from adl.tree import SOURCE
 
 UNI3 = uniform_protocol(3)
 
 
 def brute_force_success(estimator, protocol, times):
     """The reference for ``exact_success``: the estimator core run on every
-    joint outcome of the full product, each weighted by its probability."""
+    joint outcome of the full product, each weighted by its probability, with
+    the tie-break and the virtual-source draws integrated per outcome."""
     info = estimator_for(estimator, len(times), protocol)
     exact = protocol.exact
+
+    def success_fraction(snaps):
+        # P(chosen = origin | these snapshots)
+        def hit(cands):
+            if not cands.contains(SOURCE):
+                return Fraction(0) if exact else 0.0
+            return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
+
+        sets = info.candidates(snaps, hop, protocol)
+        if len(sets) == 1:  # no virtual-source draw to average over
+            return hit(sets[0])
+        w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
+        total = Fraction(0) if exact else 0.0
+        for cands in sets:
+            total += w * hit(cands)
+        return total
+
     singles = [
         [
             (Snapshot(d=protocol.d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now), o.prob)
@@ -39,7 +58,7 @@ def brute_force_success(estimator, protocol, times):
     total = Fraction(0) if exact else 0.0
     for combo in itertools.product(*singles):
         weight = math.prod(p for _, p in combo)
-        total += weight * oracle._success_fraction(info, [s for s, _ in combo], hop, protocol, exact)
+        total += weight * success_fraction([s for s, _ in combo])
     return total
 
 
@@ -199,6 +218,18 @@ def _table_protocol(d):
     return load_protocol_table("t,h,alpha\n" + "\n".join(rows) + "\n", d)
 
 
+def test_exact_success_result_types():
+    # a built-in protocol gives a Fraction and a table a float, also when no
+    # candidate set ever holds the origin (one radius-1 ball: the core picks
+    # its center, never the origin)
+    got = oracle.exact_success("k_obs_subtree", UNI3, (2,))
+    assert type(got) is Fraction and got == 0
+    got = oracle.exact_success("k_obs_subtree", _table_protocol(3), (2,))
+    assert type(got) is float and got == 0.0
+    got = oracle.exact_success("k_obs_subtree", _table_protocol(3), (4, 5, 6))
+    assert type(got) is float and got > 0
+
+
 def _value_or_error(fn, *args):
     try:
         return fn(*args)
@@ -251,6 +282,22 @@ def test_exact_success_at_large_times():
     assert got == cf.three_obs_lower(4).exact_value == Fraction(3, 8)
     got = oracle.exact_success("two_obs_path", perfect_protocol(4), (12, 12))
     assert got >= cf.two_obs_detection_lower(4, 12, 12).exact_value
+
+
+def test_exact_success_certifies_t40():
+    # far past the default budget (8.9e13 nominal joint outcomes at d=3,
+    # (41,41), 7.8e20 at d=4); the orbit sum stays polynomial in t
+    for d in (3, 4):
+        uni = uniform_protocol(d)
+
+        def run(times):
+            return oracle.exact_success("uniform_mle_cases", uni, times, budget=10**40)
+
+        assert run((40, 40)) == cf.even_even_mle_exact(d, 40, 40).exact_value
+        want = cf.even_odd_mle_exact(d, 40, 41).exact_value
+        assert run((40, 41)) == want
+        assert run((41, 40)) == want
+        assert 0 <= run((41, 41)) <= cf.odd_odd_mle_upper(d, 41, 41).exact_value
 
 
 def test_exact_success_respects_budget_and_arity():
