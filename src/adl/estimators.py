@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, Optional, Sequence, Union
 
 from adl.diffusion import Snapshot
@@ -407,73 +407,84 @@ def generic_mle_candidates(
     d = _check_common(snaps)
     exact = hop.exact and protocol.exact
 
-    per_snap = []  # (virtual sources, per-hop row) of each snapshot
-    all_vs: list[Label] = []
-    for s in snaps:
-        vs = s.virtual_sources()
-        all_vs.extend(vs)
-        per_snap.append((vs, _hop_scores(s, hop, protocol)))
+    # The core, the Steiner tree of the virtual sources, is every prefix of
+    # a virtual source at least as long as their common prefix.  Each core
+    # vertex u[:l] is visited once, on the first terminal u it is a prefix
+    # of, and everything about it comes from prefix lengths.
+    terms = sorted({v for s in snaps for v in s.virtual_sources()})
+    index = {v: j for j, v in enumerate(terms)}
+    lens = [len(v) for v in terms]
+    lcps = [[lcp_len(u, v) for v in terms] for u in terms]
+    top = lcps[0][-1]
+    ends = [(index[s.vs_prev], index[s.vs_now]) for s in snaps]  # one index twice for a ball
+    rows = [_hop_scores(s, hop, protocol) for s in snaps]
+    sizes = [len(row) for row in rows]
 
-    # Every virtual source lies on the core, so a vertex at outward depth r
-    # from core vertex c has hop vector x(c) + r.  Each piece (c, r) thus has
-    # one likelihood, and no feasible vertex lies deeper than the smallest
-    # slack floor(t_i/2) - x_i(c): the search over pieces is exhaustive.
-    core = steiner_tree(d, all_vs)
-    pieces: dict = {}  # hop vector -> pieces (c, r) sharing it
+    # A vertex at outward depth r from core vertex c has hop vector x(c) + r,
+    # so each piece (c, r) has one likelihood, scored where it is found, and
+    # no feasible vertex lies deeper than the smallest slack
+    # floor(t_i/2) - x_i(c): the search over pieces is exhaustive.
+    scored = []  # (score, c, c's children on the core, r) of each scorable piece
     feasible = 0
-    for c in core:
-        x = [min(distance(c, v) for v in vs) for vs, _ in per_snap]
-        free = sum(w not in core for w in neighbors(d, c))  # off-core neighbours
-        last = min(len(row) - xi for (_, row), xi in zip(per_snap, x))
-        if not free:  # nothing hangs off c: only c itself can be a candidate
-            last = min(last, 0)
-        for r in range(0 if min(x) > 0 else 1, last + 1):
-            pieces.setdefault(tuple(xi + r for xi in x), []).append((c, r))
-            feasible += free * (d - 1) ** (r - 1) if r else 1
+    for i, u in enumerate(terms):
+        lcp_u = lcps[i]
+        span = range(max(top, lcp_u[i - 1] + 1) if i else top, lens[i] + 1)
+        # u[:l] lies |l - a| + len(v) - a from terminal v, with a = lcp(u, v),
+        # and x_i is the distance to the nearer end of snapshot i
+        both = [(lcp_u[p], lens[p] - lcp_u[p], lcp_u[q], lens[q] - lcp_u[q]) for p, q in ends]
+        for ell in span:
+            x = [min(abs(ell - a) + e, abs(ell - b) + f) for a, e, b, f in both]
+            last = min(map(sub, sizes, x))
+            low = 0 if min(x) > 0 else 1  # a virtual source is no candidate
+            if last < low:
+                continue
+            on_core = {v[ell] for v, a in zip(terms, lcp_u) if a >= ell < len(v)}
+            free = d - (ell > top) - len(on_core)  # off-core neighbours
+            if not free:  # nothing hangs off c: only c itself can be a candidate
+                if low:
+                    continue
+                last = 0
+            feasible += 1 - low + free * ((d - 1) ** last - 1) // (d - 2)
+            c = u[:ell]
+            cols = [row[xi + low - 1 : xi + last] for row, xi in zip(rows, x)]
+            for r, piece in enumerate(zip(*cols), low):
+                if exact:
+                    score = math.prod(piece)
+                    if score:
+                        scored.append((score, c, on_core, r))
+                elif None not in piece:
+                    score = 0.0
+                    for term in piece:  # left to right, as every Python version adds
+                        score += term
+                    scored.append((score, c, on_core, r))
 
-    def score_of(key):
-        terms = (row[x - 1] for (_, row), x in zip(per_snap, key))
-        if exact:
-            return math.prod(terms)
-        total = 0.0
-        for term in terms:
-            if term is None:
-                return None
-            total += term
-        return total
-
-    scored = {key: score_of(key) for key in pieces}
+    best = max([p[0] for p in scored], default=None)
     if exact:
-        best = max(scored.values(), default=0)
-        win = [k for k, sc in scored.items() if sc == best] if best else []
+        win = [p for p in scored if p[0] == best]
     else:
-        best = max((sc for sc in scored.values() if sc is not None), default=None)
-        win = [
-            k
-            for k, sc in scored.items()
-            if sc is not None and math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=1e-300)
-        ]
+        win = [p for p in scored if math.isclose(p[0], best, rel_tol=_REL_TOL, abs_tol=1e-300)]
 
     diagnostics = {"feasible_count": feasible, "exact": exact, "fallback": not win}
     if not win:
         # no vertex has positive likelihood: a uniform pick among the fringe
         # of the first virtual source
         first = snaps[0].virtual_sources()[0]
-        fringe = set(neighbors(d, first)) - set(all_vs)
+        fringe = set(neighbors(d, first)) - set(terms)
         return ExplicitCandidates(frozenset(fringe)), diagnostics
-    ties = [v for k in win for c, r in pieces[k] for v in _outward(d, core, c, r)]
+    ties = []
+    for _, c, on_core, r in win:
+        if r == 0:
+            ties.append(c)
+            continue
+        # leave the core at the first step, then walk outward without
+        # stepping back
+        layer = [(c, c + (j,)) for j in range(d - 1 if c else d) if j not in on_core]
+        if c and len(c) == top:
+            layer.append((c, c[:-1]))
+        for _ in range(r - 1):
+            layer = [(v, w) for prev, v in layer for w in neighbors(d, v) if w != prev]
+        ties.extend(v for _, v in layer)
     return ExplicitCandidates(frozenset(ties)), diagnostics
-
-
-def _outward(d: int, core: set, c: Label, r: int) -> list[Label]:
-    """The vertices at outward depth r from core vertex c (c itself at r = 0),
-    by a non-backtracking walk that leaves the core at its first step."""
-    if r == 0:
-        return [c]
-    layer = [(c, w) for w in neighbors(d, c) if w not in core]
-    for _ in range(r - 1):
-        layer = [(v, w) for prev, v in layer for w in neighbors(d, v) if w != prev]
-    return [v for _, v in layer]
 
 
 def generic_mle(
@@ -486,11 +497,15 @@ def generic_mle(
     each snapshot's virtual sources.  Off the Steiner core of the virtual
     sources that vector is the attaching core vertex's vector plus the
     outward depth, so the scoring runs over (core vertex, depth) pieces and
-    covers the whole feasible intersection; only the winning pieces are
-    listed.  Candidates with a zero hop probability are excluded (log 0 =
-    -inf).  For the built-in protocols likelihoods are compared as exact
-    rationals; for table protocols a float log-likelihood with relative tie
-    tolerance is used.
+    covers the whole feasible intersection.  The core is never built: one
+    walk over the sorted virtual sources visits each core vertex once and
+    reads its hop vector and its off-core neighbour count from one table of
+    common-prefix lengths.  Each piece is scored where it is found, and
+    only the winning pieces are listed.  Candidates with a zero hop
+    probability are excluded (log 0 = -inf).  For the built-in protocols
+    likelihoods are compared as exact rationals (integer products); for
+    table protocols a float log-likelihood, its terms added left to right,
+    with relative tie tolerance is used.
     """
     cands, diagnostics = generic_mle_candidates(snaps, hop, protocol)
     return _finish("generic_mle", cands, diagnostics, rng)

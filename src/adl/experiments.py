@@ -40,6 +40,7 @@ _MASK64 = (1 << 64) - 1
 ESTIMATOR_STREAM = 1_000_000
 MAX_SNAPSHOTS = 10_000  # largest k (or len(times)) a config may ask for
 MAX_TIME = 1_000  # largest observation time or horizon a config or the CLI may ask for
+MAX_WALKS = 10**8  # largest trials * len(times), the diffusion walks a config may ask for
 
 
 def _splitmix64(x: int) -> int:
@@ -162,6 +163,10 @@ class ExperimentConfig:
         else:
             problems.append(f"times must be an int or a nonempty list, got {times_raw!r}")
             times = [2]
+        if trials * len(times) > MAX_WALKS:
+            problems.append(f"trials times the number of observation times must be at most "
+                            f"{MAX_WALKS} walks: {len(times)} times allow at most "
+                            f"{MAX_WALKS // len(times)} trials")
         times_ok = True
         for t in times:
             if not is_int(t) or not 1 <= t <= MAX_TIME:

@@ -262,6 +262,9 @@ def cases_with(**entry):
     (config_with(times=[10 ** 12, 10 ** 12]), "observation time must be an integer in 1..1000"),
     (config_with(times=[10 ** 400, 6]), "observation time must be an integer in 1..1000"),
     (config_with(times=1001, k=2), "observation time must be an integer in 1..1000"),
+    # so is a huge trial count: at most 10**8 walks, trials * len(times)
+    (config_with(trials=10 ** 400), "must be at most 100000000 walks"),
+    (config_with(trials=10 ** 8 // 2 + 1), "2 times allow at most 50000000 trials"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

@@ -7,8 +7,10 @@ import pytest
 
 from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import (
+    _REL_TOL,
     ExplicitCandidates,
     ShellCandidates,
+    _check_common,
     _hop_scores,
     generic_mle,
     generic_mle_candidates,
@@ -448,7 +450,7 @@ DYADIC_TABLE = "t,h,alpha\n" + "".join(
 )
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize("name", ["uniform", "perfect", "local", "table"])
 def test_generic_mle_equals_brute_force(name, d):
     proto = {
@@ -459,8 +461,8 @@ def test_generic_mle_equals_brute_force(name, d):
     }[name](d)
     hop = hop_distribution(proto, 10)
     rng = random.Random(derive_seed(31, d, len(name)))
-    for n in range(60):
-        k = 1 + n % 3
+    for n in range(80):
+        k = 1 + n % 3 if n < 60 else 4  # four snapshots after the first 60 inputs
         times = [rng.randint(2, 10) for _ in range(k)]
         snaps = [
             sample_snapshot(proto, t, derive_seed(32, d, n, i)) for i, t in enumerate(times)
@@ -483,6 +485,163 @@ def test_generic_mle_skips_the_empty_pieces_of_interior_core_vertices():
     got, diag = generic_mle_candidates(snaps, hop, UNI3)
     assert got.members == want and diag["feasible_count"] == feasible
     assert not diag["fallback"]
+
+
+def reference_generic_mle_candidates(snaps, hop, protocol):
+    """The joint-MLE core as first written: the Steiner core built as a set,
+    a distance() call per core vertex and snapshot, pieces grouped in a dict
+    keyed by hop vector, and the winners listed by a walk off the core set."""
+    d = _check_common(snaps)
+    exact = hop.exact and protocol.exact
+
+    per_snap = []  # (virtual sources, per-hop row) of each snapshot
+    all_vs = []
+    for s in snaps:
+        vs = s.virtual_sources()
+        all_vs.extend(vs)
+        per_snap.append((vs, _hop_scores(s, hop, protocol)))
+
+    # Every virtual source lies on the core, so a vertex at outward depth r
+    # from core vertex c has hop vector x(c) + r.  Each piece (c, r) thus has
+    # one likelihood, and no feasible vertex lies deeper than the smallest
+    # slack floor(t_i/2) - x_i(c): the search over pieces is exhaustive.
+    core = steiner_tree(d, all_vs)
+    pieces: dict = {}  # hop vector -> pieces (c, r) sharing it
+    feasible = 0
+    for c in core:
+        x = [min(distance(c, v) for v in vs) for vs, _ in per_snap]
+        free = sum(w not in core for w in neighbors(d, c))  # off-core neighbours
+        last = min(len(row) - xi for (_, row), xi in zip(per_snap, x))
+        if not free:  # nothing hangs off c: only c itself can be a candidate
+            last = min(last, 0)
+        for r in range(0 if min(x) > 0 else 1, last + 1):
+            pieces.setdefault(tuple(xi + r for xi in x), []).append((c, r))
+            feasible += free * (d - 1) ** (r - 1) if r else 1
+
+    def score_of(key):
+        terms = (row[x - 1] for (_, row), x in zip(per_snap, key))
+        if exact:
+            return math.prod(terms)
+        total = 0.0
+        for term in terms:
+            if term is None:
+                return None
+            total += term
+        return total
+
+    scored = {key: score_of(key) for key in pieces}
+    if exact:
+        best = max(scored.values(), default=0)
+        win = [k for k, sc in scored.items() if sc == best] if best else []
+    else:
+        best = max((sc for sc in scored.values() if sc is not None), default=None)
+        win = [
+            k
+            for k, sc in scored.items()
+            if sc is not None and math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=1e-300)
+        ]
+
+    diagnostics = {"feasible_count": feasible, "exact": exact, "fallback": not win}
+    if not win:
+        # no vertex has positive likelihood: a uniform pick among the fringe
+        # of the first virtual source
+        first = snaps[0].virtual_sources()[0]
+        fringe = set(neighbors(d, first)) - set(all_vs)
+        return ExplicitCandidates(frozenset(fringe)), diagnostics
+    ties = [v for k in win for c, r in pieces[k] for v in _reference_outward(d, core, c, r)]
+    return ExplicitCandidates(frozenset(ties)), diagnostics
+
+
+def _reference_outward(d, core, c, r):
+    """The vertices at outward depth r from core vertex c (c itself at r = 0),
+    by a non-backtracking walk that leaves the core at its first step."""
+    if r == 0:
+        return [c]
+    layer = [(c, w) for w in neighbors(d, c) if w not in core]
+    for _ in range(r - 1):
+        layer = [(v, w) for prev, v in layer for w in neighbors(d, v) if w != prev]
+    return [v for _, v in layer]
+
+
+def _assert_same_as_reference(snaps, hop, proto, why):
+    got, diag = generic_mle_candidates(snaps, hop, proto)
+    want, want_diag = reference_generic_mle_candidates(snaps, hop, proto)
+    assert got == want, why
+    assert list(diag.items()) == list(want_diag.items()), why
+    return got, diag
+
+
+# zeros and ones in a table give zero hop weights, which float rows score None
+ZERO_ONE_TABLE = "t,h,alpha\n" + "".join(
+    f"{t},{h},{(0.0, 0.5, 1.0, 0.25, 0.75, 0.3)[(t + 2 * h) % 6]}\n"
+    for t in range(2, 15, 2)
+    for h in range(1, t // 2 + 1)
+)
+
+
+def generic_mle_reference_grid():
+    """10,080 seeded inputs: d in {3, 4, 5}; uniform, perfect and local(1/2)
+    under exact and float hop tables, and a table with 0 and 1 alphas; k in
+    1..4 snapshots at times in 2..14.  Yields (snapshots, hop, protocol, why)."""
+    for d in (3, 4, 5):
+        protocols = [
+            (uniform_protocol(d), (True, False)),
+            (perfect_protocol(d), (True, False)),
+            (local_spreading_protocol(d, "1/2"), (True, False)),
+            (load_protocol_table(ZERO_ONE_TABLE, d), (False,)),
+        ]
+        for p, (proto, modes) in enumerate(protocols):
+            for exact in modes:
+                hop = hop_distribution(proto, 14, exact=exact)
+                rng = random.Random(derive_seed(61, d, p, exact))
+                for n in range(480):
+                    times = [rng.randint(2, 14) for _ in range(1 + n % 4)]
+                    snaps = [
+                        sample_snapshot(proto, t, derive_seed(62, d, p, exact, n, i))
+                        for i, t in enumerate(times)
+                    ]
+                    yield snaps, hop, proto, (d, proto.name, exact, n, times)
+
+
+def test_generic_mle_equals_the_piece_dict_reference():
+    count = 0
+    for snaps, hop, proto, why in generic_mle_reference_grid():
+        _assert_same_as_reference(snaps, hop, proto, why)
+        count += 1
+    assert count >= 10_000
+
+
+REFERENCE_EDGE_CASES = {  # protocol, (vs_prev, vs_now) of each snapshot, times
+    # two snapshots share the virtual source (0, 1), which is one terminal
+    "shared-virtual-source": (UNI3, [((0,), (0, 1)), ((0, 1), (0, 1))], (7, 8)),
+    # an odd non-ball snapshot contributes both ends of its central edge
+    "odd-non-ball": (uniform_protocol(4), [((1, 0), (1, 0, 2)), ((1,), (1,))], (9, 6)),
+    # the virtual sources lie in different branches: the core runs through
+    # the origin and its common prefix is empty
+    "core-through-the-origin": (UNI3, [((0, 1), (0, 1)), ((2, 0, 1), (2, 0, 1))], (8, 10)),
+    # every neighbour of (0, 0) lies on the core, so nothing hangs off it
+    "core-vertex-with-no-free-neighbour": (
+        UNI3, [((0, 0), (0, 0)), ((0,), (0,)), ((0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 1))],
+        (8, 8, 8, 8),
+    ),
+    # the empty domain below: no vertex has positive likelihood
+    "fallback": (
+        local_spreading_protocol(3, 0.5), [((0,), (0,)), ((0, 0, 1, 0), (0, 0, 1, 0))], (10, 10)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_EDGE_CASES))
+def test_generic_mle_reference_edge_cases(case):
+    proto, pairs, times = REFERENCE_EDGE_CASES[case]
+    snaps = [snap(proto.d, t, prev, now) for (prev, now), t in zip(pairs, times)]
+    for exact in (True, False):
+        got, diag = _assert_same_as_reference(
+            snaps, hop_distribution(proto, 14, exact=exact), proto, (case, exact)
+        )
+        assert diag["exact"] is exact and diag["fallback"] is (case == "fallback")
+        if case == "core-through-the-origin":
+            assert got.contains(SOURCE)
 
 
 def test_generic_mle_float_mode_matches_exact_mode():

@@ -9,6 +9,7 @@ from adl.diffusion import sample_snapshot
 from adl.estimators import ESTIMATORS
 from adl.experiments import (
     ESTIMATOR_STREAM,
+    MAX_WALKS,
     ConfigError,
     EstimatorResult,
     ExperimentConfig,
@@ -87,6 +88,20 @@ def test_config_scalar_times_with_k():
         config_dict(times=10, k=5, estimators=[{"method": "k_obs_subtree"}])
     )
     assert config.times == (10,) * 5
+
+
+@pytest.mark.parametrize("times, estimator", [([8, 8], "two_obs_path"), ([8], "single_mle")])
+def test_config_trials_are_capped_by_the_walk_count(times, estimator):
+    # a config asks for trials * len(times) walks; MAX_WALKS is the most it
+    # may ask for, and the check only parses the config, it runs nothing
+    at_cap = MAX_WALKS // len(times)
+    assert at_cap * len(times) == MAX_WALKS
+    doc = config_dict(times=times, estimators=[{"method": estimator}])
+    assert ExperimentConfig.from_dict({**doc, "trials": at_cap}).trials == at_cap
+    for trials in (at_cap + 1, 10**400):
+        with pytest.raises(ConfigError, match=f"at most {MAX_WALKS} walks") as err:
+            ExperimentConfig.from_dict({**doc, "trials": trials})
+        assert f"at most {at_cap} trials" in str(err.value)
 
 
 def test_config_arity_mismatch_is_reported():
@@ -184,6 +199,7 @@ def test_shipped_acceptance_configs_are_valid():
     for path in paths:
         config = ExperimentConfig.from_json(path.read_text())
         assert config.trials >= 10_000
+        assert config.trials * len(config.times) <= 10**6 < MAX_WALKS  # well inside the cap
         assert all(s.target is not None for s in config.estimators)
         # smoke-run a miniature of each job
         small = ExperimentConfig(
