@@ -17,10 +17,12 @@ tables but equal seeds stay coupled draw-for-draw.  The walk draws
 value is below n.  Each step compares its ``random()`` draw with a float from
 the protocol's alpha table (``Protocol.alpha_rows``), which holds exactly the
 values ``Protocol.alpha`` returns.  ``simulate`` returns the whole validated
-trajectory; ``sample_snapshot`` runs the same walk and keeps only
-(vs_{t-1}, vs_t), which is all a Monte Carlo trial needs.  Both seed a fresh
-``random.Random(seed)``; ``draw_snapshot`` draws from a generator the caller
-reseeded, so a Monte Carlo job keeps one generator with the same draws.
+trajectory.  ``snapshot_sampler(protocol, t)`` does the per-time set-up once
+(horizon check, alpha rows, draw widths) and returns a function that runs
+the same draws on a generator the caller seeded and keeps only
+(vs_{t-1}, vs_t), which is all a Monte Carlo trial needs; a job builds one
+per observation time and reseeds one generator per walk.
+``sample_snapshot`` is that function on a fresh ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from adl.protocol import Protocol, even_floor
 from adl.tree import (
@@ -122,20 +125,25 @@ class Trajectory:
         )
 
 
+def walk_horizon(protocol: Protocol, T: int) -> int:
+    """The last even step of a T-step walk; raises past the protocol's table."""
+    last_even = even_floor(T - 1)
+    if protocol.t_max is not None and last_even >= 2 and last_even > protocol.t_max:
+        raise ValueError(
+            f"T={T} needs alpha at t={last_even} but the protocol stops at {protocol.t_max}"
+        )
+    return last_even
+
+
 def _walk(protocol: Protocol, T: int, rng: random.Random) -> list:
-    """The virtual-source path vs_0 ... vs_T as a list; the one draw loop.
+    """The virtual-source path vs_0 ... vs_T as a list, for ``simulate``.
 
     t=0: move to a uniform neighbor of the origin.  Odd t: stay.  Even t:
     stay with probability alpha(t, h_t), else append a uniform child entry.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    last_even = even_floor(T - 1)
-    if protocol.t_max is not None and last_even >= 2 and last_even > protocol.t_max:
-        raise ValueError(
-            f"T={T} needs alpha at t={last_even} but the protocol stops at {protocol.t_max}"
-        )
-    rows = protocol.alpha_rows(last_even)
+    rows = protocol.alpha_rows(walk_horizon(protocol, T))
     d = protocol.d
     n_child = d - 1
     draw, bits = rng.random, rng.getrandbits
@@ -167,23 +175,51 @@ def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
                       vs=tuple(_walk(protocol, T, random.Random(seed))))
 
 
+def snapshot_sampler(protocol: Protocol, t: int) -> Callable[[random.Random], tuple]:
+    """A function drawing (vs_{t-1}, vs_t) from a caller-seeded generator:
+    after ``rng.seed(seed)``, the last two labels of
+    ``simulate(protocol, t, seed).vs``, from the same draws.  The set-up is
+    done here once; the function walks the even steps only, keeping no path.
+    """
+    if t < 1:
+        raise ValueError(f"snapshot time must be >= 1, got {t}")
+    rows = protocol.alpha_rows(walk_horizon(protocol, t))
+    steps = [rows[s] for s in range(2, t, 2)]
+    d = protocol.d
+    n_child = d - 1
+    k_first, k_child = d.bit_length(), n_child.bit_length()
+    odd = t % 2 == 1
+
+    def sample(rng: random.Random) -> tuple:
+        bits, draw = rng.getrandbits, rng.random
+        first = bits(k_first)
+        while first >= d:
+            first = bits(k_first)
+        prev, cur = SOURCE, (first,)
+        for row in steps:
+            prev = cur
+            u = draw()
+            child = bits(k_child)  # always drawn: keeps seeds couplable
+            while child >= n_child:
+                child = bits(k_child)
+            if u >= row[len(cur)]:
+                cur = cur + (child,)
+        return (prev, cur) if odd else (cur, cur)  # even t: the last step stayed
+
+    return sample
+
+
 def sample_snapshot(protocol: Protocol, t: int, seed: int) -> "Snapshot":
     """The time-t snapshot of the walk that ``simulate(protocol, t, seed)``
     samples, built without the full trajectory: the same draws, and equal to
     ``simulate(protocol, t, seed).snapshot_at(t)``."""
-    return draw_snapshot(protocol, t, random.Random(seed))
+    return Snapshot(protocol.d, t, *snapshot_sampler(protocol, t)(random.Random(seed)))
 
 
-def draw_snapshot(protocol: Protocol, t: int, rng: random.Random) -> "Snapshot":
-    """``sample_snapshot`` on a generator the caller has seeded: after
-    ``rng.seed(seed)`` it returns ``sample_snapshot(protocol, t, seed)``."""
-    if t < 1:
-        raise ValueError(f"snapshot time must be >= 1, got {t}")
-    vs = _walk(protocol, t, rng)
-    return Snapshot(d=protocol.d, t=t, vs_prev=vs[t - 1], vs_now=vs[t])
+_store = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Snapshot:
     """One observed infected subgraph, reduced to (t, vs_{t-1}, vs_t).
 
@@ -198,19 +234,26 @@ class Snapshot:
     vs_prev: Label
     vs_now: Label
 
-    def __post_init__(self) -> None:
-        check_degree(self.d)
-        check_label(self.d, self.vs_prev)
-        if self.vs_now is not self.vs_prev:  # one object: already checked
-            check_label(self.d, self.vs_now)
-        if self.t < 1:
-            raise ValueError(f"observation time must be >= 1, got {self.t}")
-        if self.t % 2 == 0 and self.vs_prev != self.vs_now:
-            raise ValueError("even-time snapshots have vs_prev == vs_now")
-        if self.vs_prev != self.vs_now and distance(self.vs_prev, self.vs_now) != 1:
-            raise ValueError("a moved virtual source must be adjacent to its predecessor")
-        if self.t >= 2 and (self.vs_prev == SOURCE or self.vs_now == SOURCE):
+    def __init__(self, d: int, t: int, vs_prev: Label, vs_now: Label) -> None:
+        # checks first; then the fields, in field order (a compact instance
+        # dict), stored past the frozen __setattr__
+        check_degree(d)
+        check_label(d, vs_prev)
+        if vs_now is not vs_prev:  # one object: already checked
+            check_label(d, vs_now)
+        if t < 1:
+            raise ValueError(f"observation time must be >= 1, got {t}")
+        if vs_prev != vs_now:
+            if t % 2 == 0:
+                raise ValueError("even-time snapshots have vs_prev == vs_now")
+            if distance(vs_prev, vs_now) != 1:
+                raise ValueError("a moved virtual source must be adjacent to its predecessor")
+        if t >= 2 and (vs_prev == SOURCE or vs_now == SOURCE):
             raise ValueError("the virtual source never sits at the origin for t >= 2")
+        _store(self, "d", d)
+        _store(self, "t", t)
+        _store(self, "vs_prev", vs_prev)
+        _store(self, "vs_now", vs_now)
 
     @property
     def is_ball(self) -> bool:

@@ -11,8 +11,9 @@ Determinism: the seed of diffusion i in trial n is derive_seed(master, n, i);
 estimator j in trial n draws from derive_seed(master, n, ESTIMATOR_STREAM+j).
 derive_seed is a splitmix64 chain, so any scheduling or chunking of trials
 yields bit-identical reports (aggregation is a commutative sum).  The job
-keeps one ``random.Random`` and reseeds it for every stream, which draws
-exactly what a fresh ``random.Random(seed)`` would.
+builds one ``snapshot_sampler`` per observation time and keeps one
+``random.Random``, reseeded for every stream through its C-level ``seed``,
+which draws exactly what a fresh ``random.Random(seed)`` would.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import draw_snapshot, is_int
+from adl.diffusion import Snapshot, is_int, snapshot_sampler, walk_horizon
 from adl.estimators import ESTIMATORS, estimator_for
 from adl.protocol import (
     Protocol,
@@ -185,6 +186,11 @@ class ExperimentConfig:
                 problems.append(f"protocol: {exc}")
         if protocol is None:
             protocol = uniform_protocol(d)
+        elif times_ok:
+            try:
+                walk_horizon(protocol, max(times))  # a table may stop short of the times
+            except ValueError as exc:
+                problems.append(f"times: {exc}")
 
         est_raw = obj.get("estimators")
         specs: list[EstimatorSpec] = []
@@ -378,16 +384,23 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     runners = [ESTIMATORS[s.method].estimate for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
     protocol = config.protocol
+    d = protocol.d
+    samplers = {t: snapshot_sampler(protocol, t) for t in set(config.times)}
+    # walk i's seed _fold(trial, i) is _splitmix64(trial ^ stream_i); stream_i once per job
+    walks = [(samplers[t], t, i * 0x9E3779B97F4A7C15 & _MASK64)
+             for i, t in enumerate(config.times)]
     root = derive_seed(config.seed)
-    rng = random.Random()  # reseeded for every stream: the same draws as a fresh one
+    rng = random.Random()
+    # rng.seed(int) less its reset of gauss_next, which no draw here reads
+    reseed = super(random.Random, rng).seed
     for n in range(config.trials):
         trial = _fold(root, n)  # derive_seed(seed, n), extended below
         snaps = []
-        for i, t in enumerate(config.times):
-            rng.seed(_fold(trial, i))
-            snaps.append(draw_snapshot(protocol, t, rng))
+        for sample, t, stream in walks:
+            reseed(_splitmix64(trial ^ stream))
+            snaps.append(Snapshot(d, t, *sample(rng)))
         for j, estimate in enumerate(runners):
-            rng.seed(_fold(trial, ESTIMATOR_STREAM + j))
+            reseed(_fold(trial, ESTIMATOR_STREAM + j))
             try:
                 est = estimate(snaps, hop, protocol, rng)
             except ValueError:

@@ -272,6 +272,23 @@ def test_experiment_rejects_malformed_config(doc, token):
     assert_usage_error(experiment(doc), "config error: ")
 
 
+def test_experiment_rejects_times_past_the_table_horizon():
+    # a time-t walk reads alpha up to even_floor(t - 1): t=8 needs the t=6
+    # row and runs; t=9 needs a t=8 row the table lacks and is reported with
+    # the config's other problems, before any trial runs
+    doc = config_with(protocol={"name": "table", "table_csv": TABLE_CSV},
+                      estimators=[{"method": "two_obs_path"}, {"method": "generic_mle"}])
+    assert experiment({**doc, "times": [8, 3]})[0] == 0
+    doc["estimators"].append({"method": "no_such_method"})
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({**doc, "times": [9, 3]})
+    assert err.value.problems[0] == "times: T=9 needs alpha at t=8 but the protocol stops at 6"
+    assert "unknown method 'no_such_method'" in err.value.problems[1]
+    code, out, msg = experiment({**doc, "times": [9, 3]})
+    assert code == 2 and out == ""
+    assert "T=9 needs alpha at t=8" in msg and "unknown method" in msg
+
+
 @pytest.mark.parametrize("t_max", [10 ** 8, 10 ** 18])
 def test_protocol_table_with_a_far_row_is_rejected_at_once(t_max, tmp_path):
     # the gap check counts rows before it lists any missing pair, and lists

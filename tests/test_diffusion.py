@@ -1,11 +1,21 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adl.diffusion import Snapshot, Trajectory, local_radius, sample_snapshot, simulate
+from adl.diffusion import (
+    Snapshot,
+    Trajectory,
+    local_radius,
+    sample_snapshot,
+    simulate,
+    snapshot_sampler,
+)
 from adl.experiments import derive_seed
 from adl.protocol import (
     constant_protocol,
@@ -110,13 +120,34 @@ def test_snapshot_projection_and_validation():
 
 
 def test_snapshot_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even-time snapshots have vs_prev == vs_now"):
         Snapshot(d=3, t=4, vs_prev=(0,), vs_now=(0, 1))  # even but moved
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be adjacent to its predecessor"):
         Snapshot(d=3, t=5, vs_prev=(0,), vs_now=(0, 1, 0))  # not adjacent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="never sits at the origin for t >= 2"):
         Snapshot(d=3, t=4, vs_prev=(), vs_now=())  # origin after t=1
+    with pytest.raises(ValueError, match="observation time must be >= 1, got 0"):
+        Snapshot(d=3, t=0, vs_prev=(), vs_now=())
     Snapshot(d=3, t=1, vs_prev=(), vs_now=(2,))  # the t=1 edge is allowed
+
+
+def test_snapshot_behaves_as_a_frozen_dataclass():
+    # the hand-written __init__ keeps what the generated one gave: field
+    # order, keyword construction, value equality and hash, repr, replace
+    # (which validates again), copy and pickle
+    s = Snapshot(d=3, t=5, vs_prev=(1,), vs_now=(1, 0))
+    assert s == Snapshot(3, 5, (1,), (1, 0)) != Snapshot(3, 5, (1, 0), (1, 0, 1))
+    assert hash(s) == hash((3, 5, (1,), (1, 0)))
+    assert repr(s) == "Snapshot(d=3, t=5, vs_prev=(1,), vs_now=(1, 0))"
+    assert [f.name for f in dataclasses.fields(s)] == ["d", "t", "vs_prev", "vs_now"]
+    assert list(vars(s)) == ["d", "t", "vs_prev", "vs_now"]
+    assert dataclasses.replace(s, t=7) == Snapshot(3, 7, (1,), (1, 0))
+    with pytest.raises(ValueError, match="even-time snapshots"):
+        dataclasses.replace(s, t=6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.t = 7
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is Snapshot and twin == s and vars(twin) == vars(s)
 
 
 def test_contains_examples():
@@ -275,6 +306,28 @@ def test_walk_matches_reference_loop(name, d):
             tr = simulate(proto, T, seed)
             assert tr.vs == reference_walk(proto, T, seed)
             assert sample_snapshot(proto, T, seed) == tr.snapshot_at(T)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
+def test_one_sampler_reused_across_streams_matches_reference_loop(name, d):
+    # a Monte Carlo job builds one sampler per time and reseeds one generator
+    # per walk; a time-T walk draws a prefix of a longer walk's draws, so one
+    # reference path per seed covers every T up to the protocol's horizon
+    proto = CONTRACT_PROTOCOLS[name](d)
+    longest = 40 if proto.t_max is None else proto.t_max + 2  # last step reads t_max
+    seeds = [derive_seed(33, d, n) for n in range(200)]
+    paths = [reference_walk(proto, longest, seed) for seed in seeds]
+    rng = random.Random()
+    for T in range(1, 41):
+        if T > longest:
+            with pytest.raises(ValueError, match=f"protocol stops at {proto.t_max}"):
+                snapshot_sampler(proto, T)
+            continue
+        sample = snapshot_sampler(proto, T)
+        for seed, vs in zip(seeds, paths):
+            rng.seed(seed)
+            assert sample(rng) == (vs[T - 1], vs[T])
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))

@@ -293,12 +293,22 @@ TABLE_D4 = "t,h,alpha\n" + "".join(
      "estimators": [{"method": "three_obs_intersection"}]},
     {"d": 4, "protocol": {"name": "uniform"}, "times": [8],
      "estimators": [{"method": "single_mle"}]},
-], ids=["local", "table", "uniform", "perfect", "single"])
+    # t=1: vs_prev is the origin and every estimator refuses the snapshot;
+    # t=2: no even step; t=17: a long odd walk.  Without t=1 the draws reach
+    # the counts.
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [1, 2, 3, 17],
+     "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [2, 3, 17],
+     "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
+], ids=["local", "table", "uniform", "perfect", "single", "edges", "short"])
 def test_run_matches_a_fresh_generator_per_stream(doc):
     # run() reseeds one generator for every stream; the report body must be
     # the one a fresh random.Random(seed) per walk and per estimator gives
     config = ExperimentConfig.from_dict({**doc, "trials": 150, "seed": 77})
     body, moved, ties = reference_report(config)
     assert run(config).body_dict() == body
-    assert ties > 0 or len(config.times) % 2  # even k ties
+    if 1 in config.times:  # every trial is a counted precondition failure
+        assert all(r["failures"] == r["trials"] for r in body["results"])
+    else:
+        assert ties > 0 or len(config.times) % 2  # even k ties
     assert moved > 0 or all(t % 2 == 0 for t in config.times)
