@@ -298,15 +298,21 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Snapshot":
-        """Parse and validate; any malformed field raises ValueError."""
+        """Parse and validate; a malformed field, or a pair no walk produces
+        (vs_t deeper than (t+1)/2, a move toward the origin), raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError(f"a snapshot must be a JSON object, got {obj!r}")
-        return cls(
+        s = cls(
             d=_field(obj, "d", int),
             t=_field(obj, "t", int),
             vs_prev=parse_label(_field(obj, "vs_prev", str)),
             vs_now=parse_label(_field(obj, "vs_now", str)),
         )
+        if len(s.vs_now) > (s.t + 1) // 2:
+            raise ValueError(f"no walk reaches depth {len(s.vs_now)} by t={s.t}")
+        if s.vs_prev != s.vs_now and s.vs_prev != s.vs_now[:-1]:
+            raise ValueError("a moved virtual source's vs_prev must be the parent of vs_now")
+        return s
 
 
 def local_radius(trajectory: Trajectory, t: int) -> int:

@@ -1,7 +1,8 @@
 """Source-detection estimators over infected-set snapshots.
 
 Every estimator consumes snapshots (and, for likelihood-based ones, a hop
-distribution plus its protocol) and produces an :class:`Estimate`: the full
+distribution plus its protocol, whose ``snapshot_weights`` give the
+single-snapshot law they score) and produces an :class:`Estimate`: the full
 argmax/candidate set plus one uniformly chosen representative.  Estimators
 never see the true origin; they interact with vertices only through tree
 operations, so their output distribution is invariant under relabelling of
@@ -34,7 +35,7 @@ from operator import itemgetter, sub
 from typing import Callable, Optional, Sequence, Union
 
 from adl.diffusion import Snapshot
-from adl.protocol import HopDistribution, Protocol, even_floor
+from adl.protocol import HopDistribution, Protocol
 from adl.tree import (
     Label,
     bfs_depths,
@@ -192,45 +193,25 @@ def _resolve_vs(s: Snapshot, rng: random.Random) -> Label:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot_hop_weights(s: Snapshot, hop: HopDistribution, protocol: Protocol, exact: bool):
-    """Per-hop posterior weights for one snapshot.
-
-    Even t: p(t, h).  Odd ball: p(t-1, h) alpha(t-1, h).  Odd non-ball:
-    p(t-1, h) (1 - alpha(t-1, h)).  Constant factors shared by every h are
-    dropped; each weight still has to be divided by d(d-1)^(h-1) to become a
-    per-vertex score.
-    """
-    t_eff = even_floor(s.t)
-    if t_eff < 2:
-        raise ValueError(f"snapshot at t={s.t} is too early for likelihood inference")
-    p = hop.p_exact if exact else hop.p
-    if s.t % 2 == 0:
-        return [p(t_eff, h) for h in range(1, t_eff // 2 + 1)]
-    a = protocol.alpha_exact if exact else protocol.alpha
-    one = Fraction(1) if exact else 1.0
-    if s.is_ball:
-        return [p(t_eff, h) * a(t_eff, h) for h in range(1, t_eff // 2 + 1)]
-    return [p(t_eff, h) * (one - a(t_eff, h)) for h in range(1, t_eff // 2 + 1)]
-
-
 def _hop_scores(s: Snapshot, hop: HopDistribution, protocol: Protocol) -> list:
     """Per-hop likelihood row of one snapshot: entry x - 1 scores each
     vertex at hop x from the virtual-source set.
 
-    Exact: integers proportional to weight(x) / (d (d-1)^(x-1)), all scaled
-    by the lcm of their denominators, so products of rows order and tie
-    exactly as the rational products do.  Float: log weight(x) - (x-1)
-    log(d-1), None where weight(x) <= 0.  A row depends only on (protocol,
-    t, ball), so it is built once and kept on ``hop``.  The snapshot is on
-    the protocol's tree, as every entry point checks.
+    weight(x) is entry x - 1 of ``hop.snapshot_weights``, the protocol
+    module's single-snapshot law.  Exact: integers proportional to
+    weight(x) / (d (d-1)^(x-1)), all scaled by the lcm of their
+    denominators, so products of rows order and tie exactly as the rational
+    products do.  Float: log weight(x) - (x-1) log(d-1), None where
+    weight(x) <= 0.  A row depends only on (protocol, t, ball), so it is
+    built once and kept on ``hop``.  The snapshot is on the protocol's tree,
+    as every entry point checks.
     """
     key = (protocol, s.t, s.is_ball)
     row = hop._scores.get(key)
     if row is None:
         d = protocol.d
-        exact = hop.exact and protocol.exact
-        weights = _snapshot_hop_weights(s, hop, protocol, exact)
-        if exact:
+        weights = hop.snapshot_weights(protocol, s.t, s.is_ball)
+        if hop.exact and protocol.exact:
             scores = [Fraction(w, d * (d - 1) ** h) for h, w in enumerate(weights)]
             scale = math.lcm(*(sc.denominator for sc in scores))
             row = [sc.numerator * (scale // sc.denominator) for sc in scores]
@@ -253,7 +234,7 @@ def single_mle_candidates(
         best = max(scores)
         h_star = [h + 1 for h, sc in enumerate(scores) if sc == best]
     else:
-        weights = _snapshot_hop_weights(s, hop, protocol, False)
+        weights = hop.snapshot_weights(protocol, s.t, s.is_ball)
         scores = [w / (d * (d - 1) ** h) for h, w in enumerate(weights)]
         best = max(scores)
         h_star = [

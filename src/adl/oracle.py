@@ -5,7 +5,10 @@ snapshot endpoint pair (vs_{t-1}, vs_t) with its exact probability, run an
 estimator's deterministic candidate core on the joint outcomes, and
 integrate the uniform tie-break analytically (a candidate set C contributes
 [origin in C] / |C|).  With a built-in protocol the sum runs in integers
-and ends in one exact Fraction; table protocols fall back to floats.
+and ends in one exact Fraction; table protocols fall back to floats.  The
+probability of each single outcome is read from the protocol module's
+single-snapshot law (``HopDistribution.snapshot_weights``); the oracle only
+spreads it over the labels at each hop.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
@@ -18,26 +21,16 @@ still caps the nominal number of joint outcomes the sum stands for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, lcm, prod
-from typing import Sequence, Union
+from typing import Sequence
 
 from adl.diffusion import Snapshot
 from adl.estimators import estimator_for
-from adl.protocol import HopDistribution, Protocol, even_floor, hop_distribution, hop_horizon
-from adl.tree import SOURCE, labels_at_depth, sphere_size
+from adl.protocol import HopDistribution, Protocol, hop_distribution, hop_horizon
+from adl.tree import SOURCE, sphere_size
 
 DEFAULT_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class WeightedOutcome:
-    """One reachable (vs_{t-1}, vs_t) endpoint pair and its probability."""
-
-    vs_prev: tuple
-    vs_now: tuple
-    prob: Union[Fraction, float]
 
 
 def outcome_count(d: int, t: int) -> int:
@@ -60,44 +53,20 @@ def _law(protocol: Protocol, hop: HopDistribution, t: int) -> list:
     probability of each single outcome at that depth).
 
     An outcome is identified by the label of vs_t; when the virtual source
-    moved, vs_{t-1} is that label's parent (at t = 1, the origin).  Distinct
-    move timings that land on the same pair are merged: p(t, h) is split
-    evenly over the d (d-1)^(h-1) positions at hop h, times the stay or move
-    factor at odd t.  Rows of probability zero are left out.
+    moved, vs_{t-1} is that label's parent (at t = 1, the origin).  Each row
+    spreads a ``hop.snapshot_weights`` entry evenly over the d (d-1)^(h-1)
+    labels at its depth; at odd t the stayed row at hop h comes before the
+    moved row at h + 1.  Rows of probability zero are left out.
     """
     d = protocol.d
-    one = Fraction(1) if hop.exact else 1.0
     if t == 1:
-        return [(1, True, one / d)]
-    t_eff = even_floor(t)
-    p = hop.p_exact if hop.exact else hop.p
-    if t % 2 == 0:
-        rows = [(h, False, p(t, h) / sphere_size(d, h)) for h in hop.support(t)]
-    else:
-        a = protocol.alpha_exact if hop.exact else protocol.alpha
-        rows = []
-        for h in hop.support(t_eff):
-            rows.append((h, False, p(t_eff, h) * a(t_eff, h) / sphere_size(d, h)))
-            rows.append((h + 1, True, p(t_eff, h) * (one - a(t_eff, h)) / sphere_size(d, h + 1)))
+        return [(1, True, (Fraction(1) if hop.exact else 1.0) / d)]
+    stayed = hop.snapshot_weights(protocol, t, ball=True)
+    moved = hop.snapshot_weights(protocol, t, ball=False) if t % 2 else [0] * len(stayed)
+    rows = []
+    for h, (s, m) in enumerate(zip(stayed, moved), start=1):
+        rows += [(h, False, s / sphere_size(d, h)), (h + 1, True, m / sphere_size(d, h + 1))]
     return [row for row in rows if row[2]]
-
-
-def enumerate_single(
-    protocol: Protocol, t: int, budget: int = DEFAULT_BUDGET
-) -> list[WeightedOutcome]:
-    """All endpoint pairs of one diffusion observed at time t, with exact
-    probabilities (Fractions for built-in protocols): the single-diffusion
-    law expanded over every label at each depth."""
-    _check_time(t)
-    n = outcome_count(protocol.d, t)
-    if n > budget:
-        raise ValueError(f"enumeration needs {n} outcomes, over the budget of {budget}")
-    hop = hop_distribution(protocol, hop_horizon([t]), exact=protocol.exact)
-    return [
-        WeightedOutcome(v[:-1] if moved else v, v, prob)
-        for h, moved, prob in _law(protocol, hop, t)
-        for v in labels_at_depth(protocol.d, h)
-    ]
 
 
 def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:

@@ -18,6 +18,11 @@ built in:
 All built-in alphas are rational, so the hop distribution p(t, h) = P(h_t = h)
 can be carried both as exact fractions and as floats; table-backed protocols
 (loaded from CSV) are float-only.
+
+This module holds the single-snapshot law, written once: ``_split`` divides
+the hop masses at even t into stayed (p alpha) and moved (p (1 - alpha)), and
+the hop recurrence, ``HopDistribution.snapshot_weights``, the likelihood
+estimators and the exact oracle all read it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Optional, Union
 
 from adl.tree import ball_size, check_degree
@@ -267,6 +273,14 @@ def protocol_from_spec(d: int, spec: dict) -> Protocol:
     raise ValueError(f"unknown protocol {name!r} (known: {', '.join(PROTOCOLS)})")
 
 
+def _split(row: list, protocol: Protocol, t: int, exact: bool) -> tuple:
+    """The hop masses ``row[h - 1] = p(t, h)`` at even t split by the step
+    after t: (stayed, moved) = (p alpha(t, h), p (1 - alpha(t, h)))."""
+    get_alpha = protocol.alpha_exact if exact else protocol.alpha
+    alphas = [get_alpha(t, h) for h in range(1, len(row) + 1)]
+    return [p * a for p, a in zip(row, alphas)], [p * (1 - a) for p, a in zip(row, alphas)]
+
+
 @dataclass(frozen=True)
 class HopDistribution:
     """p(t, h) = P(h_t = h) for even 2 <= t <= t_max, 1 <= h <= t/2.
@@ -325,6 +339,20 @@ class HopDistribution:
             )
         return value
 
+    def snapshot_weights(self, protocol: Protocol, t: int, ball: bool) -> list:
+        """Per-hop weights of a time-t snapshot, entry h - 1 for hop h: p(t, h)
+        at even t; at odd t the stayed (``ball``) or moved half of p(t-1, h),
+        whose vs_t is at hop h + 1.  Exact when this table and the protocol are."""
+        t_eff = even_floor(t)
+        if t_eff < 2:
+            raise ValueError(f"snapshot at t={t} is too early for likelihood inference")
+        exact = self.exact and protocol.exact
+        p = self.p_exact if exact else self.p
+        row = [p(t_eff, h) for h in range(1, t_eff // 2 + 1)]
+        if t == t_eff:
+            return row
+        return _split(row, protocol, t_eff, exact)[0 if ball else 1]
+
     def to_csv(self, exact: bool = False) -> str:
         """Dump as ``t,h,p`` rows; with exact=True p is a rational string."""
         out = io.StringIO()
@@ -373,19 +401,12 @@ def hop_distribution(protocol: Protocol, T: int, exact: Optional[bool] = None) -
     if use_exact and not protocol.exact:
         raise ValueError(f"protocol {protocol.name!r} cannot provide exact alphas")
 
-    one = Fraction(1) if use_exact else 1.0
-    get_alpha = protocol.alpha_exact if use_exact else protocol.alpha
-
-    table: dict = {(2, 1): one}
+    table: dict = {(2, 1): Fraction(1) if use_exact else 1.0}
     for t in range(2, T, 2):
-        for h in range(1, t // 2 + 2):
-            stay = get_alpha(t, h) * table[(t, h)] if h <= t // 2 else 0
-            come = (
-                (one - get_alpha(t, h - 1)) * table[(t, h - 1)]
-                if 1 <= h - 1 <= t // 2
-                else 0
-            )
-            table[(t + 2, h)] = stay + come
+        row = [table[(t, h)] for h in range(1, t // 2 + 1)]
+        stayed, moved = _split(row, protocol, t, use_exact)
+        for h, mass in enumerate(map(add, stayed + [0], [0] + moved), start=1):
+            table[(t + 2, h)] = mass
     return HopDistribution(
         d=protocol.d,
         protocol=protocol.name,
@@ -398,15 +419,12 @@ def hop_distribution(protocol: Protocol, T: int, exact: Optional[bool] = None) -
 def stay_probability_at(protocol: Protocol, t_odd: int, hop: HopDistribution):
     """P(the time-t_odd snapshot is a ball) = sum_h p(t_odd - 1, h) alpha(t_odd - 1, h).
 
-    Exact when the hop table is exact (the uniform protocol gives exactly 1/2
-    for every odd t >= 3).
+    Exact when the hop table and the protocol are (the uniform protocol
+    gives exactly 1/2 for every odd t >= 3).
     """
     if t_odd < 3 or t_odd % 2 == 0:
         raise ValueError(f"odd t >= 3 required, got {t_odd}")
-    t = t_odd - 1
-    hop._check_t(t)
-    get_alpha = protocol.alpha_exact if hop.exact else protocol.alpha
-    return sum(hop._table[(t, h)] * get_alpha(t, h) for h in hop.support(t))
+    return sum(hop.snapshot_weights(protocol, t_odd, ball=True))
 
 
 def infected_count_even(d: int, t: int) -> int:

@@ -1,14 +1,17 @@
-"""Shared test helpers: independent infected-set construction, child-index
-relabelling automorphisms, and shell enumeration."""
+"""Shared test helpers: independent infected-set construction, the
+single-diffusion law by stepping the walk, a non-dyadic table protocol,
+child-index relabelling automorphisms, and shell enumeration."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from adl.diffusion import Trajectory
 from adl.experiments import derive_seed
+from adl.protocol import Protocol, load_protocol_table
 from adl.tree import SOURCE, bfs_depths, distance, neighbors
 
 
@@ -29,6 +32,45 @@ def stepwise_infected_set(tr: Trajectory, t: int) -> set:
                 w for w in boundary if distance(w, tr.vs[s]) == (s - 1) // 2
             }
     return infected
+
+
+def walk_law(protocol: Protocol, t: int) -> dict:
+    """The law of the time-t snapshot pair (vs_{t-1}, vs_t), by stepping the
+    virtual-source chain from the origin, independently of the hop table:
+    the first step goes to a uniform child of the origin; at odd s the
+    walker holds; at even s it stays with probability alpha(s, h_s) and
+    otherwise steps to a uniform one of its d - 1 children.  Exact alphas
+    (``alpha_exact``) for built-in protocols, floats for tables; pairs of
+    probability zero are left out."""
+    d = protocol.d
+    alpha = protocol.alpha_exact if protocol.exact else protocol.alpha
+    one = Fraction(1) if protocol.exact else 1.0
+    law = {(SOURCE, (c,)): one / d for c in range(d)}
+    for s in range(1, t):
+        nxt: dict = {}
+        for (_, cur), w in law.items():
+            if s % 2:
+                steps = [(cur, w)]
+            else:
+                a = alpha(s, len(cur))
+                moved = w * (one - a) / (d - 1)
+                steps = [(cur, w * a)] + [(cur + (c,), moved) for c in range(d - 1)]
+            for v, p in steps:
+                if p:
+                    nxt[(cur, v)] = nxt.get((cur, v), 0) + p
+        law = nxt
+    return law
+
+
+def nondyadic_table(d: int) -> Protocol:
+    """A table protocol up to t = 6 with non-dyadic alphas, so float sums
+    over its law really are rounded."""
+    rows = [
+        f"{t},{h},{(7 * t + 3 * h) % 10 / 10 + 0.05:.2f}"
+        for t in (2, 4, 6)
+        for h in range(1, t // 2 + 1)
+    ]
+    return load_protocol_table("t,h,alpha\n" + "\n".join(rows) + "\n", d)
 
 
 def make_automorphism(d: int, seed: int):

@@ -8,6 +8,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,19 @@ def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
 ])
 def test_estimate_rejects_malformed_snapshot_file(doc, token):
     assert_usage_error(estimate(doc), token)
+
+
+@pytest.mark.parametrize("snap, token", [
+    # well-formed labels, but no walk puts vs_4 at depth 20,000
+    (with_snapshot(t=4, vs_prev="/0" * 20_000, vs_now="/0" * 20_000),
+     "no walk reaches depth 20000"),
+    (with_snapshot(t=7, vs_prev="/0/1/0", vs_now="/0/1"), "vs_prev must be the parent of vs_now"),
+])
+def test_snapshot_no_walk_can_produce_is_a_usage_error(snap, token):
+    for method in ("two-obs-path", "cases", "mle"):
+        start = time.perf_counter()
+        assert_usage_error(estimate([snap, SNAPSHOTS[1]], method), token)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):

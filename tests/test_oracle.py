@@ -14,12 +14,12 @@ from adl.protocol import (
     constant_protocol,
     hop_distribution,
     hop_horizon,
-    load_protocol_table,
     local_spreading_protocol,
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE
+from adl.tree import SOURCE, labels_at_depth
+from conftest import nondyadic_table, walk_law
 
 UNI3 = uniform_protocol(3)
 
@@ -27,7 +27,9 @@ UNI3 = uniform_protocol(3)
 def brute_force_success(estimator, protocol, times):
     """The reference for ``exact_success``: the estimator core run on every
     joint outcome of the full product, each weighted by its probability, with
-    the tie-break and the virtual-source draws integrated per outcome."""
+    the tie-break and the virtual-source draws integrated per outcome.  The
+    single-diffusion law comes from stepping the walk (``walk_law``), not
+    from the hop table or the oracle's law, so a fault there shows here."""
     info = estimator_for(estimator, len(times), protocol)
     exact = protocol.exact
 
@@ -48,10 +50,8 @@ def brute_force_success(estimator, protocol, times):
         return total
 
     singles = [
-        [
-            (Snapshot(d=protocol.d, t=t, vs_prev=o.vs_prev, vs_now=o.vs_now), o.prob)
-            for o in oracle.enumerate_single(protocol, t)
-        ]
+        [(Snapshot(d=protocol.d, t=t, vs_prev=prev, vs_now=now), p)
+         for (prev, now), p in walk_law(protocol, t).items()]
         for t in times
     ]
     hop = hop_distribution(protocol, hop_horizon(times), exact=exact) if info.needs_hop else None
@@ -62,49 +62,30 @@ def brute_force_success(estimator, protocol, times):
     return total
 
 
-def test_enumerate_first_step_is_uniform():
-    outs = oracle.enumerate_single(UNI3, 2)
-    assert len(outs) == 3
-    assert all(o.prob == Fraction(1, 3) for o in outs)
-    assert {o.vs_now for o in outs} == {(0,), (1,), (2,)}
-
-
-def test_enumerate_always_move_t4():
-    outs = oracle.enumerate_single(constant_protocol(3, 0), 4)
-    assert len(outs) == 6
-    assert all(o.prob == Fraction(1, 6) for o in outs)
-    assert all(len(o.vs_now) == 2 and o.vs_prev == o.vs_now for o in outs)
-
-
-def test_enumerate_mass_is_one():
-    for proto in (UNI3, perfect_protocol(3), uniform_protocol(4)):
-        for t in (1, 2, 5, 6, 9):
-            assert sum(o.prob for o in oracle.enumerate_single(proto, t)) == 1
-
-
-def test_enumerate_marginal_reproduces_hop_distribution():
-    hop = hop_distribution(UNI3, 6)
-    outs = oracle.enumerate_single(UNI3, 6)
-    marg = {}
-    for o in outs:
-        marg[len(o.vs_now)] = marg.get(len(o.vs_now), 0) + o.prob
-    assert marg == {h: hop.p_exact(6, h) for h in (1, 2, 3)}
-    assert marg == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
-
-
-def test_enumerate_odd_time_split():
-    # odd outcomes split into stayed (ball) and moved (edge) configurations
-    outs = oracle.enumerate_single(UNI3, 5)
-    ball = [o for o in outs if o.vs_prev == o.vs_now]
-    edge = [o for o in outs if o.vs_prev != o.vs_now]
-    assert sum(o.prob for o in ball) == Fraction(1, 2)  # uniform stay probability
-    assert sum(o.prob for o in edge) == Fraction(1, 2)
-    assert all(o.vs_now[:-1] == o.vs_prev for o in edge)
-
-
-def test_enumerate_budget():
-    with pytest.raises(ValueError):
-        oracle.enumerate_single(UNI3, 12, budget=10)
+def test_law_is_the_walk_law():
+    # the oracle's law, expanded over every label at each depth, is the law
+    # the walk itself gives: so the first step is uniform, the mass is 1, the
+    # hop marginals are p(t, h) and the odd-time split is p alpha / p (1 - alpha)
+    for d in (3, 4):
+        table = nondyadic_table(d)
+        cases = [(proto, range(1, 10)) for proto in (
+            uniform_protocol(d), perfect_protocol(d),
+            local_spreading_protocol(d, "1/2"), constant_protocol(d, 0))]
+        cases.append((table, range(1, table.t_max + 2)))
+        for protocol, ts in cases:
+            for t in ts:
+                hop = hop_distribution(protocol, hop_horizon([t]), exact=protocol.exact)
+                got = {(v[:-1] if moved else v, v): p
+                       for h, moved, p in oracle._law(protocol, hop, t)
+                       for v in labels_at_depth(d, h)}
+                want = walk_law(protocol, t)
+                case = (protocol.name, d, t)
+                if protocol.exact:
+                    assert got == want and sum(want.values()) == 1, case
+                else:
+                    assert got.keys() == want.keys(), case
+                    assert all(math.isclose(got[k], w, rel_tol=1e-12)
+                               for k, w in want.items()), case
 
 
 def test_exact_success_even_even_is_41_over_72():
@@ -208,25 +189,15 @@ CROSS_CHECK_TIMES = {
 }
 
 
-def _table_protocol(d):
-    # non-dyadic alphas, so the float sums really are rounded
-    rows = [
-        f"{t},{h},{(7 * t + 3 * h) % 10 / 10 + 0.05:.2f}"
-        for t in (2, 4, 6)
-        for h in range(1, t // 2 + 1)
-    ]
-    return load_protocol_table("t,h,alpha\n" + "\n".join(rows) + "\n", d)
-
-
 def test_exact_success_result_types():
     # a built-in protocol gives a Fraction and a table a float, also when no
     # candidate set ever holds the origin (one radius-1 ball: the core picks
     # its center, never the origin)
     got = oracle.exact_success("k_obs_subtree", UNI3, (2,))
     assert type(got) is Fraction and got == 0
-    got = oracle.exact_success("k_obs_subtree", _table_protocol(3), (2,))
+    got = oracle.exact_success("k_obs_subtree", nondyadic_table(3), (2,))
     assert type(got) is float and got == 0.0
-    got = oracle.exact_success("k_obs_subtree", _table_protocol(3), (4, 5, 6))
+    got = oracle.exact_success("k_obs_subtree", nondyadic_table(3), (4, 5, 6))
     assert type(got) is float and got > 0
 
 
@@ -244,7 +215,7 @@ def test_exact_success_equals_brute_force():
     compared = 0
     for d in (3, 4):
         protocols = (uniform_protocol(d), perfect_protocol(d),
-                     local_spreading_protocol(d, "1/2"), _table_protocol(d))
+                     local_spreading_protocol(d, "1/2"), nondyadic_table(d))
         for name, info in ESTIMATORS.items():
             if info.arity:
                 arities = [info.arity]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from adl.protocol import (
     stay_probability_at,
     uniform_protocol,
 )
+from conftest import nondyadic_table, walk_law
 
 
 def test_alpha_uniform_values():
@@ -155,6 +157,25 @@ def test_stay_probability_degenerate_protocols():
     hop0 = hop_distribution(never, 10)
     assert stay_probability_at(always, 9, hop1) == 1
     assert stay_probability_at(never, 9, hop0) == 0
+
+
+def test_stay_probability_is_the_walk_stay_mass():
+    # the mass the walk itself puts on vs_prev == vs_now at odd t
+    for d in (3, 4):
+        table = nondyadic_table(d)
+        cases = [(proto, range(3, 10, 2)) for proto in (
+            perfect_protocol(d), local_spreading_protocol(d, "1/2"), constant_protocol(d, 0))]
+        cases.append((table, range(3, table.t_max + 2, 2)))
+        for protocol, ts in cases:
+            for t in ts:
+                hop = hop_distribution(protocol, t - 1)
+                got = stay_probability_at(protocol, t, hop)
+                want = sum(p for (prev, now), p in walk_law(protocol, t).items() if prev == now)
+                case = (protocol.name, d, t)
+                if protocol.exact:
+                    assert got == want, case
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-12), case
 
 
 def test_local_protocol_hop_is_deterministic_floor():
