@@ -62,6 +62,15 @@ def brute_force_success(estimator, protocol, times):
     return total
 
 
+def law_outcomes(protocol, t):
+    """``oracle._law`` expanded to one entry per single outcome,
+    {(vs_prev, vs_now): probability}."""
+    hop = hop_distribution(protocol, hop_horizon([t]), exact=protocol.exact)
+    return {(v[:-1] if moved else v, v): p
+            for h, moved, p in oracle._law(protocol, hop, t)
+            for v in labels_at_depth(protocol.d, h)}
+
+
 def test_law_is_the_walk_law():
     # the oracle's law, expanded over every label at each depth, is the law
     # the walk itself gives: so the first step is uniform, the mass is 1, the
@@ -74,10 +83,7 @@ def test_law_is_the_walk_law():
         cases.append((table, range(1, table.t_max + 2)))
         for protocol, ts in cases:
             for t in ts:
-                hop = hop_distribution(protocol, hop_horizon([t]), exact=protocol.exact)
-                got = {(v[:-1] if moved else v, v): p
-                       for h, moved, p in oracle._law(protocol, hop, t)
-                       for v in labels_at_depth(d, h)}
+                got = law_outcomes(protocol, t)
                 want = walk_law(protocol, t)
                 case = (protocol.name, d, t)
                 if protocol.exact:
@@ -86,6 +92,45 @@ def test_law_is_the_walk_law():
                     assert got.keys() == want.keys(), case
                     assert all(math.isclose(got[k], w, rel_tol=1e-12)
                                for k, w in want.items()), case
+
+
+def test_enumerate_first_step_is_uniform():
+    outs = law_outcomes(UNI3, 2)
+    assert len(outs) == 3
+    assert all(p == Fraction(1, 3) for p in outs.values())
+    assert {now for _, now in outs} == {(0,), (1,), (2,)}
+
+
+def test_enumerate_always_move_t4():
+    outs = law_outcomes(constant_protocol(3, 0), 4)
+    assert len(outs) == 6
+    assert all(p == Fraction(1, 6) for p in outs.values())
+    assert all(len(now) == 2 and prev == now for prev, now in outs)
+
+
+def test_enumerate_mass_is_one():
+    for proto in (UNI3, perfect_protocol(3), uniform_protocol(4)):
+        for t in (1, 2, 5, 6, 9):
+            assert sum(law_outcomes(proto, t).values()) == 1
+
+
+def test_enumerate_marginal_reproduces_hop_distribution():
+    hop = hop_distribution(UNI3, 6)
+    marg = {}
+    for (_, now), p in law_outcomes(UNI3, 6).items():
+        marg[len(now)] = marg.get(len(now), 0) + p
+    assert marg == {h: hop.p_exact(6, h) for h in (1, 2, 3)}
+    assert marg == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
+
+
+def test_enumerate_odd_time_split():
+    # odd outcomes split into stayed (ball) and moved (edge) configurations
+    outs = law_outcomes(UNI3, 5)
+    ball = {k: p for k, p in outs.items() if k[0] == k[1]}
+    edge = {k: p for k, p in outs.items() if k[0] != k[1]}
+    assert sum(ball.values()) == Fraction(1, 2)  # uniform stay probability
+    assert sum(edge.values()) == Fraction(1, 2)
+    assert all(now[:-1] == prev for prev, now in edge)
 
 
 def test_exact_success_even_even_is_41_over_72():
