@@ -24,17 +24,17 @@ from adl.protocol import (
     Protocol,
     check_horizon,
     hop_distribution,
-    hop_horizon,
     infected_count_even,
     perfect_protocol,
     protocol_from_spec,
     stay_probability_at,
     uniform_protocol,
 )
+from adl.tree import MAX_DEGREE
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, required=True, help="tree degree (>= 3)")
+    p.add_argument("--d", type=int, required=True, help=f"tree degree (3..{MAX_DEGREE})")
     p.add_argument(
         "--protocol",
         required=True,
@@ -71,8 +71,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_hopdist(args: argparse.Namespace) -> int:
     _check_time(args.T, "-T")
     protocol = _protocol(args)
-    hop = hop_distribution(protocol, args.T, exact=True if args.exact else None)
-    sys.stdout.write(hop.to_csv(exact=args.exact))
+    sys.stdout.write(hop_distribution(protocol, args.T).to_csv(exact=args.exact))
     return 0
 
 
@@ -89,8 +88,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         _check_time(s.t, "snapshot time")
     name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
     estimator_for(name, len(snaps), protocol)
-    hop = hop_distribution(protocol, hop_horizon(s.t for s in snaps)) if info.needs_hop else None
-    est = info.estimate(snaps, hop, protocol, random.Random(args.seed))
+    est = info.estimate(snaps, protocol, random.Random(args.seed))
     print(est.to_json())
     return 0
 
@@ -137,9 +135,8 @@ def _suite_identities():
         )
         yield f"hop normalization sum_h p(t,h) == 1, d={d}, t <= 60", norm
     uni = uniform_protocol(3)
-    hop3 = hop_distribution(uni, 60)
     ok = all(
-        stay_probability_at(uni, t_odd, hop3) == Fraction(1, 2)
+        stay_probability_at(uni, t_odd) == Fraction(1, 2)
         for t_odd in range(5, 42, 2)
     )
     yield "uniform stay probability == 1/2 for odd t in 5..41", ok
@@ -222,7 +219,6 @@ def _suite_generic_vs_cases():
 
     for d in (3, 4):
         proto = uniform_protocol(d)
-        hop = hop_distribution(proto, 8)
         mismatches = 0
         checked = 0
         for t1, t2 in ((4, 4), (4, 5), (5, 4), (5, 5), (6, 7), (7, 7), (8, 9), (9, 9)):
@@ -231,7 +227,7 @@ def _suite_generic_vs_cases():
                     sample_snapshot(proto, t, derive_seed(20_000 + d, n, i))
                     for i, t in enumerate((t1, t2))
                 ]
-                a, _ = generic_mle_candidates(snaps, hop, proto)
+                a, _ = generic_mle_candidates(snaps, proto)
                 b, _ = uniform_mle_cases_candidates(snaps[0], snaps[1])
                 checked += 1
                 if a.members != b.members:

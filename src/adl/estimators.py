@@ -1,12 +1,11 @@
 """Source-detection estimators over infected-set snapshots.
 
-Every estimator consumes snapshots (and, for likelihood-based ones, a hop
-distribution plus its protocol, whose ``snapshot_weights`` give the
-single-snapshot law they score) and produces an :class:`Estimate`: the full
-argmax/candidate set plus one uniformly chosen representative.  Estimators
-never see the true origin; they interact with vertices only through tree
-operations, so their output distribution is invariant under relabelling of
-child indices.
+Every estimator consumes snapshots (and, for likelihood-based ones, the
+protocol, whose ``snapshot_weights`` give the single-snapshot law they
+score) and produces an :class:`Estimate`: the full argmax/candidate set plus
+one uniformly chosen representative.  Estimators never see the true origin;
+they interact with vertices only through tree operations, so their output
+distribution is invariant under relabelling of child indices.
 
 Tie-breaking policy: uniform at random over the candidate set, always, with
 the caller-supplied RNG.  The two underspecified corners (empty path set in
@@ -35,7 +34,7 @@ from operator import itemgetter, sub
 from typing import Callable, Optional, Sequence, Union
 
 from adl.diffusion import Snapshot
-from adl.protocol import HopDistribution, Protocol
+from adl.protocol import Protocol
 from adl.tree import (
     Label,
     bfs_depths,
@@ -193,25 +192,25 @@ def _resolve_vs(s: Snapshot, rng: random.Random) -> Label:
 # ---------------------------------------------------------------------------
 
 
-def _hop_scores(s: Snapshot, hop: HopDistribution, protocol: Protocol) -> list:
+def _hop_scores(s: Snapshot, protocol: Protocol) -> list:
     """Per-hop likelihood row of one snapshot: entry x - 1 scores each
     vertex at hop x from the virtual-source set.
 
-    weight(x) is entry x - 1 of ``hop.snapshot_weights``, the protocol
-    module's single-snapshot law.  Exact: integers proportional to
+    weight(x) is entry x - 1 of ``protocol.snapshot_weights``, the
+    single-snapshot law.  Exact: integers proportional to
     weight(x) / (d (d-1)^(x-1)), all scaled by the lcm of their
     denominators, so products of rows order and tie exactly as the rational
     products do.  Float: log weight(x) - (x-1) log(d-1), None where
-    weight(x) <= 0.  A row depends only on (protocol, t, ball), so it is
-    built once and kept on ``hop``.  The snapshot is on the protocol's tree,
-    as every entry point checks.
+    weight(x) <= 0.  A row depends only on (t, ball), so it is built once
+    and kept on the protocol.  The snapshot is on the protocol's tree, as
+    every entry point checks.
     """
-    key = (protocol, s.t, s.is_ball)
-    row = hop._scores.get(key)
+    key = (s.t, s.is_ball)
+    row = protocol._scores.get(key)
     if row is None:
         d = protocol.d
-        weights = hop.snapshot_weights(protocol, s.t, s.is_ball)
-        if hop.exact and protocol.exact:
+        weights = protocol.snapshot_weights(s.t, s.is_ball)
+        if protocol.exact:
             scores = [Fraction(w, d * (d - 1) ** h) for h, w in enumerate(weights)]
             scale = math.lcm(*(sc.denominator for sc in scores))
             row = [sc.numerator * (scale // sc.denominator) for sc in scores]
@@ -220,21 +219,19 @@ def _hop_scores(s: Snapshot, hop: HopDistribution, protocol: Protocol) -> list:
                 None if w <= 0.0 else math.log(w) - h * math.log(d - 1)
                 for h, w in enumerate(weights)
             ]
-        hop._scores[key] = row
+        protocol._scores[key] = row
     return row
 
 
-def single_mle_candidates(
-    s: Snapshot, hop: HopDistribution, protocol: Protocol
-) -> tuple[Candidates, dict]:
+def single_mle_candidates(s: Snapshot, protocol: Protocol) -> tuple[Candidates, dict]:
     """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)), as shells."""
     d = s.d
-    if hop.exact and protocol.exact:
-        scores = _hop_scores(s, hop, protocol)
+    if protocol.exact:
+        scores = _hop_scores(s, protocol)
         best = max(scores)
         h_star = [h + 1 for h, sc in enumerate(scores) if sc == best]
     else:
-        weights = hop.snapshot_weights(protocol, s.t, s.is_ball)
+        weights = protocol.snapshot_weights(s.t, s.is_ball)
         scores = [w / (d * (d - 1) ** h) for h, w in enumerate(weights)]
         best = max(scores)
         h_star = [
@@ -247,13 +244,11 @@ def single_mle_candidates(
     cands = ShellCandidates(d=d, centers=s.virtual_sources(), radii=tuple(h_star))
     diagnostics = {"h_star": h_star, "ball": s.is_ball, "candidate_count": cands.size()}
     if s.t % 2 == 0:
-        diagnostics["success_probability"] = float(hop.mle_success_probability(s.t))
+        diagnostics["success_probability"] = float(protocol.mle_success_probability(s.t))
     return cands, diagnostics
 
 
-def single_mle(
-    s: Snapshot, hop: HopDistribution, protocol: Protocol, rng: random.Random
-) -> Estimate:
+def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
     """Likelihood argmax for one snapshot.
 
     The likelihood of a non-excluded vertex depends only on its hop distance
@@ -264,7 +259,7 @@ def single_mle(
     max_h p(t, h) / (d (d-1)^(h-1)).
     """
     _check_common([s])
-    cands, diagnostics = single_mle_candidates(s, hop, protocol)
+    cands, diagnostics = single_mle_candidates(s, protocol)
     return _finish("single_mle", cands, diagnostics, rng)
 
 
@@ -383,10 +378,10 @@ def three_obs_intersection(
 
 
 def generic_mle_candidates(
-    snaps: Sequence[Snapshot], hop: HopDistribution, protocol: Protocol
+    snaps: Sequence[Snapshot], protocol: Protocol
 ) -> tuple[Candidates, dict]:
     d = _check_common(snaps)
-    exact = hop.exact and protocol.exact
+    exact = protocol.exact
 
     # The core, the Steiner tree of the virtual sources, is every prefix of
     # a virtual source at least as long as their common prefix.  Each core
@@ -398,7 +393,7 @@ def generic_mle_candidates(
     lcps = [[lcp_len(u, v) for v in terms] for u in terms]
     top = lcps[0][-1]
     ends = [(index[s.vs_prev], index[s.vs_now]) for s in snaps]  # one index twice for a ball
-    rows = [_hop_scores(s, hop, protocol) for s in snaps]
+    rows = [_hop_scores(s, protocol) for s in snaps]
     sizes = [len(row) for row in rows]
 
     # A vertex at outward depth r from core vertex c has hop vector x(c) + r,
@@ -468,9 +463,7 @@ def generic_mle_candidates(
     return ExplicitCandidates(frozenset(ties)), diagnostics
 
 
-def generic_mle(
-    snaps: Sequence[Snapshot], hop: HopDistribution, protocol: Protocol, rng: random.Random
-) -> Estimate:
+def generic_mle(snaps: Sequence[Snapshot], protocol: Protocol, rng: random.Random) -> Estimate:
     """Joint likelihood argmax over every vertex infected in all snapshots,
     minus every virtual source.
 
@@ -488,7 +481,7 @@ def generic_mle(
     table protocols a float log-likelihood, its terms added left to right,
     with relative tie tolerance is used.
     """
-    cands, diagnostics = generic_mle_candidates(snaps, hop, protocol)
+    cands, diagnostics = generic_mle_candidates(snaps, protocol)
     return _finish("generic_mle", cands, diagnostics, rng)
 
 
@@ -681,8 +674,8 @@ def _cases_odd_odd_nonballs(d: int, s1: Snapshot, s2: Snapshot):
 class EstimatorInfo:
     """One estimator as the config, the CLI and the oracle see it.
 
-    ``estimate(snaps, hop, protocol, rng)`` runs the public estimator.
-    ``candidates(snaps, hop, protocol)`` lists its deterministic core's
+    ``estimate(snaps, protocol, rng)`` runs the public estimator.
+    ``candidates(snaps, protocol)`` lists its deterministic core's
     candidate set once per equally likely choice of one virtual source per
     snapshot (a single set unless the estimator draws that choice).  Both
     look the estimator functions up as module attributes on every call, so a
@@ -691,7 +684,6 @@ class EstimatorInfo:
 
     alias: str  # the CLI --method name
     arity: Optional[int]  # number of snapshots taken; None for any k >= 1
-    needs_hop: bool  # takes a hop distribution and the protocol
     uniform_only: bool  # valid only for snapshots of the uniform protocol
     estimate: Callable
     candidates: Callable
@@ -705,34 +697,34 @@ def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
 
 ESTIMATORS = {
     "single_mle": EstimatorInfo(
-        alias="single-mle", arity=1, needs_hop=True, uniform_only=False,
-        estimate=lambda snaps, hop, protocol, rng: single_mle(*snaps, hop, protocol, rng),
-        candidates=lambda snaps, hop, protocol: [single_mle_candidates(*snaps, hop, protocol)[0]],
+        alias="single-mle", arity=1, uniform_only=False,
+        estimate=lambda snaps, protocol, rng: single_mle(*snaps, protocol, rng),
+        candidates=lambda snaps, protocol: [single_mle_candidates(*snaps, protocol)[0]],
     ),
     "two_obs_path": EstimatorInfo(
-        alias="two-obs-path", arity=2, needs_hop=False, uniform_only=False,
-        estimate=lambda snaps, hop, protocol, rng: two_obs_path(*snaps, rng),
-        candidates=lambda snaps, hop, protocol: [two_obs_path_candidates(*snaps)[0]],
+        alias="two-obs-path", arity=2, uniform_only=False,
+        estimate=lambda snaps, protocol, rng: two_obs_path(*snaps, rng),
+        candidates=lambda snaps, protocol: [two_obs_path_candidates(*snaps)[0]],
     ),
     "three_obs_intersection": EstimatorInfo(
-        alias="three-obs", arity=3, needs_hop=False, uniform_only=False,
-        estimate=lambda snaps, hop, protocol, rng: three_obs_intersection(*snaps, rng),
-        candidates=lambda snaps, hop, protocol: _k_obs_cores(snaps),
+        alias="three-obs", arity=3, uniform_only=False,
+        estimate=lambda snaps, protocol, rng: three_obs_intersection(*snaps, rng),
+        candidates=lambda snaps, protocol: _k_obs_cores(snaps),
     ),
     "k_obs_subtree": EstimatorInfo(
-        alias="k-obs", arity=None, needs_hop=False, uniform_only=False,
-        estimate=lambda snaps, hop, protocol, rng: k_obs_subtree(snaps, rng),
-        candidates=lambda snaps, hop, protocol: _k_obs_cores(snaps),
+        alias="k-obs", arity=None, uniform_only=False,
+        estimate=lambda snaps, protocol, rng: k_obs_subtree(snaps, rng),
+        candidates=lambda snaps, protocol: _k_obs_cores(snaps),
     ),
     "generic_mle": EstimatorInfo(
-        alias="mle", arity=None, needs_hop=True, uniform_only=False,
-        estimate=lambda snaps, hop, protocol, rng: generic_mle(snaps, hop, protocol, rng),
-        candidates=lambda snaps, hop, protocol: [generic_mle_candidates(snaps, hop, protocol)[0]],
+        alias="mle", arity=None, uniform_only=False,
+        estimate=lambda snaps, protocol, rng: generic_mle(snaps, protocol, rng),
+        candidates=lambda snaps, protocol: [generic_mle_candidates(snaps, protocol)[0]],
     ),
     "uniform_mle_cases": EstimatorInfo(
-        alias="cases", arity=2, needs_hop=False, uniform_only=True,
-        estimate=lambda snaps, hop, protocol, rng: uniform_mle_cases(*snaps, rng),
-        candidates=lambda snaps, hop, protocol: [uniform_mle_cases_candidates(*snaps)[0]],
+        alias="cases", arity=2, uniform_only=True,
+        estimate=lambda snaps, protocol, rng: uniform_mle_cases(*snaps, rng),
+        candidates=lambda snaps, protocol: [uniform_mle_cases_candidates(*snaps)[0]],
     ),
 }
 

@@ -28,14 +28,8 @@ from typing import Callable, Optional, Sequence
 from adl import closed_form
 from adl.diffusion import Snapshot, is_int, snapshot_sampler, walk_horizon
 from adl.estimators import ESTIMATORS, estimator_for
-from adl.protocol import (
-    Protocol,
-    hop_distribution,
-    hop_horizon,
-    protocol_from_spec,
-    uniform_protocol,
-)
-from adl.tree import SOURCE
+from adl.protocol import Protocol, protocol_from_spec, uniform_protocol
+from adl.tree import MAX_DEGREE, SOURCE
 
 _MASK64 = (1 << 64) - 1
 ESTIMATOR_STREAM = 1_000_000
@@ -131,8 +125,8 @@ class ExperimentConfig:
         problems: list[str] = []
 
         d = obj.get("d")
-        if not is_int(d) or d < 3:
-            problems.append(f"d must be an integer >= 3, got {d!r}")
+        if not is_int(d) or not 3 <= d <= MAX_DEGREE:
+            problems.append(f"d must be an integer in 3..{MAX_DEGREE}, got {d!r}")
             d = 3
 
         trials = obj.get("trials")
@@ -376,11 +370,6 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute the job: every trial simulates the snapshots once and runs
     every estimator on them."""
     start = time.perf_counter()
-
-    hop = None
-    if any(ESTIMATORS[s.method].needs_hop for s in config.estimators):
-        hop = hop_distribution(config.protocol, hop_horizon(config.times))
-
     runners = [ESTIMATORS[s.method].estimate for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
     protocol = config.protocol
@@ -402,7 +391,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         for j, estimate in enumerate(runners):
             reseed(_fold(trial, ESTIMATOR_STREAM + j))
             try:
-                est = estimate(snaps, hop, protocol, rng)
+                est = estimate(snaps, protocol, rng)
             except ValueError:
                 tallies[j][1] += 1
                 continue

@@ -6,9 +6,10 @@ estimator's deterministic candidate core on the joint outcomes, and
 integrate the uniform tie-break analytically (a candidate set C contributes
 [origin in C] / |C|).  With a built-in protocol the sum runs in integers
 and ends in one exact Fraction; table protocols fall back to floats.  The
-probability of each single outcome is read from the protocol module's
-single-snapshot law (``HopDistribution.snapshot_weights``); the oracle only
-spreads it over the labels at each hop.
+probability of each single outcome is read from the protocol's
+single-snapshot law (``Protocol.snapshot_weights``); the oracle only
+spreads it over the labels at each hop.  The protocol keeps its hop rows,
+so a protocol reused across calls runs the hop recurrence once.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from adl.diffusion import Snapshot
 from adl.estimators import estimator_for
-from adl.protocol import HopDistribution, Protocol, hop_distribution, hop_horizon
+from adl.protocol import Protocol
 from adl.tree import SOURCE, sphere_size
 
 DEFAULT_BUDGET = 10_000_000
@@ -48,21 +49,21 @@ def _check_time(t: int) -> None:
         raise ValueError(f"observation time must be >= 1, got {t}")
 
 
-def _law(protocol: Protocol, hop: HopDistribution, t: int) -> list:
+def _law(protocol: Protocol, t: int) -> list:
     """The law of one diffusion observed at time t, as rows (depth, moved,
     probability of each single outcome at that depth).
 
     An outcome is identified by the label of vs_t; when the virtual source
     moved, vs_{t-1} is that label's parent (at t = 1, the origin).  Each row
-    spreads a ``hop.snapshot_weights`` entry evenly over the d (d-1)^(h-1)
+    spreads a ``protocol.snapshot_weights`` entry evenly over the d (d-1)^(h-1)
     labels at its depth; at odd t the stayed row at hop h comes before the
     moved row at h + 1.  Rows of probability zero are left out.
     """
     d = protocol.d
     if t == 1:
-        return [(1, True, (Fraction(1) if hop.exact else 1.0) / d)]
-    stayed = hop.snapshot_weights(protocol, t, ball=True)
-    moved = hop.snapshot_weights(protocol, t, ball=False) if t % 2 else [0] * len(stayed)
+        return [(1, True, (Fraction(1) if protocol.exact else 1.0) / d)]
+    stayed = protocol.snapshot_weights(t, ball=True)
+    moved = protocol.snapshot_weights(t, ball=False) if t % 2 else [0] * len(stayed)
     rows = []
     for h, (s, m) in enumerate(zip(stayed, moved), start=1):
         rows += [(h, False, s / sphere_size(d, h)), (h + 1, True, m / sphere_size(d, h + 1))]
@@ -138,8 +139,7 @@ def exact_success(
         _check_time(t)
 
     exact = protocol.exact
-    hop = hop_distribution(protocol, hop_horizon(times), exact=exact)
-    laws = [_law(protocol, hop, t) for t in times]
+    laws = [_law(protocol, t) for t in times]
     dens = []
     if exact:  # integer numerators over each law's common denominator
         dens = [lcm(*(p.denominator for _, _, p in law)) for law in laws]
@@ -149,7 +149,7 @@ def exact_success(
     hits: dict = {}  # q -> summed weight of the candidate sets with 1/q mass on the origin
 
     def visit(snaps, weight):
-        sets = info.candidates(snaps, hop, protocol)
+        sets = info.candidates(snaps, protocol)
         for cands in sets:
             if cands.contains(SOURCE):
                 q = len(sets) * cands.size()

@@ -19,10 +19,13 @@ All built-in alphas are rational, so the hop distribution p(t, h) = P(h_t = h)
 can be carried both as exact fractions and as floats; table-backed protocols
 (loaded from CSV) are float-only.
 
-This module holds the single-snapshot law, written once: ``_split`` divides
-the hop masses at even t into stayed (p alpha) and moved (p (1 - alpha)), and
-the hop recurrence, ``HopDistribution.snapshot_weights``, the likelihood
-estimators and the exact oracle all read it.
+A protocol owns its hop law and the single-snapshot law, each written once
+and kept on the instance: ``Protocol.hop_row`` runs the hop recurrence,
+``Protocol._split`` divides the hop masses at even t into stayed (p alpha)
+and moved (p (1 - alpha)), and ``Protocol.snapshot_weights`` gives a time-t
+snapshot's per-hop weights, which ``stay_probability_at``, the likelihood
+estimators and the exact oracle all read.  ``hop_distribution`` copies the
+rows into a horizon-checked table for dumps and checks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 from adl.tree import ball_size, check_degree
 
@@ -107,8 +110,9 @@ def local_hop_target(gamma: Union[float, str, Fraction], t: int) -> int:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Degree + alpha table.  Query outside the domain (odd t, h out of range,
-    or beyond a table's horizon) is an error, never a default."""
+    """Degree + alpha table, and the hop law the table fixes.  Query outside
+    the domain (odd t, h out of range, or beyond a table's horizon) is an
+    error, never a default."""
 
     d: int
     name: str
@@ -117,6 +121,12 @@ class Protocol:
     exact: bool = True  # whether _alpha returns exact rationals
     # even t -> [unused, alpha(t, 1), ..., alpha(t, t/2)], filled by alpha_rows
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # entry t/2 - 1 -> [p(t, 1), ..., p(t, t/2)], filled by hop_row
+    _hops: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # (t, ball) -> per-hop likelihood row, filled by the estimators
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # even t -> mle_success_probability(t), kept on first use
+    _success: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_degree(self.d)
@@ -155,6 +165,57 @@ class Protocol:
         if not 0 <= a <= 1:
             raise ValueError(f"alpha({t},{h}) = {a} outside [0, 1]")
         return a
+
+    def hop_row(self, t: int) -> list:
+        """p(t, h) = P(h_t = h) at even t >= 2, entry h - 1, exact when this
+        protocol is.  p(2, 1) = 1 (the first step is forced) and
+
+            p(t+2, h) = alpha(t, h) p(t, h) + (1 - alpha(t, h-1)) p(t, h-1),
+
+        with p(t, h) = 0 outside 1 <= h <= t/2, so alpha is never queried
+        outside its domain.  Rows are computed in increasing t on first
+        request and kept on this instance, like :meth:`alpha_rows`; the list
+        returned is the kept row itself.
+        """
+        if t < 2 or t % 2:
+            raise ValueError(f"hop distribution is defined at even t >= 2, got {t}")
+        hops = self._hops
+        if not hops:
+            hops.append([Fraction(1) if self.exact else 1.0])
+        while len(hops) < t // 2:
+            stayed, moved = self._split(hops[-1], 2 * len(hops))
+            hops.append(list(map(add, stayed + [0], [0] + moved)))
+        return hops[t // 2 - 1]
+
+    def _split(self, row: list, t: int) -> tuple:
+        """The hop masses ``row[h - 1] = p(t, h)`` at even t split by the step
+        after t: (stayed, moved) = (p alpha(t, h), p (1 - alpha(t, h)))."""
+        get_alpha = self.alpha_exact if self.exact else self.alpha
+        alphas = [get_alpha(t, h) for h in range(1, len(row) + 1)]
+        return [p * a for p, a in zip(row, alphas)], [p * (1 - a) for p, a in zip(row, alphas)]
+
+    def snapshot_weights(self, t: int, ball: bool) -> list:
+        """Per-hop weights of a time-t snapshot, entry h - 1 for hop h: p(t, h)
+        at even t; at odd t the stayed (``ball``) or moved half of p(t-1, h),
+        whose vs_t is at hop h + 1.  Exact when this protocol is; a new list
+        on every call."""
+        t_eff = even_floor(t)
+        if t_eff < 2:
+            raise ValueError(f"snapshot at t={t} is too early for likelihood inference")
+        row = self.hop_row(t_eff)
+        if t == t_eff:
+            return row[:]
+        return self._split(row, t_eff)[0 if ball else 1]
+
+    def mle_success_probability(self, t: int):
+        """max_h p(t, h) / (d (d-1)^(h-1)): single-snapshot MLE hit rate at even t."""
+        value = self._success.get(t)
+        if value is None:
+            d = self.d
+            value = self._success[t] = max(
+                p / (d * (d - 1) ** h) for h, p in enumerate(self.hop_row(t))
+            )
+        return value
 
 
 def uniform_protocol(d: int) -> Protocol:
@@ -273,14 +334,6 @@ def protocol_from_spec(d: int, spec: dict) -> Protocol:
     raise ValueError(f"unknown protocol {name!r} (known: {', '.join(PROTOCOLS)})")
 
 
-def _split(row: list, protocol: Protocol, t: int, exact: bool) -> tuple:
-    """The hop masses ``row[h - 1] = p(t, h)`` at even t split by the step
-    after t: (stayed, moved) = (p alpha(t, h), p (1 - alpha(t, h)))."""
-    get_alpha = protocol.alpha_exact if exact else protocol.alpha
-    alphas = [get_alpha(t, h) for h in range(1, len(row) + 1)]
-    return [p * a for p, a in zip(row, alphas)], [p * (1 - a) for p, a in zip(row, alphas)]
-
-
 @dataclass(frozen=True)
 class HopDistribution:
     """p(t, h) = P(h_t = h) for even 2 <= t <= t_max, 1 <= h <= t/2.
@@ -295,10 +348,6 @@ class HopDistribution:
     t_max: int
     _table: dict = field(repr=False)  # (t, h) -> Fraction or float
     exact: bool = True
-    # (protocol, t, ball) -> per-hop likelihood row, filled by the estimators
-    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # t -> mle_success_probability(t), kept on first use
-    _success: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check_t(self, t: int) -> None:
         if t < 2 or t % 2:
@@ -329,32 +378,11 @@ class HopDistribution:
         self._check_t(t)
         return sum(h * self._table[(t, h)] for h in self.support(t))
 
-    def mle_success_probability(self, t: int):
-        """max_h p(t, h) / (d (d-1)^(h-1)): single-snapshot MLE hit rate at even t."""
-        value = self._success.get(t)
-        if value is None:
-            d = self.d
-            value = self._success[t] = max(
-                self._table[(t, h)] / (d * (d - 1) ** (h - 1)) for h in self.support(t)
-            )
-        return value
-
-    def snapshot_weights(self, protocol: Protocol, t: int, ball: bool) -> list:
-        """Per-hop weights of a time-t snapshot, entry h - 1 for hop h: p(t, h)
-        at even t; at odd t the stayed (``ball``) or moved half of p(t-1, h),
-        whose vs_t is at hop h + 1.  Exact when this table and the protocol are."""
-        t_eff = even_floor(t)
-        if t_eff < 2:
-            raise ValueError(f"snapshot at t={t} is too early for likelihood inference")
-        exact = self.exact and protocol.exact
-        p = self.p_exact if exact else self.p
-        row = [p(t_eff, h) for h in range(1, t_eff // 2 + 1)]
-        if t == t_eff:
-            return row
-        return _split(row, protocol, t_eff, exact)[0 if ball else 1]
-
     def to_csv(self, exact: bool = False) -> str:
-        """Dump as ``t,h,p`` rows; with exact=True p is a rational string."""
+        """Dump as ``t,h,p`` rows; with exact=True p is a rational string,
+        which only a table built from an exact protocol can give."""
+        if exact and not self.exact:
+            raise ValueError(f"protocol {self.protocol!r} cannot provide exact alphas")
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["t", "h", "p"])
@@ -371,60 +399,36 @@ def even_floor(t: int) -> int:
     return t - t % 2
 
 
-def hop_horizon(times: Iterable[int]) -> int:
-    """Even horizon of the hop table that snapshots at ``times`` need (at least 2)."""
-    return max([2] + [even_floor(t) for t in times])
-
-
 def check_horizon(T: int) -> None:
     """Reject a hop-table horizon that is not an even integer >= 2."""
     if T < 2 or T % 2:
         raise ValueError(f"horizon must be an even integer >= 2, got {T}")
 
 
-def hop_distribution(protocol: Protocol, T: int, exact: Optional[bool] = None) -> HopDistribution:
-    """Run the hop recurrence up to even horizon T.
-
-    p(2, 1) = 1 (the first step is forced to a neighbor of the origin) and
-
-        p(t+2, h) = alpha(t, h) p(t, h) + (1 - alpha(t, h-1)) p(t, h-1),
-
-    with p(t, h) = 0 outside 1 <= h <= t/2.  The recurrence never queries
-    alpha outside its domain.
-    """
+def hop_distribution(protocol: Protocol, T: int) -> HopDistribution:
+    """The protocol's hop law p(t, h) (:meth:`Protocol.hop_row`) as a table
+    for every even t up to the even horizon T; exact when the protocol is."""
     check_horizon(T)
     if protocol.t_max is not None and T - 2 > protocol.t_max:
         raise ValueError(
             f"horizon {T} needs alpha up to t={T - 2} but the protocol stops at {protocol.t_max}"
         )
-    use_exact = protocol.exact if exact is None else exact
-    if use_exact and not protocol.exact:
-        raise ValueError(f"protocol {protocol.name!r} cannot provide exact alphas")
-
-    table: dict = {(2, 1): Fraction(1) if use_exact else 1.0}
-    for t in range(2, T, 2):
-        row = [table[(t, h)] for h in range(1, t // 2 + 1)]
-        stayed, moved = _split(row, protocol, t, use_exact)
-        for h, mass in enumerate(map(add, stayed + [0], [0] + moved), start=1):
-            table[(t + 2, h)] = mass
+    table = {(t, h): p for t in range(2, T + 1, 2)
+             for h, p in enumerate(protocol.hop_row(t), start=1)}
     return HopDistribution(
-        d=protocol.d,
-        protocol=protocol.name,
-        t_max=T,
-        _table=table,
-        exact=use_exact,
+        d=protocol.d, protocol=protocol.name, t_max=T, _table=table, exact=protocol.exact
     )
 
 
-def stay_probability_at(protocol: Protocol, t_odd: int, hop: HopDistribution):
+def stay_probability_at(protocol: Protocol, t_odd: int):
     """P(the time-t_odd snapshot is a ball) = sum_h p(t_odd - 1, h) alpha(t_odd - 1, h).
 
-    Exact when the hop table and the protocol are (the uniform protocol
-    gives exactly 1/2 for every odd t >= 3).
+    Exact when the protocol is (the uniform protocol gives exactly 1/2 for
+    every odd t >= 3).
     """
     if t_odd < 3 or t_odd % 2 == 0:
         raise ValueError(f"odd t >= 3 required, got {t_odd}")
-    return sum(hop.snapshot_weights(protocol, t_odd, ball=True))
+    return sum(protocol.snapshot_weights(t_odd, ball=True))
 
 
 def infected_count_even(d: int, t: int) -> int:

@@ -27,11 +27,15 @@ Label = tuple  # tuple[int, ...]; alias kept loose for 3.10-friendly hot paths
 
 SOURCE: Label = ()
 
+MAX_DEGREE = 1_000  # largest tree degree: a neighbour list is built whole
+
 
 def check_degree(d: int) -> None:
-    """Reject a tree degree below 3."""
+    """Reject a tree degree below 3 or above MAX_DEGREE."""
     if d < 3:
         raise ValueError(f"degree must be >= 3, got {d}")
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {d}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ criteria run in rational arithmetic with zero tolerance.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -57,7 +58,7 @@ def test_criterion_01_uniform_hop_law():
     ok = True
     for d in (3, 4, 5):
         exact = hop_distribution(uniform_protocol(d), 60)
-        approx = hop_distribution(uniform_protocol(d), 60, exact=False)
+        approx = hop_distribution(replace(uniform_protocol(d), exact=False), 60)
         for t in range(2, 61, 2):
             for h in exact.support(t):
                 ok &= exact.p_exact(t, h) == Fraction(2, t)
@@ -68,12 +69,13 @@ def test_criterion_01_uniform_hop_law():
 def test_criterion_02_perfect_obfuscation():
     ok = True
     for d in (3, 4, 5):
-        hop = hop_distribution(perfect_protocol(d), 30)
+        proto = perfect_protocol(d)
+        hop = hop_distribution(proto, 30)
         for t in range(2, 31, 2):
             n_t = infected_count_even(d, t)
             for h in hop.support(t):
                 ok &= hop.p_exact(t, h) * (n_t - 1) == d * (d - 1) ** (h - 1)
-            ok &= hop.mle_success_probability(t) == Fraction(1, n_t - 1)
+            ok &= proto.mle_success_probability(t) == Fraction(1, n_t - 1)
     assert report(
         "2. perfect protocol: p(t,h)(N_t - 1) = d(d-1)^(h-1) and MLE = 1/(N_t-1), t <= 30", ok
     )
@@ -81,9 +83,8 @@ def test_criterion_02_perfect_obfuscation():
 
 def test_criterion_03_stay_probability_half():
     uni = uniform_protocol(3)
-    hop = hop_distribution(uni, 40)
     ok = all(
-        stay_probability_at(uni, t_odd, hop) == Fraction(1, 2)
+        stay_probability_at(uni, t_odd) == Fraction(1, 2)
         for t_odd in range(5, 42, 2)
     )
     assert report("3. uniform stay probability = 1/2 exactly, odd t in 5..41", ok)
@@ -195,7 +196,6 @@ def test_criterion_09_oracle_equalities():
 def test_criterion_10_generic_mle_equals_case_dispatch():
     per_parity = 10_000
     rng = random.Random(314159)
-    hops = {d: hop_distribution(uniform_protocol(d), 12) for d in (3, 4, 5)}
     protos = {d: uniform_protocol(d) for d in (3, 4, 5)}
     even_times = [4, 6, 8, 10, 12]
     odd_times = [5, 7, 9, 11, 13]
@@ -208,7 +208,7 @@ def test_criterion_10_generic_mle_equals_case_dispatch():
             t1, t2 = rng.choice(r1), rng.choice(r2)
             s1 = simulate(protos[d], t1, derive_seed(1011, parity_idx, n, 0)).snapshot_at(t1)
             s2 = simulate(protos[d], t2, derive_seed(1011, parity_idx, n, 1)).snapshot_at(t2)
-            a, _ = generic_mle_candidates([s1, s2], hops[d], protos[d])
+            a, _ = generic_mle_candidates([s1, s2], protos[d])
             b, _ = uniform_mle_cases_candidates(s1, s2)
             mismatches += a.members != b.members
     assert report(
@@ -221,7 +221,6 @@ def test_criterion_10_generic_mle_equals_case_dispatch():
 def test_criterion_11_local_spreading_protocol():
     d, gamma = 3, 0.5
     proto = local_spreading_protocol(d, gamma)
-    hop = hop_distribution(proto, 40)
     ok_h = True
     for seed in range(200):
         tr = simulate(proto, 40, seed=derive_seed(1012, seed))
@@ -235,7 +234,7 @@ def test_criterion_11_local_spreading_protocol():
     ok_mle = True
     for t in range(6, 41, 2):
         h_t = local_hop_target(gamma, t)
-        p_mle = hop.mle_success_probability(t)
+        p_mle = proto.mle_success_probability(t)
         ok_mle &= p_mle == Fraction(1, d * (d - 1) ** (h_t - 1))
         ok_mle &= float(p_mle) <= 2 * (d - 1) / infected_count_even(d, t) ** gamma
     report("11a. local protocol: h_t = floor(gamma t/2) on every trajectory", ok_h)
@@ -257,7 +256,7 @@ def test_criterion_12_radius_bound_from_dp():
             gammas = (0.25, 0.5, 0.75) if not proto.name.startswith("local") else (0.5,)
             for gamma in gammas:
                 for t in range(2, 41, 2):
-                    p_mle = float(hop.mle_success_probability(t))
+                    p_mle = float(proto.mle_success_probability(t))
                     c_tight = p_mle * infected_count_even(d, t) ** gamma
                     bound = cf.radius_upper_from_obfuscation(d, t, gamma, c_tight).value
                     mean_radius = t / 2 - float(hop.mean_h(t))

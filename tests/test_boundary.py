@@ -124,6 +124,8 @@ def with_snapshot(**changes):
     ([SNAPSHOTS[0]], "must be a JSON object"),
     (with_snapshot(d=2), "degree must be >= 3"),
     (with_snapshot(vs_now="/3"), "out of range for d=3"),
+    # a huge degree is well formed but a neighbour list is built whole: it is capped
+    (with_snapshot(d=10 ** 8), "degree must be at most 1000, got 100000000"),
 ])
 def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     with pytest.raises(ValueError, match=token):
@@ -143,6 +145,7 @@ def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     # a huge time is well formed but asks for unbounded work: it is capped
     ([with_snapshot(t=10 ** 12), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
     ([with_snapshot(t=10 ** 400), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
+    ([with_snapshot(d=10 ** 8), SNAPSHOTS[1]], "degree must be at most 1000, got 100000000"),
 ])
 def test_estimate_rejects_malformed_snapshot_file(doc, token):
     assert_usage_error(estimate(doc), token)
@@ -186,6 +189,11 @@ def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):
      "-T must be at most 1000, got 10"),
     (["protocol-dump", "--d", "3", "--protocol", "uniform", "-T", str(10 ** 12)],
      "-T must be at most 1000, got 1000000000000"),
+    # a huge degree asks for one label per neighbour of a vertex: it is capped
+    (["simulate", "--d", str(10 ** 8), "--protocol", "uniform", "-t", "2"],
+     "degree must be at most 1000, got 100000000"),
+    (["estimate", "--d", str(10 ** 8), "--protocol", "uniform", "--snapshots", "snaps.json",
+      "--method", "two-obs-path"], "degree must be at most 1000, got 100000000"),
 ])
 def test_cli_rejects_malformed_flags(argv, token):
     assert_usage_error(run_main(argv), token)
@@ -194,6 +202,11 @@ def test_cli_rejects_malformed_flags(argv, token):
 def test_cli_accepts_a_time_at_the_cap():
     code, out, _ = run_main(["simulate", "--d", "3", "--protocol", "uniform", "-t", "1000"])
     assert code == 0 and len(json.loads(out)["vs"]) == 1001
+
+
+def test_cli_accepts_a_degree_at_the_cap():
+    code, out, _ = run_main(["simulate", "--d", "1000", "--protocol", "uniform", "-t", "4"])
+    assert code == 0 and len(json.loads(out)["vs"]) == 5
 
 
 def test_trajectory_from_json_validates_fields():
@@ -279,6 +292,9 @@ def cases_with(**entry):
     # so is a huge trial count: at most 10**8 walks, trials * len(times)
     (config_with(trials=10 ** 400), "must be at most 100000000 walks"),
     (config_with(trials=10 ** 8 // 2 + 1), "2 times allow at most 50000000 trials"),
+    # and so is a huge degree
+    (config_with(d=10 ** 8), "d must be an integer in 3..1000, got 100000000"),
+    (config_with(d=1001), "d must be an integer in 3..1000, got 1001"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

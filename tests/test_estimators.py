@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -88,7 +89,7 @@ def test_explicit_candidates_reject_empty():
 
 def test_single_mle_uniform_prefers_hop_one():
     s = snap(3, 10, (0, 1, 0), (0, 1, 0))
-    cands, diag = single_mle_candidates(s, HOP3, UNI3)
+    cands, diag = single_mle_candidates(s, UNI3)
     assert diag["h_star"] == [1]
     assert cands.size() == 3
     assert diag["success_probability"] == pytest.approx(2 / (10 * 3))
@@ -96,9 +97,8 @@ def test_single_mle_uniform_prefers_hop_one():
 
 def test_single_mle_perfect_ties_everything():
     per = perfect_protocol(3)
-    hop = hop_distribution(per, 6)
     s = snap(3, 6, (0, 1, 0), (0, 1, 0))
-    cands, diag = single_mle_candidates(s, hop, per)
+    cands, diag = single_mle_candidates(s, per)
     assert diag["h_star"] == [1, 2, 3]
     assert cands.size() == 21  # N_6 - 1: every infected non-center vertex
     assert diag["success_probability"] == pytest.approx(1 / 21)
@@ -107,26 +107,25 @@ def test_single_mle_perfect_ties_everything():
 
 def test_single_mle_local_protocol_is_point_mass():
     proto = local_spreading_protocol(3, 0.5)
-    hop = hop_distribution(proto, 10)
     s = snap(3, 10, (0, 1), (0, 1))
-    cands, diag = single_mle_candidates(s, hop, proto)
+    cands, diag = single_mle_candidates(s, proto)
     assert diag["h_star"] == [2]
     assert diag["success_probability"] == pytest.approx(1 / (3 * 2))
 
 
 def test_single_mle_odd_ball_and_nonball():
     s_ball = snap(3, 7, (2, 0), (2, 0))
-    cands, diag = single_mle_candidates(s_ball, HOP3, UNI3)
+    cands, diag = single_mle_candidates(s_ball, UNI3)
     assert diag["ball"] is True
     # uniform: p(6,h) alpha(6,h) / (d (d-1)^(h-1)) is maximized at h = 1
     assert diag["h_star"] == [1]
     assert cands.size() == 3
     s_edge = snap(3, 7, (2, 0), (2, 0, 1))
-    cands, diag = single_mle_candidates(s_edge, HOP3, UNI3)
+    cands, diag = single_mle_candidates(s_edge, UNI3)
     # uniform: p (1 - alpha) / (d (d-1)^(h-1)) = const * h / (d-1)^h; h=1,2 tie at d=3
     assert diag["h_star"] == [1, 2]
     assert cands.size() == 2 * 2 + 2 * 4
-    chosen = single_mle(s_edge, HOP3, UNI3, random.Random(0)).chosen
+    chosen = single_mle(s_edge, UNI3, random.Random(0)).chosen
     assert cands.contains(chosen)
 
 
@@ -135,7 +134,7 @@ def test_single_mle_chosen_lies_on_the_shell():
     for seed in range(30):
         tr = simulate(UNI3, 12, seed=seed)
         s = tr.snapshot_at(12)
-        est = single_mle(s, HOP3, UNI3, rng)
+        est = single_mle(s, UNI3, rng)
         assert est.candidates.contains(est.chosen)
         assert distance(est.chosen, s.vs_now) in est.diagnostics["h_star"]
 
@@ -145,7 +144,7 @@ def test_single_mle_brute_force_argmax_small():
     for seed in range(40):
         t = 6 + 2 * (seed % 3)
         s = simulate(UNI3, t, seed=seed).snapshot_at(t)
-        cands, _ = single_mle_candidates(s, HOP3, UNI3)
+        cands, _ = single_mle_candidates(s, UNI3)
         scores = {}
         for h in range(1, t // 2 + 1):
             w = HOP3.p_exact(t, h) / (3 * 2 ** (h - 1))
@@ -356,12 +355,12 @@ def test_k_obs_runs_through_public_interface():
 
 def test_generic_mle_single_snapshot_matches_single_mle():
     per3 = perfect_protocol(3)
-    for proto, hop in ((UNI3, HOP3), (per3, hop_distribution(per3, 12))):
+    for proto in (UNI3, per3):
         for seed in range(60):
             t = (6, 8, 10, 12)[seed % 4]
             s = simulate(proto, t, seed=seed).snapshot_at(t)
-            shell, diag1 = single_mle_candidates(s, hop, proto)
-            explicit, diag = generic_mle_candidates([s], hop, proto)
+            shell, diag1 = single_mle_candidates(s, proto)
+            explicit, diag = generic_mle_candidates([s], proto)
             # same argmax hops: every generic candidate sits on a winning shell
             assert all(shell.contains(v) for v in explicit.members)
             want = set()
@@ -375,7 +374,7 @@ def test_generic_mle_single_snapshot_matches_single_mle():
 def test_generic_mle_even_even_equals_path_minimizer():
     s1 = snap(3, 8, (0, 0), (0, 0))
     s2 = snap(3, 10, (1, 0, 0), (1, 0, 0))
-    cands, _ = generic_mle_candidates([s1, s2], HOP3, UNI3)
+    cands, _ = generic_mle_candidates([s1, s2], UNI3)
     path_set, _ = two_obs_path_candidates(s1, s2)
     assert cands.members == path_set.members
 
@@ -383,7 +382,7 @@ def test_generic_mle_even_even_equals_path_minimizer():
 def test_generic_mle_coincident_edges_d3_twelve_way_tie():
     s1 = snap(3, 5, (0,), (0, 0))
     s2 = snap(3, 5, (0,), (0, 0))
-    cands, _ = generic_mle_candidates([s1, s2], HOP3, UNI3)
+    cands, _ = generic_mle_candidates([s1, s2], UNI3)
     assert cands.size() == 12
     assert cands.members == shell_members(3, [(0,), (0, 0)], 1) | shell_members(
         3, [(0,), (0, 0)], 2
@@ -398,13 +397,12 @@ def test_generic_mle_empty_domain_falls_back():
     # virtual sources sit at odd distance, so no vertex can have X1 = X2 = 2:
     # every candidate has zero likelihood
     proto = local_spreading_protocol(3, 0.5)
-    hop = hop_distribution(proto, 10)
     s1 = snap(3, 10, (0,), (0,))
     s2 = snap(3, 10, (0, 0, 1, 0), (0, 0, 1, 0))
-    cands, diag = generic_mle_candidates([s1, s2], hop, proto)
+    cands, diag = generic_mle_candidates([s1, s2], proto)
     assert diag["fallback"]
     assert cands.members == {(), (0, 0), (0, 1)}
-    est = generic_mle([s1, s2], hop, proto, random.Random(0))
+    est = generic_mle([s1, s2], proto, random.Random(0))
     assert est.diagnostics["fallback"]
 
 
@@ -468,7 +466,7 @@ def test_generic_mle_equals_brute_force(name, d):
             sample_snapshot(proto, t, derive_seed(32, d, n, i)) for i, t in enumerate(times)
         ]
         want, feasible = _brute_force_generic_mle(snaps, hop, proto)
-        got, diag = generic_mle_candidates(snaps, hop, proto)
+        got, diag = generic_mle_candidates(snaps, proto)
         assert diag["feasible_count"] == feasible, (name, d, times)
         assert diag["fallback"] == (want is None), (name, d, times)
         if want is not None:
@@ -482,24 +480,24 @@ def test_generic_mle_skips_the_empty_pieces_of_interior_core_vertices():
     snaps = [snap(3, 8, v, v) for v in [(0, 0), (0,), (0, 0, 0), (0, 0, 1)]]
     hop = hop_distribution(UNI3, 8)
     want, feasible = _brute_force_generic_mle(snaps, hop, UNI3)
-    got, diag = generic_mle_candidates(snaps, hop, UNI3)
+    got, diag = generic_mle_candidates(snaps, UNI3)
     assert got.members == want and diag["feasible_count"] == feasible
     assert not diag["fallback"]
 
 
-def reference_generic_mle_candidates(snaps, hop, protocol):
+def reference_generic_mle_candidates(snaps, protocol):
     """The joint-MLE core as first written: the Steiner core built as a set,
     a distance() call per core vertex and snapshot, pieces grouped in a dict
     keyed by hop vector, and the winners listed by a walk off the core set."""
     d = _check_common(snaps)
-    exact = hop.exact and protocol.exact
+    exact = protocol.exact
 
     per_snap = []  # (virtual sources, per-hop row) of each snapshot
     all_vs = []
     for s in snaps:
         vs = s.virtual_sources()
         all_vs.extend(vs)
-        per_snap.append((vs, _hop_scores(s, hop, protocol)))
+        per_snap.append((vs, _hop_scores(s, protocol)))
 
     # Every virtual source lies on the core, so a vertex at outward depth r
     # from core vertex c has hop vector x(c) + r.  Each piece (c, r) thus has
@@ -563,9 +561,9 @@ def _reference_outward(d, core, c, r):
     return [v for _, v in layer]
 
 
-def _assert_same_as_reference(snaps, hop, proto, why):
-    got, diag = generic_mle_candidates(snaps, hop, proto)
-    want, want_diag = reference_generic_mle_candidates(snaps, hop, proto)
+def _assert_same_as_reference(snaps, proto, why):
+    got, diag = generic_mle_candidates(snaps, proto)
+    want, want_diag = reference_generic_mle_candidates(snaps, proto)
     assert got == want, why
     assert list(diag.items()) == list(want_diag.items()), why
     return got, diag
@@ -581,8 +579,8 @@ ZERO_ONE_TABLE = "t,h,alpha\n" + "".join(
 
 def generic_mle_reference_grid():
     """10,080 seeded inputs: d in {3, 4, 5}; uniform, perfect and local(1/2)
-    under exact and float hop tables, and a table with 0 and 1 alphas; k in
-    1..4 snapshots at times in 2..14.  Yields (snapshots, hop, protocol, why)."""
+    exact and on their float twins, and a table with 0 and 1 alphas; k in
+    1..4 snapshots at times in 2..14.  Yields (snapshots, protocol, why)."""
     for d in (3, 4, 5):
         protocols = [
             (uniform_protocol(d), (True, False)),
@@ -592,7 +590,7 @@ def generic_mle_reference_grid():
         ]
         for p, (proto, modes) in enumerate(protocols):
             for exact in modes:
-                hop = hop_distribution(proto, 14, exact=exact)
+                scored = proto if exact else replace(proto, exact=False)
                 rng = random.Random(derive_seed(61, d, p, exact))
                 for n in range(480):
                     times = [rng.randint(2, 14) for _ in range(1 + n % 4)]
@@ -600,13 +598,13 @@ def generic_mle_reference_grid():
                         sample_snapshot(proto, t, derive_seed(62, d, p, exact, n, i))
                         for i, t in enumerate(times)
                     ]
-                    yield snaps, hop, proto, (d, proto.name, exact, n, times)
+                    yield snaps, scored, (d, proto.name, exact, n, times)
 
 
 def test_generic_mle_equals_the_piece_dict_reference():
     count = 0
-    for snaps, hop, proto, why in generic_mle_reference_grid():
-        _assert_same_as_reference(snaps, hop, proto, why)
+    for snaps, proto, why in generic_mle_reference_grid():
+        _assert_same_as_reference(snaps, proto, why)
         count += 1
     assert count >= 10_000
 
@@ -637,7 +635,7 @@ def test_generic_mle_reference_edge_cases(case):
     snaps = [snap(proto.d, t, prev, now) for (prev, now), t in zip(pairs, times)]
     for exact in (True, False):
         got, diag = _assert_same_as_reference(
-            snaps, hop_distribution(proto, 14, exact=exact), proto, (case, exact)
+            snaps, proto if exact else replace(proto, exact=False), (case, exact)
         )
         assert diag["exact"] is exact and diag["fallback"] is (case == "fallback")
         if case == "core-through-the-origin":
@@ -645,13 +643,13 @@ def test_generic_mle_reference_edge_cases(case):
 
 
 def test_generic_mle_float_mode_matches_exact_mode():
-    hop_f = hop_distribution(UNI3, 14, exact=False)
+    uni3_f = replace(UNI3, exact=False)
     for seed in range(80):
         t1, t2 = (8, 9, 12, 13)[seed % 4], (4, 5, 6, 7)[(seed // 4) % 4]
         s1 = simulate(UNI3, t1, seed=derive_seed(5, seed, 0)).snapshot_at(t1)
         s2 = simulate(UNI3, t2, seed=derive_seed(5, seed, 1)).snapshot_at(t2)
-        a, _ = generic_mle_candidates([s1, s2], HOP3, UNI3)
-        b, _ = generic_mle_candidates([s1, s2], hop_f, UNI3)
+        a, _ = generic_mle_candidates([s1, s2], UNI3)
+        b, _ = generic_mle_candidates([s1, s2], uni3_f)
         assert a.members == b.members
 
 
@@ -693,7 +691,7 @@ def test_hop_scores_order_and_tie_like_the_rational_scores(name, d):
     }[name](d)
     hop = hop_distribution(proto, 20)
     for s in _row_snapshots(d):
-        row, old = _hop_scores(s, hop, proto), _old_hop_terms(s, hop, proto, True)
+        row, old = _hop_scores(s, proto), _old_hop_terms(s, hop, proto, True)
         assert all(type(v) is int and v >= 0 for v in row), (s.t, s.is_ball)
         # one positive factor scales every entry, so zeros stay zeros and
         # any product of rows orders and ties like the Fraction product
@@ -717,7 +715,7 @@ def test_float_hop_scores_equal_the_old_log_terms_bit_for_bit(d):
     hop = hop_distribution(proto, 20)
     seen_none = False
     for s in _row_snapshots(d):
-        row, old = _hop_scores(s, hop, proto), _old_hop_terms(s, hop, proto, False)
+        row, old = _hop_scores(s, proto), _old_hop_terms(s, hop, proto, False)
         assert [v if v is None else v.hex() for v in row] == [
             w if w is None else w.hex() for w in old
         ], (s.t, s.is_ball)
@@ -726,25 +724,25 @@ def test_float_hop_scores_equal_the_old_log_terms_bit_for_bit(d):
 
 
 def test_hop_rows_kept_on_a_long_lived_hop_change_no_result():
-    # one hop table serves many snapshots of two protocols; every call must
-    # match a fresh table's, which has no rows kept yet
-    perf3 = perfect_protocol(3)
-    hop = hop_distribution(UNI3, 14)
+    # two long-lived protocols serve many snapshots; every call must match
+    # a fresh protocol's, which has no rows kept yet
+    kept = (uniform_protocol(3), perfect_protocol(3))
     rng = random.Random(derive_seed(41))
     for n in range(120):
-        proto = (UNI3, perf3)[n % 2]
+        proto = kept[n % 2]
         times = [rng.randint(2, 14) for _ in range(1 + n % 3)]
         snaps = [
             sample_snapshot(proto, t, derive_seed(42, n, i)) for i, t in enumerate(times)
         ]
-        got = generic_mle_candidates(snaps, hop, proto)
-        assert got == generic_mle_candidates(snaps, hop_distribution(UNI3, 14), proto), times
+        got = generic_mle_candidates(snaps, proto)
+        assert got == generic_mle_candidates(snaps, replace(proto)), times
         for s in snaps:
-            got = single_mle_candidates(s, hop, proto)
-            assert got == single_mle_candidates(s, hop_distribution(UNI3, 14), proto), s
-    assert hop._scores and hop._success  # rows and MLE hit rates were kept
-    fresh = hop_distribution(UNI3, 14)
-    assert hop == fresh and repr(hop) == repr(fresh)
+            got = single_mle_candidates(s, proto)
+            assert got == single_mle_candidates(s, replace(proto)), s
+    for proto in kept:
+        assert proto._hops and proto._scores and proto._success  # rows and hit rates kept
+        fresh = replace(proto)
+        assert not fresh._hops and proto == fresh and repr(proto) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +790,7 @@ def test_cases_odd_odd_shared_edge_vertex():
     cands, diag = uniform_mle_cases_candidates(s1, s2)
     assert diag["case"] == "odd-odd-8(d=3)"
     assert cands.size() == 7
-    got, _ = generic_mle_candidates([s1, s2], HOP3, UNI3)
+    got, _ = generic_mle_candidates([s1, s2], UNI3)
     assert got.members == cands.members
 
 
@@ -812,7 +810,7 @@ def test_cases_odd_odd_d3_distance_two_exception():
     assert diag["case"] == "odd-odd-10(d=3,gap=2)"
     # w is the midpoint, w' its third neighbor: here the origin itself
     assert cands.members == {(0,), ()}
-    got, _ = generic_mle_candidates([s1, s2], HOP3, UNI3)
+    got, _ = generic_mle_candidates([s1, s2], UNI3)
     assert got.members == cands.members
 
 
@@ -831,7 +829,6 @@ def test_cases_match_generic_mle_randomized():
     # a randomized slice of the equivalence sweep (the full 10^4-per-parity
     # sweep runs in the acceptance suite)
     rng = random.Random(17)
-    hops = {d: hop_distribution(uniform_protocol(d), 12) for d in (3, 4, 5)}
     for trial in range(600):
         d = rng.choice([3, 4, 5])
         proto = uniform_protocol(d)
@@ -839,7 +836,7 @@ def test_cases_match_generic_mle_randomized():
         t2 = rng.choice([4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
         s1 = simulate(proto, t1, seed=derive_seed(6, trial, 0)).snapshot_at(t1)
         s2 = simulate(proto, t2, seed=derive_seed(6, trial, 1)).snapshot_at(t2)
-        a, _ = generic_mle_candidates([s1, s2], hops[d], proto)
+        a, _ = generic_mle_candidates([s1, s2], proto)
         b, _ = uniform_mle_cases_candidates(s1, s2)
         assert a.members == b.members, (d, t1, t2, s1, s2)
 
@@ -914,7 +911,6 @@ def test_relabelling_invariance_of_candidate_sets():
     for trial in range(40):
         d = (3, 4)[trial % 2]
         proto = uniform_protocol(d)
-        hop = hop_distribution(proto, 12)
         phi = make_automorphism(d, seed=trial)
         t1 = (4, 5, 8, 9)[trial % 4]
         t2 = (6, 7, 10, 12)[(trial + 1) % 4]
@@ -930,12 +926,12 @@ def test_relabelling_invariance_of_candidate_sets():
         b, _ = two_obs_path_candidates(m1, m2)
         assert {phi(v) for v in a.members} == b.members
 
-        a, _ = generic_mle_candidates([s1, s2], hop, proto)
-        b, _ = generic_mle_candidates([m1, m2], hop, proto)
+        a, _ = generic_mle_candidates([s1, s2], proto)
+        b, _ = generic_mle_candidates([m1, m2], proto)
         assert {phi(v) for v in a.members} == b.members
 
-        sh_a, da = single_mle_candidates(s1, hop, proto)
-        sh_b, db = single_mle_candidates(m1, hop, proto)
+        sh_a, da = single_mle_candidates(s1, proto)
+        sh_b, db = single_mle_candidates(m1, proto)
         assert da["h_star"] == db["h_star"]
         assert sh_a.size() == sh_b.size()
         assert sh_a.contains(SOURCE) == sh_b.contains(SOURCE)
@@ -953,18 +949,17 @@ def test_relabelling_invariance_of_candidate_sets():
             assert {phi(v) for v in ka.members} == kb.members
 
         for other in (perfect_protocol(d), local_spreading_protocol(d, 0.5)):
-            other_hop = hop_distribution(other, 12)
             o1, o2 = (sample_snapshot(other, t, derive_seed(9, trial, i))
                       for i, t in enumerate((t1, t2)))
             n1, n2 = _map_snapshot(phi, o1), _map_snapshot(phi, o2)
-            a, _ = generic_mle_candidates([o1, o2], other_hop, other)
-            b, _ = generic_mle_candidates([n1, n2], other_hop, other)
+            a, _ = generic_mle_candidates([o1, o2], other)
+            b, _ = generic_mle_candidates([n1, n2], other)
             assert {phi(v) for v in a.members} == b.members
             for o, n in ((o1, n1), (o2, n2)):
                 _assert_shells_correspond(
                     phi,
-                    single_mle_candidates(o, other_hop, other)[0],
-                    single_mle_candidates(n, other_hop, other)[0],
+                    single_mle_candidates(o, other)[0],
+                    single_mle_candidates(n, other)[0],
                 )
 
 

@@ -18,7 +18,7 @@ from adl.experiments import (
     run,
     wilson_interval,
 )
-from adl.protocol import hop_distribution, hop_horizon, uniform_protocol
+from adl.protocol import uniform_protocol
 from adl.tree import SOURCE
 
 
@@ -247,9 +247,6 @@ def reference_report(config):
     every estimator stream, and how often it saw an odd snapshot whose virtual
     source moved (a resolution draw) and a tie set of more than one vertex."""
     protocol = config.protocol
-    hop = None
-    if any(ESTIMATORS[spec.method].needs_hop for spec in config.estimators):
-        hop = hop_distribution(protocol, hop_horizon(config.times))
     tallies = [[0, 0] for _ in config.estimators]
     moved = ties = 0
     for n in range(config.trials):
@@ -259,7 +256,7 @@ def reference_report(config):
         for j, spec in enumerate(config.estimators):
             rng = random.Random(derive_seed(config.seed, n, ESTIMATOR_STREAM + j))
             try:
-                est = ESTIMATORS[spec.method].estimate(snaps, hop, protocol, rng)
+                est = ESTIMATORS[spec.method].estimate(snaps, protocol, rng)
             except ValueError:
                 tallies[j][1] += 1
                 continue

@@ -13,7 +13,6 @@ from adl.experiments import derive_seed
 from adl.protocol import (
     constant_protocol,
     hop_distribution,
-    hop_horizon,
     local_spreading_protocol,
     perfect_protocol,
     uniform_protocol,
@@ -40,7 +39,7 @@ def brute_force_success(estimator, protocol, times):
                 return Fraction(0) if exact else 0.0
             return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
 
-        sets = info.candidates(snaps, hop, protocol)
+        sets = info.candidates(snaps, protocol)
         if len(sets) == 1:  # no virtual-source draw to average over
             return hit(sets[0])
         w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
@@ -54,7 +53,6 @@ def brute_force_success(estimator, protocol, times):
          for (prev, now), p in walk_law(protocol, t).items()]
         for t in times
     ]
-    hop = hop_distribution(protocol, hop_horizon(times), exact=exact) if info.needs_hop else None
     total = Fraction(0) if exact else 0.0
     for combo in itertools.product(*singles):
         weight = math.prod(p for _, p in combo)
@@ -65,9 +63,8 @@ def brute_force_success(estimator, protocol, times):
 def law_outcomes(protocol, t):
     """``oracle._law`` expanded to one entry per single outcome,
     {(vs_prev, vs_now): probability}."""
-    hop = hop_distribution(protocol, hop_horizon([t]), exact=protocol.exact)
     return {(v[:-1] if moved else v, v): p
-            for h, moved, p in oracle._law(protocol, hop, t)
+            for h, moved, p in oracle._law(protocol, t)
             for v in labels_at_depth(protocol.d, h)}
 
 
@@ -131,6 +128,20 @@ def test_enumerate_odd_time_split():
     assert sum(ball.values()) == Fraction(1, 2)  # uniform stay probability
     assert sum(edge.values()) == Fraction(1, 2)
     assert all(now[:-1] == prev for prev, now in edge)
+
+
+def test_exact_success_on_a_reused_protocol_equals_a_fresh_ones():
+    # a protocol used before for other times and estimators keeps hop rows,
+    # score rows and MLE hit rates; a later call must still give the value
+    # a fresh protocol gives
+    for make in (uniform_protocol, perfect_protocol, nondyadic_table):
+        used = make(3)
+        for est, times in (("single_mle", (4,)), ("generic_mle", (5, 6)), ("single_mle", (7,))):
+            oracle.exact_success(est, used, times)
+        for est, times in (("single_mle", (6,)), ("generic_mle", (4, 7)), ("single_mle", (5,)),
+                           ("two_obs_path", (6, 6))):
+            assert oracle.exact_success(est, used, times) == oracle.exact_success(
+                est, make(3), times), (used.name, est, times)
 
 
 def test_exact_success_even_even_is_41_over_72():

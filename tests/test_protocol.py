@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,7 +109,7 @@ def test_uniform_hop_law_exact_to_60():
 
 
 def test_uniform_hop_law_float_mode():
-    hop = hop_distribution(uniform_protocol(3), 60, exact=False)
+    hop = hop_distribution(replace(uniform_protocol(3), exact=False), 60)
     assert not hop.exact
     for t in range(2, 61, 2):
         for h in hop.support(t):
@@ -145,18 +146,15 @@ def test_hop_support_is_clamped():
 
 def test_stay_probability_uniform_is_half():
     uni = uniform_protocol(3)
-    hop = hop_distribution(uni, 40)
     for t_odd in range(3, 42, 2):
-        assert stay_probability_at(uni, t_odd, hop) == Fraction(1, 2)
+        assert stay_probability_at(uni, t_odd) == Fraction(1, 2)
 
 
 def test_stay_probability_degenerate_protocols():
     always = constant_protocol(3, 1)
     never = constant_protocol(3, 0)
-    hop1 = hop_distribution(always, 10)
-    hop0 = hop_distribution(never, 10)
-    assert stay_probability_at(always, 9, hop1) == 1
-    assert stay_probability_at(never, 9, hop0) == 0
+    assert stay_probability_at(always, 9) == 1
+    assert stay_probability_at(never, 9) == 0
 
 
 def test_stay_probability_is_the_walk_stay_mass():
@@ -168,14 +166,43 @@ def test_stay_probability_is_the_walk_stay_mass():
         cases.append((table, range(3, table.t_max + 2, 2)))
         for protocol, ts in cases:
             for t in ts:
-                hop = hop_distribution(protocol, t - 1)
-                got = stay_probability_at(protocol, t, hop)
+                got = stay_probability_at(protocol, t)
                 want = sum(p for (prev, now), p in walk_law(protocol, t).items() if prev == now)
                 case = (protocol.name, d, t)
                 if protocol.exact:
                     assert got == want, case
                 else:
                     assert math.isclose(got, want, rel_tol=1e-12), case
+
+
+def test_kept_hop_rows_extended_in_pieces_equal_a_fresh_protocols():
+    # rows kept from an early request (t=4) and extended later (t=60) are
+    # the rows a fresh protocol computes in one go, exactly and on the float twin
+    makers = (uniform_protocol, perfect_protocol, lambda d: local_spreading_protocol(d, "1/2"))
+    for d in (3, 4):
+        for make in makers:
+            for exact in (True, False):
+                grown, fresh = (p if exact else replace(p, exact=False) for p in (make(d), make(d)))
+                grown.hop_row(4)
+                grown.snapshot_weights(9, ball=False)
+                fresh.hop_row(60)
+                got = [grown.hop_row(t) for t in range(2, 61, 2)]
+                want = [fresh.hop_row(t) for t in range(2, 61, 2)]
+                assert got == want, (grown.name, d, exact)
+                assert all(type(p) is (Fraction if exact else float) for row in got for p in row)
+
+
+def test_snapshot_weights_are_a_new_list_every_call():
+    # a caller that mutates the list it got changes no later call
+    proto = uniform_protocol(3)
+    for t, ball in ((6, True), (7, True), (7, False)):
+        first = proto.snapshot_weights(t, ball)
+        want = list(first)
+        first[0] = 99
+        first.append(1)
+        assert proto.snapshot_weights(t, ball) == want, (t, ball)
+    assert proto.hop_row(6) == [Fraction(1, 3)] * 3
+    assert stay_probability_at(proto, 7) == Fraction(1, 2)
 
 
 def test_local_protocol_hop_is_deterministic_floor():
@@ -247,9 +274,9 @@ def test_dp_conserves_mass_for_arbitrary_tables(data):
 
 def test_exact_mode_requires_exact_protocol():
     proto = load_protocol_table("t,h,alpha\n2,1,0.5\n", 3)
-    with pytest.raises(ValueError):
-        hop_distribution(proto, 2, exact=True)
     hop = hop_distribution(proto, 2)
     assert isinstance(hop, HopDistribution)
+    with pytest.raises(ValueError, match="cannot provide exact alphas"):
+        hop.to_csv(exact=True)
     with pytest.raises(ValueError):
         hop.p_exact(2, 1)
