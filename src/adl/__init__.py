@@ -4,7 +4,6 @@ inference, and exact verification of detection probabilities."""
 from adl.tree import parse_label, format_label
 from adl.protocol import (
     Protocol,
-    HopDistribution,
     uniform_protocol,
     perfect_protocol,
     local_spreading_protocol,
@@ -17,7 +16,6 @@ __all__ = [
     "parse_label",
     "format_label",
     "Protocol",
-    "HopDistribution",
     "uniform_protocol",
     "perfect_protocol",
     "local_spreading_protocol",

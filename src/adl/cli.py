@@ -29,6 +29,7 @@ from adl.protocol import (
     protocol_from_spec,
     stay_probability_at,
     uniform_protocol,
+    walk_horizon,
 )
 from adl.tree import MAX_DEGREE
 
@@ -71,7 +72,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_hopdist(args: argparse.Namespace) -> int:
     _check_time(args.T, "-T")
     protocol = _protocol(args)
-    sys.stdout.write(hop_distribution(protocol, args.T).to_csv(exact=args.exact))
+    hop = hop_distribution(protocol, args.T)
+    if args.exact and not protocol.exact:
+        raise ValueError(f"protocol {protocol.name!r} cannot provide exact alphas")
+    lines = ["t,h,p"]
+    for t, row in hop.items():
+        for h, p in enumerate(row, 1):
+            lines.append(f"{t},{h},{str(p) if args.exact else repr(float(p))}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -86,6 +94,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         if s.d != args.d:
             raise ValueError(f"snapshot degree {s.d} disagrees with --d {args.d}")
         _check_time(s.t, "snapshot time")
+        walk_horizon(protocol, s.t)
     name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
     estimator_for(name, len(snaps), protocol)
     est = info.estimate(snaps, protocol, random.Random(args.seed))
@@ -124,15 +133,9 @@ def _suite_identities():
             )
     for d in (3, 4, 5):
         hop = hop_distribution(uniform_protocol(d), 60)
-        ok = all(
-            hop.p_exact(t, h) == Fraction(2, t)
-            for t in range(2, 61, 2)
-            for h in hop.support(t)
-        )
+        ok = all(p == Fraction(2, t) for t, row in hop.items() for p in row)
         yield f"uniform hop law p(t,h) == 2/t, d={d}, t <= 60", ok
-        norm = all(
-            sum(hop.p_exact(t, h) for h in hop.support(t)) == 1 for t in range(2, 61, 2)
-        )
+        norm = all(sum(row) == 1 for row in hop.values())
         yield f"hop normalization sum_h p(t,h) == 1, d={d}, t <= 60", norm
     uni = uniform_protocol(3)
     ok = all(
@@ -146,12 +149,9 @@ def _suite_dp_perfect():
     """Equal-likelihood identity p(t,h) (N_t - 1) == d (d-1)^(h-1)."""
     for d in (3, 4, 5):
         hop = hop_distribution(perfect_protocol(d), 30)
-        for t in range(2, 31, 2):
+        for t, row in hop.items():
             n_t = infected_count_even(d, t)
-            ok = all(
-                hop.p_exact(t, h) * (n_t - 1) == d * (d - 1) ** (h - 1)
-                for h in hop.support(t)
-            )
+            ok = all(p * (n_t - 1) == d * (d - 1) ** (h - 1) for h, p in enumerate(row, 1))
             yield f"perfect protocol equal likelihood, d={d}, t={t}", ok
 
 

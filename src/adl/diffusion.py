@@ -23,6 +23,8 @@ the same draws on a generator the caller seeded and keeps only
 (vs_{t-1}, vs_t), which is all a Monte Carlo trial needs; a job builds one
 per observation time and reseeds one generator per walk.
 ``sample_snapshot`` is that function on a fresh ``random.Random(seed)``.
+The horizon check is ``protocol.walk_horizon``, the one rule for which
+times a table protocol can serve, shared with hop tables and snapshot laws.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from adl.protocol import Protocol, even_floor
+from adl.protocol import Protocol, walk_horizon
 from adl.tree import (
     Label,
     SOURCE,
@@ -123,16 +125,6 @@ class Trajectory:
             seed=_field(obj, "seed", int),
             vs=tuple(parse_label(s) for s in _field(obj, "vs", list)),
         )
-
-
-def walk_horizon(protocol: Protocol, T: int) -> int:
-    """The last even step of a T-step walk; raises past the protocol's table."""
-    last_even = even_floor(T - 1)
-    if protocol.t_max is not None and last_even >= 2 and last_even > protocol.t_max:
-        raise ValueError(
-            f"T={T} needs alpha at t={last_even} but the protocol stops at {protocol.t_max}"
-        )
-    return last_even
 
 
 def _walk(protocol: Protocol, T: int, rng: random.Random) -> list:

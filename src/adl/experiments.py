@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import Snapshot, is_int, snapshot_sampler, walk_horizon
+from adl.diffusion import Snapshot, is_int, snapshot_sampler
 from adl.estimators import ESTIMATORS, estimator_for
-from adl.protocol import Protocol, protocol_from_spec, uniform_protocol
+from adl.protocol import Protocol, protocol_from_spec, uniform_protocol, walk_horizon
 from adl.tree import MAX_DEGREE, SOURCE
 
 _MASK64 = (1 << 64) - 1

@@ -28,20 +28,20 @@ from typing import Sequence
 
 from adl.diffusion import Snapshot
 from adl.estimators import estimator_for
-from adl.protocol import Protocol
-from adl.tree import SOURCE, sphere_size
+from adl.protocol import Protocol, walk_horizon
+from adl.tree import SOURCE, ball_size, sphere_size
 
 DEFAULT_BUDGET = 10_000_000
 
 
 def outcome_count(d: int, t: int) -> int:
-    """Number of distinct endpoint pairs a time-t snapshot can take."""
+    """Number of distinct endpoint pairs a time-t snapshot can take: every
+    vertex at hop 1..t/2 at even t; at odd t, every ball center and every
+    (parent, child) central edge, d per vertex at hop 1..(t-1)/2."""
     if t == 1:
         return d
-    if t % 2 == 0:
-        return sum(sphere_size(d, h) for h in range(1, t // 2 + 1))
-    # odd: every ball center, plus every (parent, child) central edge
-    return sum(sphere_size(d, h) * d for h in range(1, (t - 1) // 2 + 1))
+    inner = ball_size(d, t // 2) - 1
+    return inner if t % 2 == 0 else d * inner
 
 
 def _check_time(t: int) -> None:
@@ -131,12 +131,12 @@ def exact_success(
     if not times:
         raise ValueError("at least one observation time required")
     info = estimator_for(estimator, len(times), protocol)
-
-    combos = prod(outcome_count(protocol.d, t) for t in times)
-    if combos > budget:
-        raise ValueError(f"joint enumeration needs {combos} outcomes, over the budget of {budget}")
     for t in times:
         _check_time(t)
+        walk_horizon(protocol, t)
+
+    if prod(outcome_count(protocol.d, t) for t in times) > budget:
+        raise ValueError(f"joint enumeration needs more outcomes than the budget of {budget}")
 
     exact = protocol.exact
     laws = [_law(protocol, t) for t in times]

@@ -24,8 +24,9 @@ and kept on the instance: ``Protocol.hop_row`` runs the hop recurrence,
 ``Protocol._split`` divides the hop masses at even t into stayed (p alpha)
 and moved (p (1 - alpha)), and ``Protocol.snapshot_weights`` gives a time-t
 snapshot's per-hop weights, which ``stay_probability_at``, the likelihood
-estimators and the exact oracle all read.  ``hop_distribution`` copies the
-rows into a horizon-checked table for dumps and checks.
+estimators and the exact oracle all read.  ``walk_horizon`` is the one
+rule for which times a table protocol can serve; ``hop_distribution`` checks
+it and returns fresh copies of the kept rows for dumps and checks.
 """
 
 from __future__ import annotations
@@ -334,65 +335,6 @@ def protocol_from_spec(d: int, spec: dict) -> Protocol:
     raise ValueError(f"unknown protocol {name!r} (known: {', '.join(PROTOCOLS)})")
 
 
-@dataclass(frozen=True)
-class HopDistribution:
-    """p(t, h) = P(h_t = h) for even 2 <= t <= t_max, 1 <= h <= t/2.
-
-    ``p`` returns 0 outside the support band; querying an odd time or beyond
-    the horizon is an error.  When built from an exact protocol the table is
-    carried as fractions and ``p_exact`` is available.
-    """
-
-    d: int
-    protocol: str
-    t_max: int
-    _table: dict = field(repr=False)  # (t, h) -> Fraction or float
-    exact: bool = True
-
-    def _check_t(self, t: int) -> None:
-        if t < 2 or t % 2:
-            raise ValueError(f"hop distribution is defined at even t >= 2, got {t}")
-        if t > self.t_max:
-            raise ValueError(f"t={t} beyond computed horizon {self.t_max}")
-
-    def p(self, t: int, h: int) -> float:
-        self._check_t(t)
-        if not 1 <= h <= t // 2:
-            return 0.0
-        return float(self._table[(t, h)])
-
-    def p_exact(self, t: int, h: int) -> Fraction:
-        if not self.exact:
-            raise ValueError(f"hop distribution for {self.protocol!r} is float-only")
-        self._check_t(t)
-        if not 1 <= h <= t // 2:
-            return Fraction(0)
-        return Fraction(self._table[(t, h)])
-
-    def support(self, t: int) -> range:
-        self._check_t(t)
-        return range(1, t // 2 + 1)
-
-    def mean_h(self, t: int):
-        """E[h_t]; exact when the table is exact."""
-        self._check_t(t)
-        return sum(h * self._table[(t, h)] for h in self.support(t))
-
-    def to_csv(self, exact: bool = False) -> str:
-        """Dump as ``t,h,p`` rows; with exact=True p is a rational string,
-        which only a table built from an exact protocol can give."""
-        if exact and not self.exact:
-            raise ValueError(f"protocol {self.protocol!r} cannot provide exact alphas")
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t", "h", "p"])
-        for t in range(2, self.t_max + 1, 2):
-            for h in self.support(t):
-                v = self._table[(t, h)]
-                writer.writerow([t, h, str(Fraction(v)) if exact else repr(float(v))])
-        return out.getvalue()
-
-
 def even_floor(t: int) -> int:
     """The last even time at or before t: the hop-table time a time-t
     snapshot depends on."""
@@ -405,19 +347,28 @@ def check_horizon(T: int) -> None:
         raise ValueError(f"horizon must be an even integer >= 2, got {T}")
 
 
-def hop_distribution(protocol: Protocol, T: int) -> HopDistribution:
-    """The protocol's hop law p(t, h) (:meth:`Protocol.hop_row`) as a table
-    for every even t up to the even horizon T; exact when the protocol is."""
-    check_horizon(T)
-    if protocol.t_max is not None and T - 2 > protocol.t_max:
+def walk_horizon(protocol: Protocol, T: int) -> int:
+    """The last even step of a T-step walk; raises past the protocol's table.
+
+    A time-T snapshot's law and the hop row at even T read alpha up to this
+    same step, so this is the one horizon rule for walks, snapshot laws and
+    hop tables alike.
+    """
+    last_even = even_floor(T - 1)
+    if protocol.t_max is not None and last_even >= 2 and last_even > protocol.t_max:
         raise ValueError(
-            f"horizon {T} needs alpha up to t={T - 2} but the protocol stops at {protocol.t_max}"
+            f"T={T} needs alpha at t={last_even} but the protocol stops at {protocol.t_max}"
         )
-    table = {(t, h): p for t in range(2, T + 1, 2)
-             for h, p in enumerate(protocol.hop_row(t), start=1)}
-    return HopDistribution(
-        d=protocol.d, protocol=protocol.name, t_max=T, _table=table, exact=protocol.exact
-    )
+    return last_even
+
+
+def hop_distribution(protocol: Protocol, T: int) -> dict:
+    """The protocol's hop law up to the even horizon T as ``{t: row}`` for
+    every even 2 <= t <= T, ``row[h - 1] = p(t, h)`` (:meth:`Protocol.hop_row`),
+    each row a fresh list; exact when the protocol is."""
+    check_horizon(T)
+    walk_horizon(protocol, T)
+    return {t: protocol.hop_row(t)[:] for t in range(2, T + 1, 2)}
 
 
 def stay_probability_at(protocol: Protocol, t_odd: int):

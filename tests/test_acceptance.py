@@ -60,9 +60,9 @@ def test_criterion_01_uniform_hop_law():
         exact = hop_distribution(uniform_protocol(d), 60)
         approx = hop_distribution(replace(uniform_protocol(d), exact=False), 60)
         for t in range(2, 61, 2):
-            for h in exact.support(t):
-                ok &= exact.p_exact(t, h) == Fraction(2, t)
-                ok &= abs(approx.p(t, h) - 2 / t) <= 1e-12
+            for p, q in zip(exact[t], approx[t]):
+                ok &= p == Fraction(2, t)
+                ok &= abs(q - 2 / t) <= 1e-12
     assert report("1. uniform hop law p(t,h) = 2/t, t <= 60, d in {3,4,5}", ok)
 
 
@@ -73,8 +73,8 @@ def test_criterion_02_perfect_obfuscation():
         hop = hop_distribution(proto, 30)
         for t in range(2, 31, 2):
             n_t = infected_count_even(d, t)
-            for h in hop.support(t):
-                ok &= hop.p_exact(t, h) * (n_t - 1) == d * (d - 1) ** (h - 1)
+            for h, p in enumerate(hop[t], 1):
+                ok &= p * (n_t - 1) == d * (d - 1) ** (h - 1)
             ok &= proto.mle_success_probability(t) == Fraction(1, n_t - 1)
     assert report(
         "2. perfect protocol: p(t,h)(N_t - 1) = d(d-1)^(h-1) and MLE = 1/(N_t-1), t <= 30", ok
@@ -259,7 +259,7 @@ def test_criterion_12_radius_bound_from_dp():
                     p_mle = float(proto.mle_success_probability(t))
                     c_tight = p_mle * infected_count_even(d, t) ** gamma
                     bound = cf.radius_upper_from_obfuscation(d, t, gamma, c_tight).value
-                    mean_radius = t / 2 - float(hop.mean_h(t))
+                    mean_radius = t / 2 - float(sum(h * p for h, p in enumerate(hop[t], 1)))
                     ok &= mean_radius <= bound + 1e-9
     assert report(
         "12. E[R_t] <= (1-gamma)t/2 + log(C t)/log(d-1) + 2 with the tightest per-t C", ok

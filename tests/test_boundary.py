@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from adl import oracle
 from adl.cli import main
 from adl.diffusion import Snapshot, Trajectory
+from adl.estimators import ESTIMATORS
 from adl.experiments import ConfigError, ExperimentConfig
 from adl.protocol import (
     load_protocol_table,
@@ -331,6 +332,29 @@ def test_protocol_table_with_a_far_row_is_rejected_at_once(t_max, tmp_path):
     assert_usage_error(result, f"protocol table has gaps: {missing} pairs missing, the first "
                                "[(4, 1), (4, 2), (6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), "
                                "(8, 4), (10, 1)]")
+
+
+# a table that stops at t=4: a time-9 snapshot needs alpha at t=8
+TABLE_TO_4 = "t,h,alpha\n2,1,0.5\n4,1,0.5\n4,2,0.3333333\n"
+PAST_HORIZON = [
+    {"d": 3, "t": 9, "vs_prev": "/0/1", "vs_now": "/0/1/0"},
+    {"d": 3, "t": 8, "vs_prev": "/1/0", "vs_now": "/1/0"},
+]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_snapshots_past_the_table_horizon_are_rejected(name, tmp_path):
+    # the horizon rule of a walk holds for every snapshot an estimator
+    # reads, before its arity or protocol is checked
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_TO_4)
+    result = estimate(PAST_HORIZON, method=ESTIMATORS[name].alias,
+                      protocol=("--protocol", "table", "--table", str(table)))
+    assert_usage_error(result, "T=9 needs alpha at t=8 but the protocol stops at 4")
+    if not ESTIMATORS[name].uniform_only:
+        times = [9, 8, 8][:ESTIMATORS[name].arity or 2]
+        with pytest.raises(ValueError, match="T=9 needs alpha at t=8 but the protocol stops at 4"):
+            oracle.exact_success(name, load_protocol_table(TABLE_TO_4, 3), times)
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,7 @@ def test_hop_frequencies_match_dp_three_sigma():
     for proto in (uniform_protocol(3), perfect_protocol(3)):
         hop = hop_distribution(proto, 12)
         counts = Counter(len(sample_snapshot(proto, 12, s).vs_now) for s in range(n))
-        for h in hop.support(12):
-            p = hop.p(12, h)
+        for h, p in enumerate(map(float, hop[12]), 1):
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[h] / n - p) <= 3 * sigma
 

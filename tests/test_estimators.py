@@ -147,7 +147,7 @@ def test_single_mle_brute_force_argmax_small():
         cands, _ = single_mle_candidates(s, UNI3)
         scores = {}
         for h in range(1, t // 2 + 1):
-            w = HOP3.p_exact(t, h) / (3 * 2 ** (h - 1))
+            w = HOP3[t][h - 1] / (3 * 2 ** (h - 1))
             for v in shell_members(3, [s.vs_now], h):
                 scores[v] = w
         best = max(scores.values())
@@ -413,12 +413,11 @@ def _brute_force_generic_mle(snaps, hop, proto):
     posteriors, in exact rationals (a table protocol's floats converted
     exactly).  None when no vertex has positive likelihood."""
     d = snaps[0].d
-    p = hop.p_exact if hop.exact else lambda t, h: Fraction(hop.p(t, h))
     a = proto.alpha_exact if proto.exact else lambda t, h: Fraction(proto.alpha(t, h))
 
     def posterior(s, x):
         t_eff = s.t - s.t % 2
-        base = p(t_eff, x) / (d * (d - 1) ** (x - 1))
+        base = Fraction(hop[t_eff][x - 1]) / (d * (d - 1) ** (x - 1))
         if s.t % 2 == 0:
             return base
         return base * (a(t_eff, x) if s.is_ball else 1 - a(t_eff, x))
@@ -657,12 +656,10 @@ def _old_hop_terms(s, hop, proto, exact):
     """The per-hop scores as the estimators computed them per call before
     rows were kept: Fraction(w, d (d-1)^(x-1)) exact, the log term in floats."""
     d, t_eff = s.d, s.t - s.t % 2
-    p = hop.p_exact if exact else hop.p
     a = proto.alpha_exact if exact else proto.alpha
     one = Fraction(1) if exact else 1.0
     out = []
-    for x in range(1, t_eff // 2 + 1):
-        w = p(t_eff, x)
+    for x, w in enumerate(hop[t_eff], 1):
         if s.t % 2:
             w *= a(t_eff, x) if s.is_ball else one - a(t_eff, x)
         if exact:
@@ -852,7 +849,7 @@ def _brute_force_pair_mle(s1, s2, hop, proto):
         t_eff = s.t if s.t % 2 == 0 else s.t - 1
         if not 1 <= x <= t_eff // 2:
             return Fraction(0)
-        base = Fraction(hop.p_exact(t_eff, x), d * (d - 1) ** (x - 1))
+        base = Fraction(hop[t_eff][x - 1], d * (d - 1) ** (x - 1))
         if s.t % 2 == 0:
             return base
         a = proto.alpha_exact(t_eff, x)

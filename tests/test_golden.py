@@ -11,6 +11,8 @@ running the k-snapshot core at k = 3: same chosen vertex and tie count, with
 the core's diagnostics (``k``, ``min_max_subtree_count``, ``well_defined``)
 in place of ``intersection_size``.  Any change to simulation, seeding,
 dispatch, tie-breaking or report layout shows up here as a digest mismatch.
+The ``hopdist`` digests pin the hop-law CSV bytes, float and ``--exact``,
+as recorded before the CSV writer moved from ``protocol`` into the CLI.
 """
 
 import hashlib
@@ -125,3 +127,45 @@ def test_estimate_output_digest(alias, capsys, tmp_path):
                  "--method", alias, "--seed", str(seed)])
     assert code == 0
     assert sha256(capsys.readouterr().out) == ESTIMATE_DIGESTS[alias]
+
+
+# case -> (hopdist flags, sha256 of stdout); the table stops at t=4, so -T 6
+HOPDIST = {
+    "uniform-d3": (["--d", "3", "--protocol", "uniform", "-T", "60"],
+                   "051f93edf1449b83bb17d4742c37325c5a1c3d36a94ac614ad70973d26d34496"),
+    "uniform-d3-exact": (["--d", "3", "--protocol", "uniform", "-T", "60", "--exact"],
+                         "1cf074fa3530361f420fbeea30e889a51992db8f8b1b15e12831ba59003f90db"),
+    "uniform-d4": (["--d", "4", "--protocol", "uniform", "-T", "60"],
+                   "051f93edf1449b83bb17d4742c37325c5a1c3d36a94ac614ad70973d26d34496"),
+    "uniform-d4-exact": (["--d", "4", "--protocol", "uniform", "-T", "60", "--exact"],
+                         "1cf074fa3530361f420fbeea30e889a51992db8f8b1b15e12831ba59003f90db"),
+    "perfect-d3": (["--d", "3", "--protocol", "perfect", "-T", "60"],
+                   "5b0027b13f9be15ea60d9f272edfdaae779f24e3246f137267dffc49adacb19e"),
+    "perfect-d3-exact": (["--d", "3", "--protocol", "perfect", "-T", "60", "--exact"],
+                         "a54e1fa3333a0d4628a4ee7d29dccab6827d0b4ff677620f2d915f75f9cd1f46"),
+    "perfect-d4": (["--d", "4", "--protocol", "perfect", "-T", "60"],
+                   "1f941c1686849ef662fe1b8843e0a319385c39784d5b9d2f91b2936835107622"),
+    "perfect-d4-exact": (["--d", "4", "--protocol", "perfect", "-T", "60", "--exact"],
+                         "5f7e162f9339979022c928a06defb60bab955d9970e8ffa9d0cafd4f2e58bf72"),
+    "local-d3": (["--d", "3", "--protocol", "local", "--gamma", "1/3", "-T", "60"],
+                 "2e68d85a79622d86028c41b621e895e44e1b65b92d3cc6e27477a5a8158197dc"),
+    "local-d3-exact": (["--d", "3", "--protocol", "local", "--gamma", "1/3", "-T", "60",
+                        "--exact"],
+                       "46699e003919737bae0e35da6b35ba0869e1b29ff80e7c14a565e93de2e001ad"),
+    "local-d4": (["--d", "4", "--protocol", "local", "--gamma", "1/3", "-T", "60"],
+                 "2e68d85a79622d86028c41b621e895e44e1b65b92d3cc6e27477a5a8158197dc"),
+    "local-d4-exact": (["--d", "4", "--protocol", "local", "--gamma", "1/3", "-T", "60",
+                        "--exact"],
+                       "46699e003919737bae0e35da6b35ba0869e1b29ff80e7c14a565e93de2e001ad"),
+    "table-d3": (["--d", "3", "--protocol", "table", "--table", "TABLE", "-T", "6"],
+                 "7eb1dbcc23ceace732c46c595f50969617f4696fd0b54a0f9d58dee3f78f88ff"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOPDIST))
+def test_hopdist_output_digest(case, capsys, tmp_path):
+    flags, digest = HOPDIST[case]
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_CSV)
+    assert main(["hopdist", *(str(table) if f == "TABLE" else f for f in flags)]) == 0
+    assert sha256(capsys.readouterr().out) == digest

@@ -17,7 +17,7 @@ from adl.protocol import (
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE, labels_at_depth
+from adl.tree import SOURCE, labels_at_depth, sphere_size
 from conftest import nondyadic_table, walk_law
 
 UNI3 = uniform_protocol(3)
@@ -116,7 +116,7 @@ def test_enumerate_marginal_reproduces_hop_distribution():
     marg = {}
     for (_, now), p in law_outcomes(UNI3, 6).items():
         marg[len(now)] = marg.get(len(now), 0) + p
-    assert marg == {h: hop.p_exact(6, h) for h in (1, 2, 3)}
+    assert marg == dict(enumerate(hop[6], 1))
     assert marg == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
 
 
@@ -325,6 +325,30 @@ def test_exact_success_certifies_t40():
         assert run((40, 41)) == want
         assert run((41, 40)) == want
         assert 0 <= run((41, 41)) <= cf.odd_odd_mle_upper(d, 41, 41).exact_value
+
+
+def outcome_count_by_loop(d, t):
+    """The reference for ``outcome_count``: the count summed hop by hop."""
+    if t == 1:
+        return d
+    if t % 2 == 0:
+        return sum(sphere_size(d, h) for h in range(1, t // 2 + 1))
+    # odd: every ball center, plus every (parent, child) central edge
+    return sum(sphere_size(d, h) * d for h in range(1, (t - 1) // 2 + 1))
+
+
+def test_outcome_count_equals_the_hop_by_hop_sum():
+    for d in (3, 4, 5, 9, 1000):
+        for t in range(1, 200):
+            assert oracle.outcome_count(d, t) == outcome_count_by_loop(d, t), (d, t)
+
+
+def test_exact_success_refuses_huge_times_by_its_budget():
+    # the count has about 15,000 digits; the refusal never formats it
+    with pytest.raises(ValueError, match="needs more outcomes than the budget of 10000000$"):
+        oracle.exact_success("uniform_mle_cases", UNI3, (10**5, 10**5))
+    with pytest.raises(ValueError, match="observation time must be >= 1, got -4"):
+        oracle.exact_success("uniform_mle_cases", UNI3, (10**5, -4))
 
 
 def test_exact_success_respects_budget_and_arity():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from adl.cli import main
 from adl.protocol import (
     Protocol,
-    HopDistribution,
     alpha_local_spreading,
     alpha_perfect,
     alpha_uniform,
@@ -97,23 +97,23 @@ def test_load_protocol_table_accepts_bytes():
 def test_hop_distribution_first_step_forced():
     for proto in (uniform_protocol(3), perfect_protocol(4), constant_protocol(3, 1)):
         hop = hop_distribution(proto, 2)
-        assert hop.p_exact(2, 1) == 1
+        assert hop[2][0] == 1
 
 
 def test_uniform_hop_law_exact_to_60():
     for d in (3, 4, 5):
         hop = hop_distribution(uniform_protocol(d), 60)
         for t in range(2, 61, 2):
-            for h in hop.support(t):
-                assert hop.p_exact(t, h) == Fraction(2, t)
+            for p in hop[t]:
+                assert p == Fraction(2, t)
 
 
 def test_uniform_hop_law_float_mode():
     hop = hop_distribution(replace(uniform_protocol(3), exact=False), 60)
-    assert not hop.exact
     for t in range(2, 61, 2):
-        for h in hop.support(t):
-            assert abs(hop.p(t, h) - 2 / t) <= 1e-12
+        for p in hop[t]:
+            assert type(p) is float
+            assert abs(p - 2 / t) <= 1e-12
 
 
 def test_hop_normalization_all_builtins():
@@ -122,7 +122,7 @@ def test_hop_normalization_all_builtins():
         for make in protos:
             hop = hop_distribution(make(d), 60)
             for t in range(2, 61, 2):
-                assert sum(hop.p_exact(t, h) for h in hop.support(t)) == 1
+                assert sum(hop[t]) == 1
 
 
 def test_perfect_protocol_equal_likelihood_identity():
@@ -130,18 +130,17 @@ def test_perfect_protocol_equal_likelihood_identity():
         hop = hop_distribution(perfect_protocol(d), 30)
         for t in range(2, 31, 2):
             n_t = infected_count_even(d, t)
-            for h in hop.support(t):
-                assert hop.p_exact(t, h) * (n_t - 1) == d * (d - 1) ** (h - 1)
+            for h, p in enumerate(hop[t], 1):
+                assert p * (n_t - 1) == d * (d - 1) ** (h - 1)
 
 
 def test_hop_support_is_clamped():
+    # one row per even t up to the horizon, entry h - 1 for 1 <= h <= t/2
     hop = hop_distribution(uniform_protocol(3), 10)
-    assert hop.p(10, 0) == 0.0
-    assert hop.p(10, 6) == 0.0
-    with pytest.raises(ValueError):
-        hop.p(7, 1)
-    with pytest.raises(ValueError):
-        hop.p(12, 1)
+    assert list(hop) == [2, 4, 6, 8, 10]
+    assert [len(row) for row in hop.values()] == [1, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="even integer >= 2"):
+        hop_distribution(uniform_protocol(3), 7)
 
 
 def test_stay_probability_uniform_is_half():
@@ -193,7 +192,8 @@ def test_kept_hop_rows_extended_in_pieces_equal_a_fresh_protocols():
 
 
 def test_snapshot_weights_are_a_new_list_every_call():
-    # a caller that mutates the list it got changes no later call
+    # a caller that mutates the list it got changes no later call, and so
+    # does one that mutates a row of the hop table
     proto = uniform_protocol(3)
     for t, ball in ((6, True), (7, True), (7, False)):
         first = proto.snapshot_weights(t, ball)
@@ -201,7 +201,13 @@ def test_snapshot_weights_are_a_new_list_every_call():
         first[0] = 99
         first.append(1)
         assert proto.snapshot_weights(t, ball) == want, (t, ball)
+    hop = hop_distribution(proto, 8)
+    for row in hop.values():
+        row[0] = 99
+        row.append(1)
     assert proto.hop_row(6) == [Fraction(1, 3)] * 3
+    assert proto.snapshot_weights(8, True) == [Fraction(1, 4)] * 4
+    assert hop_distribution(proto, 8) == {t: [Fraction(2, t)] * (t // 2) for t in (2, 4, 6, 8)}
     assert stay_probability_at(proto, 7) == Fraction(1, 2)
 
 
@@ -210,8 +216,8 @@ def test_local_protocol_hop_is_deterministic_floor():
     hop = hop_distribution(local_spreading_protocol(3, g), 40)
     for t in range(2, 41, 2):
         target = local_hop_target(g, t)
-        assert hop.p_exact(t, target) == 1
-        assert all(hop.p_exact(t, h) == 0 for h in hop.support(t) if h != target)
+        assert hop[t][target - 1] == 1
+        assert all(p == 0 for h, p in enumerate(hop[t], 1) if h != target)
 
 
 def test_local_gamma_is_read_as_written():
@@ -220,25 +226,24 @@ def test_local_gamma_is_read_as_written():
     assert local_hop_target(0.3, 20) == 3
     decimal = hop_distribution(protocol_from_spec(3, {"name": "local", "gamma": 0.3}), 40)
     ratio = hop_distribution(protocol_from_spec(3, {"name": "local", "gamma": "3/10"}), 40)
-    assert decimal.to_csv(exact=True) == ratio.to_csv(exact=True)
-    assert decimal.p_exact(20, 3) == 1
+    assert decimal == ratio
+    assert decimal[20][3 - 1] == 1
     third = protocol_from_spec(3, {"name": "local", "gamma": "1/3"})
-    assert hop_distribution(third, 12).p_exact(12, 2) == 1
+    assert hop_distribution(third, 12)[12][2 - 1] == 1
     with pytest.raises(ValueError, match="numeric 'gamma'"):
         protocol_from_spec(3, {"name": "local", "gamma": "1/0"})
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         protocol_from_spec(3, {"name": "local", "gamma": "1e-999999999"})
 
 
-def test_hop_csv_round_trip():
-    hop = hop_distribution(uniform_protocol(3), 6)
-    text = hop.to_csv(exact=True)
-    lines = text.strip().splitlines()
+def test_hop_csv_round_trip(capsys):
+    assert main(["hopdist", "--d", "3", "--protocol", "uniform", "-T", "6", "--exact"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "t,h,p"
     rows = {tuple(line.split(",")[:2]): line.split(",")[2] for line in lines[1:]}
     assert rows[("6", "2")] == "1/3"
-    floats = hop.to_csv()
-    assert "0.3333333333333333" in floats
+    assert main(["hopdist", "--d", "3", "--protocol", "uniform", "-T", "6"]) == 0
+    assert "0.3333333333333333" in capsys.readouterr().out
 
 
 def test_table_protocol_hop_matches_builtin():
@@ -250,10 +255,10 @@ def test_table_protocol_hop_matches_builtin():
     proto = load_protocol_table("\n".join(rows) + "\n", 3)
     hop = hop_distribution(proto, 12)
     for t in range(2, 13, 2):
-        for h in hop.support(t):
-            assert hop.p(t, h) == pytest.approx(2 / t, abs=1e-12)
-    with pytest.raises(ValueError):
-        hop_distribution(proto, 14)  # alpha at t=12 missing
+        for p in hop[t]:
+            assert p == pytest.approx(2 / t, abs=1e-12)
+    with pytest.raises(ValueError, match="T=14 needs alpha at t=12 but the protocol stops at 10"):
+        hop_distribution(proto, 14)
 
 
 @given(st.data())
@@ -268,15 +273,18 @@ def test_dp_conserves_mass_for_arbitrary_tables(data):
     proto = Protocol(d=3, name="random-table", _alpha=lambda t, h: table[(t, h)])
     hop = hop_distribution(proto, horizon)
     for t in range(2, horizon + 1, 2):
-        assert sum(hop.p_exact(t, h) for h in hop.support(t)) == 1
-        assert all(hop.p_exact(t, h) >= 0 for h in hop.support(t))
+        assert sum(hop[t]) == 1
+        assert all(p >= 0 for p in hop[t])
 
 
-def test_exact_mode_requires_exact_protocol():
-    proto = load_protocol_table("t,h,alpha\n2,1,0.5\n", 3)
-    hop = hop_distribution(proto, 2)
-    assert isinstance(hop, HopDistribution)
-    with pytest.raises(ValueError, match="cannot provide exact alphas"):
-        hop.to_csv(exact=True)
-    with pytest.raises(ValueError):
-        hop.p_exact(2, 1)
+def test_exact_mode_requires_exact_protocol(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("t,h,alpha\n2,1,0.5\n")
+    proto = load_protocol_table(table.read_text(), 3)
+    assert all(type(p) is float for row in hop_distribution(proto, 2).values() for p in row)
+    argv = ["hopdist", "--d", "3", "--protocol", "table", "--table", str(table), "-T", "2"]
+    assert main([*argv, "--exact"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "protocol 'table' cannot provide exact alphas" in err
+    with pytest.raises(ValueError, match="no exact alpha values"):
+        proto.alpha_exact(2, 1)
