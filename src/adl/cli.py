@@ -69,12 +69,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_exact(protocol: Protocol, exact: bool) -> None:
+    """Reject ``--exact`` for a protocol whose alphas are floats only."""
+    if exact and not protocol.exact:
+        raise ValueError(f"protocol {protocol.name!r} cannot provide exact alphas")
+
+
 def _cmd_hopdist(args: argparse.Namespace) -> int:
     _check_time(args.T, "-T")
     protocol = _protocol(args)
     hop = hop_distribution(protocol, args.T)
-    if args.exact and not protocol.exact:
-        raise ValueError(f"protocol {protocol.name!r} cannot provide exact alphas")
+    _check_exact(protocol, args.exact)
     lines = ["t,h,p"]
     for t, row in hop.items():
         for h, p in enumerate(row, 1):
@@ -267,6 +272,9 @@ def _cmd_protocol_dump(args: argparse.Namespace) -> int:
     _check_time(args.T, "-T")
     protocol = _protocol(args)
     check_horizon(args.T)
+    if protocol.t_max is not None and args.T > protocol.t_max:
+        raise ValueError(f"-T {args.T} is past the alpha table, which stops at t={protocol.t_max}")
+    _check_exact(protocol, args.exact)
     lines = ["t,h,alpha"]
     for t in range(2, args.T + 1, 2):
         for h in range(1, t // 2 + 1):

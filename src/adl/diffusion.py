@@ -16,15 +16,17 @@ tables but equal seeds stay coupled draw-for-draw.  The walk draws
 ``randrange(n)`` as CPython does: ``getrandbits(n.bit_length())`` until the
 value is below n.  Each step compares its ``random()`` draw with a float from
 the protocol's alpha table (``Protocol.alpha_rows``), which holds exactly the
-values ``Protocol.alpha`` returns.  ``simulate`` returns the whole validated
-trajectory.  ``snapshot_sampler(protocol, t)`` does the per-time set-up once
-(horizon check, alpha rows, draw widths) and returns a function that runs
-the same draws on a generator the caller seeded and keeps only
-(vs_{t-1}, vs_t), which is all a Monte Carlo trial needs; a job builds one
-per observation time and reseeds one generator per walk.
-``sample_snapshot`` is that function on a fresh ``random.Random(seed)``.
-The horizon check is ``protocol.walk_horizon``, the one rule for which
-times a table protocol can serve, shared with hop tables and snapshot laws.
+values ``Protocol.alpha`` returns.  The draw loop is written once, in
+``walker(protocol, T)``: it does the per-time set-up once (horizon check,
+alpha rows, draw widths) and returns a function that walks a generator the
+caller seeded and lists the virtual source after each stage.
+``simulate`` expands that list into the whole validated trajectory;
+``sample_snapshot`` reads (vs_{t-1}, vs_t) from it, which is all a Monte
+Carlo trial needs.  Both walk a fresh ``random.Random(seed)``; a Monte
+Carlo job builds one walker per observation time and reseeds one generator
+per walk.  The horizon check is ``protocol.walk_horizon``, the one rule for
+which times a table protocol can serve, shared with hop tables and snapshot
+laws.
 """
 
 from __future__ import annotations
@@ -127,85 +129,57 @@ class Trajectory:
         )
 
 
-def _walk(protocol: Protocol, T: int, rng: random.Random) -> list:
-    """The virtual-source path vs_0 ... vs_T as a list, for ``simulate``.
+def walker(protocol: Protocol, T: int) -> Callable[[random.Random], list]:
+    """A function drawing a T-step walk from a caller-seeded generator.
 
-    t=0: move to a uniform neighbor of the origin.  Odd t: stay.  Even t:
-    stay with probability alpha(t, h_t), else append a uniform child entry.
+    The set-up (horizon check, alpha rows, draw widths) is done here once.
+    The function returns the virtual source after each stage: entry 0 is the
+    origin and entry j is vs_{2j-1} = vs_{2j} (the walker holds still at odd
+    t), so vs_s is entry ``(s + 1) // 2``.  t=0: move to a uniform neighbor
+    of the origin.  Even t: stay with probability alpha(t, h_t), else append
+    a uniform child entry; a stay keeps the same label object.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
     rows = protocol.alpha_rows(walk_horizon(protocol, T))
-    d = protocol.d
-    n_child = d - 1
-    draw, bits = rng.random, rng.getrandbits
-    k_first, k_child = d.bit_length(), n_child.bit_length()
-    vs: list[Label] = [SOURCE]
-    if T >= 1:
-        first = bits(k_first)
-        while first >= d:
-            first = bits(k_first)
-        vs.append((first,))
-    cur = vs[-1]
-    for t in range(1, T):
-        if t % 2 == 1:
-            vs.append(cur)
-            continue
-        u = draw()
-        child = bits(k_child)  # always drawn: keeps seeds couplable
-        while child >= n_child:
-            child = bits(k_child)
-        if u >= rows[t][len(cur)]:
-            cur = cur + (child,)
-        vs.append(cur)
-    return vs
-
-
-def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
-    """Sample the virtual-source chain for T steps as a validated trajectory."""
-    return Trajectory(d=protocol.d, protocol=protocol.name, seed=seed,
-                      vs=tuple(_walk(protocol, T, random.Random(seed))))
-
-
-def snapshot_sampler(protocol: Protocol, t: int) -> Callable[[random.Random], tuple]:
-    """A function drawing (vs_{t-1}, vs_t) from a caller-seeded generator:
-    after ``rng.seed(seed)``, the last two labels of
-    ``simulate(protocol, t, seed).vs``, from the same draws.  The set-up is
-    done here once; the function walks the even steps only, keeping no path.
-    """
-    if t < 1:
-        raise ValueError(f"snapshot time must be >= 1, got {t}")
-    rows = protocol.alpha_rows(walk_horizon(protocol, t))
-    steps = [rows[s] for s in range(2, t, 2)]
+    steps = [rows[s] for s in range(2, T, 2)]
     d = protocol.d
     n_child = d - 1
     k_first, k_child = d.bit_length(), n_child.bit_length()
-    odd = t % 2 == 1
 
-    def sample(rng: random.Random) -> tuple:
+    def walk(rng: random.Random) -> list:
         bits, draw = rng.getrandbits, rng.random
         first = bits(k_first)
         while first >= d:
             first = bits(k_first)
-        prev, cur = SOURCE, (first,)
+        cur = (first,)
+        states = [SOURCE, cur]
         for row in steps:
-            prev = cur
             u = draw()
             child = bits(k_child)  # always drawn: keeps seeds couplable
             while child >= n_child:
                 child = bits(k_child)
             if u >= row[len(cur)]:
                 cur = cur + (child,)
-        return (prev, cur) if odd else (cur, cur)  # even t: the last step stayed
+            states.append(cur)
+        return states
 
-    return sample
+    return walk
+
+
+def simulate(protocol: Protocol, T: int, seed: int) -> Trajectory:
+    """Sample the virtual-source chain for T steps as a validated trajectory."""
+    states = walker(protocol, T)(random.Random(seed))
+    return Trajectory(d=protocol.d, protocol=protocol.name, seed=seed,
+                      vs=tuple(states[(s + 1) // 2] for s in range(T + 1)))
 
 
 def sample_snapshot(protocol: Protocol, t: int, seed: int) -> "Snapshot":
     """The time-t snapshot of the walk that ``simulate(protocol, t, seed)``
     samples, built without the full trajectory: the same draws, and equal to
     ``simulate(protocol, t, seed).snapshot_at(t)``."""
-    return Snapshot(protocol.d, t, *snapshot_sampler(protocol, t)(random.Random(seed)))
+    states = walker(protocol, t)(random.Random(seed))
+    return Snapshot(protocol.d, t, states[t // 2], states[(t + 1) // 2])
 
 
 _store = object.__setattr__

@@ -11,9 +11,10 @@ Determinism: the seed of diffusion i in trial n is derive_seed(master, n, i);
 estimator j in trial n draws from derive_seed(master, n, ESTIMATOR_STREAM+j).
 derive_seed is a splitmix64 chain, so any scheduling or chunking of trials
 yields bit-identical reports (aggregation is a commutative sum).  The job
-builds one ``snapshot_sampler`` per observation time and keeps one
+builds one ``diffusion.walker`` per observation time and keeps one
 ``random.Random``, reseeded for every stream through its C-level ``seed``,
-which draws exactly what a fresh ``random.Random(seed)`` would.
+which draws exactly what a fresh ``random.Random(seed)`` would; a time-t
+snapshot is read from the walk's stages t // 2 and (t + 1) // 2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import Snapshot, is_int, snapshot_sampler
+from adl.diffusion import Snapshot, is_int, walker
 from adl.estimators import ESTIMATORS, estimator_for
 from adl.protocol import Protocol, protocol_from_spec, uniform_protocol, walk_horizon
 from adl.tree import MAX_DEGREE, SOURCE
@@ -374,9 +375,9 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     tallies = [[0, 0] for _ in config.estimators]
     protocol = config.protocol
     d = protocol.d
-    samplers = {t: snapshot_sampler(protocol, t) for t in set(config.times)}
+    walkers = {t: walker(protocol, t) for t in set(config.times)}
     # walk i's seed _fold(trial, i) is _splitmix64(trial ^ stream_i); stream_i once per job
-    walks = [(samplers[t], t, i * 0x9E3779B97F4A7C15 & _MASK64)
+    walks = [(walkers[t], t, t // 2, (t + 1) // 2, i * 0x9E3779B97F4A7C15 & _MASK64)
              for i, t in enumerate(config.times)]
     root = derive_seed(config.seed)
     rng = random.Random()
@@ -385,9 +386,10 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     for n in range(config.trials):
         trial = _fold(root, n)  # derive_seed(seed, n), extended below
         snaps = []
-        for sample, t, stream in walks:
+        for walk, t, prev, now, stream in walks:
             reseed(_splitmix64(trial ^ stream))
-            snaps.append(Snapshot(d, t, *sample(rng)))
+            states = walk(rng)
+            snaps.append(Snapshot(d, t, states[prev], states[now]))
         for j, estimate in enumerate(runners):
             reseed(_fold(trial, ESTIMATOR_STREAM + j))
             try:

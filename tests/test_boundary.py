@@ -342,6 +342,19 @@ PAST_HORIZON = [
 ]
 
 
+@pytest.mark.parametrize("T", [6, 8])
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_protocol_dump_past_the_table_is_a_usage_error(T, exact, tmp_path):
+    # a dump up to -T needs alpha rows up to T itself; the horizon is
+    # checked before exactness, as hopdist does
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_TO_4)
+    dump = ["protocol-dump", "--d", "3", "--protocol", "table", "--table", str(table)]
+    assert run_main([*dump, "-T", "4"])[0] == 0  # the table's last row is served
+    assert_usage_error(run_main([*dump, "-T", str(T), *exact]),
+                       f"-T {T} is past the alpha table, which stops at t=4")
+
+
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_snapshots_past_the_table_horizon_are_rejected(name, tmp_path):
     # the horizon rule of a walk holds for every snapshot an estimator

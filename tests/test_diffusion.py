@@ -14,7 +14,7 @@ from adl.diffusion import (
     local_radius,
     sample_snapshot,
     simulate,
-    snapshot_sampler,
+    walker,
 )
 from adl.experiments import derive_seed
 from adl.protocol import (
@@ -299,18 +299,23 @@ CONTRACT_PROTOCOLS = {
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
 def test_walk_matches_reference_loop(name, d):
     proto = CONTRACT_PROTOCOLS[name](d)
-    for T in range(1, 17):
+    for T in range(0, 17):
         for n in range(200):
             seed = derive_seed(31, d, T, n)
             tr = simulate(proto, T, seed)
             assert tr.vs == reference_walk(proto, T, seed)
-            assert sample_snapshot(proto, T, seed) == tr.snapshot_at(T)
+            if T:
+                assert sample_snapshot(proto, T, seed) == tr.snapshot_at(T)
+    with pytest.raises(ValueError, match="T must be >= 0, got -1"):
+        simulate(proto, -1, 0)
+    with pytest.raises(ValueError, match="observation time must be >= 1, got 0"):
+        sample_snapshot(proto, 0, 0)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 9])
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
 def test_one_sampler_reused_across_streams_matches_reference_loop(name, d):
-    # a Monte Carlo job builds one sampler per time and reseeds one generator
+    # a Monte Carlo job builds one walker per time and reseeds one generator
     # per walk; a time-T walk draws a prefix of a longer walk's draws, so one
     # reference path per seed covers every T up to the protocol's horizon
     proto = CONTRACT_PROTOCOLS[name](d)
@@ -321,12 +326,14 @@ def test_one_sampler_reused_across_streams_matches_reference_loop(name, d):
     for T in range(1, 41):
         if T > longest:
             with pytest.raises(ValueError, match=f"protocol stops at {proto.t_max}"):
-                snapshot_sampler(proto, T)
+                walker(proto, T)
             continue
-        sample = snapshot_sampler(proto, T)
+        walk = walker(proto, T)
         for seed, vs in zip(seeds, paths):
             rng.seed(seed)
-            assert sample(rng) == (vs[T - 1], vs[T])
+            states = walk(rng)  # stage j is vs_{2j-1} = vs_{2j}
+            assert states == [vs[0], *vs[1:T + 1:2]]
+            assert (states[T // 2], states[(T + 1) // 2]) == (vs[T - 1], vs[T])
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))

@@ -169,3 +169,74 @@ def test_hopdist_output_digest(case, capsys, tmp_path):
     table.write_text(TABLE_CSV)
     assert main(["hopdist", *(str(table) if f == "TABLE" else f for f in flags)]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+# ``simulate`` stdout, seed 7, recorded before the walk's draw loop was
+# written once for both the whole path and the Monte Carlo snapshots.  A case
+# is protocol-d<d>-t<T>, with "-json" for the pretty-printed form; the table
+# stops at t=4, so it is pinned only at times its walk can serve (t <= 5).
+SIMULATE_PROTOCOLS = {
+    "uniform": ["--protocol", "uniform"],
+    "perfect": ["--protocol", "perfect"],
+    "local": ["--protocol", "local", "--gamma", "1/3"],
+    "table": ["--protocol", "table", "--table", "TABLE"],
+}
+
+SIMULATE_DIGESTS = {
+    "uniform-d3-t0": "3c0236d6d36d2b98894adb6fec96a6eb014ef7c34989c0b5c4fef23ac2f12ff0",
+    "perfect-d3-t0": "71301e3579804a60c4358fb428fcddb4323d7f1aa5fc5d437fb3e00b72329f5b",
+    "local-d3-t0": "bb519eb9abf8357018cd3b56c32f3fb49300c16e5f6865465a180a0e2ff3387b",
+    "uniform-d3-t1": "0efa925d0cec0c71aac277d2d72fb982f95c464c8e586d167c395321e3e04e3f",
+    "perfect-d3-t1": "ce18774fd439ad1016b95e2af1b35e42d0bebf8012657698130817b8e9567a02",
+    "local-d3-t1": "6536fc4bd1a438733889d38ce1b45619f0741c1588f3ed28effc751dbcf52078",
+    "uniform-d3-t2": "56872c1bcbcb3fd6e2aa5d1e8e48d8fb45101f8d577dd60db21c6ae54e0d8913",
+    "perfect-d3-t2": "8a483e587eee381bb150a0819a3e08a86b5a02c36041dfb9c2cd02a61f3a26d5",
+    "local-d3-t2": "6fbbd0b8289f12314aa0581912877771f428461b212dc6aadac88ada30df3b8e",
+    "uniform-d3-t9": "6fbfc46f266f08e7d5045d6bde10c90c3ff6cefc09a3134ec72908bea7c1f5ab",
+    "perfect-d3-t9": "96288496bc8176cee44977faadf37fc0d6ce094ae26617eb3344b0b448b4ea09",
+    "local-d3-t9": "11b2822cb5b2d2561fa52f0b67678f9dc0b9164fe5686d903ca1fc62a230c6a7",
+    "uniform-d3-t10": "bfa502d7fa4f19e66e061ac930b761f08758d9b6b9e8646641175d8155c7d513",
+    "perfect-d3-t10": "683ce60d1b521574a60b128509e6e270ec6327de73e5cc8e6cd2d523c85b5692",
+    "local-d3-t10": "a269a175e4db7eef5fb03125af33456820b442ddb058255a19245427d41c153c",
+    "uniform-d3-t40": "71a592fefa684dd5e27ed97fb8d447317617bf9d5ba2c6520acc8655822773a5",
+    "perfect-d3-t40": "754d556fef6d9537227b337df6ae6a7605f7ca086f638d2e5849da7cce38f2ed",
+    "local-d3-t40": "cb5667bcc00059581dba6d0b94ad5ae1da48371fd1facbc9823f8bb3811774fb",
+    "table-d3-t0": "b17841a4f6737b11fcec107e2708104b2794bf398e864acb328fc45a2b2e0116",
+    "table-d3-t1": "deddc419696847ff6b5ad50a1de74dfaf487f89645ccc262e731ffdd93cacae5",
+    "table-d3-t2": "9e376ed33648b927df51056b223858159989847523d9609d869e85cc67cebfd7",
+    "table-d3-t5": "49879f5debca5f524581789c8d8a650d5b3cbe0c56e5516357a5fb943ad80c16",
+    "uniform-d4-t0": "2868b6f6710bf55a8fb2ba27e14954a36430ed9994d5b4733283797c9b917ea4",
+    "perfect-d4-t0": "b991e039e65a1f3cd093810d57c9b36c25abb4ff994abf752f8795cce38d31b5",
+    "local-d4-t0": "fc87a744576b416fa40adb0e6c9bcfb2c278d243ce8d4577ca0e1915fdf67746",
+    "uniform-d4-t1": "c3d1c5d31cb4de870085c7e3664d4f96d76dad1bcb46c39815d916ca14616de9",
+    "perfect-d4-t1": "46b515342be76629277032997944ace617c36c802a2afcf320ed4e5723700c3d",
+    "local-d4-t1": "429b6832c59ec9fc0d81cb2a1848e275a0d173f0496374678469dd9fe700b635",
+    "uniform-d4-t2": "d45258423fcd38daa27f4e0821b78626ccfe87196e83619af04ab84c5d42c046",
+    "perfect-d4-t2": "e6fa7d1b094d411838ac1c9163a676bb9179ceb24fa7567d7c874bb331ccd82e",
+    "local-d4-t2": "b2a3f2249fc377a97a42a91852fc9c01a4eae75abc26996aaafdae47eaf45327",
+    "uniform-d4-t9": "4402484958a8f9fd2887771ef59d6787c109cb7842f13b7f0e928d439dc333b5",
+    "perfect-d4-t9": "c7a46f0aa885b1d4ebc13d00458b6fb194028ba10be87ce03109ec4cced958ed",
+    "local-d4-t9": "6792f7388b251829d93864d5fe0f77381b26ad872f7dee34daa3cce157aaa7a3",
+    "uniform-d4-t10": "7dd720316482cf415b9dfecdee340aef0e363d80961a868eef6e5a3452ebc7fd",
+    "perfect-d4-t10": "93a20b97fdd065bdcb979934e4081bd402c7eebde48f0b4d916474c891f75d01",
+    "local-d4-t10": "6a4fabf634843bacbaa2eaf60e5594dd495bca90d4bbd8621a2229de11b569f5",
+    "uniform-d4-t40": "609407f673cdef908132c8a918920d39e00fa332bcfbb02060fbffd6e4bb13f6",
+    "perfect-d4-t40": "8d5037c4695cb4886b0cb960c19e31e1dea09be2ea41ea413dbe6581049d09d9",
+    "local-d4-t40": "e08196f69e4d6181097893ce4a8087ef7f5d1246804f83b3468e1abcc1e1e875",
+    "table-d4-t0": "fc4b96b57d9b9cc4ee64e4db2b2aae96c38985559dc84fceb855a768318089c3",
+    "table-d4-t1": "062652ae9aef82f42f3bd9827356e519a7cb3ddefa09be4410c57d1bcedc0a47",
+    "table-d4-t2": "8092b3c5b425c1eb971acafbfd3e606be2ee7bf14a57e508e9f42855ec3b5a2a",
+    "table-d4-t5": "4ef2a77b0678cedc6af6a48f6385ac6e6e83cce45d610d37a8fc2931c200a54a",
+    "uniform-d3-t10-json": "728dea46527461a6ea661348f767fa6f995246776dd101518ea6551ab9e7aed1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_DIGESTS))
+def test_simulate_output_digest(case, capsys, tmp_path):
+    name, d, T, *json_flag = case.split("-")
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_CSV)
+    flags = [str(table) if f == "TABLE" else f for f in SIMULATE_PROTOCOLS[name]]
+    argv = ["simulate", "--d", d[1:], *flags, "-t", T[1:], "--seed", "7"]
+    assert main(argv + ["--json"] * len(json_flag)) == 0
+    assert sha256(capsys.readouterr().out) == SIMULATE_DIGESTS[case]
