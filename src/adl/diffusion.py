@@ -264,8 +264,14 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Snapshot":
-        """Parse and validate; a malformed field, or a pair no walk produces
-        (vs_t deeper than (t+1)/2, a move toward the origin), raises ValueError."""
+        """Parse and validate; a malformed field, or a pair no walk produces,
+        raises ValueError.
+
+        A walk leaves the origin at t=1 and never returns, so vs_t is never
+        the origin.  A pair that held still (every even t, and a stay at odd
+        t) sits at depth at most t//2; a moved pair steps from vs_prev to its
+        child vs_t, at depth at most (t+1)//2.
+        """
         if not isinstance(obj, dict):
             raise ValueError(f"a snapshot must be a JSON object, got {obj!r}")
         s = cls(
@@ -274,9 +280,18 @@ class Snapshot:
             vs_prev=parse_label(_field(obj, "vs_prev", str)),
             vs_now=parse_label(_field(obj, "vs_now", str)),
         )
-        if len(s.vs_now) > (s.t + 1) // 2:
-            raise ValueError(f"no walk reaches depth {len(s.vs_now)} by t={s.t}")
-        if s.vs_prev != s.vs_now and s.vs_prev != s.vs_now[:-1]:
+        depth = len(s.vs_now)
+        if depth == 0:
+            raise ValueError("vs_now is the origin, but every walk steps to a child of it at t=1")
+        if s.vs_prev == s.vs_now:
+            if depth > s.t // 2:
+                raise ValueError(
+                    f"no walk reaches depth {depth} by t={s.t} and holds still there: "
+                    f"a snapshot with vs_prev == vs_now sits at depth at most t//2 = {s.t // 2}"
+                )
+        elif depth > (s.t + 1) // 2:
+            raise ValueError(f"no walk reaches depth {depth} by t={s.t}")
+        elif s.vs_prev != s.vs_now[:-1]:
             raise ValueError("a moved virtual source's vs_prev must be the parent of vs_now")
         return s
 

@@ -19,6 +19,15 @@ a tree the meet of the three pairwise paths is the median, the k-snapshot
 subtree-count core's unique winner at k = 3, so it runs that core.  No
 estimator takes a tuning parameter: the likelihood-based ones score their
 whole feasible set, so each returns the true argmax.
+
+The path-based two-snapshot cores (``two_obs_path`` and the path cases of
+``uniform_mle_cases``) read the feasible path by position.  With (a, b) the
+closest pair of virtual sources, a from the first snapshot and b from the
+second, and L = distance(a, b), the vertex i steps from a lies exactly i from
+the first virtual-source set and L - i from the second, so the path interior
+infected in both snapshots is the window
+max(1, L - floor(t2/2)) <= i <= min(L - 1, floor(t1/2)), and no virtual
+source lies inside it.  No vertex is tested for membership.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from adl.tree import (
     format_label,
     lcp_len,
     neighbors,
-    path_between,
     steiner_tree,
 )
 
@@ -268,31 +276,54 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _closest_pair(set1: Sequence[Label], set2: Sequence[Label]):
-    return min(
-        ((x, y) for x in set1 for y in set2),
-        key=lambda xy: (distance(xy[0], xy[1]), xy),
-    )
+def _closest_pair(set1: Sequence[Label], set2: Sequence[Label]) -> tuple:
+    """(distance, x, y) for the closest x in set1 and y in set2; equal
+    distances go to the smaller labels."""
+    return min((distance(x, y), x, y) for x in set1 for y in set2)
+
+
+def _path_window(a: Label, b: Label, ra: int, rb: int) -> tuple[int, list]:
+    """The interior vertices of the a-b path within ``ra`` of a and ``rb`` of
+    b, in a-to-b order, with the position (distance from a) of the first.
+
+    The vertex i steps from a is a[:len(a) - i] up to the meet and
+    b[:len(b) - (L - i)] below it, L = distance(a, b), so the window
+    max(1, L - rb) <= i <= min(L - 1, ra) is sliced off.  For the closest
+    pair of two snapshots' virtual sources and their radii it is the path
+    interior infected in both: the other end of a moved snapshot hangs off
+    a (or b) away from the path, or the pair would not be closest.
+    """
+    k = lcp_len(a, b)
+    up = len(a) - k  # the meet's position
+    length = up + len(b) - k
+    lo, hi = max(1, length - rb), min(length - 1, ra)
+    below = len(b) - length
+    return lo, [a[: len(a) - i] if i <= up else b[: below + i] for i in range(lo, hi + 1)]
 
 
 def two_obs_path_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
     d = _check_common([s1, s2])
     vs1, vs2 = s1.virtual_sources(), s2.virtual_sources()
-    known = set(vs1) | set(vs2)
-    x, y = _closest_pair(vs1, vs2)
-    interior = [v for v in path_between(x, y)[1:-1] if v not in known]
-    s_set = [v for v in interior if s1.contains(v) and s2.contains(v)]
+    _, x, y = _closest_pair(vs1, vs2)
+    _, s_set = _path_window(x, y, s1.radius, s2.radius)
     if s_set:
         return ExplicitCandidates(frozenset(s_set)), {"S_size": len(s_set), "fallback": False}
     # the connecting path has no interior (virtual sources coincide or touch):
     # fall back to a uniform pick among the fringe of the known virtual sources
+    known = set(vs1) | set(vs2)
     fringe = {w for v in known for w in neighbors(d, v)} - known
     return ExplicitCandidates(frozenset(fringe)), {"S_size": 0, "fallback": True}
 
 
 def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
     """Uniform pick from S = (path between the virtual-source sets, interior
-    only) intersected with both infected sets."""
+    only) intersected with both infected sets.
+
+    S is the closest-pair window: the interior vertices i steps from the
+    first snapshot's nearer virtual source with
+    max(1, L - floor(t2/2)) <= i <= min(L - 1, floor(t1/2)).  When S is empty
+    the pick falls back to the fringe of the virtual sources.
+    """
     cands, diagnostics = two_obs_path_candidates(s1, s2)
     return _finish("two_obs_path", cands, diagnostics, rng)
 
@@ -495,9 +526,9 @@ def _nbrs_minus(d: int, centers: Sequence[Label], minus) -> frozenset:
     return frozenset(out - set(minus) - set(centers))
 
 
-def _feasible_interior(a: Label, b: Label, s1: Snapshot, s2: Snapshot) -> list[Label]:
-    """Interior of the a-b path, filtered to vertices infected in both."""
-    return [v for v in path_between(a, b)[1:-1] if s1.contains(v) and s2.contains(v)]
+def _argmax(vertices: list, scores: list) -> frozenset:
+    best = max(scores)
+    return frozenset(v for v, sc in zip(vertices, scores) if sc == best)
 
 
 def _require(cands, case: str) -> frozenset:
@@ -532,7 +563,12 @@ def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimat
     Mirrors the closed-form analysis case by case (all parity combinations,
     including the d = 3 specials); the matched case tag is reported in
     diagnostics.  Inputs must come from the uniform protocol and satisfy
-    t >= 4 (even) / t >= 5 (odd); earlier times are refused.
+    t >= 4 (even) / t >= 5 (odd); earlier times are refused.  The cases that
+    pick from the path between the closest virtual sources read the
+    closest-pair window (see the module docstring) and score its positions:
+    odd-odd-3 by (t1 + 1 - 2i)(t2 + 1 - 2(L - i)), odd-odd-10 by i(L - i);
+    even-odd-5 takes the window's last vertex, even-odd-6 and odd-odd-6 its
+    first.
     """
     cands, diagnostics = uniform_mle_cases_candidates(s1, s2)
     return _finish("uniform_mle_cases", cands, diagnostics, rng)
@@ -545,7 +581,7 @@ def _cases_even_even(d: int, s1: Snapshot, s2: Snapshot):
         return _require(_nbrs_minus(d, [v1], []), "even-even-1"), "even-even-1"
     if gap == 1:
         return _require(_nbrs_minus(d, [v1, v2], []), "even-even-2"), "even-even-2"
-    s_set = _feasible_interior(v1, v2, s1, s2)
+    _, s_set = _path_window(v1, v2, s1.radius, s2.radius)
     return _require(s_set, "even-even-3"), "even-even-3"
 
 
@@ -553,26 +589,23 @@ def _cases_even_odd(d: int, se: Snapshot, so: Snapshot):
     """se has even t (ball, center vs1); so has odd t."""
     vs1 = se.vs_now
     pair = so.virtual_sources()
-    x2 = min(distance(vs1, w) for w in pair)
+    x2, _, near = _closest_pair([vs1], pair)
     if so.is_ball:
-        vs2 = so.vs_now
         if x2 == 0:
             return _require(_nbrs_minus(d, [vs1], []), "even-odd-1"), "even-odd-1"
         if x2 == 1:
-            return _require(_nbrs_minus(d, [vs2], [vs1]), "even-odd-3"), "even-odd-3"
+            return _require(_nbrs_minus(d, [near], [vs1]), "even-odd-3"), "even-odd-3"
         # deterministic: the feasible path vertex closest to the odd center
-        feas = _feasible_interior(vs1, vs2, se, so)
+        _, feas = _path_window(vs1, near, se.radius, so.radius)
         _require(feas, "even-odd-5")
-        best = min(feas, key=lambda v: distance(v, vs2))
-        return frozenset([best]), "even-odd-5"
+        return frozenset([feas[-1]]), "even-odd-5"
     if x2 <= 1:
         case = "even-odd-2" if x2 == 0 else "even-odd-4"
         return _require(_nbrs_minus(d, [vs1], pair), case), case
-    near = min(pair, key=lambda w: (distance(vs1, w), w))
-    feas = _feasible_interior(vs1, near, se, so)
+    # the feasible path vertex closest to the even center
+    _, feas = _path_window(vs1, near, se.radius, so.radius)
     _require(feas, "even-odd-6")
-    best = min(feas, key=lambda v: distance(v, vs1))
-    return frozenset([best]), "even-odd-6"
+    return frozenset([feas[0]]), "even-odd-6"
 
 
 def _cases_odd_odd(d: int, s1: Snapshot, s2: Snapshot):
@@ -603,34 +636,30 @@ def _cases_odd_odd_balls(d: int, s1: Snapshot, s2: Snapshot):
         else:
             members = _nbrs_minus(d, [v1], [v2])
         return _require(members, "odd-odd-2"), "odd-odd-2"
-    feas = _feasible_interior(v1, v2, s1, s2)
+    lo, feas = _path_window(v1, v2, s1.radius, s2.radius)
     _require(feas, "odd-odd-3")
-    scores = {
-        v: (t1 + 1 - 2 * distance(v, v1)) * (t2 + 1 - 2 * distance(v, v2)) for v in feas
-    }
-    best = max(scores.values())
-    return frozenset(v for v, sc in scores.items() if sc == best), "odd-odd-3"
+    scores = [(t1 + 1 - 2 * i) * (t2 + 1 - 2 * (gap - i)) for i in range(lo, lo + len(feas))]
+    return _argmax(feas, scores), "odd-odd-3"
 
 
 def _cases_odd_odd_ball_nonball(d: int, sb: Snapshot, sn: Snapshot):
     """sb is the odd ball, sn the odd non-ball."""
     vb = sb.vs_now
     pair = sn.virtual_sources()
-    x = min(distance(vb, w) for w in pair)
+    x, _, near = _closest_pair([vb], pair)
     if x == 0:
         return _require(_nbrs_minus(d, [vb], pair), "odd-odd-4"), "odd-odd-4"
     if x == 1:
         return _require(_nbrs_minus(d, [vb], pair), "odd-odd-5"), "odd-odd-5"
-    near = min(pair, key=lambda w: (distance(vb, w), w))
-    feas = _feasible_interior(vb, near, sb, sn)
+    # the feasible path vertex closest to the ball's center
+    _, feas = _path_window(vb, near, sb.radius, sn.radius)
     _require(feas, "odd-odd-6")
-    best = min(feas, key=lambda v: distance(v, vb))
-    return frozenset([best]), "odd-odd-6"
+    return frozenset([feas[0]]), "odd-odd-6"
 
 
 def _cases_odd_odd_nonballs(d: int, s1: Snapshot, s2: Snapshot):
     e1, e2 = s1.virtual_sources(), s2.virtual_sources()
-    gap = min(distance(a, b) for a in e1 for b in e2)
+    gap, a, b = _closest_pair(e1, e2)
     union = set(e1) | set(e2)
     if gap == 0:
         if set(e1) == set(e2):
@@ -651,18 +680,16 @@ def _cases_odd_odd_nonballs(d: int, s1: Snapshot, s2: Snapshot):
             if r in (1, 2) and v not in union
         }
         return _require(near2, "odd-odd-8(d=3)"), "odd-odd-8(d=3)"
-    a, b = _closest_pair(e1, e2)
     if gap == 1:
         return _require(_nbrs_minus(d, [a, b], union), "odd-odd-9"), "odd-odd-9"
     if d == 3 and gap == 2:
-        (mid,) = [v for v in path_between(a, b)[1:-1]]
+        _, (mid,) = _path_window(a, b, 1, 1)
         (w2,) = [w for w in neighbors(d, mid) if w not in (a, b)]
         return frozenset([mid, w2]), "odd-odd-10(d=3,gap=2)"
-    feas = _feasible_interior(a, b, s1, s2)
+    lo, feas = _path_window(a, b, s1.radius, s2.radius)
     _require(feas, "odd-odd-10")
-    scores = {v: distance(v, a) * distance(v, b) for v in feas}
-    best = max(scores.values())
-    return frozenset(v for v, sc in scores.items() if sc == best), "odd-odd-10"
+    scores = [i * (gap - i) for i in range(lo, lo + len(feas))]
+    return _argmax(feas, scores), "odd-odd-10"
 
 
 # ---------------------------------------------------------------------------

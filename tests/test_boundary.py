@@ -9,6 +9,7 @@ import io
 import json
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from adl import oracle
 from adl.cli import main
-from adl.diffusion import Snapshot, Trajectory
+from adl.diffusion import Snapshot, Trajectory, simulate
 from adl.estimators import ESTIMATORS
 from adl.experiments import ConfigError, ExperimentConfig
 from adl.protocol import (
     load_protocol_table,
     local_spreading_protocol,
     perfect_protocol,
+    uniform_protocol,
 )
 
 TABLE_CSV = "t,h,alpha\n2,1,0.5\n4,1,0.5\n4,2,0.3333333\n6,1,0.5\n6,2,0.4\n6,3,0.25\n"
@@ -163,6 +165,47 @@ def test_snapshot_no_walk_can_produce_is_a_usage_error(snap, token):
         start = time.perf_counter()
         assert_usage_error(estimate([snap, SNAPSHOTS[1]], method), token)
         assert time.perf_counter() - start < 1.0
+
+
+# well-formed pairs that no walk produces: a stayed odd snapshot sits at depth
+# at most (t-1)/2, and at t=1 every walk has moved from the origin to a child
+IMPOSSIBLE_SNAPSHOTS = [
+    ({"d": 3, "t": 5, "vs_prev": "/0/1/0", "vs_now": "/0/1/0"},
+     "no walk reaches depth 3 by t=5 and holds still there"),
+    ({"d": 3, "t": 3, "vs_prev": "/2/0", "vs_now": "/2/0"},
+     "no walk reaches depth 2 by t=3 and holds still there"),
+    ({"d": 3, "t": 1, "vs_prev": "/0", "vs_now": "/0"},
+     "no walk reaches depth 1 by t=1 and holds still there"),
+    ({"d": 3, "t": 1, "vs_prev": "/", "vs_now": "/"},
+     "vs_now is the origin, but every walk steps to a child of it at t=1"),
+]
+
+
+@pytest.mark.parametrize("snap, token", IMPOSSIBLE_SNAPSHOTS)
+def test_snapshot_from_dict_refuses_pairs_no_walk_produces(snap, token):
+    with pytest.raises(ValueError, match=token):
+        Snapshot.from_dict(snap)
+
+
+@pytest.mark.parametrize("snap, token", IMPOSSIBLE_SNAPSHOTS)
+@pytest.mark.parametrize("method", ["mle", "cases", "two-obs-path", "k-obs", "single-mle"])
+def test_estimate_refuses_pairs_no_walk_produces(snap, token, method):
+    doc = [snap] if method == "single-mle" else [snap, SNAPSHOTS[0]]
+    assert_usage_error(estimate(doc, method), token)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("proto", [uniform_protocol, perfect_protocol,
+                                   lambda d: local_spreading_protocol(d, Fraction(1, 3))],
+                         ids=["uniform", "perfect", "local"])
+def test_every_simulated_snapshot_round_trips_through_its_dict(proto, d):
+    protocol = proto(d)
+    for seed in range(40):
+        for T in range(1, 14):
+            trajectory = simulate(protocol, T, seed)
+            for t in range(1, T + 1):
+                s = trajectory.snapshot_at(t)
+                assert Snapshot.from_dict(s.to_dict()) == s, (protocol.name, seed, T, t)
 
 
 def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):

@@ -13,6 +13,7 @@ from adl.estimators import (
     ShellCandidates,
     _check_common,
     _hop_scores,
+    _path_window,
     generic_mle,
     generic_mle_candidates,
     k_obs_candidates,
@@ -883,6 +884,130 @@ def test_cases_match_independent_brute_force():
         brute = _brute_force_pair_mle(s1, s2, hops[d], proto)
         cands, diag = uniform_mle_cases_candidates(s1, s2)
         assert cands.members == brute, (d, t1, t2, diag["case"], s1, s2)
+
+
+# ---------------------------------------------------------------------------
+# the closest-pair path window against a per-vertex reference
+# ---------------------------------------------------------------------------
+
+
+def reference_feasible_interior(a, b, s1, s2):
+    """Interior of the a-b path, filtered vertex by vertex to the vertices
+    infected in both snapshots."""
+    return [v for v in path_between(a, b)[1:-1] if s1.contains(v) and s2.contains(v)]
+
+
+def reference_closest_pair(set1, set2):
+    return min(((x, y) for x in set1 for y in set2), key=lambda xy: (distance(*xy), xy))
+
+
+def reference_two_obs_path_candidates(s1, s2):
+    d = s1.d
+    vs1, vs2 = s1.virtual_sources(), s2.virtual_sources()
+    known = set(vs1) | set(vs2)
+    x, y = reference_closest_pair(vs1, vs2)
+    s_set = [v for v in reference_feasible_interior(x, y, s1, s2) if v not in known]
+    if s_set:
+        return frozenset(s_set), {"S_size": len(s_set), "fallback": False}
+    fringe = {w for v in known for w in neighbors(d, v)} - known
+    return frozenset(fringe), {"S_size": 0, "fallback": True}
+
+
+def reference_path_case(case, s1, s2):
+    """The pick of a case that reads the path between the virtual sources,
+    scored by distances on the per-vertex reference interior; None for the
+    other cases."""
+    if case.endswith("-swapped"):
+        case, s1, s2 = case[: -len("-swapped")], s2, s1
+    if case == "odd-odd-10(d=3,gap=2)":
+        a, b = reference_closest_pair(s1.virtual_sources(), s2.virtual_sources())
+        (mid,) = path_between(a, b)[1:-1]
+        return {mid} | set(neighbors(s1.d, mid)) - {a, b}
+    if case in ("even-even-3", "odd-odd-3", "even-odd-5", "odd-odd-10"):
+        a, b = reference_closest_pair(s1.virtual_sources(), s2.virtual_sources())
+    elif case in ("even-odd-6", "odd-odd-6"):  # s1 is the ball
+        a = s1.vs_now
+        b = min(s2.virtual_sources(), key=lambda w: (distance(a, w), w))
+    else:
+        return None
+    feas = reference_feasible_interior(a, b, s1, s2)
+    if case == "even-even-3":
+        return set(feas)
+    if case == "even-odd-5":
+        return {min(feas, key=lambda v: distance(v, b))}
+    if case in ("even-odd-6", "odd-odd-6"):
+        return {min(feas, key=lambda v: distance(v, a))}
+    if case == "odd-odd-3":
+        score = {v: (s1.t + 1 - 2 * distance(v, a)) * (s2.t + 1 - 2 * distance(v, b))
+                 for v in feas}
+    else:
+        score = {v: distance(v, a) * distance(v, b) for v in feas}
+    return {v for v in feas if score[v] == max(score.values())}
+
+
+WINDOW_PROTOCOLS = {
+    "uniform": uniform_protocol,
+    "perfect": perfect_protocol,
+    "local": lambda d: local_spreading_protocol(d, Fraction(1, 3)),
+}
+
+
+def window_pairs(name, d, low):
+    """Independent walks from one origin at every pair of times low..16 that
+    the low table admits (low[0] for even times, low[1] for odd), a fixed
+    seed list each."""
+    proto = WINDOW_PROTOCOLS[name](d)
+    times = [t for t in range(2, 17) if t >= low[t % 2]]
+    for t1 in times:
+        for t2 in times:
+            for seed in (0, 1, 7):
+                yield (sample_snapshot(proto, t1, derive_seed(seed, t1, t2, 0)),
+                       sample_snapshot(proto, t2, derive_seed(seed, t1, t2, 1)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(WINDOW_PROTOCOLS))
+def test_path_window_and_two_obs_path_equal_the_per_vertex_reference(name, d):
+    for s1, s2 in window_pairs(name, d, (2, 3)):
+        vs1, vs2 = s1.virtual_sources(), s2.virtual_sources()
+        a, b = reference_closest_pair(vs1, vs2)
+        interior = path_between(a, b)[1:-1]
+        # no virtual source lies inside the closest pair's path, so the
+        # estimator needs no known-vertex filter there
+        assert not set(interior) & (set(vs1) | set(vs2)), (s1, s2)
+        lo, window = _path_window(a, b, s1.radius, s2.radius)
+        reference = reference_feasible_interior(a, b, s1, s2)
+        assert window == reference, (s1, s2)
+        assert [distance(a, v) for v in window] == list(range(lo, lo + len(window)))
+        cands, diagnostics = two_obs_path_candidates(s1, s2)
+        assert (cands.members, diagnostics) == reference_two_obs_path_candidates(s1, s2)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(WINDOW_PROTOCOLS))
+def test_cases_path_picks_equal_the_per_vertex_reference(name, d):
+    picked = 0
+    for s1, s2 in window_pairs(name, d, (4, 5)):
+        cands, diagnostics = uniform_mle_cases_candidates(s1, s2)
+        reference = reference_path_case(diagnostics["case"], s1, s2)
+        if reference is not None:
+            picked += 1
+            assert cands.members == reference, (diagnostics, s1, s2)
+    assert picked > 0
+
+
+def test_path_window_is_the_two_radius_filter_of_any_path():
+    # the window itself, for any labels: the interior vertices within ra of
+    # a and rb of b
+    rng = random.Random(5)
+    for _ in range(3_000):
+        a, b = (tuple(rng.randrange(2) for _ in range(rng.randrange(7))) for _ in "ab")
+        ra, rb = rng.randrange(8), rng.randrange(8)
+        lo, window = _path_window(a, b, ra, rb)
+        path = path_between(a, b)
+        expected = [(i, v) for i, v in enumerate(path[1:-1], 1)
+                    if i <= ra and len(path) - 1 - i <= rb]
+        assert list(enumerate(window, lo)) == expected, (a, b, ra, rb)
 
 
 # ---------------------------------------------------------------------------

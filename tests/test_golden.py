@@ -17,11 +17,16 @@ as recorded before the CSV writer moved from ``protocol`` into the CLI.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from adl.cli import main
+from adl.diffusion import sample_snapshot
+from adl.estimators import two_obs_path_candidates, uniform_mle_cases_candidates
 from adl.experiments import ExperimentConfig, run
+from adl.protocol import perfect_protocol, uniform_protocol
+from adl.tree import format_label
 
 TABLE_CSV = "t,h,alpha\n2,1,0.5\n4,1,0.5\n4,2,0.3333333\n"
 
@@ -240,3 +245,45 @@ def test_simulate_output_digest(case, capsys, tmp_path):
     argv = ["simulate", "--d", d[1:], *flags, "-t", T[1:], "--seed", "7"]
     assert main(argv + ["--json"] * len(json_flag)) == 0
     assert sha256(capsys.readouterr().out) == SIMULATE_DIGESTS[case]
+
+
+# Candidate sets of the two path-reading two-snapshot cores, recorded before
+# their feasible path was read by position instead of vertex by vertex: per
+# estimator, one sha256 over the sorted candidate labels and the diagnostics
+# of a seeded sample of 2,000 pairs (d in {3, 4}, each of the four parity
+# pairs, times up to 13).  The Monte Carlo bodies see only whether the chosen
+# vertex is the origin, so a changed candidate set could pass them.
+def _core_pairs(name, d):
+    """250 pairs per parity pair of independent walks from one origin."""
+    if name == "two_obs_path":
+        protos, low = [uniform_protocol(d), perfect_protocol(d)], {0: 2, 1: 3}
+    else:
+        protos, low = [uniform_protocol(d)], {0: 4, 1: 5}
+    rng = random.Random(f"{name}-{d}")
+    for p1, p2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        for _ in range(250):
+            proto = rng.choice(protos)
+            t1 = rng.randrange(low[p1], 14, 2)
+            t2 = rng.randrange(low[p2], 14, 2)
+            yield (sample_snapshot(proto, t1, rng.getrandbits(32)),
+                   sample_snapshot(proto, t2, rng.getrandbits(32)))
+
+
+CORE_DIGESTS = {
+    "two_obs_path": "fb90ad6f5e91940e7961abba8b6ab6abee37cdd82eb79ba07fa6d8ce9e277dc9",
+    "uniform_mle_cases": "a2d434191e479b93694a548b33f1630f59d714765fe6fbc886c2109b008c3142",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_DIGESTS))
+def test_two_snapshot_core_candidate_digest(name):
+    core = {"two_obs_path": two_obs_path_candidates,
+            "uniform_mle_cases": uniform_mle_cases_candidates}[name]
+    lines = []
+    for d in (3, 4):
+        for s1, s2 in _core_pairs(name, d):
+            cands, diagnostics = core(s1, s2)
+            labels = sorted(format_label(v) for v in cands.members)
+            lines.append(json.dumps([labels, diagnostics], sort_keys=True))
+    assert len(lines) == 2_000
+    assert sha256("\n".join(lines)) == CORE_DIGESTS[name]
