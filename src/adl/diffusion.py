@@ -27,6 +27,10 @@ Carlo job builds one walker per observation time and reseeds one generator
 per walk.  The horizon check is ``protocol.walk_horizon``, the one rule for
 which times a table protocol can serve, shared with hop tables and snapshot
 laws.
+
+Checks run where a pair enters: ``Snapshot(...)``, ``Snapshot.from_dict``,
+``sample_snapshot`` and ``Trajectory``.  A pair the package built itself is
+stored by ``stored_snapshot`` without running them again.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ class Trajectory:
     def snapshot_at(self, t: int) -> "Snapshot":
         if not 1 <= t <= self.T:
             raise ValueError(f"snapshot time must be in 1..{self.T}, got {t}")
-        return Snapshot(d=self.d, t=t, vs_prev=self.vs[t - 1], vs_now=self.vs[t])
+        return stored_snapshot(self.d, t, self.vs[t - 1], self.vs[t])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -182,15 +186,12 @@ def sample_snapshot(protocol: Protocol, t: int, seed: int) -> "Snapshot":
     return Snapshot(protocol.d, t, states[t // 2], states[(t + 1) // 2])
 
 
-_store = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Snapshot:
     """One observed infected subgraph, reduced to (t, vs_{t-1}, vs_t).
 
     At t = 1 the pair is (vs_0, vs_1) = (origin, first step); for every t >= 2
-    neither entry can be the origin.  Construction checks the degree and
+    neither entry can be the origin.  ``Snapshot(...)`` checks the degree and
     both labels, and that the pair is consistent (equal at even t,
     equal-or-adjacent at odd t); code past this point takes them as given.
     """
@@ -200,26 +201,19 @@ class Snapshot:
     vs_prev: Label
     vs_now: Label
 
-    def __init__(self, d: int, t: int, vs_prev: Label, vs_now: Label) -> None:
-        # checks first; then the fields, in field order (a compact instance
-        # dict), stored past the frozen __setattr__
-        check_degree(d)
-        check_label(d, vs_prev)
-        if vs_now is not vs_prev:  # one object: already checked
-            check_label(d, vs_now)
-        if t < 1:
-            raise ValueError(f"observation time must be >= 1, got {t}")
-        if vs_prev != vs_now:
-            if t % 2 == 0:
+    def __post_init__(self) -> None:
+        check_degree(self.d)
+        check_label(self.d, self.vs_prev)
+        check_label(self.d, self.vs_now)
+        if self.t < 1:
+            raise ValueError(f"observation time must be >= 1, got {self.t}")
+        if self.vs_prev != self.vs_now:
+            if self.t % 2 == 0:
                 raise ValueError("even-time snapshots have vs_prev == vs_now")
-            if distance(vs_prev, vs_now) != 1:
+            if distance(self.vs_prev, self.vs_now) != 1:
                 raise ValueError("a moved virtual source must be adjacent to its predecessor")
-        if t >= 2 and (vs_prev == SOURCE or vs_now == SOURCE):
+        if self.t >= 2 and (self.vs_prev == SOURCE or self.vs_now == SOURCE):
             raise ValueError("the virtual source never sits at the origin for t >= 2")
-        _store(self, "d", d)
-        _store(self, "t", t)
-        _store(self, "vs_prev", vs_prev)
-        _store(self, "vs_now", vs_now)
 
     @property
     def is_ball(self) -> bool:
@@ -294,6 +288,21 @@ class Snapshot:
         elif s.vs_prev != s.vs_now[:-1]:
             raise ValueError("a moved virtual source's vs_prev must be the parent of vs_now")
         return s
+
+
+def stored_snapshot(d: int, t: int, vs_prev: Label, vs_now: Label) -> Snapshot:
+    """A Snapshot stored without the constructor's checks, its fields set in
+    field order as the generated ``__init__`` sets them.
+
+    Precondition: the pair came from ``walker``, from ``oracle._orbits`` or
+    from an already checked ``Trajectory``.
+    """
+    s = object.__new__(Snapshot)
+    object.__setattr__(s, "d", d)
+    object.__setattr__(s, "t", t)
+    object.__setattr__(s, "vs_prev", vs_prev)
+    object.__setattr__(s, "vs_now", vs_now)
+    return s
 
 
 def local_radius(trajectory: Trajectory, t: int) -> int:

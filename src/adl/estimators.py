@@ -97,12 +97,6 @@ class ShellCandidates:
     centers: tuple  # one label, or two adjacent labels
     radii: tuple  # strictly increasing radii >= 1
 
-    def __post_init__(self) -> None:
-        if len(self.centers) not in (1, 2) or not self.radii:
-            raise ValueError("need 1 or 2 centers and at least one radius")
-        if any(r < 1 for r in self.radii):
-            raise ValueError("shell radii must be >= 1")
-
     def _shell_size(self, r: int) -> int:
         if len(self.centers) == 1:
             return self.d * (self.d - 1) ** (r - 1)
@@ -152,10 +146,6 @@ class Estimate:
     chosen: Label
     candidates: Candidates
     diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.candidates.contains(self.chosen):
-            raise ValueError("chosen vertex must belong to the candidate set")
 
     def tie_count(self) -> int:
         return self.candidates.size()
@@ -233,7 +223,7 @@ def _hop_scores(s: Snapshot, protocol: Protocol) -> list:
 
 def single_mle_candidates(s: Snapshot, protocol: Protocol) -> tuple[Candidates, dict]:
     """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)), as shells."""
-    d = s.d
+    d = _check_common([s])
     if protocol.exact:
         scores = _hop_scores(s, protocol)
         best = max(scores)
@@ -266,7 +256,6 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
     the diagnostics carry the exact success probability
     max_h p(t, h) / (d (d-1)^(h-1)).
     """
-    _check_common([s])
     cands, diagnostics = single_mle_candidates(s, protocol)
     return _finish("single_mle", cands, diagnostics, rng)
 
@@ -348,10 +337,9 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     sources and have one child in the spanning subtree.  That subtree comes
     from one :func:`steiner_tree` call, whose span the benchmark self-test
     counts; the tie path walks its children.  A virtual source at v is in no
-    subtree of v, so at k = 1 it wins with score 0.  Labels are taken as given.
+    subtree of v, so at k = 1 it wins with score 0.  The labels, at least
+    one, are taken as given.
     """
-    if not resolved:
-        raise ValueError("at least one virtual source required")
     k = len(resolved)
     domain = steiner_tree(d, resolved)
     lo, hi = min(resolved), max(resolved)
@@ -718,8 +706,9 @@ class EstimatorInfo:
 
 def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
     """The core on every choice of one virtual source per snapshot."""
+    d = _check_common(snaps)
     resolutions = itertools.product(*(s.virtual_sources() for s in snaps))
-    return [k_obs_candidates(snaps[0].d, vs)[0] for vs in resolutions]
+    return [k_obs_candidates(d, vs)[0] for vs in resolutions]
 
 
 ESTIMATORS = {

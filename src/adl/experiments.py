@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import Snapshot, is_int, walker
+from adl.diffusion import is_int, stored_snapshot, walker
 from adl.estimators import ESTIMATORS, estimator_for
 from adl.protocol import Protocol, protocol_from_spec, uniform_protocol, walk_horizon
 from adl.tree import MAX_DEGREE, SOURCE
@@ -389,7 +389,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         for walk, t, prev, now, stream in walks:
             reseed(_splitmix64(trial ^ stream))
             states = walk(rng)
-            snaps.append(Snapshot(d, t, states[prev], states[now]))
+            snaps.append(stored_snapshot(d, t, states[prev], states[now]))
         for j, estimate in enumerate(runners):
             reseed(_fold(trial, ESTIMATOR_STREAM + j))
             try:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import fsum, lcm, prod
 from typing import Sequence
 
-from adl.diffusion import Snapshot
+from adl.diffusion import stored_snapshot
 from adl.estimators import estimator_for
 from adl.protocol import Protocol, walk_horizon
 from adl.tree import SOURCE, ball_size, sphere_size
@@ -95,7 +95,7 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
 
     def descend(i, v, depth, moved, weight):
         if len(v) == depth:
-            snaps[i] = Snapshot(d=d, t=times[i], vs_prev=v[:-1] if moved else v, vs_now=v)
+            snaps[i] = stored_snapshot(d, times[i], v[:-1] if moved else v, v)
             pick(i + 1, weight)
             return
         m = used.get(v, 0)

@@ -236,12 +236,12 @@ def local_spreading_protocol(d: int, gamma: Union[float, str, Fraction]) -> Prot
     )
 
 
-def constant_protocol(d: int, value: Rational, name: Optional[str] = None) -> Protocol:
+def constant_protocol(d: int, value: Rational) -> Protocol:
     """alpha == value everywhere; handy for degenerate schedules (0 or 1)."""
     v = Fraction(value)
     if not 0 <= v <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {value}")
-    return Protocol(d=d, name=name or f"const({float(v):g})", _alpha=lambda t, h: v)
+    return Protocol(d=d, name=f"const({float(v):g})", _alpha=lambda t, h: v)
 
 
 def load_protocol_table(source: Union[str, bytes], d: int) -> Protocol:

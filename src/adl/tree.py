@@ -12,9 +12,10 @@ enumerators; inference code is expected to treat labels as opaque and go
 through the operations in this module only (results must be invariant under
 relabelling of child indices; see the test suite).
 
-Labels are checked once, where they enter: ``Snapshot`` and ``Trajectory``
-call :func:`check_degree` and :func:`check_label` when they are built.  Every
-other operation here takes its labels as given.
+Labels are checked once, where they enter: ``Snapshot(...)`` and
+``Trajectory`` call :func:`check_degree` and :func:`check_label`, and
+``diffusion.stored_snapshot`` stores pairs the package built itself
+unchecked.  Every other operation here takes its labels as given.
 """
 
 from __future__ import annotations

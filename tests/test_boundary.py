@@ -21,6 +21,7 @@ from adl.diffusion import Snapshot, Trajectory, simulate
 from adl.estimators import ESTIMATORS
 from adl.experiments import ConfigError, ExperimentConfig
 from adl.protocol import (
+    constant_protocol,
     load_protocol_table,
     local_spreading_protocol,
     perfect_protocol,
@@ -149,6 +150,7 @@ def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     ([with_snapshot(t=10 ** 12), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
     ([with_snapshot(t=10 ** 400), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
     ([with_snapshot(d=10 ** 8), SNAPSHOTS[1]], "degree must be at most 1000, got 100000000"),
+    ([with_snapshot(d=4), SNAPSHOTS[1]], "snapshot degree 4 disagrees with --d 3"),
 ])
 def test_estimate_rejects_malformed_snapshot_file(doc, token):
     assert_usage_error(estimate(doc), token)
@@ -178,6 +180,8 @@ IMPOSSIBLE_SNAPSHOTS = [
      "no walk reaches depth 1 by t=1 and holds still there"),
     ({"d": 3, "t": 1, "vs_prev": "/", "vs_now": "/"},
      "vs_now is the origin, but every walk steps to a child of it at t=1"),
+    # a moved pair reaches depth at most (t+1)//2
+    ({"d": 3, "t": 3, "vs_prev": "/0/0", "vs_now": "/0/0/0"}, "no walk reaches depth 3 by t=3"),
 ]
 
 
@@ -268,6 +272,35 @@ def test_trajectory_from_json_validates_fields():
     ):
         with pytest.raises(ValueError):
             Trajectory.from_json(json.dumps(bad))
+    with pytest.raises(ValueError, match="vs_1 must be a neighbor of the origin"):
+        Trajectory.from_json(json.dumps({**good, "vs": ["/", "/2/0", "/2/0"]}))
+
+
+@pytest.mark.parametrize("table, token", [
+    ("t,h,a\n2,1,0.5\n", "expected header 't,h,alpha', got ['t', 'h', 'a']"),
+    ("", "expected header 't,h,alpha', got None"),
+    ("t,h,alpha\n", "protocol table is empty"),
+    ("t,h,alpha\n2,1\n", "line 2: expected 3 fields, got 2"),
+    ("t,h,alpha\n2,1,x\n", "line 2: malformed row ['2', '1', 'x']"),
+], ids=["wrong-header", "empty-file", "no-rows", "two-fields", "non-numeric-alpha"])
+def test_hopdist_rejects_malformed_protocol_table(table, token, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    argv = ["hopdist", "--d", "3", "--protocol", "table", "--table", str(path), "-T", "4"]
+    assert_usage_error(run_main(argv), token)
+
+
+def test_hopdist_skips_blank_table_lines(tmp_path):
+    outputs = []
+    for text in ("t,h,alpha\n2,1,0.5\n\n4,1,0.5\n\n4,2,0.25\n\n",
+                 "t,h,alpha\n2,1,0.5\n4,1,0.5\n4,2,0.25\n"):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        code, out, _ = run_main(["hopdist", "--d", "3", "--protocol", "table",
+                                 "--table", str(path), "-T", "4"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("t,h,p\n")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +372,7 @@ def cases_with(**entry):
     # and so is a huge degree
     (config_with(d=10 ** 8), "d must be an integer in 3..1000, got 100000000"),
     (config_with(d=1001), "d must be an integer in 3..1000, got 1001"),
+    (config_with(k=3), r"k=3 disagrees with len\(times\)=2"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):
@@ -444,10 +478,16 @@ def test_cases_rejected_for_non_uniform_estimate(name, tmp_path):
     assert_usage_error(result, "valid only under the uniform protocol")
 
 
-@pytest.mark.parametrize("name", sorted(NON_UNIFORM))
+# the gate reads the protocol's name; a constant protocol is named const(<value>)
+NON_UNIFORM_ORACLE = {**{name: spec[2] for name, spec in NON_UNIFORM.items()},
+                      "const0": constant_protocol(3, 0),
+                      "const1/2": constant_protocol(3, Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIFORM_ORACLE))
 def test_cases_rejected_for_non_uniform_oracle(name):
     with pytest.raises(ValueError, match="valid only under the uniform protocol"):
-        oracle.exact_success("uniform_mle_cases", NON_UNIFORM[name][2], (4, 5))
+        oracle.exact_success("uniform_mle_cases", NON_UNIFORM_ORACLE[name], (4, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from adl.diffusion import (
     local_radius,
     sample_snapshot,
     simulate,
+    stored_snapshot,
     walker,
 )
 from adl.experiments import derive_seed
@@ -27,7 +28,7 @@ from adl.protocol import (
     uniform_protocol,
 )
 from adl.tree import SOURCE, bfs_depths, distance
-from conftest import stepwise_infected_set
+from conftest import assert_stored_equals_checked, stepwise_infected_set
 
 
 def test_always_stay_keeps_h_one():
@@ -132,7 +133,7 @@ def test_snapshot_invariants_enforced():
 
 
 def test_snapshot_behaves_as_a_frozen_dataclass():
-    # the hand-written __init__ keeps what the generated one gave: field
+    # the generated __init__, with the checks in __post_init__, gives field
     # order, keyword construction, value equality and hash, repr, replace
     # (which validates again), copy and pickle
     s = Snapshot(d=3, t=5, vs_prev=(1,), vs_now=(1, 0))
@@ -334,6 +335,29 @@ def test_one_sampler_reused_across_streams_matches_reference_loop(name, d):
             states = walk(rng)  # stage j is vs_{2j-1} = vs_{2j}
             assert states == [vs[0], *vs[1:T + 1:2]]
             assert (states[T // 2], states[(T + 1) // 2]) == (vs[T - 1], vs[T])
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
+def test_trial_loop_snapshots_equal_checked_ones(name):
+    # a Monte Carlo job stores the pairs its walkers draw without checking
+    # them again (experiments.run), and Trajectory.snapshot_at stores the
+    # pairs of a checked trajectory: each is the snapshot Snapshot(...) builds
+    rng = random.Random()
+    for d in (3, 4, 5):
+        proto = CONTRACT_PROTOCOLS[name](d)
+        for T in range(1, 17):
+            walk = walker(proto, T)
+            pairs = {}
+            for n in range(100):
+                rng.seed(derive_seed(35, d, T, n))
+                states = walk(rng)
+                pair = (states[T // 2], states[(T + 1) // 2])
+                pairs.setdefault(pair, pair)
+            for prev, now in pairs.values():
+                assert_stored_equals_checked(stored_snapshot(d, T, prev, now))
+            tr = simulate(proto, T, derive_seed(36, d, T))
+            for t in range(1, T + 1):
+                assert_stored_equals_checked(tr.snapshot_at(t))
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))

@@ -18,7 +18,7 @@ from adl.protocol import (
     uniform_protocol,
 )
 from adl.tree import SOURCE, labels_at_depth, sphere_size
-from conftest import nondyadic_table, walk_law
+from conftest import assert_stored_equals_checked, nondyadic_table, walk_law
 
 UNI3 = uniform_protocol(3)
 
@@ -238,11 +238,38 @@ def test_exact_success_two_obs_at_acceptance_times():
 
 # times per number of snapshots: t = 1, odd, even and unequal times
 CROSS_CHECK_TIMES = {
-    1: [(1,), (4,), (5,), (7,)],
+    1: [(1,), (4,), (5,), (7,), (2,)],
     2: [(1, 4), (4, 5), (3, 3), (5, 3), (6, 3)],
-    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1)],
-    4: [(2, 3, 1, 2)],
+    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1), (2, 3, 3)],
+    4: [(2, 3, 1, 2), (2, 3, 3, 2)],
 }
+
+
+@pytest.mark.parametrize("name, times", [
+    ("k_obs_subtree", (1, 1, 1)),
+    ("three_obs_intersection", (1, 1, 1)),
+    ("k_obs_subtree", (1, 4, 4)),
+    ("k_obs_subtree", (1,)),
+    ("single_mle", (1,)),
+])
+def test_exact_success_refuses_t1_as_the_estimators_do(name, times):
+    # the cores the oracle runs refuse a t = 1 snapshot with the message the
+    # public estimators (Monte Carlo and adl estimate) give
+    with pytest.raises(ValueError, match="estimators require observation times t >= 2"):
+        oracle.exact_success(name, UNI3, times)
+
+
+@pytest.mark.parametrize("times", [(1,), (2, 3), (5, 4, 5), (7, 6)])
+def test_orbit_snapshots_equal_checked_ones(times):
+    # _orbits stores its canonical outcomes without checking them again;
+    # each is the snapshot Snapshot(...) builds
+    for d in (3, 4, 5):
+        laws = [oracle._law(uniform_protocol(d), t) for t in times]
+        seen = {}
+        oracle._orbits(d, times, laws, lambda snaps, _: seen.update((id(s), s) for s in snaps))
+        assert seen
+        for s in seen.values():
+            assert_stored_equals_checked(s)
 
 
 def test_exact_success_result_types():
