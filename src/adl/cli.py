@@ -10,6 +10,7 @@ experiment report's wall-time field varies between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -110,16 +111,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ExperimentConfig.from_json(fh.read())
-    report = run(config)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+    with contextlib.ExitStack() as stack:
+        # open the outputs first: a bad path exits 2 before any trial runs
+        out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else None
+        csv = stack.enter_context(open(args.csv, "w", encoding="utf-8")) if args.csv else None
+        report = run(config)
+        text = report.to_json()
+        if out:
+            out.write(text + "\n")
+        else:
+            print(text)
+        if csv:
+            csv.write(report.to_csv())
     return 1 if report.any_fail else 0
 
 

@@ -695,6 +695,10 @@ class EstimatorInfo:
     snapshot (a single set unless the estimator draws that choice).  Both
     look the estimator functions up as module attributes on every call, so a
     wrapper installed on this module is seen.
+
+    Contract the exact oracle relies on: permuting snapshots taken at equal
+    times leaves ``candidates`` unchanged as a multiset of member sets, and
+    relabelling child indices maps it onto the relabelled snapshots' sets.
     """
 
     alias: str  # the CLI --method name

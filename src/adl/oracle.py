@@ -13,17 +13,22 @@ so a protocol reused across calls runs the hop recurrence once.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
-relabelling of child indices.  So the joint sum runs over the orbits of the
-automorphisms that fix the origin: one canonical joint outcome per orbit,
-weighted by the orbit's size and reached by callback.  The orbit count
-grows polynomially in t, not like (d-1)^(t/2) per snapshot; the budget
-still caps the nominal number of joint outcomes the sum stands for.
+relabelling of child indices.  Snapshots taken at equal times are
+independent draws from one law, and every core's candidate sets, as a
+multiset, do not depend on their order (the ``EstimatorInfo`` contract).
+So the joint sum runs over the orbits of a larger group, the automorphisms
+that fix the origin times the permutations of equal-time snapshots: one
+canonical joint outcome per orbit, weighted by the orbit's size and reached
+by callback.  The orbit count grows polynomially in t, not like
+(d-1)^(t/2) per snapshot; the budget still caps the nominal number of joint
+outcomes the sum stands for.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import fsum, lcm, prod
+from math import factorial, fsum, lcm, prod
 from typing import Sequence
 
 from adl.diffusion import stored_snapshot
@@ -71,27 +76,52 @@ def _law(protocol: Protocol, t: int) -> list:
 
 
 def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
-    """Call ``visit(snaps, weight)`` once per orbit of the automorphisms that
-    fix the origin, with one canonical joint outcome (one Snapshot per time)
-    and the orbit's size times the product of its row weights.
+    """Call ``visit(snaps, weight)`` once per orbit of the origin-fixing
+    automorphisms times the permutations of equal-time snapshots, with one
+    canonical joint outcome (one Snapshot per time) and the orbit's size
+    times the product of its row weights.  Equal times must come with equal
+    laws.
 
-    In canonical form, the children used at each vertex across snapshots
-    1..k are numbered in first-use order.  A label is built one step at a
-    time: at a vertex that already uses m children it either reuses one of
-    them or opens child m, which has n - m images under the group (n = d at
-    the origin, d - 1 elsewhere).  Each Snapshot is built once and shared by
-    every outcome that extends it; ``visit`` must not keep ``snaps``.
+    In canonical form, the snapshots at one time pick their law rows in
+    non-decreasing row index, in position order; the weight carries the
+    number of distinct orderings of that row tuple, (positions)! / prod over
+    rows of (positions on the row)!, taken once the last position of the time
+    has picked.  Permuting those positions maps the outcomes of one ordering
+    one-to-one onto those of another, with equal weights and candidate sets.
+    The children used at each vertex across snapshots 1..k are numbered in
+    first-use order.  A label is built one step at a time: at a vertex that
+    already uses m children it either reuses one of them or opens child m,
+    which has n - m images under the automorphisms (n = d at the origin,
+    d - 1 elsewhere).  Each Snapshot is built once and shared by every
+    outcome that extends it; ``visit`` must not keep ``snaps``.
     """
     k = len(laws)
     used: dict = {}  # vertex -> number of its children in use
     snaps: list = [None] * k
+    rows = [0] * k  # the law row each position picked
+    same: dict = {}  # time -> its positions, in order
+    prev = []  # the position before i with i's time, or None
+    for i, t in enumerate(times):
+        prev.append(same[t][-1] if t in same else None)
+        same.setdefault(t, []).append(i)
+    closes: list = [None] * k  # at the last of 2+ positions sharing a time: all of them
+    for ps in same.values():
+        if len(ps) > 1:
+            closes[ps[-1]] = ps
 
     def pick(i, weight):
         if i == k:
             visit(snaps, weight)
             return
-        for depth, moved, p in laws[i]:
-            descend(i, SOURCE, depth, moved, weight * p)
+        start = 0 if prev[i] is None else rows[prev[i]]
+        for r in range(start, len(laws[i])):
+            depth, moved, p = laws[i][r]
+            rows[i] = r
+            w = weight * p
+            if closes[i]:
+                runs = Counter(rows[j] for j in closes[i]).values()
+                w *= factorial(len(closes[i])) // prod(map(factorial, runs))
+            descend(i, SOURCE, depth, moved, w)
 
     def descend(i, v, depth, moved, weight):
         if len(v) == depth:
@@ -120,12 +150,14 @@ def exact_success(
     """Exact probability that the estimator's pick equals the origin.
 
     Sums over the orbits of the joint outcomes of the independent diffusions
-    (see the module docstring); the budget caps the number of joint outcomes
-    that sum stands for.  Every source of estimator randomness (tie-break,
-    odd-snapshot virtual-source disambiguation) is integrated analytically,
-    so the result carries no sampling noise at all: an orbit's weight goes to
-    hits[q], q = L |C|, for each of the core's L candidate sets C holding the
-    origin, and the result is sum_q hits[q] / q over the laws' denominators.
+    under the origin-fixing automorphisms times the permutations of
+    equal-time snapshots (see the module docstring); the budget caps the
+    number of joint outcomes that sum stands for.  Every source of estimator
+    randomness (tie-break, odd-snapshot virtual-source disambiguation) is
+    integrated analytically, so the result carries no sampling noise at all:
+    an orbit's weight goes to hits[q], q = L |C|, for each of the core's L
+    candidate sets C holding the origin, and the result is sum_q hits[q] / q
+    over the laws' denominators.
     """
     times = list(times)
     if not times:

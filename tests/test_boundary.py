@@ -397,6 +397,21 @@ def test_experiment_rejects_times_past_the_table_horizon():
     assert "T=9 needs alpha at t=8" in msg and "unknown method" in msg
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_experiment_checks_its_output_paths_before_any_trial(flag, tmp_path, monkeypatch):
+    # a report path in a missing directory exits 2 with a message before a
+    # single trial runs (it used to run them all first, and a bad --csv lost
+    # the verdict's exit code after the JSON was out)
+    calls = []
+    monkeypatch.setattr("adl.cli.run", calls.append)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIGS[2]))
+    missing = tmp_path / "missing" / "report"
+    result = run_main(["experiment", "--config", str(config), flag, str(missing)])
+    assert_usage_error(result, f"No such file or directory: '{missing}'")
+    assert calls == []
+
+
 @pytest.mark.parametrize("t_max", [10 ** 8, 10 ** 18])
 def test_protocol_table_with_a_far_row_is_rejected_at_once(t_max, tmp_path):
     # the gap check counts rows before it lists any missing pair, and lists

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from adl import oracle
 from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import (
+    ESTIMATORS,
     _REL_TOL,
     ExplicitCandidates,
     ShellCandidates,
@@ -1083,6 +1085,80 @@ def test_relabelling_invariance_of_candidate_sets():
                     single_mle_candidates(o, other)[0],
                     single_mle_candidates(n, other)[0],
                 )
+
+
+def _member_multiset(sets):
+    """A list of candidate sets as a sorted list of their sorted members."""
+    out = []
+    for c in sets:
+        if isinstance(c, ShellCandidates):
+            members = set().union(*(shell_members(c.d, c.centers, r) for r in c.radii))
+        else:
+            members = c.members
+        out.append(sorted(members))
+    return sorted(out)
+
+
+# (d, t, (vs_prev, vs_now) per snapshot): the first two snapshots form the
+# named case, the third extends it to three snapshots
+EQUAL_TIME_CASES = [
+    (3, 5, [((0,), (0, 1))] * 3),  # identical edges
+    (3, 5, [((0,), (0, 1)), ((0,), (0, 0)), ((1,), (1, 0))]),  # edges sharing vs_prev
+    (4, 7, [((0,), (0, 1)), ((0, 1), (0, 1, 2)), ((0,), (0, 1))]),  # sharing a vertex, end to end
+    (3, 5, [((0,), (0,)), ((0,), (0, 1)), ((0, 1), (0, 1))]),  # balls inside an edge
+    (4, 7, [((0, 1), (0, 1, 2)), ((0, 1), (0, 1)), ((3,), (3,))]),  # a ball inside an edge
+    (3, 6, [((0, 1), (0, 1)), ((0, 1), (0, 1)), ((0,), (0,))]),  # identical even balls
+]
+
+
+def _possible(protocol, s):
+    """Whether the walk under ``protocol`` can produce snapshot ``s``."""
+    row = (len(s.vs_now), s.vs_prev != s.vs_now)
+    return row in {(h, moved) for h, moved, _ in oracle._law(protocol, s.t)}
+
+
+def _equal_time_snapshots(protocol):
+    """Joint snapshots whose times repeat, each one the walk can produce: the
+    named cases, every canonical outcome ``oracle._orbits`` visits and
+    seeded walks."""
+    d = protocol.d
+    for cd, t, pairs in EQUAL_TIME_CASES:
+        snaps = [snap(cd, t, *pair) for pair in pairs]
+        if cd == d and all(_possible(protocol, s) for s in snaps):
+            yield snaps
+    for times in ((4, 4), (5, 5), (7, 7), (5, 4, 5), (5, 5, 5)):
+        seen = []
+        laws = [oracle._law(protocol, t) for t in times]
+        oracle._orbits(d, times, laws, lambda snaps, _: seen.append(list(snaps)))
+        yield from seen
+    for i, times in enumerate(((9, 9), (10, 10), (8, 8, 8), (9, 9, 9))):
+        for trial in range(10):
+            yield [sample_snapshot(protocol, t, derive_seed(11, i, trial, j))
+                   for j, t in enumerate(times)]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_candidates_ignore_the_order_of_equal_time_snapshots(d):
+    # the exact oracle sums each sorted row tuple of equal-time snapshots
+    # once; that is exact only if permuting equal-time snapshots leaves every
+    # core's candidate sets unchanged as a multiset (the EstimatorInfo contract)
+    checked = {name: 0 for name in ESTIMATORS}
+    for protocol in (uniform_protocol(d), perfect_protocol(d), local_spreading_protocol(d, "1/2")):
+        for snaps in _equal_time_snapshots(protocol):
+            for k in range(1, len(snaps) + 1):
+                part = snaps[:k]
+                times = [s.t for s in part]
+                orders = [order for order in itertools.permutations(range(k))
+                          if [times[j] for j in order] == times]
+                for name, info in ESTIMATORS.items():
+                    if info.arity not in (None, k) or info.uniform_only and protocol.name != "uniform":
+                        continue
+                    want = _member_multiset(info.candidates(part, protocol))
+                    for order in orders:
+                        got = info.candidates([part[j] for j in order], protocol)
+                        assert _member_multiset(got) == want, (name, protocol.name, part, order)
+                    checked[name] += 1
+    assert min(checked.values()) > 0, checked
 
 
 def test_estimate_json_shape():

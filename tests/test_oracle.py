@@ -239,9 +239,9 @@ def test_exact_success_two_obs_at_acceptance_times():
 # times per number of snapshots: t = 1, odd, even and unequal times
 CROSS_CHECK_TIMES = {
     1: [(1,), (4,), (5,), (7,), (2,)],
-    2: [(1, 4), (4, 5), (3, 3), (5, 3), (6, 3)],
-    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1), (2, 3, 3)],
-    4: [(2, 3, 1, 2), (2, 3, 3, 2)],
+    2: [(1, 4), (4, 5), (3, 3), (5, 3), (6, 3), (4, 4), (5, 5)],
+    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1), (2, 3, 3), (4, 2, 4)],
+    4: [(2, 3, 1, 2), (2, 3, 3, 2), (2, 2, 2, 2), (3, 2, 3, 2)],
 }
 
 
@@ -270,6 +270,20 @@ def test_orbit_snapshots_equal_checked_ones(times):
         assert seen
         for s in seen.values():
             assert_stored_equals_checked(s)
+
+
+def test_orbits_sum_each_sorted_row_tuple_of_equal_times_once():
+    # equal-time snapshots pick their law rows in non-decreasing order, and
+    # the weight counts the orderings of that row tuple: fewer leaves, the
+    # same total mass
+    # (the automorphisms alone give 348, 231 and 170; (2, 3, 3, 2) checks the mass)
+    for times, leaves in (((4, 4, 4, 4), 124), ((6, 6, 6), 94), ((10, 11), 170),
+                          ((2, 3, 3, 2), None)):
+        laws = [oracle._law(UNI3, t) for t in times]
+        weights = []
+        oracle._orbits(3, times, laws, lambda snaps, w: weights.append(w))
+        assert leaves is None or len(weights) == leaves, times
+        assert sum(weights) == 1 and all(type(w) is Fraction for w in weights), times
 
 
 def test_exact_success_result_types():
