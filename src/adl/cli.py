@@ -32,7 +32,7 @@ from adl.protocol import (
     uniform_protocol,
     walk_horizon,
 )
-from adl.tree import MAX_DEGREE
+from adl.tree import MAX_DEGREE, format_label
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
@@ -89,6 +89,22 @@ def _cmd_hopdist(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_possible(protocol: Protocol, s: Snapshot, n: int) -> None:
+    """Reject a snapshot the protocol never produces: its single-snapshot
+    weight, at hop len(vs_now) for a ball and one less for a moved pair,
+    is zero (the mapping of ``oracle._law``).  Times below 2 are left to the
+    estimators, which refuse them."""
+    if s.t < 2:
+        return
+    hop = len(s.vs_now) - (not s.is_ball)
+    if not protocol.snapshot_weights(s.t, s.is_ball)[hop - 1]:
+        raise ValueError(
+            f"snapshot {n} (t={s.t}, vs_prev={format_label(s.vs_prev)}, "
+            f"vs_now={format_label(s.vs_now)}) has probability zero under "
+            f"protocol {protocol.name}: no walk of it produces this snapshot"
+        )
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     protocol = _protocol(args)
     with open(args.snapshots, "r", encoding="utf-8") as fh:
@@ -103,6 +119,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         walk_horizon(protocol, s.t)
     name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
     estimator_for(name, len(snaps), protocol)
+    for n, s in enumerate(snaps):
+        _check_possible(protocol, s, n)
     est = info.estimate(snaps, protocol, random.Random(args.seed))
     print(est.to_json())
     return 0

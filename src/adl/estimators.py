@@ -407,9 +407,12 @@ def generic_mle_candidates(
     # vertex u[:l] is visited once, on the first terminal u it is a prefix
     # of, and everything about it comes from prefix lengths.
     terms = sorted({v for s in snaps for v in s.virtual_sources()})
+    n = len(terms)
     index = {v: j for j, v in enumerate(terms)}
     lens = [len(v) for v in terms]
-    lcps = [[lcp_len(u, v) for v in terms] for u in terms]
+    lcps = [lens[:] for _ in terms]  # lcp(u, u) = len(u), and the table is symmetric
+    for i, j in itertools.combinations(range(n), 2):
+        lcps[i][j] = lcps[j][i] = lcp_len(terms[i], terms[j])
     top = lcps[0][-1]
     ends = [(index[s.vs_prev], index[s.vs_now]) for s in snaps]  # one index twice for a ball
     rows = [_hop_scores(s, protocol) for s in snaps]
@@ -419,7 +422,8 @@ def generic_mle_candidates(
     # so each piece (c, r) has one likelihood, scored where it is found, and
     # no feasible vertex lies deeper than the smallest slack
     # floor(t_i/2) - x_i(c): the search over pieces is exhaustive.
-    scored = []  # (score, c, c's children on the core, r) of each scorable piece
+    best = 1 if exact else -math.inf  # a nonzero exact score is an integer >= 1
+    kept = []  # (score, terminal, level, depth) of each piece scoring at least the best so far
     feasible = 0
     for i, u in enumerate(terms):
         lcp_u = lcps[i]
@@ -427,37 +431,44 @@ def generic_mle_candidates(
         # u[:l] lies |l - a| + len(v) - a from terminal v, with a = lcp(u, v),
         # and x_i is the distance to the nearer end of snapshot i
         both = [(lcp_u[p], lens[p] - lcp_u[p], lcp_u[q], lens[q] - lcp_u[q]) for p, q in ends]
+        # the terminals below u[:l] follow u in sorted order; terminal m starts
+        # a new child of u[:l] when lcp(u, m) = l = lcp(m - 1, m)
+        splits = [lcp_u[m] for m in range(i + 1, n) if lcp_u[m] == lcps[m - 1][m]]
         for ell in span:
             x = [min(abs(ell - a) + e, abs(ell - b) + f) for a, e, b, f in both]
             last = min(map(sub, sizes, x))
             low = 0 if min(x) > 0 else 1  # a virtual source is no candidate
             if last < low:
                 continue
-            on_core = {v[ell] for v, a in zip(terms, lcp_u) if a >= ell < len(v)}
-            free = d - (ell > top) - len(on_core)  # off-core neighbours
+            free = d - (ell > top) - (ell < lens[i]) - splits.count(ell)  # off-core neighbours
             if not free:  # nothing hangs off c: only c itself can be a candidate
                 if low:
                     continue
                 last = 0
             feasible += 1 - low + free * ((d - 1) ** last - 1) // (d - 2)
-            c = u[:ell]
-            cols = [row[xi + low - 1 : xi + last] for row, xi in zip(rows, x)]
-            for r, piece in enumerate(zip(*cols), low):
+            for r in range(low, last + 1):
                 if exact:
-                    score = math.prod(piece)
-                    if score:
-                        scored.append((score, c, on_core, r))
-                elif None not in piece:
+                    score = 1
+                    for row, xi in zip(rows, x):
+                        score *= row[xi + r - 1]
+                    if score >= best:
+                        kept.append((score, i, ell, r))
+                        best = score
+                else:
+                    piece = [row[xi + r - 1] for row, xi in zip(rows, x)]
+                    if None in piece:
+                        continue
                     score = 0.0
                     for term in piece:  # left to right, as every Python version adds
                         score += term
-                    scored.append((score, c, on_core, r))
+                    if score >= best or math.isclose(score, best, rel_tol=_REL_TOL, abs_tol=1e-300):
+                        kept.append((score, i, ell, r))
+                        best = max(best, score)
 
-    best = max([p[0] for p in scored], default=None)
     if exact:
-        win = [p for p in scored if p[0] == best]
+        win = [p for p in kept if p[0] == best]
     else:
-        win = [p for p in scored if math.isclose(p[0], best, rel_tol=_REL_TOL, abs_tol=1e-300)]
+        win = [p for p in kept if math.isclose(p[0], best, rel_tol=_REL_TOL, abs_tol=1e-300)]
 
     diagnostics = {"feasible_count": feasible, "exact": exact, "fallback": not win}
     if not win:
@@ -467,12 +478,14 @@ def generic_mle_candidates(
         fringe = set(neighbors(d, first)) - set(terms)
         return ExplicitCandidates(frozenset(fringe)), diagnostics
     ties = []
-    for _, c, on_core, r in win:
+    for _, i, ell, r in win:
+        c = terms[i][:ell]
         if r == 0:
             ties.append(c)
             continue
         # leave the core at the first step, then walk outward without
         # stepping back
+        on_core = {v[ell] for v, a in zip(terms, lcps[i]) if a >= ell < len(v)}
         layer = [(c, c + (j,)) for j in range(d - 1 if c else d) if j not in on_core]
         if c and len(c) == top:
             layer.append((c, c[:-1]))
@@ -491,14 +504,21 @@ def generic_mle(snaps: Sequence[Snapshot], protocol: Protocol, rng: random.Rando
     sources that vector is the attaching core vertex's vector plus the
     outward depth, so the scoring runs over (core vertex, depth) pieces and
     covers the whole feasible intersection.  The core is never built: one
-    walk over the sorted virtual sources visits each core vertex once and
-    reads its hop vector and its off-core neighbour count from one table of
-    common-prefix lengths.  Each piece is scored where it is found, and
-    only the winning pieces are listed.  Candidates with a zero hop
-    probability are excluded (log 0 = -inf).  For the built-in protocols
-    likelihoods are compared as exact rationals (integer products); for
-    table protocols a float log-likelihood, its terms added left to right,
-    with relative tie tolerance is used.
+    walk over the sorted virtual sources visits each core vertex once, reads
+    its hop vector from a table of common-prefix lengths and counts its
+    children on the core from the lengths of adjacent sources.  Each piece
+    is scored where it is found against a running best; only pieces at
+    least that good are kept, and only the final winners are listed.
+    Candidates with a zero hop probability are excluded (log 0 = -inf).  For
+    the built-in protocols likelihoods are compared as exact rationals
+    (integer products); for table protocols a float log-likelihood, its
+    terms added left to right, with relative tie tolerance is used.
+
+    In float mode a piece is also kept when it is close to the running best,
+    and the kept pieces are filtered once against the final best B.  No tie
+    is lost: every score is <= 0 (each term is log w - h log(d-1), w <= 1),
+    so a piece p below the running best b <= B has |p| >= |b| >= |B| and
+    |p - b| <= |p - B|: if p is close to B, it is close to b.
     """
     cands, diagnostics = generic_mle_candidates(snaps, protocol)
     return _finish("generic_mle", cands, diagnostics, rng)

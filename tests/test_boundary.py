@@ -198,6 +198,34 @@ def test_estimate_refuses_pairs_no_walk_produces(snap, token, method):
     assert_usage_error(estimate(doc, method), token)
 
 
+# under local(gamma=1/2) at d=4 the only t=7 outcome is a moved pair with
+# vs_now at depth 2: the ball weights are [0, 0, 0] and the moved ones
+# [1, 0, 0], so only the first pair below is possible
+LOCAL_D4_T7 = [
+    {"d": 4, "t": 7, "vs_prev": "/0", "vs_now": "/0/1"},
+    {"d": 4, "t": 7, "vs_prev": "/0/1", "vs_now": "/0/1/2"},
+    {"d": 4, "t": 7, "vs_prev": "/0/1", "vs_now": "/0/1"},
+    {"d": 4, "t": 7, "vs_prev": "/3", "vs_now": "/3"},
+]
+
+
+@pytest.mark.parametrize("order, named", [
+    ((1, 2, 3), "snapshot 0 (t=7, vs_prev=/0/1, vs_now=/0/1/2)"),
+    ((3, 1, 2), "snapshot 0 (t=7, vs_prev=/3, vs_now=/3)"),
+    ((0, 2), "snapshot 1 (t=7, vs_prev=/0/1, vs_now=/0/1)"),
+])
+@pytest.mark.parametrize("method", ["mle", "k-obs"])
+def test_estimate_refuses_snapshots_the_protocol_never_produces(order, named, method):
+    local = ("--protocol", "local", "--gamma", "0.5")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snaps.json"
+        path.write_text(json.dumps([LOCAL_D4_T7[i] for i in order]))
+        argv = ["estimate", "--d", "4", *local, "--snapshots", str(path), "--method"]
+        assert_usage_error(run_main([*argv, method]), f"{named} has probability zero")
+        path.write_text(json.dumps([LOCAL_D4_T7[0]] * 3))
+        assert run_main([*argv, method])[0] == 0
+
+
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("proto", [uniform_protocol, perfect_protocol,
                                    lambda d: local_spreading_protocol(d, Fraction(1, 3))],

@@ -624,6 +624,18 @@ REFERENCE_EDGE_CASES = {  # protocol, (vs_prev, vs_now) of each snapshot, times
         UNI3, [((0, 0), (0, 0)), ((0,), (0,)), ((0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 1))],
         (8, 8, 8, 8),
     ),
+    # (0,) has terminals below three distinct children, 0, 1 and 2, and one
+    # free neighbour, its parent; the child count comes from the prefix
+    # lengths of adjacent terminals
+    "three-core-children-d4": (
+        uniform_protocol(4), [((0, 0), (0, 0)), ((0, 1, 2), (0, 1, 2)), ((0, 2), (0, 2, 1))],
+        (8, 8, 9),
+    ),
+    # (0, 1, 0) and (0, 1, 1) share the child (0, 1) of (0,) and split one
+    # level deeper, so (0,) and (0, 1) each have two children on the core
+    "shared-child-split-below": (
+        UNI3, [((0, 0), (0, 0)), ((0, 1, 0), (0, 1, 0)), ((0, 1, 1), (0, 1, 1))], (6, 8, 8),
+    ),
     # the empty domain below: no vertex has positive likelihood
     "fallback": (
         local_spreading_protocol(3, 0.5), [((0,), (0,)), ((0, 0, 1, 0), (0, 0, 1, 0))], (10, 10)
@@ -642,6 +654,29 @@ def test_generic_mle_reference_edge_cases(case):
         assert diag["exact"] is exact and diag["fallback"] is (case == "fallback")
         if case == "core-through-the-origin":
             assert got.contains(SOURCE)
+
+
+def test_generic_mle_float_ties_are_kept_against_the_final_best():
+    # both snapshots see the single virtual source (0,), so the walk scores
+    # depths r = 1..5 of that one core vertex in order; the second row adds
+    # 0.0, so each score is exactly the first row's entry
+    below = [
+        -1.0 - 4e-13,  # the running best at first, close to the final best: kept
+        -1.0 - 1.1e-12,  # close to the running best, just outside the final one: dropped
+        -1.0 - 9e-13,  # below the running best, close to the final best: kept
+        -1.0,  # the final best
+        -1.0 - 1.1e-12,  # after the best, just outside the tolerance: dropped
+    ]
+    assert math.isclose(below[2], below[0], rel_tol=_REL_TOL)
+    assert not math.isclose(below[1], -1.0, rel_tol=_REL_TOL)
+    proto = replace(UNI3, exact=False)
+    proto._scores[(10, True)] = below
+    proto._scores[(12, True)] = [0.0] * 6
+    s1, s2 = snap(3, 10, (0,), (0,)), snap(3, 12, (0,), (0,))
+    want = set().union(*(shell_members(3, [(0,)], r) for r in (1, 3, 4)))
+    for snaps in ([s1, s2], [s2, s1]):
+        got, diag = _assert_same_as_reference(snaps, proto, "float ties")
+        assert got.members == want and not diag["fallback"]
 
 
 def test_generic_mle_float_mode_matches_exact_mode():

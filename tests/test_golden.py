@@ -86,7 +86,7 @@ ESTIMATES = {
         {"d": 3, "t": 8, "vs_prev": "/0/0", "vs_now": "/0/0"},
         {"d": 3, "t": 9, "vs_prev": "/2/0/0", "vs_now": "/2/0/0/0"},
     ], 5),
-    "three-obs": (["--protocol", "local", "--gamma", "0.5"], [
+    "three-obs": (["--protocol", "uniform"], [
         {"d": 3, "t": 8, "vs_prev": "/1/1", "vs_now": "/1/1"},
         {"d": 3, "t": 8, "vs_prev": "/2", "vs_now": "/2"},
         {"d": 3, "t": 7, "vs_prev": "/0/1", "vs_now": "/0/1/0"},
