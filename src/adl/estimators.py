@@ -271,6 +271,12 @@ def _closest_pair(set1: Sequence[Label], set2: Sequence[Label]) -> tuple:
     return min((distance(x, y), x, y) for x in set1 for y in set2)
 
 
+def _nbrs_minus(d: int, centers: Sequence[Label], minus: Sequence[Label] = ()) -> frozenset:
+    """The neighbours of ``centers`` that are neither centers nor in ``minus``."""
+    out = {w for c in centers for w in neighbors(d, c)}
+    return frozenset(out - set(minus) - set(centers))
+
+
 def _path_window(a: Label, b: Label, ra: int, rb: int) -> tuple[int, list]:
     """The interior vertices of the a-b path within ``ra`` of a and ``rb`` of
     b, in a-to-b order, with the position (distance from a) of the first.
@@ -299,9 +305,7 @@ def two_obs_path_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dic
         return ExplicitCandidates(frozenset(s_set)), {"S_size": len(s_set), "fallback": False}
     # the connecting path has no interior (virtual sources coincide or touch):
     # fall back to a uniform pick among the fringe of the known virtual sources
-    known = set(vs1) | set(vs2)
-    fringe = {w for v in known for w in neighbors(d, v)} - known
-    return ExplicitCandidates(frozenset(fringe)), {"S_size": 0, "fallback": True}
+    return ExplicitCandidates(_nbrs_minus(d, vs1 + vs2)), {"S_size": 0, "fallback": True}
 
 
 def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
@@ -475,8 +479,7 @@ def generic_mle_candidates(
         # no vertex has positive likelihood: a uniform pick among the fringe
         # of the first virtual source
         first = snaps[0].virtual_sources()[0]
-        fringe = set(neighbors(d, first)) - set(terms)
-        return ExplicitCandidates(frozenset(fringe)), diagnostics
+        return ExplicitCandidates(_nbrs_minus(d, [first], terms)), diagnostics
     ties = []
     for _, i, ell, r in win:
         c = terms[i][:ell]
@@ -529,20 +532,9 @@ def generic_mle(snaps: Sequence[Snapshot], protocol: Protocol, rng: random.Rando
 # ---------------------------------------------------------------------------
 
 
-def _nbrs_minus(d: int, centers: Sequence[Label], minus) -> frozenset:
-    out = {w for c in centers for w in neighbors(d, c)}
-    return frozenset(out - set(minus) - set(centers))
-
-
 def _argmax(vertices: list, scores: list) -> frozenset:
-    best = max(scores)
+    best = max(scores, default=None)
     return frozenset(v for v, sc in zip(vertices, scores) if sc == best)
-
-
-def _require(cands, case: str) -> frozenset:
-    if not cands:
-        raise ValueError(f"inconsistent snapshot pair: empty candidate set in case {case}")
-    return frozenset(cands)
 
 
 def uniform_mle_cases_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
@@ -553,16 +545,18 @@ def uniform_mle_cases_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates
             raise ValueError(
                 f"case dispatch needs t >= {low} at {'even' if low == 4 else 'odd'} times, got t={s.t}"
             )
-    if s1.t % 2 == 0 and s2.t % 2 == 0:
-        members, case = _cases_even_even(d, s1, s2)
-    elif s1.t % 2 == 0:
-        members, case = _cases_even_odd(d, s1, s2)
-    elif s2.t % 2 == 0:
-        members, case = _cases_even_odd(d, s2, s1)
-        case += "-swapped"
-    else:
-        members, case = _cases_odd_odd(d, s1, s2)
-    return ExplicitCandidates(members), {"case": case}
+    # kind 0: even ball, 1: odd ball, 2: moved pair; the lower kind goes first
+    k1 = s1.t % 2 + (s1.vs_prev != s1.vs_now)
+    k2 = s2.t % 2 + (s2.vs_prev != s2.vs_now)
+    swapped = k1 > k2
+    if swapped:
+        s1, s2, k1, k2 = s2, s1, k2, k1
+    # each case returns (members, tag); a window pick slices, so an empty
+    # window reaches this one check
+    members, case = _CASES[k1, k2](d, s1, s2)
+    if not members:
+        raise ValueError(f"inconsistent snapshot pair: empty candidate set in case {case}")
+    return ExplicitCandidates(frozenset(members)), {"case": case + "-swapped" if swapped else case}
 
 
 def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
@@ -571,7 +565,13 @@ def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimat
     Mirrors the closed-form analysis case by case (all parity combinations,
     including the d = 3 specials); the matched case tag is reported in
     diagnostics.  Inputs must come from the uniform protocol and satisfy
-    t >= 4 (even) / t >= 5 (odd); earlier times are refused.  The cases that
+    t >= 4 (even) / t >= 5 (odd); earlier times are refused.  Each snapshot
+    has a kind, an even ball before an odd ball before a moved pair; the
+    lower kind is put first, and the tag ends in ``-swapped`` exactly when
+    that reordered the pair.  A ball against a moved pair follows one rule
+    at either parity of the ball (even-odd-2/4/6, odd-odd-4/5/6): the
+    ball center's neighbours off the pair when the pair lies within 1 of
+    the center, else the window vertex nearest the center.  The cases that
     pick from the path between the closest virtual sources read the
     closest-pair window (see the module docstring) and score its positions:
     odd-odd-3 by (t1 + 1 - 2i)(t2 + 1 - 2(L - i)), odd-odd-10 by i(L - i);
@@ -586,47 +586,38 @@ def _cases_even_even(d: int, s1: Snapshot, s2: Snapshot):
     v1, v2 = s1.vs_now, s2.vs_now
     gap = distance(v1, v2)
     if gap == 0:
-        return _require(_nbrs_minus(d, [v1], []), "even-even-1"), "even-even-1"
+        return _nbrs_minus(d, [v1]), "even-even-1"
     if gap == 1:
-        return _require(_nbrs_minus(d, [v1, v2], []), "even-even-2"), "even-even-2"
-    _, s_set = _path_window(v1, v2, s1.radius, s2.radius)
-    return _require(s_set, "even-even-3"), "even-even-3"
+        return _nbrs_minus(d, [v1, v2]), "even-even-2"
+    return _path_window(v1, v2, s1.radius, s2.radius)[1], "even-even-3"
 
 
-def _cases_even_odd(d: int, se: Snapshot, so: Snapshot):
-    """se has even t (ball, center vs1); so has odd t."""
-    vs1 = se.vs_now
-    pair = so.virtual_sources()
-    x2, _, near = _closest_pair([vs1], pair)
-    if so.is_ball:
-        if x2 == 0:
-            return _require(_nbrs_minus(d, [vs1], []), "even-odd-1"), "even-odd-1"
-        if x2 == 1:
-            return _require(_nbrs_minus(d, [near], [vs1]), "even-odd-3"), "even-odd-3"
-        # deterministic: the feasible path vertex closest to the odd center
-        _, feas = _path_window(vs1, near, se.radius, so.radius)
-        _require(feas, "even-odd-5")
-        return frozenset([feas[-1]]), "even-odd-5"
-    if x2 <= 1:
-        case = "even-odd-2" if x2 == 0 else "even-odd-4"
-        return _require(_nbrs_minus(d, [vs1], pair), case), case
-    # the feasible path vertex closest to the even center
-    _, feas = _path_window(vs1, near, se.radius, so.radius)
-    _require(feas, "even-odd-6")
-    return frozenset([feas[0]]), "even-odd-6"
+def _cases_even_odd_balls(d: int, se: Snapshot, so: Snapshot):
+    """se has even t (center v1), so odd t and a ball (center v2)."""
+    v1, v2 = se.vs_now, so.vs_now
+    gap = distance(v1, v2)
+    if gap == 0:
+        return _nbrs_minus(d, [v1]), "even-odd-1"
+    if gap == 1:
+        return _nbrs_minus(d, [v2], [v1]), "even-odd-3"
+    # deterministic: the feasible path vertex closest to the odd center
+    return _path_window(v1, v2, se.radius, so.radius)[1][-1:], "even-odd-5"
 
 
-def _cases_odd_odd(d: int, s1: Snapshot, s2: Snapshot):
-    if s1.is_ball and s2.is_ball:
-        return _cases_odd_odd_balls(d, s1, s2)
-    if s1.is_ball:
-        members, case = _cases_odd_odd_ball_nonball(d, s1, s2)
-    elif s2.is_ball:
-        members, case = _cases_odd_odd_ball_nonball(d, s2, s1)
-        case += "-swapped"
+def _cases_ball_moved(d: int, sb: Snapshot, sm: Snapshot):
+    """sb is a ball at either parity, sm a moved pair; the parity of sb
+    only names the case."""
+    if sb.t % 2:
+        tags = ("odd-odd-4", "odd-odd-5", "odd-odd-6")
     else:
-        return _cases_odd_odd_nonballs(d, s1, s2)
-    return members, case
+        tags = ("even-odd-2", "even-odd-4", "even-odd-6")
+    vb = sb.vs_now
+    pair = sm.virtual_sources()
+    x, _, near = _closest_pair([vb], pair)
+    if x <= 1:
+        return _nbrs_minus(d, [vb], pair), tags[x]
+    # the feasible path vertex closest to the ball's center
+    return _path_window(vb, near, sb.radius, sm.radius)[1][:1], tags[2]
 
 
 def _cases_odd_odd_balls(d: int, s1: Snapshot, s2: Snapshot):
@@ -634,70 +625,51 @@ def _cases_odd_odd_balls(d: int, s1: Snapshot, s2: Snapshot):
     t1, t2 = s1.t, s2.t
     gap = distance(v1, v2)
     if gap == 0:
-        return _require(_nbrs_minus(d, [v1], []), "odd-odd-1"), "odd-odd-1"
+        return _nbrs_minus(d, [v1]), "odd-odd-1"
     if gap == 1:
         # the later snapshot localizes better; equal times leave both sides tied
-        if t1 == t2:
-            members = _nbrs_minus(d, [v1, v2], [])
-        elif t1 > t2:
-            members = _nbrs_minus(d, [v2], [v1])
-        else:
-            members = _nbrs_minus(d, [v1], [v2])
-        return _require(members, "odd-odd-2"), "odd-odd-2"
+        centers = [v1, v2] if t1 == t2 else [v2] if t1 > t2 else [v1]
+        return _nbrs_minus(d, centers, [v1, v2]), "odd-odd-2"
     lo, feas = _path_window(v1, v2, s1.radius, s2.radius)
-    _require(feas, "odd-odd-3")
     scores = [(t1 + 1 - 2 * i) * (t2 + 1 - 2 * (gap - i)) for i in range(lo, lo + len(feas))]
     return _argmax(feas, scores), "odd-odd-3"
 
 
-def _cases_odd_odd_ball_nonball(d: int, sb: Snapshot, sn: Snapshot):
-    """sb is the odd ball, sn the odd non-ball."""
-    vb = sb.vs_now
-    pair = sn.virtual_sources()
-    x, _, near = _closest_pair([vb], pair)
-    if x == 0:
-        return _require(_nbrs_minus(d, [vb], pair), "odd-odd-4"), "odd-odd-4"
-    if x == 1:
-        return _require(_nbrs_minus(d, [vb], pair), "odd-odd-5"), "odd-odd-5"
-    # the feasible path vertex closest to the ball's center
-    _, feas = _path_window(vb, near, sb.radius, sn.radius)
-    _require(feas, "odd-odd-6")
-    return frozenset([feas[0]]), "odd-odd-6"
-
-
-def _cases_odd_odd_nonballs(d: int, s1: Snapshot, s2: Snapshot):
+def _cases_moved_pairs(d: int, s1: Snapshot, s2: Snapshot):
     e1, e2 = s1.virtual_sources(), s2.virtual_sources()
     gap, a, b = _closest_pair(e1, e2)
     union = set(e1) | set(e2)
     if gap == 0:
         if set(e1) == set(e2):
             if d >= 4:
-                return _require(_nbrs_minus(d, e1, []), "odd-odd-7"), "odd-odd-7"
-            band = {
-                v
-                for v, r in bfs_depths(d, e1, 2).items()
-                if r in (1, 2)
-            }
-            return _require(band, "odd-odd-7(d=3)"), "odd-odd-7(d=3)"
+                return _nbrs_minus(d, e1), "odd-odd-7"
+            band = {v for v, r in bfs_depths(d, e1, 2).items() if r in (1, 2)}
+            return band, "odd-odd-7(d=3)"
         (shared,) = set(e1) & set(e2)
         if d >= 4:
-            return _require(_nbrs_minus(d, [shared], union), "odd-odd-8"), "odd-odd-8"
-        near2 = {
-            v
-            for v, r in bfs_depths(d, [shared], 2).items()
-            if r in (1, 2) and v not in union
-        }
-        return _require(near2, "odd-odd-8(d=3)"), "odd-odd-8(d=3)"
+            return _nbrs_minus(d, [shared], union), "odd-odd-8"
+        near2 = {v for v, r in bfs_depths(d, [shared], 2).items() if r in (1, 2) and v not in union}
+        return near2, "odd-odd-8(d=3)"
     if gap == 1:
-        return _require(_nbrs_minus(d, [a, b], union), "odd-odd-9"), "odd-odd-9"
+        return _nbrs_minus(d, [a, b], union), "odd-odd-9"
     if d == 3 and gap == 2:
         _, (mid,) = _path_window(a, b, 1, 1)
         (w2,) = [w for w in neighbors(d, mid) if w not in (a, b)]
-        return frozenset([mid, w2]), "odd-odd-10(d=3,gap=2)"
+        return (mid, w2), "odd-odd-10(d=3,gap=2)"
     lo, feas = _path_window(a, b, s1.radius, s2.radius)
-    _require(feas, "odd-odd-10")
     scores = [i * (gap - i) for i in range(lo, lo + len(feas))]
     return _argmax(feas, scores), "odd-odd-10"
+
+
+# (kind of the first snapshot, kind of the second), kinds in order
+_CASES = {
+    (0, 0): _cases_even_even,
+    (0, 1): _cases_even_odd_balls,
+    (0, 2): _cases_ball_moved,
+    (1, 1): _cases_odd_odd_balls,
+    (1, 2): _cases_ball_moved,
+    (2, 2): _cases_moved_pairs,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -72,22 +72,18 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# closed_form formulas of (d, t1, t2); each is looked up on the module when it
+# runs, so a wrapper installed there is seen
+_TWO_TIME_FORMULAS = ("two_obs_detection_lower", "two_obs_obfuscation_upper",
+                      "even_even_mle_exact", "even_odd_mle_exact", "odd_odd_mle_upper")
+
+
+def _two_time_target(name: str) -> Callable:
+    return lambda d, times, p: getattr(closed_form, name)(d, *times)
+
+
 _FORMULA_TARGETS: dict[str, Callable] = {
-    "two_obs_detection_lower": lambda d, times, p: closed_form.two_obs_detection_lower(
-        d, times[0], times[1]
-    ),
-    "two_obs_obfuscation_upper": lambda d, times, p: closed_form.two_obs_obfuscation_upper(
-        d, times[0], times[1]
-    ),
-    "even_even_mle_exact": lambda d, times, p: closed_form.even_even_mle_exact(
-        d, times[0], times[1]
-    ),
-    "even_odd_mle_exact": lambda d, times, p: closed_form.even_odd_mle_exact(
-        d, times[0], times[1]
-    ),
-    "odd_odd_mle_upper": lambda d, times, p: closed_form.odd_odd_mle_upper(
-        d, times[0], times[1]
-    ),
+    **{name: _two_time_target(name) for name in _TWO_TIME_FORMULAS},
     "three_obs_lower": lambda d, times, p: closed_form.three_obs_lower(d),
     "multi_obs_lower": lambda d, times, p: closed_form.multi_obs_lower(
         d, p.get("k", len(times))
@@ -247,10 +243,10 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
         unread = [key for key in params if (name, key) != ("multi_obs_lower", "k")]
         if unread:
             raise ValueError(f"formula {name!r} takes no param {unread[0]!r}")
+        if name in _TWO_TIME_FORMULAS and len(times) != 2:
+            raise ValueError(f"formula {name!r} needs two observation times, got {len(times)}")
         try:
             return formula(d, list(times), params)
-        except IndexError:
-            raise ValueError(f"formula {name!r} needs two observation times") from None
         except OverflowError:
             raise ValueError(f"formula {name!r}: a param is too large for a float") from None
     if "kind" in spec and "value" in spec:

@@ -401,6 +401,12 @@ def cases_with(**entry):
     (config_with(d=10 ** 8), "d must be an integer in 3..1000, got 100000000"),
     (config_with(d=1001), "d must be an integer in 3..1000, got 1001"),
     (config_with(k=3), r"k=3 disagrees with len\(times\)=2"),
+    # a two-time formula refuses three times; it used to read the first two
+    *[(config_with(times=[4, 6, 8], estimators=[
+        {"method": "generic_mle", "target": {"formula": formula}}]),
+       f"formula '{formula}' needs two observation times, got 3")
+      for formula in ("two_obs_detection_lower", "two_obs_obfuscation_upper",
+                      "even_even_mle_exact", "even_odd_mle_exact", "odd_odd_mle_upper")],
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

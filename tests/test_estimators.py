@@ -860,6 +860,83 @@ def test_cases_refuse_too_early_times():
         )
 
 
+CASE_TAGS = {
+    *(f"even-even-{n}" for n in range(1, 4)),
+    *(f"even-odd-{n}" for n in range(1, 7)),
+    *(f"odd-odd-{n}" for n in range(1, 11)),
+    "odd-odd-7(d=3)", "odd-odd-8(d=3)", "odd-odd-10(d=3,gap=2)",
+}
+# a ball against a ball of the other parity or against a moved pair
+SWAPPABLE_TAGS = {*(f"even-odd-{n}" for n in range(1, 7)), "odd-odd-4", "odd-odd-5", "odd-odd-6"}
+
+
+def snapshot_kind(s):
+    return 0 if s.t % 2 == 0 else 1 if s.is_ball else 2  # even ball, odd ball, moved pair
+
+
+def swap_tags(s1, s2):
+    """Both orders of one pair: the same members and base tag, and a
+    ``-swapped`` tag exactly when the first snapshot has the higher kind."""
+    a, da = uniform_mle_cases_candidates(s1, s2)
+    b, db = uniform_mle_cases_candidates(s2, s1)
+    assert a.members == b.members, (s1, s2)
+    assert da["case"].removesuffix("-swapped") == db["case"].removesuffix("-swapped")
+    assert da["case"].endswith("-swapped") == (snapshot_kind(s1) > snapshot_kind(s2))
+    assert db["case"].endswith("-swapped") == (snapshot_kind(s2) > snapshot_kind(s1))
+    return {da["case"], db["case"]}
+
+
+# moved-pair cases a small sweep draws rarely or never
+RARE_CASE_PAIRS = [
+    (snap(4, 5, (0,), (0, 0)), snap(4, 5, (0,), (0, 0))),  # odd-odd-7
+    (snap(3, 5, (0,), (0, 0)), snap(3, 5, (0, 0), (0,))),  # odd-odd-7(d=3)
+    (snap(4, 5, (0,), (0, 0)), snap(4, 5, (0,), (0, 1))),  # odd-odd-8
+    (snap(3, 5, (0,), (0, 0)), snap(3, 5, (0,), (0, 1))),  # odd-odd-8(d=3)
+    (snap(3, 5, (0,), (0,)), snap(3, 5, (0,), (0, 0))),  # odd-odd-4
+    (snap(3, 5, (0, 0), (0, 0, 0)), snap(3, 5, (0, 1), (0, 1, 0))),  # odd-odd-10(d=3,gap=2)
+]
+
+
+def test_cases_swap_symmetry_and_tag_coverage():
+    # seeded sampled pairs at d in {3, 4, 5} and 4 <= t1, t2 <= 11, 20 per
+    # cell, then the hand-built rare pairs: every case tag is reached, and
+    # every swappable one in both orders
+    seen = set()
+    for d in (3, 4, 5):
+        proto = uniform_protocol(d)
+        for t1, t2 in itertools.product(range(4, 12), repeat=2):
+            for i in range(20):
+                s1 = sample_snapshot(proto, t1, derive_seed(9, d, t1, t2, i, 0))
+                s2 = sample_snapshot(proto, t2, derive_seed(9, d, t1, t2, i, 1))
+                seen |= swap_tags(s1, s2)
+    for s1, s2 in RARE_CASE_PAIRS:
+        seen |= swap_tags(s1, s2)
+    assert seen == CASE_TAGS | {f"{tag}-swapped" for tag in SWAPPABLE_TAGS}
+
+
+# snapshots farther out than t//2 from the origin, which Snapshot(...) builds
+# and from_dict refuses: the windows between them are empty
+EMPTY_CASE_PAIRS = [
+    ("even-even-3", snap(3, 4, (0, 0, 0), (0, 0, 0)), snap(3, 4, (1, 0, 0), (1, 0, 0))),
+    ("even-odd-5", snap(3, 4, (0, 0, 0), (0, 0, 0)), snap(3, 5, (1, 0, 0), (1, 0, 0))),
+    ("even-odd-6", snap(3, 4, (0, 0, 0), (0, 0, 0)), snap(3, 5, (1, 0, 0), (1, 0, 0, 0))),
+    ("odd-odd-3", snap(3, 5, (0, 0, 0), (0, 0, 0)), snap(3, 5, (1, 0, 0), (1, 0, 0))),
+    ("odd-odd-6", snap(3, 5, (0, 0, 0), (0, 0, 0)), snap(3, 5, (1, 0, 0), (1, 0, 0, 0))),
+    ("odd-odd-10", snap(3, 5, (0, 0, 0), (0, 0, 0, 0)), snap(3, 5, (1, 0, 0), (1, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("case, s1, s2", EMPTY_CASE_PAIRS, ids=[c for c, _, _ in EMPTY_CASE_PAIRS])
+@pytest.mark.parametrize("swap", [False, True], ids=["in-order", "swapped"])
+def test_cases_refuse_an_empty_candidate_set(case, s1, s2, swap):
+    # the message names the case without its -swapped suffix
+    if swap:
+        s1, s2 = s2, s1
+    with pytest.raises(ValueError) as err:
+        uniform_mle_cases_candidates(s1, s2)
+    assert str(err.value) == f"inconsistent snapshot pair: empty candidate set in case {case}"
+
+
 def test_cases_match_generic_mle_randomized():
     # a randomized slice of the equivalence sweep (the full 10^4-per-parity
     # sweep runs in the acceptance suite)
