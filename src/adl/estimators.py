@@ -83,6 +83,20 @@ class ExplicitCandidates:
         return ordered[rng.randrange(len(ordered))]
 
 
+def sample_is_origin(origin_in: bool, size: int, seeded: Callable[[], random.Random]) -> bool:
+    """Whether :meth:`ExplicitCandidates.sample` returns the origin from a
+    set of ``size`` members that holds it iff ``origin_in``, drawing from the
+    generator ``seeded()`` returns.
+
+    The origin ``()`` sorts before every other label, so ``sample`` returns
+    it exactly when its ``randrange(size)`` draw is 0.  ``seeded`` is called
+    only when that draw decides: the origin is in the set and is not alone.
+    """
+    if not origin_in:
+        return False
+    return size == 1 or seeded().randrange(size) == 0
+
+
 @dataclass(frozen=True)
 class ShellCandidates:
     """Union of equal-score distance shells around a center or a center edge.
@@ -691,11 +705,23 @@ class EstimatorInfo:
     Contract the exact oracle relies on: permuting snapshots taken at equal
     times leaves ``candidates`` unchanged as a multiset of member sets, and
     relabelling child indices maps it onto the relabelled snapshots' sets.
+    So whether the origin is a candidate, how many candidates there are, and
+    whether the estimator refuses the snapshots with ValueError depend only
+    on the orbit of the snapshot tuple under the automorphisms fixing the
+    origin.
+
+    ``tie_break_only`` marks the estimators whose one draw is the uniform
+    tie-break ``ExplicitCandidates.sample`` over a set computed from the
+    snapshots alone.  By the contract, their hit or miss on a trial is
+    decided by the orbit's (origin in the set, set size) and that one draw
+    (:func:`sample_is_origin`), which lets ``experiments.run`` score a
+    repeated orbit without running the estimator again.
     """
 
     alias: str  # the CLI --method name
     arity: Optional[int]  # number of snapshots taken; None for any k >= 1
     uniform_only: bool  # valid only for snapshots of the uniform protocol
+    tie_break_only: bool  # the only draw is the tie-break over an ExplicitCandidates
     estimate: Callable
     candidates: Callable
 
@@ -709,32 +735,32 @@ def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
 
 ESTIMATORS = {
     "single_mle": EstimatorInfo(
-        alias="single-mle", arity=1, uniform_only=False,
+        alias="single-mle", arity=1, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: single_mle(*snaps, protocol, rng),
         candidates=lambda snaps, protocol: [single_mle_candidates(*snaps, protocol)[0]],
     ),
     "two_obs_path": EstimatorInfo(
-        alias="two-obs-path", arity=2, uniform_only=False,
+        alias="two-obs-path", arity=2, uniform_only=False, tie_break_only=True,
         estimate=lambda snaps, protocol, rng: two_obs_path(*snaps, rng),
         candidates=lambda snaps, protocol: [two_obs_path_candidates(*snaps)[0]],
     ),
     "three_obs_intersection": EstimatorInfo(
-        alias="three-obs", arity=3, uniform_only=False,
+        alias="three-obs", arity=3, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: three_obs_intersection(*snaps, rng),
         candidates=lambda snaps, protocol: _k_obs_cores(snaps),
     ),
     "k_obs_subtree": EstimatorInfo(
-        alias="k-obs", arity=None, uniform_only=False,
+        alias="k-obs", arity=None, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: k_obs_subtree(snaps, rng),
         candidates=lambda snaps, protocol: _k_obs_cores(snaps),
     ),
     "generic_mle": EstimatorInfo(
-        alias="mle", arity=None, uniform_only=False,
+        alias="mle", arity=None, uniform_only=False, tie_break_only=True,
         estimate=lambda snaps, protocol, rng: generic_mle(snaps, protocol, rng),
         candidates=lambda snaps, protocol: [generic_mle_candidates(snaps, protocol)[0]],
     ),
     "uniform_mle_cases": EstimatorInfo(
-        alias="cases", arity=2, uniform_only=True,
+        alias="cases", arity=2, uniform_only=True, tie_break_only=True,
         estimate=lambda snaps, protocol, rng: uniform_mle_cases(*snaps, rng),
         candidates=lambda snaps, protocol: [uniform_mle_cases_candidates(*snaps)[0]],
     ),

@@ -15,6 +15,17 @@ builds one ``diffusion.walker`` per observation time and keeps one
 ``random.Random``, reseeded for every stream through its C-level ``seed``,
 which draws exactly what a fresh ``random.Random(seed)`` would; a time-t
 snapshot is read from the walk's stages t // 2 and (t + 1) // 2.
+
+Memo: whether an estimator's candidate set holds the origin, its size and a
+refusal depend only on the orbit of a trial's snapshots under the
+automorphisms fixing the origin (the ``EstimatorInfo`` contract), and with
+one or two observation times orbits repeat ((12, 12) at d = 3 has
+127).  So ``run`` scores the ``tie_break_only`` estimators of such a job
+(``two_obs_path``, ``uniform_mle_cases``, ``generic_mle``) from a memo keyed
+by ``orbit_key`` and capped at ``MEMO_CAP`` orbits, drawing a repeated
+orbit's tie-break only when it can change the count.  With three or more
+times orbits rarely repeat, so those jobs, like the estimators that draw a
+virtual-source resolution or sample a shell, run the estimator every trial.
 """
 
 from __future__ import annotations
@@ -28,15 +39,17 @@ from typing import Callable, Optional, Sequence
 
 from adl import closed_form
 from adl.diffusion import is_int, stored_snapshot, walker
-from adl.estimators import ESTIMATORS, estimator_for
+from adl.estimators import ESTIMATORS, estimator_for, sample_is_origin
 from adl.protocol import Protocol, protocol_from_spec, uniform_protocol, walk_horizon
-from adl.tree import MAX_DEGREE, SOURCE
+from adl.tree import MAX_DEGREE, SOURCE, lcp_len
 
 _MASK64 = (1 << 64) - 1
 ESTIMATOR_STREAM = 1_000_000
 MAX_SNAPSHOTS = 10_000  # largest k (or len(times)) a config may ask for
 MAX_TIME = 1_000  # largest observation time or horizon a config or the CLI may ask for
 MAX_WALKS = 10**8  # largest trials * len(times), the diffusion walks a config may ask for
+MEMO_CAP = 1 << 16  # most orbits one estimator's memo stores in a job
+_REFUSED = ()  # the memo's outcome of an orbit the estimator refuses
 
 
 def _splitmix64(x: int) -> int:
@@ -245,10 +258,16 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
             raise ValueError(f"formula {name!r} takes no param {unread[0]!r}")
         if name in _TWO_TIME_FORMULAS and len(times) != 2:
             raise ValueError(f"formula {name!r} needs two observation times, got {len(times)}")
+        if name == "three_obs_lower" and len(times) != 3:
+            raise ValueError(f"formula {name!r} needs three observation times, got {len(times)}")
         try:
-            return formula(d, list(times), params)
+            target = formula(d, list(times), params)
         except OverflowError:
             raise ValueError(f"formula {name!r}: a param is too large for a float") from None
+        if params.get("k", len(times)) != len(times):
+            raise ValueError(f"formula {name!r} reads k={params['k']}, but the config takes "
+                             f"{len(times)} snapshots")
+        return target
     if "kind" in spec and "value" in spec:
         value = spec["value"]
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -363,12 +382,39 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def orbit_key(snaps: Sequence) -> tuple:
+    """The orbit of a trial's one or two snapshots, at a job's fixed times,
+    under the automorphisms fixing the origin.
+
+    A one-time job passes its one snapshot as both.  The key is whether each
+    virtual source moved, the depths of both ``vs_now`` and the length of
+    their common prefix.  It is a complete invariant: a moved pair's
+    ``vs_prev`` is the parent of its ``vs_now``, and two labels are carried
+    onto two others by such an automorphism exactly when their depths and
+    common prefix length agree.
+    """
+    first, last = snaps[0], snaps[-1]
+    u, v = first.vs_now, last.vs_now
+    return first.vs_prev != u, last.vs_prev != v, len(u), len(v), lcp_len(u, v)
+
+
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute the job: every trial simulates the snapshots once and runs
-    every estimator on them."""
+    every estimator on them, except where a memo already holds the orbit.
+
+    A job of one or two times keeps one memo per ``tie_break_only``
+    estimator, from :func:`orbit_key` to (origin in the candidate set, set
+    size), or to ``_REFUSED`` for a precondition failure, stored by the
+    orbit's first trial.  A later trial of the orbit counts the failure
+    again or scores the hit with :func:`estimators.sample_is_origin`, which
+    reseeds the estimator's stream only when its draw can change the count.
+    Each memo stores at most ``MEMO_CAP`` orbits.
+    """
     start = time.perf_counter()
-    runners = [ESTIMATORS[s.method].estimate for s in config.estimators]
+    infos = [ESTIMATORS[s.method] for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
+    memos = [{} if info.tie_break_only and len(config.times) <= 2 else None for info in infos]
+    keyed = any(memo is not None for memo in memos)
     protocol = config.protocol
     d = protocol.d
     walkers = {t: walker(protocol, t) for t in set(config.times)}
@@ -379,22 +425,41 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     rng = random.Random()
     # rng.seed(int) less its reset of gauss_next, which no draw here reads
     reseed = super(random.Random, rng).seed
+
+    def stream(trial: int, j: int) -> random.Random:
+        """The generator reseeded for estimator j's stream in ``trial``."""
+        reseed(_fold(trial, ESTIMATOR_STREAM + j))
+        return rng
+
     for n in range(config.trials):
         trial = _fold(root, n)  # derive_seed(seed, n), extended below
         snaps = []
-        for walk, t, prev, now, stream in walks:
-            reseed(_splitmix64(trial ^ stream))
+        for walk, t, prev, now, walk_stream in walks:
+            reseed(_splitmix64(trial ^ walk_stream))
             states = walk(rng)
             snaps.append(stored_snapshot(d, t, states[prev], states[now]))
-        for j, estimate in enumerate(runners):
-            reseed(_fold(trial, ESTIMATOR_STREAM + j))
-            try:
-                est = estimate(snaps, protocol, rng)
-            except ValueError:
+        key = orbit_key(snaps) if keyed else None
+        for j, (info, memo) in enumerate(zip(infos, memos)):
+            outcome = None if memo is None else memo.get(key)
+            if outcome is _REFUSED:
                 tallies[j][1] += 1
                 continue
-            if est.chosen == SOURCE:
-                tallies[j][0] += 1
+            if outcome is not None:
+                if sample_is_origin(*outcome, lambda: stream(trial, j)):
+                    tallies[j][0] += 1
+                continue
+            try:
+                est = info.estimate(snaps, protocol, stream(trial, j))
+            except ValueError:
+                tallies[j][1] += 1
+                outcome = _REFUSED
+            else:
+                if est.chosen == SOURCE:
+                    tallies[j][0] += 1
+                if memo is not None:
+                    outcome = (est.candidates.contains(SOURCE), est.candidates.size())
+            if memo is not None and len(memo) < MEMO_CAP:
+                memo[key] = outcome
 
     results = [
         EstimatorResult(

@@ -407,6 +407,17 @@ def cases_with(**entry):
        f"formula '{formula}' needs two observation times, got 3")
       for formula in ("two_obs_detection_lower", "two_obs_obfuscation_upper",
                       "even_even_mle_exact", "even_odd_mle_exact", "odd_odd_mle_upper")],
+    # a formula for another snapshot count refuses the config's count; both
+    # used to be accepted on two times
+    (config_with(estimators=[
+        {"method": "two_obs_path", "target": {"formula": "three_obs_lower"}}]),
+     "formula 'three_obs_lower' needs three observation times, got 2"),
+    (config_with(estimators=[
+        {"method": "k_obs_subtree", "target": {"formula": "three_obs_lower"}}]),
+     "formula 'three_obs_lower' needs three observation times, got 2"),
+    (config_with(estimators=[{"method": "generic_mle", "target": {
+        "formula": "multi_obs_lower", "params": {"k": 50}}}]),
+     "formula 'multi_obs_lower' reads k=50, but the config takes 2 snapshots"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

@@ -20,6 +20,7 @@ from adl.estimators import (
     generic_mle_candidates,
     k_obs_candidates,
     k_obs_subtree,
+    sample_is_origin,
     single_mle,
     single_mle_candidates,
     three_obs_intersection,
@@ -83,6 +84,33 @@ def test_shell_sampling_is_uniform():
 def test_explicit_candidates_reject_empty():
     with pytest.raises(ValueError):
         ExplicitCandidates(frozenset())
+
+
+@pytest.mark.parametrize("members", [
+    {SOURCE, (0,), (1, 2), (2, 0, 1)},  # the origin among others: the draw decides
+    {SOURCE, (0,)},
+    {SOURCE},  # alone: always picked, nothing drawn
+    {(0,), (1,), (2, 0)},  # absent: never picked, nothing drawn
+    {(1, 1)},
+])
+def test_sample_is_origin_is_the_sample_rule(members):
+    # the memoized Monte Carlo hit rule counts exactly what sample() picks,
+    # and asks for the seeded generator only when the draw can decide
+    cands = ExplicitCandidates(frozenset(members))
+    decides = SOURCE in members and len(members) > 1
+    hits = 0
+    for seed in range(600):
+        asked = []
+
+        def seeded():
+            asked.append(seed)
+            return random.Random(seed)
+
+        got = sample_is_origin(cands.contains(SOURCE), cands.size(), seeded)
+        assert got == (cands.sample(random.Random(seed)) == SOURCE)
+        assert asked == ([seed] if decides else [])
+        hits += got
+    assert 0 < hits < 600 if decides else hits == 600 * (members == {SOURCE})
 
 
 # ---------------------------------------------------------------------------

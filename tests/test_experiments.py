@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adl import oracle
+from adl import estimators, experiments, oracle
 from adl.diffusion import sample_snapshot
 from adl.estimators import ESTIMATORS
 from adl.experiments import (
@@ -15,6 +15,7 @@ from adl.experiments import (
     ExperimentConfig,
     ExperimentReport,
     derive_seed,
+    orbit_key,
     run,
     wilson_interval,
 )
@@ -242,6 +243,12 @@ def test_table_protocol_config(tmp_path):
     assert report.results[0].successes + report.results[0].failures <= 10
 
 
+def trial_snapshots(config, n):
+    """The snapshots of trial n, each walked from a fresh generator."""
+    return [sample_snapshot(config.protocol, t, derive_seed(config.seed, n, i))
+            for i, t in enumerate(config.times)]
+
+
 def reference_report(config):
     """The trial loop with a fresh ``random.Random(seed)`` for every walk and
     every estimator stream, and how often it saw an odd snapshot whose virtual
@@ -250,8 +257,7 @@ def reference_report(config):
     tallies = [[0, 0] for _ in config.estimators]
     moved = ties = 0
     for n in range(config.trials):
-        snaps = [sample_snapshot(protocol, t, derive_seed(config.seed, n, i))
-                 for i, t in enumerate(config.times)]
+        snaps = trial_snapshots(config, n)
         moved += sum(not s.is_ball for s in snaps)
         for j, spec in enumerate(config.estimators):
             rng = random.Random(derive_seed(config.seed, n, ESTIMATOR_STREAM + j))
@@ -278,6 +284,24 @@ TABLE_D4 = "t,h,alpha\n" + "".join(
 )
 
 
+# jobs of one or two times, whose tie-break-only estimators run from a memo
+MEMO_DOCS = [
+    # (12,12) at d=3 has 127 orbits, so most trials repeat one
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [12, 12], "trials": 600,
+     "estimators": [{"method": "two_obs_path"}, {"method": "uniform_mle_cases"},
+                    {"method": "generic_mle"}, {"method": "k_obs_subtree"}]},
+    # t=3 is below the case dispatch's minimum: every trial is refused
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [3, 6],
+     "estimators": [{"method": "uniform_mle_cases"}, {"method": "two_obs_path"}]},
+    {"d": 4, "protocol": {"name": "uniform"}, "times": [9],
+     "estimators": [{"method": "generic_mle"}]},
+    # float likelihoods
+    {"d": 4, "protocol": {"name": "table", "table_csv": TABLE_D4}, "times": [7, 8],
+     "estimators": [{"method": "generic_mle"}, {"method": "two_obs_path"}]},
+]
+MEMO_IDS = ["orbits", "refused", "one-time", "table-two"]
+
+
 @pytest.mark.parametrize("doc", [
     {"d": 3, "protocol": {"name": "local", "gamma": 0.5}, "times": [5, 7, 6, 9],
      "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
@@ -297,15 +321,79 @@ TABLE_D4 = "t,h,alpha\n" + "".join(
      "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
     {"d": 3, "protocol": {"name": "uniform"}, "times": [2, 3, 17],
      "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
-], ids=["local", "table", "uniform", "perfect", "single", "edges", "short"])
+    *MEMO_DOCS,
+], ids=["local", "table", "uniform", "perfect", "single", "edges", "short", *MEMO_IDS])
 def test_run_matches_a_fresh_generator_per_stream(doc):
-    # run() reseeds one generator for every stream; the report body must be
-    # the one a fresh random.Random(seed) per walk and per estimator gives
-    config = ExperimentConfig.from_dict({**doc, "trials": 150, "seed": 77})
+    # run() reseeds one generator for every stream and scores a repeated
+    # orbit from its memo; the report body must be the one a fresh
+    # random.Random(seed) per walk and per estimator gives
+    config = ExperimentConfig.from_dict({"trials": 150, "seed": 77, **doc})
     body, moved, ties = reference_report(config)
     assert run(config).body_dict() == body
     if 1 in config.times:  # every trial is a counted precondition failure
         assert all(r["failures"] == r["trials"] for r in body["results"])
     else:
         assert ties > 0 or len(config.times) % 2  # even k ties
+    for r in body["results"]:
+        if r["method"] == "uniform_mle_cases" and min(config.times) < 4:
+            assert r["failures"] == r["trials"]  # the case dispatch refuses t < 4
     assert moved > 0 or all(t % 2 == 0 for t in config.times)
+
+
+@pytest.mark.parametrize("doc", MEMO_DOCS, ids=MEMO_IDS)
+@pytest.mark.parametrize("cap", [0, 1, 5])
+def test_memo_cap_leaves_the_report_unchanged(doc, cap, monkeypatch):
+    # a memo that stores nothing, one orbit or a few scores every trial as
+    # the default cap does
+    config = ExperimentConfig.from_dict({"trials": 150, "seed": 77, **doc})
+    body = run(config).body_dict()
+    monkeypatch.setattr(experiments, "MEMO_CAP", cap)
+    assert run(config).body_dict() == body
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, experiments.MEMO_CAP])
+def test_memo_stores_at_most_the_cap(cap, monkeypatch):
+    # the memo keeps the first `cap` orbits in trial order and no more: a
+    # trial runs generic_mle unless an earlier trial stored its orbit
+    config = ExperimentConfig.from_dict({**MEMO_DOCS[0], "trials": 300, "seed": 5})
+    keys = [orbit_key(trial_snapshots(config, n)) for n in range(config.trials)]
+    stored, expected = set(), 0
+    for key in keys:
+        if key not in stored:
+            expected += 1
+            if len(stored) < cap:
+                stored.add(key)
+    assert len(set(keys)) > 7  # enough orbits to fill the small caps
+    assert expected < config.trials if cap else expected == config.trials
+    calls = []
+    real = estimators.generic_mle
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "MEMO_CAP", cap)
+    monkeypatch.setattr(estimators, "generic_mle", counted)
+    run(config)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("doc", MEMO_DOCS, ids=MEMO_IDS)
+def test_an_orbit_decides_what_the_memo_stores(doc):
+    # the memo rests on the EstimatorInfo contract: trials whose snapshots
+    # share an orbit key agree on refusal, origin membership and set size
+    config = ExperimentConfig.from_dict({"trials": 150, "seed": 77, **doc})
+    seen = {}
+    for n in range(config.trials):
+        snaps = trial_snapshots(config, n)
+        for spec in config.estimators:
+            info = ESTIMATORS[spec.method]
+            if not info.tie_break_only:
+                continue
+            try:
+                cands = info.candidates(snaps, config.protocol)[0]
+                outcome = (cands.contains(SOURCE), cands.size())
+            except ValueError:
+                outcome = None
+            assert seen.setdefault((spec.method, orbit_key(snaps)), outcome) == outcome
+    assert len(seen) < config.trials  # orbits repeat
