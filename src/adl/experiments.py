@@ -35,7 +35,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from adl import closed_form
 from adl.diffusion import is_int, stored_snapshot, walker
@@ -85,22 +85,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# closed_form formulas of (d, t1, t2); each is looked up on the module when it
-# runs, so a wrapper installed there is seen
-_TWO_TIME_FORMULAS = ("two_obs_detection_lower", "two_obs_obfuscation_upper",
-                      "even_even_mle_exact", "even_odd_mle_exact", "odd_odd_mle_upper")
-
-
-def _two_time_target(name: str) -> Callable:
-    return lambda d, times, p: getattr(closed_form, name)(d, *times)
-
-
-_FORMULA_TARGETS: dict[str, Callable] = {
-    **{name: _two_time_target(name) for name in _TWO_TIME_FORMULAS},
-    "three_obs_lower": lambda d, times, p: closed_form.three_obs_lower(d),
-    "multi_obs_lower": lambda d, times, p: closed_form.multi_obs_lower(
-        d, p.get("k", len(times))
-    ),
+# closed_form formulas a config may name as a target, each with the number of
+# observation times it reads; None reads any number, as k.  A formula is looked
+# up on the module when it runs, so a wrapper installed there is seen
+_FORMULAS = {
+    "two_obs_detection_lower": 2,
+    "two_obs_obfuscation_upper": 2,
+    "even_even_mle_exact": 2,
+    "even_odd_mle_exact": 2,
+    "odd_odd_mle_upper": 2,
+    "three_obs_lower": 3,
+    "multi_obs_lower": None,
 }
 
 
@@ -247,27 +242,27 @@ def _build_target(spec, d: int, times: Sequence[int]) -> closed_form.Target:
         raise ValueError(f"must be an object, got {spec!r}")
     if "formula" in spec:
         name = spec["formula"]
-        formula = _FORMULA_TARGETS.get(name) if isinstance(name, str) else None
-        if formula is None:
-            raise ValueError(f"unknown formula {name!r} (known: {sorted(_FORMULA_TARGETS)})")
+        if not isinstance(name, str) or name not in _FORMULAS:
+            raise ValueError(f"unknown formula {name!r} (known: {sorted(_FORMULAS)})")
         params = spec.get("params", {})
         if not isinstance(params, dict) or not all(is_int(v) for v in params.values()):
             raise ValueError(f"formula params must be an object of integers, got {params!r}")
-        unread = [key for key in params if (name, key) != ("multi_obs_lower", "k")]
+        arity, n = _FORMULAS[name], len(times)
+        unread = [key for key in params if key != "k" or arity is not None]
         if unread:
             raise ValueError(f"formula {name!r} takes no param {unread[0]!r}")
-        if name in _TWO_TIME_FORMULAS and len(times) != 2:
-            raise ValueError(f"formula {name!r} needs two observation times, got {len(times)}")
-        if name == "three_obs_lower" and len(times) != 3:
-            raise ValueError(f"formula {name!r} needs three observation times, got {len(times)}")
-        try:
-            target = formula(d, list(times), params)
-        except OverflowError:
-            raise ValueError(f"formula {name!r}: a param is too large for a float") from None
-        if params.get("k", len(times)) != len(times):
+        if arity not in (None, n):
+            raise ValueError(f"formula {name!r} needs {('two', 'three')[arity - 2]} "
+                             f"observation times, got {n}")
+        if params.get("k", n) != n:
             raise ValueError(f"formula {name!r} reads k={params['k']}, but the config takes "
-                             f"{len(times)} snapshots")
-        return target
+                             f"{n} snapshots")
+        formula = getattr(closed_form, name)
+        if name == "even_odd_mle_exact":  # its even time first, in either order
+            times = sorted(times, key=lambda t: t % 2)
+        if arity == 2:
+            return formula(d, *times)
+        return formula(d) if arity == 3 else formula(d, n)
     if "kind" in spec and "value" in spec:
         value = spec["value"]
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):

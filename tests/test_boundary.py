@@ -15,18 +15,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adl import oracle
+from adl import closed_form, oracle
 from adl.cli import main
-from adl.diffusion import Snapshot, Trajectory, simulate
-from adl.estimators import ESTIMATORS
-from adl.experiments import ConfigError, ExperimentConfig
+from adl.diffusion import Snapshot, Trajectory, local_radius, simulate
+from adl.estimators import ESTIMATORS, single_mle_candidates
+from adl.experiments import ConfigError, ExperimentConfig, wilson_interval
 from adl.protocol import (
+    Protocol,
     constant_protocol,
+    infected_count_even,
     load_protocol_table,
+    local_hop_target,
     local_spreading_protocol,
     perfect_protocol,
+    stay_probability_at,
     uniform_protocol,
 )
+from adl.tree import ball_size, bfs_depths, labels_at_depth, sphere_size
 
 TABLE_CSV = "t,h,alpha\n2,1,0.5\n4,1,0.5\n4,2,0.3333333\n6,1,0.5\n6,2,0.4\n6,3,0.25\n"
 
@@ -226,6 +231,14 @@ def test_estimate_refuses_snapshots_the_protocol_never_produces(order, named, me
         assert run_main([*argv, method])[0] == 0
 
 
+@pytest.mark.parametrize("method", ["mle", "cases", "two-obs-path", "k-obs", "single-mle"])
+def test_estimate_refuses_a_time_one_snapshot(method):
+    # a t=1 snapshot is a walk's first step; every estimator needs t >= 2
+    first_step = {"d": 3, "t": 1, "vs_prev": "/", "vs_now": "/0"}
+    doc = [first_step] if method == "single-mle" else [first_step, SNAPSHOTS[0]]
+    assert_usage_error(estimate(doc, method), "estimators require observation times t >= 2")
+
+
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("proto", [uniform_protocol, perfect_protocol,
                                    lambda d: local_spreading_protocol(d, Fraction(1, 3))],
@@ -377,9 +390,10 @@ def cases_with(**entry):
     (config_with(times=4, k=100_000_000_000), "k must be an integer in 1..10000"),
     (config_with(times=4, k=10 ** 21), "k must be an integer in 1..10000"),
     (config_with(times=[4] * 10_001), "at most 10000 observations"),
+    # a k past a float disagrees with the config's count before the formula reads it
     (config_with(times=6, k=3, estimators=[{"method": "k_obs_subtree", "target": {
         "formula": "multi_obs_lower", "params": {"k": 10 ** 400}}}]),
-     "a param is too large for a float"),
+     "formula 'multi_obs_lower' reads k=10{400}, but the config takes 3 snapshots"),
     (cases_with(target={"kind": "lower_bound", "value": 10 ** 400}),
      "target value is too large for a float"),
     # a formula param the formula never reads is named, not ignored
@@ -548,6 +562,46 @@ NON_UNIFORM_ORACLE = {**{name: spec[2] for name, spec in NON_UNIFORM.items()},
 def test_cases_rejected_for_non_uniform_oracle(name):
     with pytest.raises(ValueError, match="valid only under the uniform protocol"):
         oracle.exact_success("uniform_mle_cases", NON_UNIFORM_ORACLE[name], (4, 5))
+
+
+# ---------------------------------------------------------------------------
+# public functions refuse arguments outside their domain, by name
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, token", [
+    (lambda: closed_form.two_obs_obfuscation_upper(3, 0, 4), "requires t1, t2 >= 1"),
+    (lambda: closed_form.even_odd_mle_exact(3, 4, 6), "requires odd t_odd >= 5"),
+    (lambda: closed_form.multi_obs_lower(3, 0), "requires k >= 1"),
+    (lambda: closed_form.radius_upper_from_obfuscation(3, 4, 1.5, 1.0),
+     r"gamma must lie in \(0, 1\)"),
+    (lambda: closed_form.radius_upper_from_obfuscation(3, 4, 0.5, 0.0), "C must be positive"),
+    (lambda: closed_form.local_protocol_targets(3, 5, 0.5), "requires even t >= 2"),
+    (lambda: local_hop_target(0.5, 5), "even t >= 2 required, got 5"),
+    (lambda: Protocol(d=3, name="bad", _alpha=lambda t, h: 2).alpha(2, 1),
+     r"alpha\(2,1\) = 2 outside \[0, 1\]"),
+    (lambda: uniform_protocol(3).hop_row(5), "hop distribution is defined at even t >= 2"),
+    (lambda: uniform_protocol(3).snapshot_weights(1, True), "t=1 is too early"),
+    (lambda: constant_protocol(3, 2), r"alpha must lie in \[0, 1\], got 2"),
+    (lambda: stay_probability_at(uniform_protocol(3), 4), "odd t >= 3 required, got 4"),
+    (lambda: infected_count_even(3, 5), "even t >= 0 required, got 5"),
+    (lambda: bfs_depths(3, [()], -1), "depth must be >= 0"),
+    (lambda: bfs_depths(3, [], 2), "core must be nonempty"),
+    (lambda: ball_size(3, -1), "radius must be >= 0"),
+    (lambda: sphere_size(3, -1), "radius must be >= 0"),
+    (lambda: list(labels_at_depth(3, -1)), "depth must be >= 0"),
+    (lambda: wilson_interval(0, 0), "trials must be positive"),
+    (lambda: oracle.exact_success("generic_mle", uniform_protocol(3), ()),
+     "at least one observation time required"),
+    (lambda: local_radius(simulate(uniform_protocol(3), 4, 0), 6), r"t must be in 0\.\.4, got 6"),
+    # constant 0 never stays, so an odd-time ball has weight zero at every hop
+    (lambda: single_mle_candidates(Snapshot(d=3, t=5, vs_prev=(0,), vs_now=(0,)),
+                                   constant_protocol(3, 0)),
+     "all hop likelihoods are zero"),
+])
+def test_public_function_refuses_out_of_domain_arguments(call, token):
+    with pytest.raises(ValueError, match=token):
+        call()
 
 
 # ---------------------------------------------------------------------------

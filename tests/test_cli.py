@@ -210,6 +210,18 @@ def test_verify_oracle_large_t_suite(capsys):
     assert out.count("[PASS]") == 8 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("suite, passes", [
+    ("dp-perfect", 45),
+    ("oracle-even-odd", 2),
+    ("oracle-odd-odd", 2),
+    ("generic-vs-cases", 2),
+])
+def test_verify_suite_passes_every_check(capsys, suite, passes):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert out.count("[PASS]") == passes and "FAIL" not in out
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
     assert code == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from adl.experiments import (
 )
 from adl.protocol import uniform_protocol
 from adl.tree import SOURCE
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def config_dict(**overrides):
@@ -192,10 +195,7 @@ def test_precondition_failures_are_counted_not_skipped():
 
 
 def test_shipped_acceptance_configs_are_valid():
-    import pathlib
-
-    config_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    paths = sorted(config_dir.glob("*.json"))
+    paths = sorted(CONFIG_DIR.glob("*.json"))
     assert len(paths) >= 6
     for path in paths:
         config = ExperimentConfig.from_json(path.read_text())
@@ -213,6 +213,34 @@ def test_shipped_acceptance_configs_are_valid():
         )
         report = run(small)
         assert report.trials == 30
+
+
+# every shipped config but k_obs_floor_d4_k50, whose 50 snapshots at t = 10 are
+# far past the oracle's budget (its floor is checked by Monte Carlo only), and
+# the even-odd target in both time orders
+ORACLE_CHECKED_CONFIGS = {
+    **{path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))
+       if path.stem != "k_obs_floor_d4_k50"},
+    **{f"even_odd_t{t1}_{t2}": config_dict(times=[t1, t2], estimators=[
+        {"method": "uniform_mle_cases", "target": {"formula": "even_odd_mle_exact"}}])
+       for t1, t2 in ((5, 6), (6, 5))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHECKED_CONFIGS))
+def test_config_targets_hold_for_the_exact_oracle(name):
+    # an exact target equals the oracle; a bound holds on its side
+    config = ExperimentConfig.from_dict(ORACLE_CHECKED_CONFIGS[name])
+    for spec in config.estimators:
+        target = spec.target
+        value = target.value if target.exact_value is None else target.exact_value
+        got = oracle.exact_success(spec.method, config.protocol, config.times)
+        if target.kind == "exact":
+            assert got == value
+        elif target.kind == "lower_bound":
+            assert got >= value
+        else:
+            assert got <= value
 
 
 def test_generic_mle_rejects_search_depth_param():
