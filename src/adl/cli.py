@@ -76,16 +76,27 @@ def _check_exact(protocol: Protocol, exact: bool) -> None:
         raise ValueError(f"protocol {protocol.name!r} cannot provide exact alphas")
 
 
+def _write_csv(column: str, rows, exact: bool, out: str | None = None) -> None:
+    """Write the ``t,h,<column>`` CSV of ``(t, row)`` pairs, entry h - 1 of a row
+    at h, as exact text or float repr, to the path ``out`` or stdout."""
+    lines = [f"t,h,{column}"]
+    for t, row in rows:
+        for h, value in enumerate(row, 1):
+            lines.append(f"{t},{h},{str(value) if exact else repr(float(value))}")
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_hopdist(args: argparse.Namespace) -> int:
     _check_time(args.T, "-T")
     protocol = _protocol(args)
     hop = hop_distribution(protocol, args.T)
     _check_exact(protocol, args.exact)
-    lines = ["t,h,p"]
-    for t, row in hop.items():
-        for h, p in enumerate(row, 1):
-            lines.append(f"{t},{h},{str(p) if args.exact else repr(float(p))}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_csv("p", hop.items(), args.exact)
     return 0
 
 
@@ -296,17 +307,9 @@ def _cmd_protocol_dump(args: argparse.Namespace) -> int:
     if protocol.t_max is not None and args.T > protocol.t_max:
         raise ValueError(f"-T {args.T} is past the alpha table, which stops at t={protocol.t_max}")
     _check_exact(protocol, args.exact)
-    lines = ["t,h,alpha"]
-    for t in range(2, args.T + 1, 2):
-        for h in range(1, t // 2 + 1):
-            a = str(protocol.alpha_exact(t, h)) if args.exact else repr(protocol.alpha(t, h))
-            lines.append(f"{t},{h},{a}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    alpha = protocol.alpha_exact if args.exact else protocol.alpha
+    rows = ((t, [alpha(t, h) for h in range(1, t // 2 + 1)]) for t in range(2, args.T + 1, 2))
+    _write_csv("alpha", rows, args.exact, args.out)
     return 0
 
 

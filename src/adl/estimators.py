@@ -182,15 +182,13 @@ def _finish(method: str, cands: Candidates, diagnostics: dict, rng: random.Rando
 
 
 def _check_common(snaps: Sequence[Snapshot]) -> int:
+    """The snapshots' degree, which every entry point has checked they share."""
     if not snaps:
         raise ValueError("at least one snapshot required")
-    d = snaps[0].d
     for s in snaps:
-        if s.d != d:
-            raise ValueError(f"snapshots disagree on degree: {s.d} != {d}")
         if s.t < 2:
             raise ValueError("estimators require observation times t >= 2")
-    return d
+    return snaps[0].d
 
 
 def _resolve_vs(s: Snapshot, rng: random.Random) -> Label:
@@ -714,8 +712,9 @@ class EstimatorInfo:
     tie-break ``ExplicitCandidates.sample`` over a set computed from the
     snapshots alone.  By the contract, their hit or miss on a trial is
     decided by the orbit's (origin in the set, set size) and that one draw
-    (:func:`sample_is_origin`), which lets ``experiments.run`` score a
-    repeated orbit without running the estimator again.
+    (:func:`sample_is_origin`), where equal-time snapshots in either order
+    are one orbit.  That lets ``experiments.run`` score every trial of a
+    one- or two-time job from ``candidates``, run once per orbit.
     """
 
     alias: str  # the CLI --method name

@@ -18,13 +18,14 @@ snapshot is read from the walk's stages t // 2 and (t + 1) // 2.
 
 Memo: whether an estimator's candidate set holds the origin, its size and a
 refusal depend only on the orbit of a trial's snapshots under the
-automorphisms fixing the origin (the ``EstimatorInfo`` contract), and with
-one or two observation times orbits repeat ((12, 12) at d = 3 has
-127).  So ``run`` scores the ``tie_break_only`` estimators of such a job
-(``two_obs_path``, ``uniform_mle_cases``, ``generic_mle``) from a memo keyed
-by ``orbit_key`` and capped at ``MEMO_CAP`` orbits, drawing a repeated
-orbit's tie-break only when it can change the count.  With three or more
-times orbits rarely repeat, so those jobs, like the estimators that draw a
+automorphisms fixing the origin and the swaps of equal-time snapshots (the
+``EstimatorInfo`` contract); with one or two observation times orbits
+repeat ((12, 12) at d = 3 has 77).  So ``run`` scores the
+``tie_break_only`` estimators of such a job (``two_obs_path``,
+``uniform_mle_cases``, ``generic_mle``) from a memo keyed by ``orbit_key``,
+capped at ``MEMO_CAP`` orbits and filled by the estimator's core, drawing
+the tie-break only when it can change the count.  With three or more times
+orbits rarely repeat, so those jobs, like the estimators that draw a
 virtual-source resolution or sample a shell, run the estimator every trial.
 """
 
@@ -379,18 +380,21 @@ class ExperimentReport:
 
 def orbit_key(snaps: Sequence) -> tuple:
     """The orbit of a trial's one or two snapshots, at a job's fixed times,
-    under the automorphisms fixing the origin.
+    under the automorphisms fixing the origin and the swap of equal times.
 
-    A one-time job passes its one snapshot as both.  The key is whether each
-    virtual source moved, the depths of both ``vs_now`` and the length of
-    their common prefix.  It is a complete invariant: a moved pair's
-    ``vs_prev`` is the parent of its ``vs_now``, and two labels are carried
-    onto two others by such an automorphism exactly when their depths and
-    common prefix length agree.
+    A one-time job passes its one snapshot as both.  The key is each
+    snapshot's (virtual source moved, depth of ``vs_now``), sorted when the
+    times are equal, and the length of the two ``vs_now``'s common prefix.
+    It is a complete invariant: a moved pair's ``vs_prev`` is the parent of
+    its ``vs_now``, and two labels are carried onto two others by such an
+    automorphism exactly when their depths and common prefix length agree.
     """
     first, last = snaps[0], snaps[-1]
     u, v = first.vs_now, last.vs_now
-    return first.vs_prev != u, last.vs_prev != v, len(u), len(v), lcp_len(u, v)
+    a, b = (first.vs_prev != u, len(u)), (last.vs_prev != v, len(v))
+    if b < a and first.t == last.t:
+        a, b = b, a
+    return *a, *b, lcp_len(u, v)
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
@@ -399,11 +403,12 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 
     A job of one or two times keeps one memo per ``tie_break_only``
     estimator, from :func:`orbit_key` to (origin in the candidate set, set
-    size), or to ``_REFUSED`` for a precondition failure, stored by the
-    orbit's first trial.  A later trial of the orbit counts the failure
-    again or scores the hit with :func:`estimators.sample_is_origin`, which
-    reseeds the estimator's stream only when its draw can change the count.
-    Each memo stores at most ``MEMO_CAP`` orbits.
+    size), or to ``_REFUSED`` for a precondition failure, filled from the
+    core (``EstimatorInfo.candidates``) by the orbit's first trial.  Every
+    trial counts the failure or scores the hit with
+    :func:`estimators.sample_is_origin`, which reseeds the estimator's
+    stream only when its draw can change the count.  Each memo stores at
+    most ``MEMO_CAP`` orbits; later new orbits are scored unstored.
     """
     start = time.perf_counter()
     infos = [ESTIMATORS[s.method] for s in config.estimators]
@@ -435,26 +440,28 @@ def run(config: ExperimentConfig) -> ExperimentReport:
             snaps.append(stored_snapshot(d, t, states[prev], states[now]))
         key = orbit_key(snaps) if keyed else None
         for j, (info, memo) in enumerate(zip(infos, memos)):
-            outcome = None if memo is None else memo.get(key)
+            if memo is None:
+                try:
+                    est = info.estimate(snaps, protocol, stream(trial, j))
+                except ValueError:
+                    tallies[j][1] += 1
+                else:
+                    tallies[j][0] += est.chosen == SOURCE
+                continue
+            outcome = memo.get(key)
+            if outcome is None:
+                try:
+                    cands = info.candidates(snaps, protocol)[0]
+                except ValueError:
+                    outcome = _REFUSED
+                else:
+                    outcome = cands.contains(SOURCE), cands.size()
+                if len(memo) < MEMO_CAP:
+                    memo[key] = outcome
             if outcome is _REFUSED:
                 tallies[j][1] += 1
-                continue
-            if outcome is not None:
-                if sample_is_origin(*outcome, lambda: stream(trial, j)):
-                    tallies[j][0] += 1
-                continue
-            try:
-                est = info.estimate(snaps, protocol, stream(trial, j))
-            except ValueError:
-                tallies[j][1] += 1
-                outcome = _REFUSED
-            else:
-                if est.chosen == SOURCE:
-                    tallies[j][0] += 1
-                if memo is not None:
-                    outcome = (est.candidates.contains(SOURCE), est.candidates.size())
-            if memo is not None and len(memo) < MEMO_CAP:
-                memo[key] = outcome
+            elif sample_is_origin(*outcome, lambda: stream(trial, j)):
+                tallies[j][0] += 1
 
     results = [
         EstimatorResult(

@@ -239,6 +239,12 @@ def test_estimate_refuses_a_time_one_snapshot(method):
     assert_usage_error(estimate(doc, method), "estimators require observation times t >= 2")
 
 
+@pytest.mark.parametrize("method", ["mle", "k-obs"])
+def test_estimate_refuses_an_empty_snapshot_file(method):
+    # the estimators that take any number of snapshots still need one
+    assert_usage_error(estimate([], method), "at least one snapshot required")
+
+
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("proto", [uniform_protocol, perfect_protocol,
                                    lambda d: local_spreading_protocol(d, Fraction(1, 3))],

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from adl import estimators, experiments, oracle
-from adl.diffusion import sample_snapshot
+from adl.diffusion import Snapshot, sample_snapshot
 from adl.estimators import ESTIMATORS
 from adl.experiments import (
     ESTIMATOR_STREAM,
@@ -326,8 +326,15 @@ MEMO_DOCS = [
     # float likelihoods
     {"d": 4, "protocol": {"name": "table", "table_csv": TABLE_D4}, "times": [7, 8],
      "estimators": [{"method": "generic_mle"}, {"method": "two_obs_path"}]},
+    # equal times: an orbit's trials come in both orders of a moved pair and a
+    # ball; 300 trials see 71 orbits
+    {"d": 4, "protocol": {"name": "uniform"}, "times": [9, 9], "trials": 300,
+     "estimators": [{"method": "two_obs_path"}, {"method": "uniform_mle_cases"},
+                    {"method": "generic_mle"}]},
+    {"d": 4, "protocol": {"name": "table", "table_csv": TABLE_D4}, "times": [7, 7],
+     "estimators": [{"method": "generic_mle"}, {"method": "two_obs_path"}]},
 ]
-MEMO_IDS = ["orbits", "refused", "one-time", "table-two"]
+MEMO_IDS = ["orbits", "refused", "one-time", "table-two", "equal-times", "table-equal"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -382,7 +389,7 @@ def test_memo_cap_leaves_the_report_unchanged(doc, cap, monkeypatch):
 @pytest.mark.parametrize("cap", [0, 1, 7, experiments.MEMO_CAP])
 def test_memo_stores_at_most_the_cap(cap, monkeypatch):
     # the memo keeps the first `cap` orbits in trial order and no more: a
-    # trial runs generic_mle unless an earlier trial stored its orbit
+    # trial runs generic_mle's core unless an earlier trial stored its orbit
     config = ExperimentConfig.from_dict({**MEMO_DOCS[0], "trials": 300, "seed": 5})
     keys = [orbit_key(trial_snapshots(config, n)) for n in range(config.trials)]
     stored, expected = set(), 0
@@ -394,16 +401,47 @@ def test_memo_stores_at_most_the_cap(cap, monkeypatch):
     assert len(set(keys)) > 7  # enough orbits to fill the small caps
     assert expected < config.trials if cap else expected == config.trials
     calls = []
-    real = estimators.generic_mle
+    real = estimators.generic_mle_candidates
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
     monkeypatch.setattr(experiments, "MEMO_CAP", cap)
-    monkeypatch.setattr(estimators, "generic_mle", counted)
+    monkeypatch.setattr(estimators, "generic_mle_candidates", counted)
     run(config)
     assert len(calls) == expected
+
+
+def test_orbit_key_ignores_the_order_of_equal_times():
+    # a moved pair and a ball: one key in both orders at equal times, two
+    # keys when the times differ
+    moved = Snapshot(d=3, t=7, vs_prev=(0,), vs_now=(0, 1))
+    ball = Snapshot(d=3, t=7, vs_prev=(1, 0), vs_now=(1, 0))
+    assert orbit_key([moved, ball]) == orbit_key([ball, moved])
+    even = Snapshot(d=3, t=6, vs_prev=(1, 0), vs_now=(1, 0))
+    assert orbit_key([even, moved]) != orbit_key([moved, even])
+    assert orbit_key([even, moved])[:2] == (False, 2)
+
+
+@pytest.mark.parametrize("d, times", [(3, [12, 12]), (4, [9, 9]), (3, [6, 7]), (3, [7, 6])])
+def test_orbit_key_counts_the_oracle_orbits(d, times):
+    # one key per orbit the oracle walks, which permutes equal-time
+    # snapshots: (12, 12) at d = 3 has 77, and every outcome of an orbit,
+    # reversed ones at equal times among them, falls on its key
+    protocol = uniform_protocol(d)
+    laws = [oracle._law(protocol, t) for t in times]
+    keys, reversed_keys = [], set()
+
+    def visit(snaps, _):
+        keys.append(orbit_key(snaps))
+        reversed_keys.add(orbit_key(snaps[::-1]))
+
+    oracle._orbits(d, times, laws, visit)
+    assert len(set(keys)) == len(keys)
+    if times == [12, 12] and d == 3:
+        assert len(keys) == 77
+    assert (reversed_keys == set(keys)) == (times[0] == times[1])
 
 
 @pytest.mark.parametrize("doc", MEMO_DOCS, ids=MEMO_IDS)
