@@ -36,10 +36,10 @@ import itertools
 import json
 import math
 import random
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import sub
 from typing import Callable, Optional, Sequence, Union
 
 from adl.diffusion import Snapshot
@@ -350,30 +350,43 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     So c wins, alone unless it scores exactly k/2.  Then v ties when all k/2
     virtual sources of a branch of c lie behind v: each child of c holding
     k/2, and the path down from it through vertices that are not virtual
-    sources and have one child in the spanning subtree.  That subtree comes
-    from one :func:`steiner_tree` call, whose span the benchmark self-test
-    counts; the tie path walks its children.  A virtual source at v is in no
-    subtree of v, so at k = 1 it wins with score 0.  The labels, at least
-    one, are taken as given.
+    sources and have one child in the spanning subtree.
+
+    In sorted order a subtree's labels are one run, from its root up to the
+    next sibling, so a count is two bisections.  A child holding more than
+    k/2 holds the sorted median, so each step tests that one child; where
+    the descent stops, the runs of c's children give its score and the tie
+    children.  The spanning subtree comes from one :func:`steiner_tree`
+    call, whose span the benchmark self-test counts; the tie path walks its
+    children.  A virtual source at v is in no subtree of v, so at k = 1 it
+    wins with score 0.  The labels, at least one, are taken as given.
     """
     k = len(resolved)
     domain = steiner_tree(d, resolved)
-    lo, hi = min(resolved), max(resolved)
-    c = lo[: lcp_len(lo, hi)]  # the Steiner top
-    inside = resolved  # the virtual sources in c's subtree
-    while True:
-        n = len(c)
-        counts = Counter(v[n] for v in inside if len(v) > n)  # per child of c
-        step, heavy = max(counts.items(), key=itemgetter(1), default=(None, 0))
-        if 2 * heavy <= k:
+    terms = sorted(resolved)
+    median = terms[k // 2]
+    c = terms[0][: lcp_len(terms[0], terms[-1])]  # the Steiner top
+    lo, hi = 0, k  # c's subtree is terms[lo:hi]
+    while len(median) > len(c):
+        j = median[len(c)]
+        a = bisect_left(terms, c + (j,), lo, hi)
+        b = bisect_left(terms, c + (j + 1,), a, hi)
+        if 2 * (b - a) <= k:
             break
-        c += (step,)
-        inside = [v for v in inside if len(v) > n and v[n] == step]
-    best = max(k - len(inside), heavy)
+        c, lo, hi = c + (j,), a, b
+    n = len(c)
+    runs = []  # (child of c, the virtual sources behind it), in child order
+    a = bisect_left(terms, c + (0,), lo, hi)  # past the virtual sources at c
+    while a < hi:
+        j = terms[a][n]
+        b = bisect_left(terms, c + (j + 1,), a, hi)
+        runs.append((j, b - a))
+        a = b
+    best = max([k - (hi - lo)] + [count for _, count in runs])
     ties = {c}
     if 2 * best == k:  # then best is a child's count, not the side above c
-        sources = set(inside)
-        for w in [c + (step,) for step, count in counts.items() if count == best]:
+        sources = set(terms[lo:hi])
+        for w in [c + (j,) for j, count in runs if count == best]:
             ties.add(w)
             while w not in sources:
                 below = [w + (j,) for j in range(d - 1) if w + (j,) in domain]

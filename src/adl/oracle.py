@@ -8,8 +8,9 @@ integrate the uniform tie-break analytically (a candidate set C contributes
 and ends in one exact Fraction; table protocols fall back to floats.  The
 probability of each single outcome is read from the protocol's
 single-snapshot law (``Protocol.snapshot_weights``); the oracle only
-spreads it over the labels at each hop.  The protocol keeps its hop rows,
-so a protocol reused across calls runs the hop recurrence once.
+spreads it over the labels at each hop.  The protocol keeps its hop rows
+and their stayed/moved splits, so a protocol reused across calls runs the
+hop recurrence once, and a call builds each distinct time's law once.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
@@ -21,7 +22,8 @@ that fix the origin times the permutations of equal-time snapshots: one
 canonical joint outcome per orbit, weighted by the orbit's size and reached
 by callback.  The orbit count grows polynomially in t, not like
 (d-1)^(t/2) per snapshot; the budget still caps the nominal number of joint
-outcomes the sum stands for.
+outcomes the sum stands for.  Below a child first opened by an outcome every
+step is forced, so the walk builds that tail of a label in one step.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial, fsum, lcm, prod
+from operator import itemgetter
 from typing import Sequence
 
 from adl.diffusion import stored_snapshot
@@ -86,14 +89,18 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     non-decreasing row index, in position order; the weight carries the
     number of distinct orderings of that row tuple, (positions)! / prod over
     rows of (positions on the row)!, taken once the last position of the time
-    has picked.  Permuting those positions maps the outcomes of one ordering
-    one-to-one onto those of another, with equal weights and candidate sets.
-    The children used at each vertex across snapshots 1..k are numbered in
-    first-use order.  A label is built one step at a time: at a vertex that
-    already uses m children it either reuses one of them or opens child m,
-    which has n - m images under the automorphisms (n = d at the origin,
-    d - 1 elsewhere).  Each Snapshot is built once and shared by every
-    outcome that extends it; ``visit`` must not keep ``snaps``.
+    has picked and computed once per row tuple in a call.  Permuting those
+    positions maps the outcomes of one ordering one-to-one onto those of
+    another, with equal weights and candidate sets.  The children used at
+    each vertex across snapshots 1..k are numbered in first-use order.  A
+    label is built from the origin down: at a vertex that already uses m
+    children it either steps into one of them or opens child m, which has
+    n - m images under the automorphisms (n = d at the origin, d - 1
+    elsewhere).  No child below an opened one is in use, so every deeper
+    step takes child 0, with d - 1 images: the label's whole tail is built
+    in one step, and marked in use only while a later position picks.  Each
+    Snapshot is built once and shared by every outcome that extends it;
+    ``visit`` must not keep ``snaps``.
     """
     k = len(laws)
     used: dict = {}  # vertex -> number of its children in use
@@ -104,10 +111,11 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     for i, t in enumerate(times):
         prev.append(same[t][-1] if t in same else None)
         same.setdefault(t, []).append(i)
-    closes: list = [None] * k  # at the last of 2+ positions sharing a time: all of them
+    closes: list = [None] * k  # at the last of 2+ positions sharing a time: their rows' getter
     for ps in same.values():
         if len(ps) > 1:
-            closes[ps[-1]] = ps
+            closes[ps[-1]] = itemgetter(*ps)
+    orderings: dict = {}  # row tuple of one time's positions -> its distinct orderings
 
     def pick(i, weight):
         if i == k:
@@ -119,8 +127,12 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
             rows[i] = r
             w = weight * p
             if closes[i]:
-                runs = Counter(rows[j] for j in closes[i]).values()
-                w *= factorial(len(closes[i])) // prod(map(factorial, runs))
+                key = closes[i](rows)
+                n = orderings.get(key)
+                if n is None:
+                    runs = Counter(key).values()
+                    n = orderings[key] = factorial(len(key)) // prod(map(factorial, runs))
+                w *= n
             descend(i, SOURCE, depth, moved, w)
 
     def descend(i, v, depth, moved, weight):
@@ -132,10 +144,24 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
         for c in range(m):
             descend(i, v + (c,), depth, moved, weight)
         n = d - 1 if v else d
-        if m < n:
-            used[v] = m + 1
-            descend(i, v + (m,), depth, moved, weight * (n - m))
-            used[v] = m
+        if m == n:
+            return
+        weight *= n - m
+        tail = range(len(v) + 1, depth)  # lengths of the vertices the forced steps leave
+        for _ in tail:
+            weight *= d - 1
+        u = v + (m,) + (0,) * len(tail)
+        snaps[i] = stored_snapshot(d, times[i], u[:-1] if moved else u, u)
+        if i + 1 == k:  # no later position reads the marks
+            visit(snaps, weight)
+            return
+        used[v] = m + 1
+        for j in tail:
+            used[u[:j]] = 1
+        pick(i + 1, weight)
+        for j in tail:
+            used[u[:j]] = 0
+        used[v] = m
 
     pick(0, 1)
 
@@ -171,12 +197,13 @@ def exact_success(
         raise ValueError(f"joint enumeration needs more outcomes than the budget of {budget}")
 
     exact = protocol.exact
-    laws = [_law(protocol, t) for t in times]
-    dens = []
+    law_of = {t: _law(protocol, t) for t in dict.fromkeys(times)}  # once per distinct time
+    den_of: dict = {}
     if exact:  # integer numerators over each law's common denominator
-        dens = [lcm(*(p.denominator for _, _, p in law)) for law in laws]
-        laws = [[(h, moved, p.numerator * (den // p.denominator)) for h, moved, p in law]
-                for law, den in zip(laws, dens)]
+        for t, law in law_of.items():
+            den = den_of[t] = lcm(*(p.denominator for _, _, p in law))
+            law_of[t] = [(h, moved, p.numerator * (den // p.denominator)) for h, moved, p in law]
+    laws = [law_of[t] for t in times]
 
     hits: dict = {}  # q -> summed weight of the candidate sets with 1/q mass on the origin
 
@@ -191,5 +218,6 @@ def exact_success(
     if not exact:
         return fsum(w / q for q, w in hits.items())
     scale = lcm(*hits)
-    return Fraction(sum(w * (scale // q) for q, w in hits.items()), scale * prod(dens))
+    return Fraction(sum(w * (scale // q) for q, w in hits.items()),
+                    scale * prod(den_of[t] for t in times))
 

@@ -22,11 +22,12 @@ can be carried both as exact fractions and as floats; table-backed protocols
 A protocol owns its hop law and the single-snapshot law, each written once
 and kept on the instance: ``Protocol.hop_row`` runs the hop recurrence,
 ``Protocol._split`` divides the hop masses at even t into stayed (p alpha)
-and moved (p (1 - alpha)), and ``Protocol.snapshot_weights`` gives a time-t
-snapshot's per-hop weights, which ``stay_probability_at``, the likelihood
-estimators and the exact oracle all read.  ``walk_horizon`` is the one
-rule for which times a table protocol can serve; ``hop_distribution`` checks
-it and returns fresh copies of the kept rows for dumps and checks.
+and moved (p (1 - alpha)), kept beside the hop rows, and
+``Protocol.snapshot_weights`` gives a time-t snapshot's per-hop weights,
+which ``stay_probability_at``, the likelihood estimators and the exact
+oracle all read.  ``walk_horizon`` is the one rule for which times a table
+protocol can serve; ``hop_distribution`` checks it and returns fresh copies
+of the kept rows for dumps and checks.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ class Protocol:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # entry t/2 - 1 -> [p(t, 1), ..., p(t, t/2)], filled by hop_row
     _hops: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # entry t/2 - 1 -> (stayed, moved) split of hop row t, kept by hop_row
+    # when it builds row t + 2 from it
+    _splits: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (t, ball) -> per-hop likelihood row, filled by the estimators
     _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # even t -> mle_success_probability(t), kept on first use
@@ -175,8 +179,9 @@ class Protocol:
 
         with p(t, h) = 0 outside 1 <= h <= t/2, so alpha is never queried
         outside its domain.  Rows are computed in increasing t on first
-        request and kept on this instance, like :meth:`alpha_rows`; the list
-        returned is the kept row itself.
+        request and kept on this instance, like :meth:`alpha_rows`, and so is
+        the split of each row that built the next one; the list returned is
+        the kept row itself.
         """
         if t < 2 or t % 2:
             raise ValueError(f"hop distribution is defined at even t >= 2, got {t}")
@@ -185,6 +190,7 @@ class Protocol:
             hops.append([Fraction(1) if self.exact else 1.0])
         while len(hops) < t // 2:
             stayed, moved = self._split(hops[-1], 2 * len(hops))
+            self._splits.append((stayed, moved))
             hops.append(list(map(add, stayed + [0], [0] + moved)))
         return hops[t // 2 - 1]
 
@@ -198,15 +204,15 @@ class Protocol:
     def snapshot_weights(self, t: int, ball: bool) -> list:
         """Per-hop weights of a time-t snapshot, entry h - 1 for hop h: p(t, h)
         at even t; at odd t the stayed (``ball``) or moved half of p(t-1, h),
-        whose vs_t is at hop h + 1.  Exact when this protocol is; a new list
-        on every call."""
+        whose vs_t is at hop h + 1, read from the split kept beside the hop
+        rows.  Exact when this protocol is; a new list on every call."""
         t_eff = even_floor(t)
         if t_eff < 2:
             raise ValueError(f"snapshot at t={t} is too early for likelihood inference")
-        row = self.hop_row(t_eff)
         if t == t_eff:
-            return row[:]
-        return self._split(row, t_eff)[0 if ball else 1]
+            return self.hop_row(t)[:]
+        self.hop_row(t + 1)  # built from row t - 1, whose split it keeps
+        return self._splits[t_eff // 2 - 1][0 if ball else 1][:]
 
     def mle_success_probability(self, t: int):
         """max_h p(t, h) / (d (d-1)^(h-1)): single-snapshot MLE hit rate at even t."""

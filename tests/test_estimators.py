@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -38,7 +40,15 @@ from adl.protocol import (
     perfect_protocol,
     uniform_protocol,
 )
-from adl.tree import SOURCE, bfs_depths, distance, neighbors, path_between, steiner_tree
+from adl.tree import (
+    SOURCE,
+    bfs_depths,
+    distance,
+    lcp_len,
+    neighbors,
+    path_between,
+    steiner_tree,
+)
 from conftest import make_automorphism, shell_members
 
 UNI3 = uniform_protocol(3)
@@ -350,6 +360,81 @@ def test_k_obs_candidates_match_brute_force():
         ties, best = k_obs_brute_force(d, resolved)
         assert cands.members == ties
         assert diag == {"k": k, "min_max_subtree_count": best, "well_defined": len(ties) == 1}
+
+
+def k_obs_counting_reference(d, resolved):
+    """The centroid descent with a Counter of every child at each level, the
+    reference for the sorted-median descent of ``k_obs_candidates``."""
+    k = len(resolved)
+    domain = steiner_tree(d, resolved)
+    lo, hi = min(resolved), max(resolved)
+    c = lo[: lcp_len(lo, hi)]
+    inside = resolved
+    while True:
+        n = len(c)
+        counts = Counter(v[n] for v in inside if len(v) > n)
+        step, heavy = max(counts.items(), key=itemgetter(1), default=(None, 0))
+        if 2 * heavy <= k:
+            break
+        c += (step,)
+        inside = [v for v in inside if len(v) > n and v[n] == step]
+    best = max(k - len(inside), heavy)
+    ties = {c}
+    if 2 * best == k:
+        sources = set(inside)
+        for w in [c + (step,) for step, count in counts.items() if count == best]:
+            ties.add(w)
+            while w not in sources:
+                below = [w + (j,) for j in range(d - 1) if w + (j,) in domain]
+                if len(below) != 1:
+                    break
+                w = below[0]
+                ties.add(w)
+    return ties, {"k": k, "min_max_subtree_count": best, "well_defined": len(ties) == 1}
+
+
+def random_labels(rng, d, k, pool_size, max_depth):
+    pool = [tuple(rng.randrange(d if i == 0 else d - 1) for i in range(rng.randint(0, max_depth)))
+            for _ in range(pool_size)]
+    return [rng.choice(pool) for _ in range(k)]
+
+
+def test_k_obs_candidates_match_the_counting_reference():
+    rng = random.Random(20261019)
+    cases = []
+    for d in (3, 4, 6):
+        for k in range(1, 61):
+            for pool_size in (1, max(1, k // 3), k):  # small pools repeat labels
+                cases.append((d, random_labels(rng, d, k, pool_size, 6)))
+    # the Monte Carlo k-snapshot shape: d = 4, 50 labels at depth 1..5
+    for _ in range(200):
+        cases.append((4, [tuple(rng.randrange(4 if i == 0 else 3) for i in range(rng.randint(1, 5)))
+                          for _ in range(50)]))
+    for d, resolved in cases:
+        cands, diag = k_obs_candidates(d, resolved)
+        ties, want = k_obs_counting_reference(d, resolved)
+        assert (cands.members, diag) == (ties, want), (d, resolved)
+
+
+@pytest.mark.parametrize("d, resolved, members", [
+    # even k, one child of the centroid holding k/2: its branch ties down to
+    # the virtual source at (0, 0)
+    (3, [(0, 0), (0, 0), (1,), (2,)], {(), (0,), (0, 0)}),
+    # even k, two children holding k/2 each: both branches tie, one down to
+    # a virtual source and one down to where it splits
+    (3, [(0, 1), (0, 1), (1, 0, 0), (1, 0, 1)], {(), (0,), (0, 1), (1,), (1, 0)}),
+    # a virtual source on the tie path ends it before the branch splits
+    (4, [(0, 2), (0, 2, 1, 0), (0, 2, 1, 2), (1,), (2,), (3, 1)], {(), (0,), (0, 2)}),
+    # a centroid below the top that is a virtual source itself, with one
+    # child holding k/2
+    (3, [(1,), (1,), (1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1), (0,), (2,)],
+     {(1,), (1, 0), (1, 0, 1)}),
+])
+def test_k_obs_ties_of_half_count_children(d, resolved, members):
+    cands, diag = k_obs_candidates(d, resolved)
+    ties, want = k_obs_counting_reference(d, resolved)
+    assert cands.members == ties == members
+    assert diag == want and diag["min_max_subtree_count"] == len(resolved) // 2
 
 
 def test_k_obs_tie_path_runs_down_to_the_heavy_branch():

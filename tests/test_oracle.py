@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,114 @@ def test_orbits_sum_each_sorted_row_tuple_of_equal_times_once():
         oracle._orbits(3, times, laws, lambda snaps, w: weights.append(w))
         assert leaves is None or len(weights) == leaves, times
         assert sum(weights) == 1 and all(type(w) is Fraction for w in weights), times
+
+
+def one_level_orbits(d, times, laws, visit):
+    """The orbit walk written one label level per call, with the orderings
+    factor counted afresh at every pick: the reference for the order, the
+    outcomes and the weights ``oracle._orbits`` gives."""
+    k = len(laws)
+    used = {}
+    snaps = [None] * k
+    rows = [0] * k
+    same = {}
+    prev = []
+    for i, t in enumerate(times):
+        prev.append(same[t][-1] if t in same else None)
+        same.setdefault(t, []).append(i)
+    closes = [None] * k
+    for ps in same.values():
+        if len(ps) > 1:
+            closes[ps[-1]] = ps
+
+    def pick(i, weight):
+        if i == k:
+            visit(snaps, weight)
+            return
+        start = 0 if prev[i] is None else rows[prev[i]]
+        for r in range(start, len(laws[i])):
+            depth, moved, p = laws[i][r]
+            rows[i] = r
+            w = weight * p
+            if closes[i]:
+                runs = Counter(rows[j] for j in closes[i]).values()
+                w *= math.factorial(len(closes[i])) // math.prod(map(math.factorial, runs))
+            descend(i, SOURCE, depth, moved, w)
+
+    def descend(i, v, depth, moved, weight):
+        if len(v) == depth:
+            snaps[i] = Snapshot(d=d, t=times[i], vs_prev=v[:-1] if moved else v, vs_now=v)
+            pick(i + 1, weight)
+            return
+        m = used.get(v, 0)
+        for c in range(m):
+            descend(i, v + (c,), depth, moved, weight)
+        n = d - 1 if v else d
+        if m < n:
+            used[v] = m + 1
+            descend(i, v + (m,), depth, moved, weight * (n - m))
+            used[v] = m
+
+    pick(0, 1)
+
+
+def orbit_visits(walk, d, times, laws):
+    # each call's (t, vs_prev, vs_now) per snapshot, copied because the walk
+    # reuses its list, and the weight
+    seen = []
+    walk(d, times, laws, lambda snaps, w: seen.append(
+        ([(s.t, s.vs_prev, s.vs_now) for s in snaps], w)))
+    return seen
+
+
+@pytest.mark.parametrize("times", [(1,), (2, 3), (4, 4), (5, 5), (9, 9), (10, 11), (4, 2, 4),
+                                   (3, 2, 3, 2), (2, 2, 2, 2)])
+def test_orbits_visit_what_the_one_level_walk_visits(times):
+    # the forced tails built in one step and the orderings counted once per
+    # row tuple give the same calls, in the same order, with the same
+    # weights: integers on the oracle's rescaled laws, and floats multiplied
+    # in the same order on a table's
+    for d in (3, 4, 5):
+        protocols = [uniform_protocol(d)]
+        if max(times) <= nondyadic_table(d).t_max + 1:
+            protocols.append(nondyadic_table(d))
+        for protocol in protocols:
+            laws = [oracle._law(protocol, t) for t in times]
+            got = orbit_visits(oracle._orbits, d, times, laws)
+            assert got and got == orbit_visits(one_level_orbits, d, times, laws), (d, times)
+            assert all(type(w) is type(laws[0][0][2]) for _, w in got)
+
+
+def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
+    # the eight oracle_exact instances of benchmarks/run.py, one core call
+    # per orbit: 646 per pass
+    instances = [
+        ("uniform_mle_cases", uniform_protocol(3), (10, 10), 50),
+        ("uniform_mle_cases", uniform_protocol(3), (10, 11), 170),
+        ("uniform_mle_cases", uniform_protocol(3), (9, 9), 122),
+        ("two_obs_path", perfect_protocol(3), (10, 10), 50),
+        ("generic_mle", uniform_protocol(3), (8, 8), 30),
+        ("single_mle", perfect_protocol(4), (12,), 6),
+        ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 94),
+        ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 124),
+    ]
+    walk = oracle._orbits
+    counts = []
+
+    def counting(d, times, laws, visit):
+        counts.append(0)
+
+        def counted(snaps, weight):
+            counts[-1] += 1
+            visit(snaps, weight)
+
+        walk(d, times, laws, counted)
+
+    monkeypatch.setattr(oracle, "_orbits", counting)
+    for name, protocol, times, _ in instances:
+        oracle.exact_success(name, protocol, times)
+    assert counts == [orbits for *_, orbits in instances]
+    assert sum(counts) == 646
 
 
 def test_exact_success_result_types():
