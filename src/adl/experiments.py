@@ -116,7 +116,6 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d: int
     protocol: Protocol
     times: tuple
     trials: int
@@ -225,7 +224,6 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
         return cls(
-            d=d,
             protocol=protocol,
             times=tuple(times),
             trials=trials,
@@ -474,7 +472,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         for spec, (successes, failures) in zip(config.estimators, tallies)
     ]
     return ExperimentReport(
-        d=config.d,
+        d=d,
         protocol=config.protocol.name,
         times=config.times,
         trials=config.trials,

@@ -1,11 +1,15 @@
 """Shared test helpers: independent infected-set construction, the
 single-diffusion law by stepping the walk, a non-dyadic table protocol,
-child-index relabelling automorphisms, shell enumeration, and the check that
-an unchecked snapshot is the one the checked constructor builds."""
+child-index relabelling automorphisms, shell enumeration, the check that an
+unchecked snapshot is the one the checked constructor builds, and the shipped
+configs with their recorded report-body digests."""
 
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
+import pathlib
 import pickle
 import random
 import sys
@@ -17,6 +21,15 @@ from adl.diffusion import Snapshot, Trajectory
 from adl.experiments import derive_seed
 from adl.protocol import Protocol, load_protocol_table
 from adl.tree import SOURCE, bfs_depths, distance, neighbors
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+# config file name -> sha256 of its full-trial report body (all but wall_time_s)
+BODY_DIGESTS = json.loads(pathlib.Path(__file__).with_name("config_body_digests.json").read_text())
+
+
+def body_digest(report) -> str:
+    """The sha256 of a report body as sorted-key JSON, as BODY_DIGESTS records it."""
+    return hashlib.sha256(json.dumps(report.body_dict(), sort_keys=True).encode()).hexdigest()
 
 
 def stepwise_infected_set(tr: Trajectory, t: int) -> set:

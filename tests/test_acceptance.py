@@ -1,11 +1,13 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Monte Carlo criteria use fixed master seeds and 3-sigma verdict bands; exact
-criteria run in rational arithmetic with zero tolerance.
+The Monte Carlo criteria 05-08 are the shipped ``configs/*.json``: each runs
+its configs through ``experiments.run`` at full trials, asserts every 3-sigma
+``verdict()`` and checks the report body against its digest in
+``tests/config_body_digests.json``.  Exact criteria run in rational
+arithmetic with zero tolerance.
 """
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -15,15 +17,8 @@ import pytest
 from adl import closed_form as cf
 from adl import oracle
 from adl.diffusion import local_radius, sample_snapshot, simulate
-from adl.estimators import (
-    generic_mle_candidates,
-    k_obs_subtree,
-    three_obs_intersection,
-    two_obs_path,
-    uniform_mle_cases,
-    uniform_mle_cases_candidates,
-)
-from adl.experiments import derive_seed
+from adl.estimators import generic_mle_candidates, uniform_mle_cases_candidates
+from adl.experiments import ExperimentConfig, derive_seed, run
 from adl.protocol import (
     hop_distribution,
     infected_count_even,
@@ -34,24 +29,12 @@ from adl.protocol import (
     uniform_protocol,
 )
 from adl.tree import SOURCE, bfs_depths
+from conftest import BODY_DIGESTS, CONFIG_DIR, body_digest
 
 
 def report(tag: str, ok: bool, detail: str = "") -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {tag}" + (f" ({detail})" if detail else ""))
     return ok
-
-
-def mc_frequency(protocol, times, run_one, trials, master):
-    """Simulate the diffusions per trial and count estimator hits."""
-    hits = 0
-    for n in range(trials):
-        snaps = [
-            sample_snapshot(protocol, t, derive_seed(master, n, i))
-            for i, t in enumerate(times)
-        ]
-        rng = random.Random(derive_seed(master, n, 10 ** 6))
-        hits += run_one(snaps, rng) == SOURCE
-    return hits / trials
 
 
 def test_criterion_01_uniform_hop_law():
@@ -99,82 +82,62 @@ def test_criterion_04_path_sum_identity():
     assert report("4. path fraction sum = s + t - 1 exactly, 1 <= s <= t <= 30", ok)
 
 
-@pytest.mark.parametrize("d,master", [(3, 1005), (4, 1006)])
-def test_criterion_05_three_obs_constant_floor(d, master):
-    trials = 100_000
-    target = cf.three_obs_lower(d).value
-    freq = mc_frequency(
-        uniform_protocol(d),
-        (8, 8, 8),
-        lambda snaps, rng: three_obs_intersection(*snaps, rng).chosen,
-        trials,
-        master,
-    )
-    sigma = math.sqrt(freq * (1 - freq) / trials)
-    ok = freq >= target - 3 * sigma
+def run_shipped(name: str):
+    """Run ``configs/<name>.json`` at its full trial count; also return whether
+    the report body hashes to the digest recorded for it."""
+    report = run(ExperimentConfig.from_json((CONFIG_DIR / f"{name}.json").read_text()))
+    return report, body_digest(report) == BODY_DIGESTS[f"{name}.json"]
+
+
+# each test id names the config's degree or protocol and its seed
+@pytest.mark.parametrize("name", [
+    pytest.param("three_obs_floor_d3", id="3-1005"),
+    pytest.param("three_obs_floor_d4", id="4-1006"),
+])
+def test_criterion_05_three_obs_constant_floor(name):
+    rep, pinned = run_shipped(name)
+    (res,) = rep.results
     assert report(
-        f"5. three-snapshot intersection floor, d={d}",
-        ok,
-        f"freq={freq:.5f} vs {target:.5f} - 3s",
+        f"5. three-snapshot intersection floor, d={rep.d}",
+        res.verdict() == "pass" and pinned,
+        f"freq={res.frequency:.5f} vs {res.target.value:.5f} - 3s",
     )
 
 
 def test_criterion_06_k_obs_exponential_floor():
-    trials = 20_000
-    target = cf.multi_obs_lower(4, 50).value
-    freq = mc_frequency(
-        uniform_protocol(4),
-        (10,) * 50,
-        lambda snaps, rng: k_obs_subtree(snaps, rng).chosen,
-        trials,
-        1007,
-    )
-    sigma = math.sqrt(freq * (1 - freq) / trials)
-    ok = freq >= target - 3 * sigma
+    rep, pinned = run_shipped("k_obs_floor_d4_k50")
+    (res,) = rep.results
     assert report(
-        "6. subtree-count estimator floor, d=4, k=50", ok, f"freq={freq:.5f} vs {target:.5f} - 3s"
+        "6. subtree-count estimator floor, d=4, k=50",
+        res.verdict() == "pass" and pinned,
+        f"freq={res.frequency:.5f} vs {res.target.value:.5f} - 3s",
     )
 
 
-@pytest.mark.parametrize("make_proto,master", [(uniform_protocol, 1008), (perfect_protocol, 1009)])
-def test_criterion_07_two_obs_floor_any_protocol(make_proto, master):
-    trials = 100_000
-    proto = make_proto(3)
-    target = cf.two_obs_detection_lower(3, 12, 12).value
-    freq = mc_frequency(
-        proto,
-        (12, 12),
-        lambda snaps, rng: two_obs_path(snaps[0], snaps[1], rng).chosen,
-        trials,
-        master,
-    )
-    sigma = math.sqrt(freq * (1 - freq) / trials)
-    ok = freq >= target - 3 * sigma
+@pytest.mark.parametrize("name", [
+    pytest.param("two_obs_floor_uniform", id="uniform_protocol-1008"),
+    pytest.param("two_obs_floor_perfect", id="perfect_protocol-1009"),
+])
+def test_criterion_07_two_obs_floor_any_protocol(name):
+    rep, pinned = run_shipped(name)
+    (res,) = rep.results
     assert report(
-        f"7. two-snapshot path floor, {proto.name} protocol",
-        ok,
-        f"freq={freq:.5f} vs {target:.5f} - 3s",
+        f"7. two-snapshot path floor, {rep.protocol} protocol",
+        res.verdict() == "pass" and pinned,
+        f"freq={res.frequency:.5f} vs {res.target.value:.5f} - 3s",
     )
 
 
 def test_criterion_08_uniform_mle_exact_value_and_cap():
-    trials = 100_000
-    exact = cf.even_even_mle_exact(3, 12, 12)
-    cap = cf.two_obs_obfuscation_upper(3, 12, 12)
-    freq = mc_frequency(
-        uniform_protocol(3),
-        (12, 12),
-        lambda snaps, rng: uniform_mle_cases(snaps[0], snaps[1], rng).chosen,
-        trials,
-        1010,
-    )
-    sigma_exact = math.sqrt(exact.value * (1 - exact.value) / trials)
-    sigma_emp = math.sqrt(freq * (1 - freq) / trials)
-    ok = abs(freq - exact.value) <= 3 * sigma_exact and freq <= cap.value + 3 * sigma_emp
+    rep, pinned = run_shipped("uniform_mle_exact_t12")
+    exact, capped = rep.results
+    # the cap also holds on the sample that matched the exact value
+    own_cap = replace(exact, target=capped.target)
+    ok = pinned and all(r.verdict() == "pass" for r in (exact, capped, own_cap))
     assert report(
         "8. uniform MLE at t=(12,12): matches 0.211420 within 3s and stays below 7/18",
         ok,
-        f"freq={freq:.5f} vs {exact.value:.6f}",
+        f"freq={exact.frequency:.5f} vs {exact.target.value:.6f}",
     )
 
 
@@ -206,8 +169,8 @@ def test_criterion_10_generic_mle_equals_case_dispatch():
         for n in range(per_parity):
             d = rng.choice((3, 4, 5))
             t1, t2 = rng.choice(r1), rng.choice(r2)
-            s1 = simulate(protos[d], t1, derive_seed(1011, parity_idx, n, 0)).snapshot_at(t1)
-            s2 = simulate(protos[d], t2, derive_seed(1011, parity_idx, n, 1)).snapshot_at(t2)
+            s1 = sample_snapshot(protos[d], t1, derive_seed(1011, parity_idx, n, 0))
+            s2 = sample_snapshot(protos[d], t2, derive_seed(1011, parity_idx, n, 1))
             a, _ = generic_mle_candidates([s1, s2], protos[d])
             b, _ = uniform_mle_cases_candidates(s1, s2)
             mismatches += a.members != b.members
