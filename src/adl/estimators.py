@@ -20,12 +20,15 @@ subtree-count core's unique winner at k = 3, so it runs that core.  No
 estimator takes a tuning parameter: the likelihood-based ones score their
 whole feasible set, so each returns the true argmax.
 
-The path-based two-snapshot cores (``two_obs_path`` and the path cases of
-``uniform_mle_cases``) read the feasible path by position.  With (a, b) the
-closest pair of virtual sources, a from the first snapshot and b from the
-second, and L = distance(a, b), the vertex i steps from a lies exactly i from
-the first virtual-source set and L - i from the second, so the path interior
-infected in both snapshots is the window
+The path-based two-snapshot cores (``two_obs_path`` and ``uniform_mle_cases``)
+read their geometry from one common-prefix length.  A moved pair's vs_prev is
+its vs_now's parent, so with l the lcp of the two snapshots' vs_now labels, a
+prefix x of one and y of the other have lcp(x, y) = min(l, |x|, |y|): one
+lcp_len call per core call gives the closest pair of virtual sources (a, b),
+a from the first snapshot, and every distance on the path between them.  With
+L = distance(a, b), the vertex i steps from a lies exactly i from the first
+virtual-source set and L - i from the second, so the path interior infected
+in both snapshots is the window
 max(1, L - floor(t2/2)) <= i <= min(L - 1, floor(t1/2)), and no virtual
 source lies inside it.  No vertex is tested for membership.
 """
@@ -40,13 +43,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from adl.diffusion import Snapshot
 from adl.protocol import Protocol
 from adl.tree import (
     Label,
-    bfs_depths,
     distance,
     format_label,
     lcp_len,
@@ -277,21 +279,48 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _closest_pair(set1: Sequence[Label], set2: Sequence[Label]) -> tuple:
-    """(distance, x, y) for the closest x in set1 and y in set2; equal
-    distances go to the smaller labels."""
-    return min((distance(x, y), x, y) for x in set1 for y in set2)
+def _closest_pair(s1: Snapshot, s2: Snapshot) -> tuple:
+    """(distance, x, y, lcp(x, y)) for the closest x among the first
+    snapshot's virtual sources and y among the second's; equal distances go
+    to the smaller labels.
+
+    A moved pair's vs_prev is its vs_now's parent, so each set is prefixes
+    of its deep end u, and prefixes x of u1 and y of u2 share
+    min(l, |x|, |y|) entries, l = lcp(u1, u2): one lcp_len call.  With p0,
+    q0 the shallow ends' lengths and k = min(l, max(p0, q0)), the pair is
+    the prefixes of lengths max(p0, k) and max(q0, k): the shortest common
+    vertex when the sets meet, else the closest pair of disjoint subtrees.
+    """
+    u, v = s1.vs_now, s2.vs_now
+    p0, q0 = len(s1.vs_prev), len(s2.vs_prev)
+    if p0 > len(u):  # a moved pair stored deep end first, as Snapshot(...) allows
+        u, p0 = s1.vs_prev, len(u)
+    if q0 > len(v):
+        v, q0 = s2.vs_prev, len(v)
+    k = p0 if p0 > q0 else q0  # the docstring's min and max, written out on this hot path
+    ell = lcp_len(u, v)
+    if ell < k:
+        k = ell
+    p, q = (p0 if p0 > k else k), (q0 if q0 > k else k)
+    return p + q - 2 * k, u[:p], v[:q], k
 
 
-def _nbrs_minus(d: int, centers: Sequence[Label], minus: Sequence[Label] = ()) -> frozenset:
+def _nbrs_minus(d: int, centers: Iterable[Label], minus: Iterable[Label] = ()) -> frozenset:
     """The neighbours of ``centers`` that are neither centers nor in ``minus``."""
-    out = {w for c in centers for w in neighbors(d, c)}
-    return frozenset(out - set(minus) - set(centers))
+    out = set()
+    for c in centers:  # its children (d of them at the origin), then its parent
+        out.update([c + (j,) for j in range(d - 1 if c else d)])
+        if c:
+            out.add(c[:-1])
+    out.difference_update(minus, centers)
+    return frozenset(out)
 
 
-def _path_window(a: Label, b: Label, ra: int, rb: int) -> tuple[int, list]:
+def _path_window(a: Label, b: Label, ra: int, rb: int, k: int, end: str = "") -> tuple[int, list]:
     """The interior vertices of the a-b path within ``ra`` of a and ``rb`` of
     b, in a-to-b order, with the position (distance from a) of the first.
+    With ``end`` "first" or "last", only that vertex of the window, if any.
+    ``k`` is lcp(a, b), which :func:`_closest_pair` hands over.
 
     The vertex i steps from a is a[:len(a) - i] up to the meet and
     b[:len(b) - (L - i)] below it, L = distance(a, b), so the window
@@ -300,33 +329,35 @@ def _path_window(a: Label, b: Label, ra: int, rb: int) -> tuple[int, list]:
     interior infected in both: the other end of a moved snapshot hangs off
     a (or b) away from the path, or the pair would not be closest.
     """
-    k = lcp_len(a, b)
     up = len(a) - k  # the meet's position
     length = up + len(b) - k
-    lo, hi = max(1, length - rb), min(length - 1, ra)
+    lo = length - rb if length - rb > 1 else 1
+    hi = ra if ra < length - 1 else length - 1
     below = len(b) - length
+    if end and lo <= hi:
+        i = lo if end == "first" else hi
+        return i, [a[: len(a) - i] if i <= up else b[: below + i]]
     return lo, [a[: len(a) - i] if i <= up else b[: below + i] for i in range(lo, hi + 1)]
 
 
 def two_obs_path_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
-    d = _check_common([s1, s2])
-    vs1, vs2 = s1.virtual_sources(), s2.virtual_sources()
-    _, x, y = _closest_pair(vs1, vs2)
-    _, s_set = _path_window(x, y, s1.radius, s2.radius)
+    if s1.t < 2 or s2.t < 2:
+        _check_common((s1, s2))  # refuses
+    _, x, y, k = _closest_pair(s1, s2)
+    _, s_set = _path_window(x, y, s1.radius, s2.radius, k)
     if s_set:
         return ExplicitCandidates(frozenset(s_set)), {"S_size": len(s_set), "fallback": False}
     # the connecting path has no interior (virtual sources coincide or touch):
     # fall back to a uniform pick among the fringe of the known virtual sources
-    return ExplicitCandidates(_nbrs_minus(d, vs1 + vs2)), {"S_size": 0, "fallback": True}
+    known = s1.virtual_sources() + s2.virtual_sources()
+    return ExplicitCandidates(_nbrs_minus(s1.d, known)), {"S_size": 0, "fallback": True}
 
 
 def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
     """Uniform pick from S = (path between the virtual-source sets, interior
     only) intersected with both infected sets.
 
-    S is the closest-pair window: the interior vertices i steps from the
-    first snapshot's nearer virtual source with
-    max(1, L - floor(t2/2)) <= i <= min(L - 1, floor(t1/2)).  When S is empty
+    S is the closest-pair window of the module docstring.  When S is empty
     the pick falls back to the fringe of the virtual sources.
     """
     cands, diagnostics = two_obs_path_candidates(s1, s2)
@@ -563,22 +594,21 @@ def _argmax(vertices: list, scores: list) -> frozenset:
 
 
 def uniform_mle_cases_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
-    d = _check_common([s1, s2])
-    for s in (s1, s2):
-        low = 4 if s.t % 2 == 0 else 5
-        if s.t < low:
-            raise ValueError(
-                f"case dispatch needs t >= {low} at {'even' if low == 4 else 'odd'} times, got t={s.t}"
-            )
+    if s1.t < 5 or s2.t < 5:  # every check below passes from t = 5 on
+        _check_common((s1, s2))
+        for s in (s1, s2):
+            low, parity = (5, "odd") if s.t % 2 else (4, "even")
+            if s.t < low:
+                raise ValueError(f"case dispatch needs t >= {low} at {parity} times, got t={s.t}")
     # kind 0: even ball, 1: odd ball, 2: moved pair; the lower kind goes first
     k1 = s1.t % 2 + (s1.vs_prev != s1.vs_now)
     k2 = s2.t % 2 + (s2.vs_prev != s2.vs_now)
     swapped = k1 > k2
     if swapped:
         s1, s2, k1, k2 = s2, s1, k2, k1
-    # each case returns (members, tag); a window pick slices, so an empty
-    # window reaches this one check
-    members, case = _CASES[k1, k2](d, s1, s2)
+    # each case returns (members, tag) from the closest pair (gap, a, b, k); a
+    # window pick slices, so an empty window reaches this one check
+    members, case = _CASES[k1, k2](s1.d, s1, s2, *_closest_pair(s1, s2))
     if not members:
         raise ValueError(f"inconsistent snapshot pair: empty candidate set in case {case}")
     return ExplicitCandidates(frozenset(members)), {"case": case + "-swapped" if swapped else case}
@@ -607,86 +637,71 @@ def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimat
     return _finish("uniform_mle_cases", cands, diagnostics, rng)
 
 
-def _cases_even_even(d: int, s1: Snapshot, s2: Snapshot):
-    v1, v2 = s1.vs_now, s2.vs_now
-    gap = distance(v1, v2)
+def _cases_even_even(d, s1, s2, gap, v1, v2, k):
     if gap == 0:
-        return _nbrs_minus(d, [v1]), "even-even-1"
+        return _nbrs_minus(d, (v1,)), "even-even-1"
     if gap == 1:
-        return _nbrs_minus(d, [v1, v2]), "even-even-2"
-    return _path_window(v1, v2, s1.radius, s2.radius)[1], "even-even-3"
+        return _nbrs_minus(d, (v1, v2)), "even-even-2"
+    return _path_window(v1, v2, s1.radius, s2.radius, k)[1], "even-even-3"
 
 
-def _cases_even_odd_balls(d: int, se: Snapshot, so: Snapshot):
+def _cases_even_odd_balls(d, se, so, gap, v1, v2, k):
     """se has even t (center v1), so odd t and a ball (center v2)."""
-    v1, v2 = se.vs_now, so.vs_now
-    gap = distance(v1, v2)
     if gap == 0:
-        return _nbrs_minus(d, [v1]), "even-odd-1"
+        return _nbrs_minus(d, (v1,)), "even-odd-1"
     if gap == 1:
-        return _nbrs_minus(d, [v2], [v1]), "even-odd-3"
+        return _nbrs_minus(d, (v2,), (v1,)), "even-odd-3"
     # deterministic: the feasible path vertex closest to the odd center
-    return _path_window(v1, v2, se.radius, so.radius)[1][-1:], "even-odd-5"
+    return _path_window(v1, v2, se.radius, so.radius, k, "last")[1], "even-odd-5"
 
 
-def _cases_ball_moved(d: int, sb: Snapshot, sm: Snapshot):
-    """sb is a ball at either parity, sm a moved pair; the parity of sb
-    only names the case."""
-    if sb.t % 2:
-        tags = ("odd-odd-4", "odd-odd-5", "odd-odd-6")
-    else:
-        tags = ("even-odd-2", "even-odd-4", "even-odd-6")
-    vb = sb.vs_now
-    pair = sm.virtual_sources()
-    x, _, near = _closest_pair([vb], pair)
-    if x <= 1:
-        return _nbrs_minus(d, [vb], pair), tags[x]
+def _cases_ball_moved(d, sb, sm, gap, vb, near, k):
+    """sb is a ball at either parity, which only names the case; sm a moved pair."""
+    tags = ("odd-odd-4", "odd-odd-5", "odd-odd-6") if sb.t % 2 else (
+        "even-odd-2", "even-odd-4", "even-odd-6")
+    if gap <= 1:
+        return _nbrs_minus(d, (vb,), sm.virtual_sources()), tags[gap]
     # the feasible path vertex closest to the ball's center
-    return _path_window(vb, near, sb.radius, sm.radius)[1][:1], tags[2]
+    return _path_window(vb, near, sb.radius, sm.radius, k, "first")[1], tags[2]
 
 
-def _cases_odd_odd_balls(d: int, s1: Snapshot, s2: Snapshot):
-    v1, v2 = s1.vs_now, s2.vs_now
+def _cases_odd_odd_balls(d, s1, s2, gap, v1, v2, k):
     t1, t2 = s1.t, s2.t
-    gap = distance(v1, v2)
     if gap == 0:
-        return _nbrs_minus(d, [v1]), "odd-odd-1"
+        return _nbrs_minus(d, (v1,)), "odd-odd-1"
     if gap == 1:
         # the later snapshot localizes better; equal times leave both sides tied
-        centers = [v1, v2] if t1 == t2 else [v2] if t1 > t2 else [v1]
-        return _nbrs_minus(d, centers, [v1, v2]), "odd-odd-2"
-    lo, feas = _path_window(v1, v2, s1.radius, s2.radius)
+        centers = (v1, v2) if t1 == t2 else (v2,) if t1 > t2 else (v1,)
+        return _nbrs_minus(d, centers, (v1, v2)), "odd-odd-2"
+    lo, feas = _path_window(v1, v2, s1.radius, s2.radius, k)
     scores = [(t1 + 1 - 2 * i) * (t2 + 1 - 2 * (gap - i)) for i in range(lo, lo + len(feas))]
     return _argmax(feas, scores), "odd-odd-3"
 
 
-def _cases_moved_pairs(d: int, s1: Snapshot, s2: Snapshot):
+def _cases_moved_pairs(d, s1, s2, gap, a, b, k):
     e1, e2 = s1.virtual_sources(), s2.virtual_sources()
-    gap, a, b = _closest_pair(e1, e2)
-    union = set(e1) | set(e2)
     if gap == 0:
-        if set(e1) == set(e2):
-            if d >= 4:
-                return _nbrs_minus(d, e1), "odd-odd-7"
-            band = {v for v, r in bfs_depths(d, e1, 2).items() if r in (1, 2)}
-            return band, "odd-odd-7(d=3)"
-        (shared,) = set(e1) & set(e2)
-        if d >= 4:
-            return _nbrs_minus(d, [shared], union), "odd-odd-8"
-        near2 = {v for v, r in bfs_depths(d, [shared], 2).items() if r in (1, 2) and v not in union}
-        return near2, "odd-odd-8(d=3)"
+        # one shared edge (odd-odd-7) or vertex, then a (odd-odd-8): the
+        # vertices off both pairs within 1 of it, within 2 (two rings) at d = 3
+        centers = e1 if set(e1) == set(e2) else (a,)
+        band = _nbrs_minus(d, centers)
+        case = "odd-odd-7" if len(centers) == 2 else "odd-odd-8"
+        if d == 3:
+            band |= _nbrs_minus(d, band)
+            case += "(d=3)"
+        return band.difference(e1, e2), case
     if gap == 1:
-        return _nbrs_minus(d, [a, b], union), "odd-odd-9"
+        return _nbrs_minus(d, (a, b), e1 + e2), "odd-odd-9"
     if d == 3 and gap == 2:
-        _, (mid,) = _path_window(a, b, 1, 1)
-        (w2,) = [w for w in neighbors(d, mid) if w not in (a, b)]
-        return (mid, w2), "odd-odd-10(d=3,gap=2)"
-    lo, feas = _path_window(a, b, s1.radius, s2.radius)
+        _, (mid,) = _path_window(a, b, 1, 1, k)  # w, and w' its third neighbour
+        return _nbrs_minus(d, (mid,), (a, b)) | {mid}, "odd-odd-10(d=3,gap=2)"
+    lo, feas = _path_window(a, b, s1.radius, s2.radius, k)
     scores = [i * (gap - i) for i in range(lo, lo + len(feas))]
     return _argmax(feas, scores), "odd-odd-10"
 
 
-# (kind of the first snapshot, kind of the second), kinds in order
+# (kind of the first snapshot, kind of the second), kinds in order; each case
+# takes (d, s1, s2) and their closest pair (gap, a, b, lcp(a, b))
 _CASES = {
     (0, 0): _cases_even_even,
     (0, 1): _cases_even_odd_balls,

@@ -89,11 +89,27 @@ def run_shipped(name: str):
     return report, body_digest(report) == BODY_DIGESTS[f"{name}.json"]
 
 
-# each test id names the config's degree or protocol and its seed
-@pytest.mark.parametrize("name", [
+# the shipped configs the Monte Carlo criteria 05-08 run; each test id names
+# the config's degree or protocol and its seed
+THREE_OBS_FLOORS = [
     pytest.param("three_obs_floor_d3", id="3-1005"),
     pytest.param("three_obs_floor_d4", id="4-1006"),
-])
+]
+K_OBS_FLOOR = "k_obs_floor_d4_k50"
+TWO_OBS_FLOORS = [
+    pytest.param("two_obs_floor_uniform", id="uniform_protocol-1008"),
+    pytest.param("two_obs_floor_perfect", id="perfect_protocol-1009"),
+]
+MLE_EXACT = "uniform_mle_exact_t12"
+
+
+def test_the_criteria_run_every_shipped_config():
+    # a config added to configs/ must join a criterion, or it would go unrun
+    ran = {p.values[0] for p in THREE_OBS_FLOORS + TWO_OBS_FLOORS} | {K_OBS_FLOOR, MLE_EXACT}
+    assert ran == {path.stem for path in CONFIG_DIR.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", THREE_OBS_FLOORS)
 def test_criterion_05_three_obs_constant_floor(name):
     rep, pinned = run_shipped(name)
     (res,) = rep.results
@@ -105,7 +121,7 @@ def test_criterion_05_three_obs_constant_floor(name):
 
 
 def test_criterion_06_k_obs_exponential_floor():
-    rep, pinned = run_shipped("k_obs_floor_d4_k50")
+    rep, pinned = run_shipped(K_OBS_FLOOR)
     (res,) = rep.results
     assert report(
         "6. subtree-count estimator floor, d=4, k=50",
@@ -114,10 +130,7 @@ def test_criterion_06_k_obs_exponential_floor():
     )
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param("two_obs_floor_uniform", id="uniform_protocol-1008"),
-    pytest.param("two_obs_floor_perfect", id="perfect_protocol-1009"),
-])
+@pytest.mark.parametrize("name", TWO_OBS_FLOORS)
 def test_criterion_07_two_obs_floor_any_protocol(name):
     rep, pinned = run_shipped(name)
     (res,) = rep.results
@@ -129,7 +142,7 @@ def test_criterion_07_two_obs_floor_any_protocol(name):
 
 
 def test_criterion_08_uniform_mle_exact_value_and_cap():
-    rep, pinned = run_shipped("uniform_mle_exact_t12")
+    rep, pinned = run_shipped(MLE_EXACT)
     exact, capped = rep.results
     # the cap also holds on the sample that matched the exact value
     own_cap = replace(exact, target=capped.target)

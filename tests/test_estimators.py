@@ -1202,7 +1202,7 @@ def test_path_window_and_two_obs_path_equal_the_per_vertex_reference(name, d):
         # no virtual source lies inside the closest pair's path, so the
         # estimator needs no known-vertex filter there
         assert not set(interior) & (set(vs1) | set(vs2)), (s1, s2)
-        lo, window = _path_window(a, b, s1.radius, s2.radius)
+        lo, window = _path_window(a, b, s1.radius, s2.radius, lcp_len(a, b))
         reference = reference_feasible_interior(a, b, s1, s2)
         assert window == reference, (s1, s2)
         assert [distance(a, v) for v in window] == list(range(lo, lo + len(window)))
@@ -1225,16 +1225,169 @@ def test_cases_path_picks_equal_the_per_vertex_reference(name, d):
 
 def test_path_window_is_the_two_radius_filter_of_any_path():
     # the window itself, for any labels: the interior vertices within ra of
-    # a and rb of b
+    # a and rb of b, or only its first or last vertex at its position
     rng = random.Random(5)
     for _ in range(3_000):
         a, b = (tuple(rng.randrange(2) for _ in range(rng.randrange(7))) for _ in "ab")
         ra, rb = rng.randrange(8), rng.randrange(8)
-        lo, window = _path_window(a, b, ra, rb)
+        k = lcp_len(a, b)
         path = path_between(a, b)
         expected = [(i, v) for i, v in enumerate(path[1:-1], 1)
                     if i <= ra and len(path) - 1 - i <= rb]
-        assert list(enumerate(window, lo)) == expected, (a, b, ra, rb)
+        for end, kept in (("", expected), ("first", expected[:1]), ("last", expected[-1:])):
+            lo, window = _path_window(a, b, ra, rb, k, end)
+            assert list(enumerate(window, lo)) == kept, (a, b, ra, rb, end)
+
+
+# ---------------------------------------------------------------------------
+# the two-snapshot cores against a frozen copy of their per-call geometry
+# ---------------------------------------------------------------------------
+
+
+def frozen_closest_pair(set1, set2):
+    return min((distance(x, y), x, y) for x in set1 for y in set2)
+
+
+def frozen_nbrs_minus(d, centers, minus=()):
+    out = {w for c in centers for w in neighbors(d, c)}
+    return frozenset(out - set(minus) - set(centers))
+
+
+def frozen_path_window(a, b, ra, rb):
+    k = lcp_len(a, b)
+    up = len(a) - k
+    length = up + len(b) - k
+    lo, hi = max(1, length - rb), min(length - 1, ra)
+    below = len(b) - length
+    return lo, [a[: len(a) - i] if i <= up else b[: below + i] for i in range(lo, hi + 1)]
+
+
+def frozen_two_obs_path_candidates(s1, s2):
+    """The path core as it stood with a closest pair of distance calls, a
+    second lcp in the window and a fringe from neighbour lists: the
+    reference for the one-lcp geometry of ``two_obs_path_candidates``."""
+    d = _check_common([s1, s2])
+    vs1, vs2 = s1.virtual_sources(), s2.virtual_sources()
+    _, x, y = frozen_closest_pair(vs1, vs2)
+    _, s_set = frozen_path_window(x, y, s1.radius, s2.radius)
+    if s_set:
+        return frozenset(s_set), {"S_size": len(s_set), "fallback": False}
+    return frozen_nbrs_minus(d, vs1 + vs2), {"S_size": 0, "fallback": True}
+
+
+def frozen_cases_candidates(s1, s2):
+    """The closed-form case split as it stood, its d = 3 bands read off
+    ``bfs_depths``: the reference for ``uniform_mle_cases_candidates``."""
+    d = _check_common([s1, s2])
+    for s in (s1, s2):
+        low = 4 if s.t % 2 == 0 else 5
+        if s.t < low:
+            raise ValueError(
+                f"case dispatch needs t >= {low} at {'even' if low == 4 else 'odd'} times, got t={s.t}"
+            )
+    k1 = s1.t % 2 + (s1.vs_prev != s1.vs_now)
+    k2 = s2.t % 2 + (s2.vs_prev != s2.vs_now)
+    swapped = k1 > k2
+    if swapped:
+        s1, s2, k1, k2 = s2, s1, k2, k1
+    e1, e2 = s1.virtual_sources(), s2.virtual_sources()
+    gap, a, b = frozen_closest_pair(e1, e2)
+    window = frozen_path_window(a, b, s1.radius, s2.radius)
+    if (k1, k2) == (2, 2):
+        union = set(e1) | set(e2)
+        if gap == 0 and set(e1) == set(e2):
+            if d >= 4:
+                members, case = frozen_nbrs_minus(d, e1), "odd-odd-7"
+            else:
+                members = {v for v, r in bfs_depths(d, e1, 2).items() if r in (1, 2)}
+                case = "odd-odd-7(d=3)"
+        elif gap == 0:
+            (shared,) = set(e1) & set(e2)
+            if d >= 4:
+                members, case = frozen_nbrs_minus(d, [shared], union), "odd-odd-8"
+            else:
+                members = {v for v, r in bfs_depths(d, [shared], 2).items()
+                           if r in (1, 2) and v not in union}
+                case = "odd-odd-8(d=3)"
+        elif gap == 1:
+            members, case = frozen_nbrs_minus(d, [a, b], union), "odd-odd-9"
+        elif d == 3 and gap == 2:
+            _, (mid,) = frozen_path_window(a, b, 1, 1)
+            (w2,) = [w for w in neighbors(d, mid) if w not in (a, b)]
+            members, case = (mid, w2), "odd-odd-10(d=3,gap=2)"
+        else:
+            lo, feas = window
+            scores = [i * (gap - i) for i in range(lo, lo + len(feas))]
+            best = max(scores, default=None)
+            members = [v for v, sc in zip(feas, scores) if sc == best]
+            case = "odd-odd-10"
+    elif k2 == 2:  # a ball against a moved pair
+        tags = ("odd-odd-4", "odd-odd-5", "odd-odd-6") if s1.t % 2 else (
+            "even-odd-2", "even-odd-4", "even-odd-6")
+        if gap <= 1:
+            members, case = frozen_nbrs_minus(d, [a], e2), tags[gap]
+        else:
+            members, case = window[1][:1], tags[2]
+    else:  # two balls
+        name = {(0, 0): "even-even", (0, 1): "even-odd", (1, 1): "odd-odd"}[k1, k2]
+        t1, t2 = s1.t, s2.t
+        if gap == 0:
+            members, case = frozen_nbrs_minus(d, [a]), f"{name}-1"
+        elif gap == 1 and k1 == k2 == 0:
+            members, case = frozen_nbrs_minus(d, [a, b]), "even-even-2"
+        elif gap == 1 and k1 == 0:
+            members, case = frozen_nbrs_minus(d, [b], [a]), "even-odd-3"
+        elif gap == 1:
+            centers = [a, b] if t1 == t2 else [b] if t1 > t2 else [a]
+            members, case = frozen_nbrs_minus(d, centers, [a, b]), "odd-odd-2"
+        elif k2 == 0:
+            members, case = window[1], "even-even-3"
+        elif k1 == 0:
+            members, case = window[1][-1:], "even-odd-5"
+        else:
+            lo, feas = window
+            scores = [(t1 + 1 - 2 * i) * (t2 + 1 - 2 * (gap - i))
+                      for i in range(lo, lo + len(feas))]
+            best = max(scores, default=None)
+            members = [v for v, sc in zip(feas, scores) if sc == best]
+            case = "odd-odd-3"
+    if not members:
+        raise ValueError(f"inconsistent snapshot pair: empty candidate set in case {case}")
+    return frozenset(members), {"case": case + "-swapped" if swapped else case}
+
+
+def _members_or_refusal(core, s1, s2):
+    try:
+        cands, diagnostics = core(s1, s2)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return getattr(cands, "members", cands), diagnostics
+
+
+def test_two_snapshot_cores_equal_the_frozen_reference_on_every_orbit():
+    # every canonical joint outcome the exact oracle visits at d in {3, 4}
+    # and 2 <= t1, t2 <= 11, in both orders, then the hand-built pairs (a
+    # moved pair stored deep end first, windows left empty): the same
+    # members and diagnostics, or the same refusal
+    pairs = []
+    for d in (3, 4):
+        proto = uniform_protocol(d)
+        for times in itertools.product(range(2, 12), repeat=2):
+            laws = [oracle._law(proto, t) for t in times]
+            oracle._orbits(d, times, laws, lambda snaps, _: pairs.append(tuple(snaps)))
+    pairs += RARE_CASE_PAIRS + [(s1, s2) for _, s1, s2 in EMPTY_CASE_PAIRS]
+    cores = [(two_obs_path_candidates, frozen_two_obs_path_candidates),
+             (uniform_mle_cases_candidates, frozen_cases_candidates)]
+    refused = Counter()
+    for s1, s2 in pairs:
+        for pair in ((s1, s2), (s2, s1)):
+            for core, frozen in cores:
+                got = _members_or_refusal(core, *pair)
+                assert got == _members_or_refusal(frozen, *pair), (core.__name__, pair)
+                refused[core.__name__, got[0] == "ValueError"] += 1
+    assert len(pairs) > 11_000
+    assert refused[two_obs_path_candidates.__name__, True] == 0
+    assert refused[uniform_mle_cases_candidates.__name__, True] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -365,16 +365,16 @@ def test_orbits_visit_what_the_one_level_walk_visits(times):
 
 def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
     # the eight oracle_exact instances of benchmarks/run.py, one core call
-    # per orbit: 646 per pass
+    # per orbit: 646 per pass, and each value the Fraction the benchmark checks
     instances = [
-        ("uniform_mle_cases", uniform_protocol(3), (10, 10), 50),
-        ("uniform_mle_cases", uniform_protocol(3), (10, 11), 170),
-        ("uniform_mle_cases", uniform_protocol(3), (9, 9), 122),
-        ("two_obs_path", perfect_protocol(3), (10, 10), 50),
-        ("generic_mle", uniform_protocol(3), (8, 8), 30),
-        ("single_mle", perfect_protocol(4), (12,), 6),
-        ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 94),
-        ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 124),
+        ("uniform_mle_cases", uniform_protocol(3), (10, 10), 50, Fraction(113, 450)),
+        ("uniform_mle_cases", uniform_protocol(3), (10, 11), 170, Fraction(437, 1350)),
+        ("uniform_mle_cases", uniform_protocol(3), (9, 9), 122, Fraction(11543, 28800)),
+        ("two_obs_path", perfect_protocol(3), (10, 10), 50, Fraction(3070, 8649)),
+        ("generic_mle", uniform_protocol(3), (8, 8), 30, Fraction(89, 288)),
+        ("single_mle", perfect_protocol(4), (12,), 6, Fraction(1, 1456)),
+        ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 94, Fraction(2, 9)),
+        ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 124, Fraction(2441, 8640)),
     ]
     walk = oracle._orbits
     counts = []
@@ -389,10 +389,11 @@ def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
         walk(d, times, laws, counted)
 
     monkeypatch.setattr(oracle, "_orbits", counting)
-    for name, protocol, times, _ in instances:
-        oracle.exact_success(name, protocol, times)
-    assert counts == [orbits for *_, orbits in instances]
+    values = [oracle.exact_success(name, protocol, times) for name, protocol, times, *_ in instances]
+    assert counts == [orbits for *_, orbits, _ in instances]
     assert sum(counts) == 646
+    for got, (*_, want) in zip(values, instances):
+        assert type(got) is Fraction and got == want
 
 
 def test_exact_success_result_types():
