@@ -192,8 +192,9 @@ class Snapshot:
 
     At t = 1 the pair is (vs_0, vs_1) = (origin, first step); for every t >= 2
     neither entry can be the origin.  ``Snapshot(...)`` checks the degree and
-    both labels, and that the pair is consistent (equal at even t,
-    equal-or-adjacent at odd t); code past this point takes them as given.
+    both labels, and that the pair is consistent (equal at even t; at odd t
+    equal, or vs_prev the parent of vs_now); code past this point takes them
+    as given.
     """
 
     d: int
@@ -214,6 +215,8 @@ class Snapshot:
                 raise ValueError("a moved virtual source must be adjacent to its predecessor")
         if self.t >= 2 and (self.vs_prev == SOURCE or self.vs_now == SOURCE):
             raise ValueError("the virtual source never sits at the origin for t >= 2")
+        if len(self.vs_prev) > len(self.vs_now):  # adjacent, so stored child first
+            raise ValueError("a moved virtual source's vs_prev must be the parent of vs_now")
 
     @property
     def is_ball(self) -> bool:
@@ -285,8 +288,6 @@ class Snapshot:
                 )
         elif depth > (s.t + 1) // 2:
             raise ValueError(f"no walk reaches depth {depth} by t={s.t}")
-        elif s.vs_prev != s.vs_now[:-1]:
-            raise ValueError("a moved virtual source's vs_prev must be the parent of vs_now")
         return s
 
 

@@ -193,12 +193,6 @@ def _check_common(snaps: Sequence[Snapshot]) -> int:
     return snaps[0].d
 
 
-def _resolve_vs(s: Snapshot, rng: random.Random) -> Label:
-    """One virtual source per snapshot; uniform over the pair at odd non-ball."""
-    vs = s.virtual_sources()
-    return vs[0] if len(vs) == 1 else vs[rng.randrange(2)]
-
-
 # ---------------------------------------------------------------------------
 # single-snapshot maximum likelihood
 # ---------------------------------------------------------------------------
@@ -293,10 +287,6 @@ def _closest_pair(s1: Snapshot, s2: Snapshot) -> tuple:
     """
     u, v = s1.vs_now, s2.vs_now
     p0, q0 = len(s1.vs_prev), len(s2.vs_prev)
-    if p0 > len(u):  # a moved pair stored deep end first, as Snapshot(...) allows
-        u, p0 = s1.vs_prev, len(u)
-    if q0 > len(v):
-        v, q0 = s2.vs_prev, len(v)
     k = p0 if p0 > q0 else q0  # the docstring's min and max, written out on this hot path
     ell = lcp_len(u, v)
     if ell < k:
@@ -429,10 +419,35 @@ def k_obs_candidates(d: int, resolved: Sequence[Label]) -> tuple[Candidates, dic
     return ExplicitCandidates(frozenset(ties)), diagnostics
 
 
+def k_obs_label_candidates(
+    d: int, labels: Iterable[tuple], coin: Callable[[], int]
+) -> tuple[Candidates, dict]:
+    """:func:`k_obs_candidates` on one virtual source per snapshot, each
+    given by its labels (t, vs_prev, vs_now): vs_now for a ball; for a moved
+    pair, vs_prev if ``coin()`` returns 0 and vs_now if it returns 1, one
+    call per moved pair in snapshot order.  Refuses a time below 2, as every
+    estimator does.  The one resolve-then-core rule behind ``k_obs_subtree``
+    (coins drawn from its generator), the oracle's every-resolution cores
+    and ``experiments.run``'s scoring of a trial from its walks' labels.
+    """
+    resolved = []
+    for t, prev, now in labels:
+        if t < 2:
+            raise ValueError("estimators require observation times t >= 2")
+        resolved.append(now if prev == now else (prev, now)[coin()])
+    return k_obs_candidates(d, resolved)
+
+
+def _labels(snaps: Sequence[Snapshot]) -> list:
+    return [(s.t, s.vs_prev, s.vs_now) for s in snaps]
+
+
 def k_obs_subtree(snaps: Sequence[Snapshot], rng: random.Random) -> Estimate:
+    """The minimax subtree-count vertex of one virtual source per snapshot:
+    a uniform draw from an odd snapshot's moved pair, then the tie-break,
+    both from ``rng``."""
     d = _check_common(snaps)
-    resolved = [_resolve_vs(s, rng) for s in snaps]
-    cands, diagnostics = k_obs_candidates(d, resolved)
+    cands, diagnostics = k_obs_label_candidates(d, _labels(snaps), lambda: rng.randrange(2))
     return _finish("k_obs_subtree", cands, diagnostics, rng)
 
 
@@ -743,6 +758,14 @@ class EstimatorInfo:
     (:func:`sample_is_origin`), where equal-time snapshots in either order
     are one orbit.  That lets ``experiments.run`` score every trial of a
     one- or two-time job from ``candidates``, run once per orbit.
+
+    ``label_core(d, labels, coin)``, set for the k-snapshot estimators, is
+    their core read from each snapshot's labels (t, vs_prev, vs_now):
+    :func:`k_obs_label_candidates`, so no Snapshot is built.  Their draw
+    rule: one ``randrange(2)`` coin per moved pair, in snapshot order, then
+    the tie-break, from one stream.  ``experiments.run`` seeds that stream
+    at its first draw, so a trial with no coin whose set has one member
+    seeds nothing, and scores the tie-break with :func:`sample_is_origin`.
     """
 
     alias: str  # the CLI --method name
@@ -751,13 +774,16 @@ class EstimatorInfo:
     tie_break_only: bool  # the only draw is the tie-break over an ExplicitCandidates
     estimate: Callable
     candidates: Callable
+    label_core: Optional[Callable] = None
 
 
 def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
     """The core on every choice of one virtual source per snapshot."""
     d = _check_common(snaps)
-    resolutions = itertools.product(*(s.virtual_sources() for s in snaps))
-    return [k_obs_candidates(d, vs)[0] for vs in resolutions]
+    labels = _labels(snaps)
+    moved = sum(prev != now for _, prev, now in labels)
+    return [k_obs_label_candidates(d, labels, iter(coins).__next__)[0]
+            for coins in itertools.product((0, 1), repeat=moved)]
 
 
 ESTIMATORS = {
@@ -775,11 +801,13 @@ ESTIMATORS = {
         alias="three-obs", arity=3, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: three_obs_intersection(*snaps, rng),
         candidates=lambda snaps, protocol: _k_obs_cores(snaps),
+        label_core=lambda d, labels, coin: k_obs_label_candidates(d, labels, coin),
     ),
     "k_obs_subtree": EstimatorInfo(
         alias="k-obs", arity=None, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: k_obs_subtree(snaps, rng),
         candidates=lambda snaps, protocol: _k_obs_cores(snaps),
+        label_core=lambda d, labels, coin: k_obs_label_candidates(d, labels, coin),
     ),
     "generic_mle": EstimatorInfo(
         alias="mle", arity=None, uniform_only=False, tie_break_only=True,

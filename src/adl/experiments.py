@@ -1,7 +1,7 @@
 """Monte Carlo experiment harness.
 
 A job = (protocol, observation times, estimator list, trial count, master
-seed).  Each trial simulates the k diffusions from a shared origin, runs
+seed).  Each trial simulates the k diffusions from a shared origin, scores
 every estimator on the same snapshots, and counts exact hits (chosen equals
 the origin label, which the estimators themselves never see).  Frequencies are
 compared against closed-form targets with 3-sigma verdict bands and reported
@@ -14,19 +14,21 @@ yields bit-identical reports (aggregation is a commutative sum).  The job
 builds one ``diffusion.walker`` per observation time and keeps one
 ``random.Random``, reseeded for every stream through its C-level ``seed``,
 which draws exactly what a fresh ``random.Random(seed)`` would; a time-t
-snapshot is read from the walk's stages t // 2 and (t + 1) // 2.
+snapshot's labels (t, vs_prev, vs_now) are read from the walk's stages
+t // 2 and (t + 1) // 2.  An estimator's stream is seeded at its first draw,
+and a stream that draws nothing is never seeded.
 
-Memo: whether an estimator's candidate set holds the origin, its size and a
+Scoring reads the labels; a Snapshot is built only for a core that reads one.
+The k-snapshot estimators draw one coin per moved pair and run their core on
+the labels (``EstimatorInfo.label_core``).  The ``tie_break_only`` ones run
+their core on Snapshots; whether its set holds the origin, its size and a
 refusal depend only on the orbit of a trial's snapshots under the
 automorphisms fixing the origin and the swaps of equal-time snapshots (the
-``EstimatorInfo`` contract); with one or two observation times orbits
-repeat ((12, 12) at d = 3 has 77).  So ``run`` scores the
-``tie_break_only`` estimators of such a job (``two_obs_path``,
-``uniform_mle_cases``, ``generic_mle``) from a memo keyed by ``orbit_key``,
-capped at ``MEMO_CAP`` orbits and filled by the estimator's core, drawing
-the tie-break only when it can change the count.  With three or more times
-orbits rarely repeat, so those jobs, like the estimators that draw a
-virtual-source resolution or sample a shell, run the estimator every trial.
+``EstimatorInfo`` contract), and with one or two observation times orbits
+repeat ((12, 12) at d = 3 has 77), so such a job keeps a memo per estimator
+keyed by ``orbit_key`` and builds Snapshots only when it misses.  Both score
+the tie-break with ``estimators.sample_is_origin``.  ``single_mle``, which
+samples a shell, runs its public estimator.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from adl import closed_form
 from adl.diffusion import is_int, stored_snapshot, walker
@@ -376,9 +378,10 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def orbit_key(snaps: Sequence) -> tuple:
-    """The orbit of a trial's one or two snapshots, at a job's fixed times,
-    under the automorphisms fixing the origin and the swap of equal times.
+def orbit_key(labels: Sequence[tuple]) -> tuple:
+    """The orbit of a trial's one or two snapshots, each given by its labels
+    (t, vs_prev, vs_now) at a job's fixed times, under the automorphisms
+    fixing the origin and the swap of equal times.
 
     A one-time job passes its one snapshot as both.  The key is each
     snapshot's (virtual source moved, depth of ``vs_now``), sorted when the
@@ -387,26 +390,33 @@ def orbit_key(snaps: Sequence) -> tuple:
     its ``vs_now``, and two labels are carried onto two others by such an
     automorphism exactly when their depths and common prefix length agree.
     """
-    first, last = snaps[0], snaps[-1]
-    u, v = first.vs_now, last.vs_now
-    a, b = (first.vs_prev != u, len(u)), (last.vs_prev != v, len(v))
-    if b < a and first.t == last.t:
+    (t1, p, u), (t2, q, v) = labels[0], labels[-1]
+    a, b = (p != u, len(u)), (q != v, len(v))
+    if b < a and t1 == t2:
         a, b = b, a
     return *a, *b, lcp_len(u, v)
 
 
-def run(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the job: every trial simulates the snapshots once and runs
-    every estimator on them, except where a memo already holds the orbit.
+def _outcome(core: Callable, *args) -> tuple:
+    """(origin in the set, set size) of the first candidate set ``core(*args)``
+    lists, or ``_REFUSED`` when it refuses its input."""
+    try:
+        cands = core(*args)[0]
+    except ValueError:
+        return _REFUSED
+    return cands.contains(SOURCE), cands.size()
 
-    A job of one or two times keeps one memo per ``tie_break_only``
-    estimator, from :func:`orbit_key` to (origin in the candidate set, set
-    size), or to ``_REFUSED`` for a precondition failure, filled from the
-    core (``EstimatorInfo.candidates``) by the orbit's first trial.  Every
-    trial counts the failure or scores the hit with
-    :func:`estimators.sample_is_origin`, which reseeds the estimator's
-    stream only when its draw can change the count.  Each memo stores at
-    most ``MEMO_CAP`` orbits; later new orbits are scored unstored.
+
+def run(config: ExperimentConfig) -> ExperimentReport:
+    """Execute the job: every trial walks each diffusion once, keeps the
+    walk's labels (t, vs_prev, vs_now) and scores every estimator from them.
+
+    A memo maps :func:`orbit_key` to (origin in the candidate set, set
+    size), or to ``_REFUSED`` for a precondition failure, filled by the
+    orbit's first trial; it stores at most ``MEMO_CAP`` orbits, and later
+    new orbits are scored unstored.  A trial builds its Snapshots only when
+    a memo misses, a job of three or more times runs a ``tie_break_only``
+    core, or ``single_mle`` runs.
     """
     start = time.perf_counter()
     infos = [ESTIMATORS[s.method] for s in config.estimators]
@@ -424,41 +434,48 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     # rng.seed(int) less its reset of gauss_next, which no draw here reads
     reseed = super(random.Random, rng).seed
 
-    def stream(trial: int, j: int) -> random.Random:
-        """The generator reseeded for estimator j's stream in ``trial``."""
-        reseed(_fold(trial, ESTIMATOR_STREAM + j))
-        return rng
+    def stream(trial: int, j: int) -> Callable[[], random.Random]:
+        """A function returning the generator of estimator j's stream in
+        ``trial``, seeded at the first call only."""
+        unseeded = [trial]
+
+        def seeded() -> random.Random:
+            if unseeded:
+                reseed(_fold(unseeded.pop(), ESTIMATOR_STREAM + j))
+            return rng
+
+        return seeded
 
     for n in range(config.trials):
         trial = _fold(root, n)  # derive_seed(seed, n), extended below
-        snaps = []
+        labels = []
         for walk, t, prev, now, walk_stream in walks:
             reseed(_splitmix64(trial ^ walk_stream))
             states = walk(rng)
-            snaps.append(stored_snapshot(d, t, states[prev], states[now]))
-        key = orbit_key(snaps) if keyed else None
+            labels.append((t, states[prev], states[now]))
+        key = orbit_key(labels) if keyed else None
+        snaps = None
         for j, (info, memo) in enumerate(zip(infos, memos)):
-            if memo is None:
-                try:
-                    est = info.estimate(snaps, protocol, stream(trial, j))
-                except ValueError:
-                    tallies[j][1] += 1
-                else:
-                    tallies[j][0] += est.chosen == SOURCE
-                continue
-            outcome = memo.get(key)
-            if outcome is None:
-                try:
-                    cands = info.candidates(snaps, protocol)[0]
-                except ValueError:
-                    outcome = _REFUSED
-                else:
-                    outcome = cands.contains(SOURCE), cands.size()
-                if len(memo) < MEMO_CAP:
-                    memo[key] = outcome
+            seeded = stream(trial, j)
+            if info.label_core is not None:
+                outcome = _outcome(info.label_core, d, labels, lambda: seeded().randrange(2))
+            elif memo is not None and key in memo:
+                outcome = memo[key]
+            else:
+                if snaps is None:
+                    snaps = [stored_snapshot(d, *label) for label in labels]
+                if info.tie_break_only:
+                    outcome = _outcome(info.candidates, snaps, protocol)
+                    if memo is not None and len(memo) < MEMO_CAP:
+                        memo[key] = outcome
+                else:  # single_mle samples a shell: its public estimator's one pick
+                    try:
+                        outcome = info.estimate(snaps, protocol, seeded()).chosen == SOURCE, 1
+                    except ValueError:
+                        outcome = _REFUSED
             if outcome is _REFUSED:
                 tallies[j][1] += 1
-            elif sample_is_origin(*outcome, lambda: stream(trial, j)):
+            elif sample_is_origin(*outcome, seeded):
                 tallies[j][0] += 1
 
     results = [

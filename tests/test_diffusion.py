@@ -125,6 +125,8 @@ def test_snapshot_invariants_enforced():
         Snapshot(d=3, t=4, vs_prev=(0,), vs_now=(0, 1))  # even but moved
     with pytest.raises(ValueError, match="must be adjacent to its predecessor"):
         Snapshot(d=3, t=5, vs_prev=(0,), vs_now=(0, 1, 0))  # not adjacent
+    with pytest.raises(ValueError, match="vs_prev must be the parent of vs_now"):
+        Snapshot(d=3, t=5, vs_prev=(0, 0), vs_now=(0,))  # adjacent, child first
     with pytest.raises(ValueError, match="never sits at the origin for t >= 2"):
         Snapshot(d=3, t=4, vs_prev=(), vs_now=())  # origin after t=1
     with pytest.raises(ValueError, match="observation time must be >= 1, got 0"):

@@ -234,7 +234,7 @@ def test_two_obs_path_on_split_event():
 
 def test_two_obs_path_odd_times_use_both_endpoints():
     s1 = snap(3, 5, (0,), (0, 0))
-    s2 = snap(3, 5, (1, 0), (1,))  # reversed order on purpose
+    s2 = snap(3, 5, (1,), (1, 0))
     cands, diag = two_obs_path_candidates(s1, s2)
     assert not diag["fallback"]
     assert cands.members == {SOURCE}
@@ -1002,12 +1002,14 @@ def swap_tags(s1, s2):
 # moved-pair cases a small sweep draws rarely or never
 RARE_CASE_PAIRS = [
     (snap(4, 5, (0,), (0, 0)), snap(4, 5, (0,), (0, 0))),  # odd-odd-7
-    (snap(3, 5, (0,), (0, 0)), snap(3, 5, (0, 0), (0,))),  # odd-odd-7(d=3)
+    (snap(3, 5, (0,), (0, 0)), snap(3, 5, (0,), (0, 0))),  # odd-odd-7(d=3)
     (snap(4, 5, (0,), (0, 0)), snap(4, 5, (0,), (0, 1))),  # odd-odd-8
     (snap(3, 5, (0,), (0, 0)), snap(3, 5, (0,), (0, 1))),  # odd-odd-8(d=3)
     (snap(3, 5, (0,), (0,)), snap(3, 5, (0,), (0, 0))),  # odd-odd-4
     (snap(3, 5, (0, 0), (0, 0, 0)), snap(3, 5, (0, 1), (0, 1, 0))),  # odd-odd-10(d=3,gap=2)
 ]
+RARE_CASE_TAGS = ["odd-odd-7", "odd-odd-7(d=3)", "odd-odd-8", "odd-odd-8(d=3)", "odd-odd-4",
+                  "odd-odd-10(d=3,gap=2)"]
 
 
 def test_cases_swap_symmetry_and_tag_coverage():
@@ -1022,8 +1024,10 @@ def test_cases_swap_symmetry_and_tag_coverage():
                 s1 = sample_snapshot(proto, t1, derive_seed(9, d, t1, t2, i, 0))
                 s2 = sample_snapshot(proto, t2, derive_seed(9, d, t1, t2, i, 1))
                 seen |= swap_tags(s1, s2)
-    for s1, s2 in RARE_CASE_PAIRS:
-        seen |= swap_tags(s1, s2)
+    for (s1, s2), tag in zip(RARE_CASE_PAIRS, RARE_CASE_TAGS, strict=True):
+        tags = swap_tags(s1, s2)
+        assert tag in tags, (tag, tags)
+        seen |= tags
     assert seen == CASE_TAGS | {f"{tag}-swapped" for tag in SWAPPABLE_TAGS}
 
 

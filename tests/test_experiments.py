@@ -269,6 +269,11 @@ def trial_snapshots(config, n):
             for i, t in enumerate(config.times)]
 
 
+def labels_of(snaps):
+    """Each snapshot's labels (t, vs_prev, vs_now), as ``run`` keeps them."""
+    return [(s.t, s.vs_prev, s.vs_now) for s in snaps]
+
+
 def reference_report(config):
     """The trial loop with a fresh ``random.Random(seed)`` for every walk and
     every estimator stream, and how often it saw an odd snapshot whose virtual
@@ -306,7 +311,7 @@ TABLE_D4 = "t,h,alpha\n" + "".join(
 
 # jobs of one or two times, whose tie-break-only estimators run from a memo
 MEMO_DOCS = [
-    # (12,12) at d=3 has 127 orbits, so most trials repeat one
+    # (12,12) at d=3 has 77 orbits, so most trials repeat one
     {"d": 3, "protocol": {"name": "uniform"}, "times": [12, 12], "trials": 600,
      "estimators": [{"method": "two_obs_path"}, {"method": "uniform_mle_cases"},
                     {"method": "generic_mle"}, {"method": "k_obs_subtree"}]},
@@ -348,8 +353,16 @@ MEMO_IDS = ["orbits", "refused", "one-time", "table-two", "equal-times", "table-
      "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
     {"d": 3, "protocol": {"name": "uniform"}, "times": [2, 3, 17],
      "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
+    # the mc_kobs benchmark's shape: a one-member set and no coin, so a trial
+    # draws nothing from its estimator stream
+    {"d": 4, "protocol": {"name": "uniform"}, "times": 10, "k": 50, "trials": 20,
+     "estimators": [{"method": "k_obs_subtree"}]},
+    # the shipped three-snapshot configs' shape
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [8, 8, 8],
+     "estimators": [{"method": "three_obs_intersection"}]},
     *MEMO_DOCS,
-], ids=["local", "table", "uniform", "perfect", "single", "edges", "short", *MEMO_IDS])
+], ids=["local", "table", "uniform", "perfect", "single", "edges", "short", "mc-kobs",
+        "three-obs", *MEMO_IDS])
 def test_run_matches_a_fresh_generator_per_stream(doc):
     # run() reseeds one generator for every stream and scores a repeated
     # orbit from its memo; the report body must be the one a fresh
@@ -359,12 +372,47 @@ def test_run_matches_a_fresh_generator_per_stream(doc):
     assert run(config).body_dict() == body
     if 1 in config.times:  # every trial is a counted precondition failure
         assert all(r["failures"] == r["trials"] for r in body["results"])
+    elif len(config.times) == 50:  # the mc_kobs shape draws nothing
+        assert ties == moved == 0
     else:
         assert ties > 0 or len(config.times) % 2  # even k ties
     for r in body["results"]:
         if r["method"] == "uniform_mle_cases" and min(config.times) < 4:
             assert r["failures"] == r["trials"]  # the case dispatch refuses t < 4
     assert moved > 0 or all(t % 2 == 0 for t in config.times)
+
+
+@pytest.mark.parametrize("cap", [0, experiments.MEMO_CAP])
+def test_snapshots_are_built_only_where_a_core_reads_them(cap, monkeypatch):
+    # a trial keeps its walks' labels; the k-snapshot estimators score from
+    # them alone, and a two-time job builds its two snapshots only on a trial
+    # whose orbit the memo does not hold
+    calls = []
+    real = experiments.stored_snapshot
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "MEMO_CAP", cap)
+    monkeypatch.setattr(experiments, "stored_snapshot", counted)
+    for doc in ({"d": 4, "protocol": {"name": "uniform"}, "times": 9, "k": 6,
+                 "estimators": [{"method": "k_obs_subtree"}]},
+                {"d": 3, "protocol": {"name": "uniform"}, "times": [7, 8, 9],
+                 "estimators": [{"method": "three_obs_intersection"}]}):
+        run(ExperimentConfig.from_dict({"trials": 100, "seed": 5, **doc}))
+    assert calls == []
+    config = ExperimentConfig.from_dict({**MEMO_DOCS[0], "trials": 300, "seed": 5})
+    stored, misses = set(), 0
+    for n in range(config.trials):
+        key = orbit_key(labels_of(trial_snapshots(config, n)))
+        if key not in stored:
+            misses += 1
+            if len(stored) < cap:
+                stored.add(key)
+    run(config)
+    assert len(calls) == 2 * misses
+    assert misses < config.trials if cap else misses == config.trials
 
 
 @pytest.mark.parametrize("doc", MEMO_DOCS, ids=MEMO_IDS)
@@ -383,7 +431,7 @@ def test_memo_stores_at_most_the_cap(cap, monkeypatch):
     # the memo keeps the first `cap` orbits in trial order and no more: a
     # trial runs generic_mle's core unless an earlier trial stored its orbit
     config = ExperimentConfig.from_dict({**MEMO_DOCS[0], "trials": 300, "seed": 5})
-    keys = [orbit_key(trial_snapshots(config, n)) for n in range(config.trials)]
+    keys = [orbit_key(labels_of(trial_snapshots(config, n))) for n in range(config.trials)]
     stored, expected = set(), 0
     for key in keys:
         if key not in stored:
@@ -410,10 +458,10 @@ def test_orbit_key_ignores_the_order_of_equal_times():
     # keys when the times differ
     moved = Snapshot(d=3, t=7, vs_prev=(0,), vs_now=(0, 1))
     ball = Snapshot(d=3, t=7, vs_prev=(1, 0), vs_now=(1, 0))
-    assert orbit_key([moved, ball]) == orbit_key([ball, moved])
+    assert orbit_key(labels_of([moved, ball])) == orbit_key(labels_of([ball, moved]))
     even = Snapshot(d=3, t=6, vs_prev=(1, 0), vs_now=(1, 0))
-    assert orbit_key([even, moved]) != orbit_key([moved, even])
-    assert orbit_key([even, moved])[:2] == (False, 2)
+    assert orbit_key(labels_of([even, moved])) != orbit_key(labels_of([moved, even]))
+    assert orbit_key(labels_of([even, moved]))[:2] == (False, 2)
 
 
 @pytest.mark.parametrize("d, times", [(3, [12, 12]), (4, [9, 9]), (3, [6, 7]), (3, [7, 6])])
@@ -426,8 +474,8 @@ def test_orbit_key_counts_the_oracle_orbits(d, times):
     keys, reversed_keys = [], set()
 
     def visit(snaps, _):
-        keys.append(orbit_key(snaps))
-        reversed_keys.add(orbit_key(snaps[::-1]))
+        keys.append(orbit_key(labels_of(snaps)))
+        reversed_keys.add(orbit_key(labels_of(snaps[::-1])))
 
     oracle._orbits(d, times, laws, visit)
     assert len(set(keys)) == len(keys)
@@ -453,5 +501,5 @@ def test_an_orbit_decides_what_the_memo_stores(doc):
                 outcome = (cands.contains(SOURCE), cands.size())
             except ValueError:
                 outcome = None
-            assert seen.setdefault((spec.method, orbit_key(snaps)), outcome) == outcome
+            assert seen.setdefault((spec.method, orbit_key(labels_of(snaps))), outcome) == outcome
     assert len(seen) < config.trials  # orbits repeat
