@@ -264,8 +264,9 @@ def _suite_generic_vs_cases():
                     sample_snapshot(proto, t, derive_seed(20_000 + d, n, i))
                     for i, t in enumerate((t1, t2))
                 ]
-                a, _ = generic_mle_candidates(snaps, proto)
-                b, _ = uniform_mle_cases_candidates(snaps[0], snaps[1])
+                labels = [(s.t, s.vs_prev, s.vs_now) for s in snaps]
+                a, _ = generic_mle_candidates(d, labels, proto)
+                b, _ = uniform_mle_cases_candidates(d, *labels)
                 checked += 1
                 if a.members != b.members:
                     mismatches += 1

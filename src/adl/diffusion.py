@@ -29,7 +29,7 @@ which times a table protocol can serve, shared with hop tables and snapshot
 laws.
 
 Checks run where a pair enters: ``Snapshot(...)``, ``Snapshot.from_dict``,
-``sample_snapshot`` and ``Trajectory``.  A pair the package built itself is
+``sample_snapshot`` and ``Trajectory``.  A checked Trajectory's pairs are
 stored by ``stored_snapshot`` without running them again.
 """
 
@@ -295,8 +295,7 @@ def stored_snapshot(d: int, t: int, vs_prev: Label, vs_now: Label) -> Snapshot:
     """A Snapshot stored without the constructor's checks, its fields set in
     field order as the generated ``__init__`` sets them.
 
-    Precondition: the pair came from ``walker``, from ``oracle._orbits`` or
-    from an already checked ``Trajectory``.
+    Precondition: the pair came from an already checked ``Trajectory``.
     """
     s = object.__new__(Snapshot)
     object.__setattr__(s, "d", d)

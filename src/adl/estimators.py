@@ -14,11 +14,15 @@ estimator) follow the same policy and flag themselves in diagnostics.
 
 Each public estimator has a deterministic ``*_candidates`` core (used by the
 exhaustive oracle, which integrates the tie-break analytically instead of
-sampling it).  The three-snapshot path intersection has none of its own: on
-a tree the meet of the three pairwise paths is the median, the k-snapshot
-subtree-count core's unique winner at k = 3, so it runs that core.  No
-estimator takes a tuning parameter: the likelihood-based ones score their
-whole feasible set, so each returns the true argmax.
+sampling it).  A core takes the degree and each snapshot's labels
+(t, vs_prev, vs_now), read once off a public estimator's checked Snapshots;
+the oracle and the Monte Carlo loop pass the labels they build and build no
+Snapshot.  Every core refuses a time below 2.  The three-snapshot path
+intersection has none of its own: on a tree the meet of the three pairwise
+paths is the median, the k-snapshot subtree-count core's unique winner at
+k = 3, so it runs that core.  No estimator takes a tuning parameter: the
+likelihood-based ones score their whole feasible set, so each returns the
+true argmax.
 
 The path-based two-snapshot cores (``two_obs_path`` and ``uniform_mle_cases``)
 read their geometry from one common-prefix length.  A moved pair's vs_prev is
@@ -57,6 +61,7 @@ from adl.tree import (
 )
 
 _REL_TOL = 1e-12  # float-mode tie grouping for log-likelihood comparisons
+_TOO_EARLY = "estimators require observation times t >= 2"  # every core's refusal of t < 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +188,8 @@ def _finish(method: str, cands: Candidates, diagnostics: dict, rng: random.Rando
     )
 
 
-def _check_common(snaps: Sequence[Snapshot]) -> int:
-    """The snapshots' degree, which every entry point has checked they share."""
-    if not snaps:
-        raise ValueError("at least one snapshot required")
-    for s in snaps:
-        if s.t < 2:
-            raise ValueError("estimators require observation times t >= 2")
-    return snaps[0].d
+def _labels(snaps: Sequence[Snapshot]) -> list:
+    return [(s.t, s.vs_prev, s.vs_now) for s in snaps]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def _check_common(snaps: Sequence[Snapshot]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hop_scores(s: Snapshot, protocol: Protocol) -> list:
+def _hop_scores(t: int, ball: bool, protocol: Protocol) -> list:
     """Per-hop likelihood row of one snapshot: entry x - 1 scores each
     vertex at hop x from the virtual-source set.
 
@@ -211,11 +210,11 @@ def _hop_scores(s: Snapshot, protocol: Protocol) -> list:
     and kept on the protocol.  The snapshot is on the protocol's tree, as
     every entry point checks.
     """
-    key = (s.t, s.is_ball)
+    key = (t, ball)
     row = protocol._scores.get(key)
     if row is None:
         d = protocol.d
-        weights = protocol.snapshot_weights(s.t, s.is_ball)
+        weights = protocol.snapshot_weights(t, ball)
         if protocol.exact:
             scores = [Fraction(w, d * (d - 1) ** h) for h, w in enumerate(weights)]
             scale = math.lcm(*(sc.denominator for sc in scores))
@@ -229,15 +228,19 @@ def _hop_scores(s: Snapshot, protocol: Protocol) -> list:
     return row
 
 
-def single_mle_candidates(s: Snapshot, protocol: Protocol) -> tuple[Candidates, dict]:
-    """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)), as shells."""
-    d = _check_common([s])
+def single_mle_candidates(d: int, label: tuple, protocol: Protocol) -> tuple[Candidates, dict]:
+    """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)), as shells
+    around the virtual sources of the snapshot with labels ``label``."""
+    t, prev, now = label
+    if t < 2:
+        raise ValueError(_TOO_EARLY)
+    ball = prev == now
     if protocol.exact:
-        scores = _hop_scores(s, protocol)
+        scores = _hop_scores(t, ball, protocol)
         best = max(scores)
         h_star = [h + 1 for h, sc in enumerate(scores) if sc == best]
     else:
-        weights = protocol.snapshot_weights(s.t, s.is_ball)
+        weights = protocol.snapshot_weights(t, ball)
         scores = [w / (d * (d - 1) ** h) for h, w in enumerate(weights)]
         best = max(scores)
         h_star = [
@@ -247,10 +250,10 @@ def single_mle_candidates(s: Snapshot, protocol: Protocol) -> tuple[Candidates, 
         ]
     if best <= 0:
         raise ValueError("all hop likelihoods are zero for this snapshot")
-    cands = ShellCandidates(d=d, centers=s.virtual_sources(), radii=tuple(h_star))
-    diagnostics = {"h_star": h_star, "ball": s.is_ball, "candidate_count": cands.size()}
-    if s.t % 2 == 0:
-        diagnostics["success_probability"] = float(protocol.mle_success_probability(s.t))
+    cands = ShellCandidates(d=d, centers=(now,) if ball else (prev, now), radii=tuple(h_star))
+    diagnostics = {"h_star": h_star, "ball": ball, "candidate_count": cands.size()}
+    if t % 2 == 0:
+        diagnostics["success_probability"] = float(protocol.mle_success_probability(t))
     return cands, diagnostics
 
 
@@ -264,7 +267,7 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
     the diagnostics carry the exact success probability
     max_h p(t, h) / (d (d-1)^(h-1)).
     """
-    cands, diagnostics = single_mle_candidates(s, protocol)
+    cands, diagnostics = single_mle_candidates(s.d, *_labels([s]), protocol)
     return _finish("single_mle", cands, diagnostics, rng)
 
 
@@ -273,10 +276,10 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _closest_pair(s1: Snapshot, s2: Snapshot) -> tuple:
-    """(distance, x, y, lcp(x, y)) for the closest x among the first
-    snapshot's virtual sources and y among the second's; equal distances go
-    to the smaller labels.
+def _closest_pair(s1: tuple, s2: tuple) -> tuple:
+    """(distance, x, y, lcp(x, y)) for the closest x among the virtual
+    sources of the first snapshot's labels and y among the second's; equal
+    distances go to the smaller labels.
 
     A moved pair's vs_prev is its vs_now's parent, so each set is prefixes
     of its deep end u, and prefixes x of u1 and y of u2 share
@@ -285,8 +288,8 @@ def _closest_pair(s1: Snapshot, s2: Snapshot) -> tuple:
     the prefixes of lengths max(p0, k) and max(q0, k): the shortest common
     vertex when the sets meet, else the closest pair of disjoint subtrees.
     """
-    u, v = s1.vs_now, s2.vs_now
-    p0, q0 = len(s1.vs_prev), len(s2.vs_prev)
+    (_, prev1, u), (_, prev2, v) = s1, s2
+    p0, q0 = len(prev1), len(prev2)
     k = p0 if p0 > q0 else q0  # the docstring's min and max, written out on this hot path
     ell = lcp_len(u, v)
     if ell < k:
@@ -306,10 +309,11 @@ def _nbrs_minus(d: int, centers: Iterable[Label], minus: Iterable[Label] = ()) -
     return frozenset(out)
 
 
-def _path_window(a: Label, b: Label, ra: int, rb: int, k: int, end: str = "") -> tuple[int, list]:
+def _path_window(a: Label, b: Label, ra: int, rb: int, k: int,
+                 twice: Optional[int] = None) -> list:
     """The interior vertices of the a-b path within ``ra`` of a and ``rb`` of
-    b, in a-to-b order, with the position (distance from a) of the first.
-    With ``end`` "first" or "last", only that vertex of the window, if any.
+    b, in a-to-b order; with ``twice`` set, only the one nearest the position
+    (distance from a) twice / 2, or two about a half-integer inside.
     ``k`` is lcp(a, b), which :func:`_closest_pair` hands over.
 
     The vertex i steps from a is a[:len(a) - i] up to the meet and
@@ -317,30 +321,34 @@ def _path_window(a: Label, b: Label, ra: int, rb: int, k: int, end: str = "") ->
     max(1, L - rb) <= i <= min(L - 1, ra) is sliced off.  For the closest
     pair of two snapshots' virtual sources and their radii it is the path
     interior infected in both: the other end of a moved snapshot hangs off
-    a (or b) away from the path, or the pair would not be closest.
+    a (or b) away from the path, or the pair would not be closest.  A
+    concave quadratic score in i is symmetric about its peak, so its argmax
+    over the window is the positions nearest the peak.
     """
     up = len(a) - k  # the meet's position
     length = up + len(b) - k
     lo = length - rb if length - rb > 1 else 1
     hi = ra if ra < length - 1 else length - 1
     below = len(b) - length
-    if end and lo <= hi:
-        i = lo if end == "first" else hi
-        return i, [a[: len(a) - i] if i <= up else b[: below + i]]
-    return lo, [a[: len(a) - i] if i <= up else b[: below + i] for i in range(lo, hi + 1)]
+    if twice is not None and lo <= hi:  # the positions nearest twice / 2
+        if twice <= 2 * lo or twice >= 2 * hi:  # one end
+            i = lo if twice <= 2 * lo else hi
+            return [a[: len(a) - i] if i <= up else b[: below + i]]
+        lo, hi = twice // 2, (twice + 1) // 2
+    return [a[: len(a) - i] if i <= up else b[: below + i] for i in range(lo, hi + 1)]
 
 
-def two_obs_path_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
-    if s1.t < 2 or s2.t < 2:
-        _check_common((s1, s2))  # refuses
+def two_obs_path_candidates(d: int, s1: tuple, s2: tuple) -> tuple[Candidates, dict]:
+    if s1[0] < 2 or s2[0] < 2:
+        raise ValueError(_TOO_EARLY)
     _, x, y, k = _closest_pair(s1, s2)
-    _, s_set = _path_window(x, y, s1.radius, s2.radius, k)
+    s_set = _path_window(x, y, s1[0] // 2, s2[0] // 2, k)
     if s_set:
         return ExplicitCandidates(frozenset(s_set)), {"S_size": len(s_set), "fallback": False}
     # the connecting path has no interior (virtual sources coincide or touch):
-    # fall back to a uniform pick among the fringe of the known virtual sources
-    known = s1.virtual_sources() + s2.virtual_sources()
-    return ExplicitCandidates(_nbrs_minus(s1.d, known)), {"S_size": 0, "fallback": True}
+    # fall back to a uniform pick among the fringe of the known virtual
+    # sources, (vs_prev, vs_now) of each snapshot
+    return ExplicitCandidates(_nbrs_minus(d, s1[1:] + s2[1:])), {"S_size": 0, "fallback": True}
 
 
 def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
@@ -350,7 +358,7 @@ def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
     S is the closest-pair window of the module docstring.  When S is empty
     the pick falls back to the fringe of the virtual sources.
     """
-    cands, diagnostics = two_obs_path_candidates(s1, s2)
+    cands, diagnostics = two_obs_path_candidates(s1.d, *_labels((s1, s2)))
     return _finish("two_obs_path", cands, diagnostics, rng)
 
 
@@ -433,21 +441,17 @@ def k_obs_label_candidates(
     resolved = []
     for t, prev, now in labels:
         if t < 2:
-            raise ValueError("estimators require observation times t >= 2")
+            raise ValueError(_TOO_EARLY)
         resolved.append(now if prev == now else (prev, now)[coin()])
     return k_obs_candidates(d, resolved)
-
-
-def _labels(snaps: Sequence[Snapshot]) -> list:
-    return [(s.t, s.vs_prev, s.vs_now) for s in snaps]
 
 
 def k_obs_subtree(snaps: Sequence[Snapshot], rng: random.Random) -> Estimate:
     """The minimax subtree-count vertex of one virtual source per snapshot:
     a uniform draw from an odd snapshot's moved pair, then the tie-break,
     both from ``rng``."""
-    d = _check_common(snaps)
-    cands, diagnostics = k_obs_label_candidates(d, _labels(snaps), lambda: rng.randrange(2))
+    cands, diagnostics = k_obs_label_candidates(
+        snaps[0].d, _labels(snaps), lambda: rng.randrange(2))
     return _finish("k_obs_subtree", cands, diagnostics, rng)
 
 
@@ -472,16 +476,17 @@ def three_obs_intersection(
 
 
 def generic_mle_candidates(
-    snaps: Sequence[Snapshot], protocol: Protocol
+    d: int, labels: Sequence[tuple], protocol: Protocol
 ) -> tuple[Candidates, dict]:
-    d = _check_common(snaps)
+    if min(t for t, _, _ in labels) < 2:
+        raise ValueError(_TOO_EARLY)
     exact = protocol.exact
 
     # The core, the Steiner tree of the virtual sources, is every prefix of
     # a virtual source at least as long as their common prefix.  Each core
     # vertex u[:l] is visited once, on the first terminal u it is a prefix
     # of, and everything about it comes from prefix lengths.
-    terms = sorted({v for s in snaps for v in s.virtual_sources()})
+    terms = sorted({v for _, prev, now in labels for v in (prev, now)})
     n = len(terms)
     index = {v: j for j, v in enumerate(terms)}
     lens = [len(v) for v in terms]
@@ -489,8 +494,8 @@ def generic_mle_candidates(
     for i, j in itertools.combinations(range(n), 2):
         lcps[i][j] = lcps[j][i] = lcp_len(terms[i], terms[j])
     top = lcps[0][-1]
-    ends = [(index[s.vs_prev], index[s.vs_now]) for s in snaps]  # one index twice for a ball
-    rows = [_hop_scores(s, protocol) for s in snaps]
+    ends = [(index[prev], index[now]) for _, prev, now in labels]  # one index twice for a ball
+    rows = [_hop_scores(t, prev == now, protocol) for t, prev, now in labels]
     sizes = [len(row) for row in rows]
 
     # A vertex at outward depth r from core vertex c has hop vector x(c) + r,
@@ -548,9 +553,8 @@ def generic_mle_candidates(
     diagnostics = {"feasible_count": feasible, "exact": exact, "fallback": not win}
     if not win:
         # no vertex has positive likelihood: a uniform pick among the fringe
-        # of the first virtual source
-        first = snaps[0].virtual_sources()[0]
-        return ExplicitCandidates(_nbrs_minus(d, [first], terms)), diagnostics
+        # of the first virtual source, the first snapshot's vs_prev
+        return ExplicitCandidates(_nbrs_minus(d, [labels[0][1]], terms)), diagnostics
     ties = []
     for _, i, ell, r in win:
         c = terms[i][:ell]
@@ -594,7 +598,7 @@ def generic_mle(snaps: Sequence[Snapshot], protocol: Protocol, rng: random.Rando
     so a piece p below the running best b <= B has |p| >= |b| >= |B| and
     |p - b| <= |p - B|: if p is close to B, it is close to b.
     """
-    cands, diagnostics = generic_mle_candidates(snaps, protocol)
+    cands, diagnostics = generic_mle_candidates(snaps[0].d, _labels(snaps), protocol)
     return _finish("generic_mle", cands, diagnostics, rng)
 
 
@@ -603,27 +607,24 @@ def generic_mle(snaps: Sequence[Snapshot], protocol: Protocol, rng: random.Rando
 # ---------------------------------------------------------------------------
 
 
-def _argmax(vertices: list, scores: list) -> frozenset:
-    best = max(scores, default=None)
-    return frozenset(v for v, sc in zip(vertices, scores) if sc == best)
-
-
-def uniform_mle_cases_candidates(s1: Snapshot, s2: Snapshot) -> tuple[Candidates, dict]:
-    if s1.t < 5 or s2.t < 5:  # every check below passes from t = 5 on
-        _check_common((s1, s2))
-        for s in (s1, s2):
-            low, parity = (5, "odd") if s.t % 2 else (4, "even")
-            if s.t < low:
-                raise ValueError(f"case dispatch needs t >= {low} at {parity} times, got t={s.t}")
+def uniform_mle_cases_candidates(d: int, s1: tuple, s2: tuple) -> tuple[Candidates, dict]:
+    t1, t2 = s1[0], s2[0]
+    if t1 < 5 or t2 < 5:  # every check below passes from t = 5 on
+        if t1 < 2 or t2 < 2:
+            raise ValueError(_TOO_EARLY)
+        for t in (t1, t2):
+            low, parity = (5, "odd") if t % 2 else (4, "even")
+            if t < low:
+                raise ValueError(f"case dispatch needs t >= {low} at {parity} times, got t={t}")
     # kind 0: even ball, 1: odd ball, 2: moved pair; the lower kind goes first
-    k1 = s1.t % 2 + (s1.vs_prev != s1.vs_now)
-    k2 = s2.t % 2 + (s2.vs_prev != s2.vs_now)
+    k1 = t1 % 2 + (s1[1] != s1[2])
+    k2 = t2 % 2 + (s2[1] != s2[2])
     swapped = k1 > k2
     if swapped:
         s1, s2, k1, k2 = s2, s1, k2, k1
     # each case returns (members, tag) from the closest pair (gap, a, b, k); a
     # window pick slices, so an empty window reaches this one check
-    members, case = _CASES[k1, k2](s1.d, s1, s2, *_closest_pair(s1, s2))
+    members, case = _CASES[k1, k2](d, s1, s2, *_closest_pair(s1, s2))
     if not members:
         raise ValueError(f"inconsistent snapshot pair: empty candidate set in case {case}")
     return ExplicitCandidates(frozenset(members)), {"case": case + "-swapped" if swapped else case}
@@ -648,7 +649,7 @@ def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimat
     even-odd-5 takes the window's last vertex, even-odd-6 and odd-odd-6 its
     first.
     """
-    cands, diagnostics = uniform_mle_cases_candidates(s1, s2)
+    cands, diagnostics = uniform_mle_cases_candidates(s1.d, *_labels((s1, s2)))
     return _finish("uniform_mle_cases", cands, diagnostics, rng)
 
 
@@ -657,7 +658,7 @@ def _cases_even_even(d, s1, s2, gap, v1, v2, k):
         return _nbrs_minus(d, (v1,)), "even-even-1"
     if gap == 1:
         return _nbrs_minus(d, (v1, v2)), "even-even-2"
-    return _path_window(v1, v2, s1.radius, s2.radius, k)[1], "even-even-3"
+    return _path_window(v1, v2, s1[0] // 2, s2[0] // 2, k), "even-even-3"
 
 
 def _cases_even_odd_balls(d, se, so, gap, v1, v2, k):
@@ -667,34 +668,33 @@ def _cases_even_odd_balls(d, se, so, gap, v1, v2, k):
     if gap == 1:
         return _nbrs_minus(d, (v2,), (v1,)), "even-odd-3"
     # deterministic: the feasible path vertex closest to the odd center
-    return _path_window(v1, v2, se.radius, so.radius, k, "last")[1], "even-odd-5"
+    return _path_window(v1, v2, se[0] // 2, so[0] // 2, k, 2 * gap), "even-odd-5"
 
 
 def _cases_ball_moved(d, sb, sm, gap, vb, near, k):
     """sb is a ball at either parity, which only names the case; sm a moved pair."""
-    tags = ("odd-odd-4", "odd-odd-5", "odd-odd-6") if sb.t % 2 else (
+    tags = ("odd-odd-4", "odd-odd-5", "odd-odd-6") if sb[0] % 2 else (
         "even-odd-2", "even-odd-4", "even-odd-6")
     if gap <= 1:
-        return _nbrs_minus(d, (vb,), sm.virtual_sources()), tags[gap]
+        return _nbrs_minus(d, (vb,), sm[1:]), tags[gap]
     # the feasible path vertex closest to the ball's center
-    return _path_window(vb, near, sb.radius, sm.radius, k, "first")[1], tags[2]
+    return _path_window(vb, near, sb[0] // 2, sm[0] // 2, k, 0), tags[2]
 
 
 def _cases_odd_odd_balls(d, s1, s2, gap, v1, v2, k):
-    t1, t2 = s1.t, s2.t
+    t1, t2 = s1[0], s2[0]
     if gap == 0:
         return _nbrs_minus(d, (v1,)), "odd-odd-1"
     if gap == 1:
         # the later snapshot localizes better; equal times leave both sides tied
         centers = (v1, v2) if t1 == t2 else (v2,) if t1 > t2 else (v1,)
         return _nbrs_minus(d, centers, (v1, v2)), "odd-odd-2"
-    lo, feas = _path_window(v1, v2, s1.radius, s2.radius, k)
-    scores = [(t1 + 1 - 2 * i) * (t2 + 1 - 2 * (gap - i)) for i in range(lo, lo + len(feas))]
-    return _argmax(feas, scores), "odd-odd-3"
+    # the score (t1 + 1 - 2i)(t2 + 1 - 2(gap - i)) peaks at i = (t1 - t2 + 2 gap) / 4
+    return _path_window(v1, v2, t1 // 2, t2 // 2, k, (t1 - t2) // 2 + gap), "odd-odd-3"
 
 
 def _cases_moved_pairs(d, s1, s2, gap, a, b, k):
-    e1, e2 = s1.virtual_sources(), s2.virtual_sources()
+    e1, e2 = s1[1:], s2[1:]  # both moved: (vs_prev, vs_now)
     if gap == 0:
         # one shared edge (odd-odd-7) or vertex, then a (odd-odd-8): the
         # vertices off both pairs within 1 of it, within 2 (two rings) at d = 3
@@ -708,15 +708,15 @@ def _cases_moved_pairs(d, s1, s2, gap, a, b, k):
     if gap == 1:
         return _nbrs_minus(d, (a, b), e1 + e2), "odd-odd-9"
     if d == 3 and gap == 2:
-        _, (mid,) = _path_window(a, b, 1, 1, k)  # w, and w' its third neighbour
+        (mid,) = _path_window(a, b, 1, 1, k)  # w, and w' its third neighbour
         return _nbrs_minus(d, (mid,), (a, b)) | {mid}, "odd-odd-10(d=3,gap=2)"
-    lo, feas = _path_window(a, b, s1.radius, s2.radius, k)
-    scores = [i * (gap - i) for i in range(lo, lo + len(feas))]
-    return _argmax(feas, scores), "odd-odd-10"
+    # the score i (gap - i) peaks at i = gap / 2
+    return _path_window(a, b, s1[0] // 2, s2[0] // 2, k, gap), "odd-odd-10"
 
 
 # (kind of the first snapshot, kind of the second), kinds in order; each case
-# takes (d, s1, s2) and their closest pair (gap, a, b, lcp(a, b))
+# takes d, the two snapshots' labels (t, vs_prev, vs_now) and their closest
+# pair (gap, a, b, lcp(a, b))
 _CASES = {
     (0, 0): _cases_even_even,
     (0, 1): _cases_even_odd_balls,
@@ -736,12 +736,14 @@ _CASES = {
 class EstimatorInfo:
     """One estimator as the config, the CLI and the oracle see it.
 
-    ``estimate(snaps, protocol, rng)`` runs the public estimator.
-    ``candidates(snaps, protocol)`` lists its deterministic core's
-    candidate set once per equally likely choice of one virtual source per
-    snapshot (a single set unless the estimator draws that choice).  Both
-    look the estimator functions up as module attributes on every call, so a
-    wrapper installed on this module is seen.
+    ``estimate(snaps, protocol, rng)`` runs the public estimator on
+    Snapshots.  ``candidates(d, labels, protocol)`` lists its deterministic
+    core's candidate set, from each snapshot's labels (t, vs_prev, vs_now),
+    once per equally likely choice of one virtual source per snapshot (a
+    single set unless the estimator draws that choice); the oracle and
+    ``experiments.run`` pass the labels they build and build no Snapshot.
+    Both look the estimator functions up as module attributes on every
+    call, so a wrapper installed on this module is seen.
 
     Contract the exact oracle relies on: permuting snapshots taken at equal
     times leaves ``candidates`` unchanged as a multiset of member sets, and
@@ -760,12 +762,12 @@ class EstimatorInfo:
     one- or two-time job from ``candidates``, run once per orbit.
 
     ``label_core(d, labels, coin)``, set for the k-snapshot estimators, is
-    their core read from each snapshot's labels (t, vs_prev, vs_now):
-    :func:`k_obs_label_candidates`, so no Snapshot is built.  Their draw
-    rule: one ``randrange(2)`` coin per moved pair, in snapshot order, then
-    the tie-break, from one stream.  ``experiments.run`` seeds that stream
-    at its first draw, so a trial with no coin whose set has one member
-    seeds nothing, and scores the tie-break with :func:`sample_is_origin`.
+    their core on the virtual sources ``coin`` picks
+    (:func:`k_obs_label_candidates`).  Their draw rule: one ``randrange(2)``
+    coin per moved pair, in snapshot order, then the tie-break, from one
+    stream.  ``experiments.run`` seeds that stream at its first draw, so a
+    trial with no coin whose set has one member seeds nothing, and scores
+    the tie-break with :func:`sample_is_origin`.
     """
 
     alias: str  # the CLI --method name
@@ -777,10 +779,8 @@ class EstimatorInfo:
     label_core: Optional[Callable] = None
 
 
-def _k_obs_cores(snaps: Sequence[Snapshot]) -> list:
+def _k_obs_cores(d: int, labels: Sequence[tuple]) -> list:
     """The core on every choice of one virtual source per snapshot."""
-    d = _check_common(snaps)
-    labels = _labels(snaps)
     moved = sum(prev != now for _, prev, now in labels)
     return [k_obs_label_candidates(d, labels, iter(coins).__next__)[0]
             for coins in itertools.product((0, 1), repeat=moved)]
@@ -790,34 +790,34 @@ ESTIMATORS = {
     "single_mle": EstimatorInfo(
         alias="single-mle", arity=1, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: single_mle(*snaps, protocol, rng),
-        candidates=lambda snaps, protocol: [single_mle_candidates(*snaps, protocol)[0]],
+        candidates=lambda d, labels, protocol: [single_mle_candidates(d, *labels, protocol)[0]],
     ),
     "two_obs_path": EstimatorInfo(
         alias="two-obs-path", arity=2, uniform_only=False, tie_break_only=True,
         estimate=lambda snaps, protocol, rng: two_obs_path(*snaps, rng),
-        candidates=lambda snaps, protocol: [two_obs_path_candidates(*snaps)[0]],
+        candidates=lambda d, labels, protocol: [two_obs_path_candidates(d, *labels)[0]],
     ),
     "three_obs_intersection": EstimatorInfo(
         alias="three-obs", arity=3, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: three_obs_intersection(*snaps, rng),
-        candidates=lambda snaps, protocol: _k_obs_cores(snaps),
+        candidates=lambda d, labels, protocol: _k_obs_cores(d, labels),
         label_core=lambda d, labels, coin: k_obs_label_candidates(d, labels, coin),
     ),
     "k_obs_subtree": EstimatorInfo(
         alias="k-obs", arity=None, uniform_only=False, tie_break_only=False,
         estimate=lambda snaps, protocol, rng: k_obs_subtree(snaps, rng),
-        candidates=lambda snaps, protocol: _k_obs_cores(snaps),
+        candidates=lambda d, labels, protocol: _k_obs_cores(d, labels),
         label_core=lambda d, labels, coin: k_obs_label_candidates(d, labels, coin),
     ),
     "generic_mle": EstimatorInfo(
         alias="mle", arity=None, uniform_only=False, tie_break_only=True,
         estimate=lambda snaps, protocol, rng: generic_mle(snaps, protocol, rng),
-        candidates=lambda snaps, protocol: [generic_mle_candidates(snaps, protocol)[0]],
+        candidates=lambda d, labels, protocol: [generic_mle_candidates(d, labels, protocol)[0]],
     ),
     "uniform_mle_cases": EstimatorInfo(
         alias="cases", arity=2, uniform_only=True, tie_break_only=True,
         estimate=lambda snaps, protocol, rng: uniform_mle_cases(*snaps, rng),
-        candidates=lambda snaps, protocol: [uniform_mle_cases_candidates(*snaps)[0]],
+        candidates=lambda d, labels, protocol: [uniform_mle_cases_candidates(d, *labels)[0]],
     ),
 }
 
@@ -828,6 +828,8 @@ def estimator_for(name, k: int, protocol: Protocol) -> EstimatorInfo:
     info = ESTIMATORS.get(name) if isinstance(name, str) else None
     if info is None:
         raise ValueError(f"unknown method {name!r} (known: {sorted(ESTIMATORS)})")
+    if k < 1:
+        raise ValueError("at least one snapshot required")
     if info.arity is not None and k != info.arity:
         raise ValueError(f"{name} needs exactly {info.arity} snapshots, got {k}")
     if info.uniform_only and protocol.name != "uniform":

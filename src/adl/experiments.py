@@ -18,17 +18,17 @@ snapshot's labels (t, vs_prev, vs_now) are read from the walk's stages
 t // 2 and (t + 1) // 2.  An estimator's stream is seeded at its first draw,
 and a stream that draws nothing is never seeded.
 
-Scoring reads the labels; a Snapshot is built only for a core that reads one.
-The k-snapshot estimators draw one coin per moved pair and run their core on
-the labels (``EstimatorInfo.label_core``).  The ``tie_break_only`` ones run
-their core on Snapshots; whether its set holds the origin, its size and a
-refusal depend only on the orbit of a trial's snapshots under the
+Every estimator is scored from the labels by its core, so no Snapshot is
+built.  The k-snapshot estimators draw one coin per moved pair and run their
+core on that choice (``EstimatorInfo.label_core``).  The ``tie_break_only``
+ones run ``EstimatorInfo.candidates``; whether its set holds the origin, its
+size and a refusal depend only on the orbit of a trial's snapshots under the
 automorphisms fixing the origin and the swaps of equal-time snapshots (the
 ``EstimatorInfo`` contract), and with one or two observation times orbits
 repeat ((12, 12) at d = 3 has 77), so such a job keeps a memo per estimator
-keyed by ``orbit_key`` and builds Snapshots only when it misses.  Both score
-the tie-break with ``estimators.sample_is_origin``.  ``single_mle``, which
-samples a shell, runs its public estimator.
+keyed by ``orbit_key`` and runs the core only when it misses.  Both score
+the tie-break with ``estimators.sample_is_origin``.  ``single_mle`` runs its
+core, then its public estimator's one draw, ``sample`` on the shells.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from adl import closed_form
-from adl.diffusion import is_int, stored_snapshot, walker
+from adl.diffusion import is_int, walker
 from adl.estimators import ESTIMATORS, estimator_for, sample_is_origin
 from adl.protocol import Protocol, protocol_from_spec, uniform_protocol, walk_horizon
 from adl.tree import MAX_DEGREE, SOURCE, lcp_len
@@ -414,9 +414,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     A memo maps :func:`orbit_key` to (origin in the candidate set, set
     size), or to ``_REFUSED`` for a precondition failure, filled by the
     orbit's first trial; it stores at most ``MEMO_CAP`` orbits, and later
-    new orbits are scored unstored.  A trial builds its Snapshots only when
-    a memo misses, a job of three or more times runs a ``tie_break_only``
-    core, or ``single_mle`` runs.
+    new orbits are scored unstored.  No Snapshot is built.
     """
     start = time.perf_counter()
     infos = [ESTIMATORS[s.method] for s in config.estimators]
@@ -454,25 +452,23 @@ def run(config: ExperimentConfig) -> ExperimentReport:
             states = walk(rng)
             labels.append((t, states[prev], states[now]))
         key = orbit_key(labels) if keyed else None
-        snaps = None
         for j, (info, memo) in enumerate(zip(infos, memos)):
             seeded = stream(trial, j)
             if info.label_core is not None:
                 outcome = _outcome(info.label_core, d, labels, lambda: seeded().randrange(2))
             elif memo is not None and key in memo:
                 outcome = memo[key]
-            else:
-                if snaps is None:
-                    snaps = [stored_snapshot(d, *label) for label in labels]
-                if info.tie_break_only:
-                    outcome = _outcome(info.candidates, snaps, protocol)
-                    if memo is not None and len(memo) < MEMO_CAP:
-                        memo[key] = outcome
-                else:  # single_mle samples a shell: its public estimator's one pick
-                    try:
-                        outcome = info.estimate(snaps, protocol, seeded()).chosen == SOURCE, 1
-                    except ValueError:
-                        outcome = _REFUSED
+            elif info.tie_break_only:
+                outcome = _outcome(info.candidates, d, labels, protocol)
+                if memo is not None and len(memo) < MEMO_CAP:
+                    memo[key] = outcome
+            else:  # single_mle samples a shell
+                try:
+                    cands = info.candidates(d, labels, protocol)[0]
+                except ValueError:
+                    outcome = _REFUSED
+                else:
+                    outcome = cands.sample(seeded()) == SOURCE, 1
             if outcome is _REFUSED:
                 tallies[j][1] += 1
             elif sample_is_origin(*outcome, seeded):

@@ -23,7 +23,9 @@ canonical joint outcome per orbit, weighted by the orbit's size and reached
 by callback.  The orbit count grows polynomially in t, not like
 (d-1)^(t/2) per snapshot; the budget still caps the nominal number of joint
 outcomes the sum stands for.  Below a child first opened by an outcome every
-step is forced, so the walk builds that tail of a label in one step.
+step is forced, so the walk builds that tail of a label in one step.  An
+outcome is handed to the core as the labels (t, vs_prev, vs_now) of each
+snapshot, which every core reads, so no Snapshot is built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from math import factorial, fsum, lcm, prod
 from operator import itemgetter
 from typing import Sequence
 
-from adl.diffusion import stored_snapshot
 from adl.estimators import estimator_for
 from adl.protocol import Protocol, walk_horizon
 from adl.tree import SOURCE, ball_size, sphere_size
@@ -79,11 +80,11 @@ def _law(protocol: Protocol, t: int) -> list:
 
 
 def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
-    """Call ``visit(snaps, weight)`` once per orbit of the origin-fixing
+    """Call ``visit(labels, weight)`` once per orbit of the origin-fixing
     automorphisms times the permutations of equal-time snapshots, with one
-    canonical joint outcome (one Snapshot per time) and the orbit's size
-    times the product of its row weights.  Equal times must come with equal
-    laws.
+    canonical joint outcome, the labels (t, vs_prev, vs_now) of each of its
+    snapshots, and the orbit's size times the product of its row weights.
+    Equal times must come with equal laws.
 
     In canonical form, the snapshots at one time pick their law rows in
     non-decreasing row index, in position order; the weight carries the
@@ -99,12 +100,12 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     elsewhere).  No child below an opened one is in use, so every deeper
     step takes child 0, with d - 1 images: the label's whole tail is built
     in one step, and marked in use only while a later position picks.  Each
-    Snapshot is built once and shared by every outcome that extends it;
-    ``visit`` must not keep ``snaps``.
+    label triple is built once and shared by every outcome that extends it;
+    ``visit`` must not keep ``labels``.
     """
     k = len(laws)
     used: dict = {}  # vertex -> number of its children in use
-    snaps: list = [None] * k
+    labels: list = [None] * k
     rows = [0] * k  # the law row each position picked
     same: dict = {}  # time -> its positions, in order
     prev = []  # the position before i with i's time, or None
@@ -119,7 +120,7 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
 
     def pick(i, weight):
         if i == k:
-            visit(snaps, weight)
+            visit(labels, weight)
             return
         start = 0 if prev[i] is None else rows[prev[i]]
         for r in range(start, len(laws[i])):
@@ -137,7 +138,7 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
 
     def descend(i, v, depth, moved, weight):
         if len(v) == depth:
-            snaps[i] = stored_snapshot(d, times[i], v[:-1] if moved else v, v)
+            labels[i] = (times[i], v[:-1] if moved else v, v)
             pick(i + 1, weight)
             return
         m = used.get(v, 0)
@@ -151,9 +152,9 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
         for _ in tail:
             weight *= d - 1
         u = v + (m,) + (0,) * len(tail)
-        snaps[i] = stored_snapshot(d, times[i], u[:-1] if moved else u, u)
+        labels[i] = (times[i], u[:-1] if moved else u, u)
         if i + 1 == k:  # no later position reads the marks
-            visit(snaps, weight)
+            visit(labels, weight)
             return
         used[v] = m + 1
         for j in tail:
@@ -207,8 +208,8 @@ def exact_success(
 
     hits: dict = {}  # q -> summed weight of the candidate sets with 1/q mass on the origin
 
-    def visit(snaps, weight):
-        sets = info.candidates(snaps, protocol)
+    def visit(labels, weight):
+        sets = info.candidates(protocol.d, labels, protocol)
         for cands in sets:
             if cands.contains(SOURCE):
                 q = len(sets) * cands.size()

@@ -14,7 +14,7 @@ relabelling of child indices; see the test suite).
 
 Labels are checked once, where they enter: ``Snapshot(...)`` and
 ``Trajectory`` call :func:`check_degree` and :func:`check_label`, and
-``diffusion.stored_snapshot`` stores pairs the package built itself
+``diffusion.stored_snapshot`` stores a checked Trajectory's pairs
 unchecked.  Every other operation here takes its labels as given.
 """
 

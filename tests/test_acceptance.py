@@ -184,8 +184,9 @@ def test_criterion_10_generic_mle_equals_case_dispatch():
             t1, t2 = rng.choice(r1), rng.choice(r2)
             s1 = sample_snapshot(protos[d], t1, derive_seed(1011, parity_idx, n, 0))
             s2 = sample_snapshot(protos[d], t2, derive_seed(1011, parity_idx, n, 1))
-            a, _ = generic_mle_candidates([s1, s2], protos[d])
-            b, _ = uniform_mle_cases_candidates(s1, s2)
+            labels = [(s.t, s.vs_prev, s.vs_now) for s in (s1, s2)]
+            a, _ = generic_mle_candidates(d, labels, protos[d])
+            b, _ = uniform_mle_cases_candidates(d, *labels)
             mismatches += a.members != b.members
     assert report(
         "10. generic MLE candidate sets == case dispatch on 4x10^4 instances",

@@ -601,8 +601,7 @@ def test_cases_rejected_for_non_uniform_oracle(name):
      "at least one observation time required"),
     (lambda: local_radius(simulate(uniform_protocol(3), 4, 0), 6), r"t must be in 0\.\.4, got 6"),
     # constant 0 never stays, so an odd-time ball has weight zero at every hop
-    (lambda: single_mle_candidates(Snapshot(d=3, t=5, vs_prev=(0,), vs_now=(0,)),
-                                   constant_protocol(3, 0)),
+    (lambda: single_mle_candidates(3, (5, (0,), (0,)), constant_protocol(3, 0)),
      "all hop likelihoods are zero"),
 ])
 def test_public_function_refuses_out_of_domain_arguments(call, token):

@@ -341,9 +341,11 @@ def test_one_sampler_reused_across_streams_matches_reference_loop(name, d):
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
 def test_trial_loop_snapshots_equal_checked_ones(name):
-    # a Monte Carlo job stores the pairs its walkers draw without checking
-    # them again (experiments.run), and Trajectory.snapshot_at stores the
-    # pairs of a checked trajectory: each is the snapshot Snapshot(...) builds
+    # a Monte Carlo job hands the pairs its walkers draw to the estimator
+    # cores without checking them again (experiments.run), and
+    # Trajectory.snapshot_at stores the pairs of a checked trajectory: each
+    # is a pair Snapshot(...) accepts, and stored it is the snapshot
+    # Snapshot(...) builds
     rng = random.Random()
     for d in (3, 4, 5):
         proto = CONTRACT_PROTOCOLS[name](d)

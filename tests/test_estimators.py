@@ -15,7 +15,6 @@ from adl.estimators import (
     _REL_TOL,
     ExplicitCandidates,
     ShellCandidates,
-    _check_common,
     _hop_scores,
     _path_window,
     generic_mle,
@@ -57,6 +56,26 @@ HOP3 = hop_distribution(UNI3, 14)
 
 def snap(d, t, prev, now):
     return Snapshot(d=d, t=t, vs_prev=tuple(prev), vs_now=tuple(now))
+
+
+def lab(s):
+    """A snapshot's labels (t, vs_prev, vs_now), the form every core reads."""
+    return s.t, s.vs_prev, s.vs_now
+
+
+def labs(snaps):
+    return [lab(s) for s in snaps]
+
+
+def _check_common(snaps):
+    """The snapshots' degree, once the checks the estimators ran on
+    Snapshots pass; the reference and frozen cores below call it."""
+    if not snaps:
+        raise ValueError("at least one snapshot required")
+    for s in snaps:
+        if s.t < 2:
+            raise ValueError("estimators require observation times t >= 2")
+    return snaps[0].d
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +149,7 @@ def test_sample_is_origin_is_the_sample_rule(members):
 
 def test_single_mle_uniform_prefers_hop_one():
     s = snap(3, 10, (0, 1, 0), (0, 1, 0))
-    cands, diag = single_mle_candidates(s, UNI3)
+    cands, diag = single_mle_candidates(s.d, lab(s), UNI3)
     assert diag["h_star"] == [1]
     assert cands.size() == 3
     assert diag["success_probability"] == pytest.approx(2 / (10 * 3))
@@ -139,7 +158,7 @@ def test_single_mle_uniform_prefers_hop_one():
 def test_single_mle_perfect_ties_everything():
     per = perfect_protocol(3)
     s = snap(3, 6, (0, 1, 0), (0, 1, 0))
-    cands, diag = single_mle_candidates(s, per)
+    cands, diag = single_mle_candidates(s.d, lab(s), per)
     assert diag["h_star"] == [1, 2, 3]
     assert cands.size() == 21  # N_6 - 1: every infected non-center vertex
     assert diag["success_probability"] == pytest.approx(1 / 21)
@@ -149,20 +168,20 @@ def test_single_mle_perfect_ties_everything():
 def test_single_mle_local_protocol_is_point_mass():
     proto = local_spreading_protocol(3, 0.5)
     s = snap(3, 10, (0, 1), (0, 1))
-    cands, diag = single_mle_candidates(s, proto)
+    cands, diag = single_mle_candidates(s.d, lab(s), proto)
     assert diag["h_star"] == [2]
     assert diag["success_probability"] == pytest.approx(1 / (3 * 2))
 
 
 def test_single_mle_odd_ball_and_nonball():
     s_ball = snap(3, 7, (2, 0), (2, 0))
-    cands, diag = single_mle_candidates(s_ball, UNI3)
+    cands, diag = single_mle_candidates(s_ball.d, lab(s_ball), UNI3)
     assert diag["ball"] is True
     # uniform: p(6,h) alpha(6,h) / (d (d-1)^(h-1)) is maximized at h = 1
     assert diag["h_star"] == [1]
     assert cands.size() == 3
     s_edge = snap(3, 7, (2, 0), (2, 0, 1))
-    cands, diag = single_mle_candidates(s_edge, UNI3)
+    cands, diag = single_mle_candidates(s_edge.d, lab(s_edge), UNI3)
     # uniform: p (1 - alpha) / (d (d-1)^(h-1)) = const * h / (d-1)^h; h=1,2 tie at d=3
     assert diag["h_star"] == [1, 2]
     assert cands.size() == 2 * 2 + 2 * 4
@@ -185,7 +204,7 @@ def test_single_mle_brute_force_argmax_small():
     for seed in range(40):
         t = 6 + 2 * (seed % 3)
         s = simulate(UNI3, t, seed=seed).snapshot_at(t)
-        cands, _ = single_mle_candidates(s, UNI3)
+        cands, _ = single_mle_candidates(s.d, lab(s), UNI3)
         scores = {}
         for h in range(1, t // 2 + 1):
             w = HOP3[t][h - 1] / (3 * 2 ** (h - 1))
@@ -205,7 +224,7 @@ def test_two_obs_path_set_size_example():
     # X1 = 2 and X2 = 3 on opposite sides at t = (8, 10): |S| = 4
     s1 = snap(3, 8, (0, 0), (0, 0))
     s2 = snap(3, 10, (1, 0, 0), (1, 0, 0))
-    cands, diag = two_obs_path_candidates(s1, s2)
+    cands, diag = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
     assert diag["S_size"] == 4
     assert 1 + min(2 - 1, 10 // 2 - 3) + min(3 - 1, 8 // 2 - 2) == 4
     assert cands.contains(SOURCE)
@@ -214,7 +233,7 @@ def test_two_obs_path_set_size_example():
 def test_two_obs_path_fallback_when_sources_touch():
     s1 = snap(3, 8, (0,), (0,))
     s2 = snap(3, 8, (0,), (0,))
-    cands, diag = two_obs_path_candidates(s1, s2)
+    cands, diag = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
     assert diag["fallback"] and diag["S_size"] == 0
     assert cands.members == {SOURCE, (0, 0), (0, 1)}
 
@@ -227,7 +246,7 @@ def test_two_obs_path_on_split_event():
         s2 = simulate(UNI3, 8, seed=derive_seed(1, seed, 1)).snapshot_at(8)
         if s1.vs_now[0] == s2.vs_now[0]:
             continue
-        cands, diag = two_obs_path_candidates(s1, s2)
+        cands, diag = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
         assert cands.contains(SOURCE)
         assert 1 <= diag["S_size"] <= 4
 
@@ -235,7 +254,7 @@ def test_two_obs_path_on_split_event():
 def test_two_obs_path_odd_times_use_both_endpoints():
     s1 = snap(3, 5, (0,), (0, 0))
     s2 = snap(3, 5, (1,), (1, 0))
-    cands, diag = two_obs_path_candidates(s1, s2)
+    cands, diag = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
     assert not diag["fallback"]
     assert cands.members == {SOURCE}
 
@@ -475,8 +494,8 @@ def test_generic_mle_single_snapshot_matches_single_mle():
         for seed in range(60):
             t = (6, 8, 10, 12)[seed % 4]
             s = simulate(proto, t, seed=seed).snapshot_at(t)
-            shell, diag1 = single_mle_candidates(s, proto)
-            explicit, diag = generic_mle_candidates([s], proto)
+            shell, diag1 = single_mle_candidates(s.d, lab(s), proto)
+            explicit, diag = generic_mle_candidates(proto.d, labs([s]), proto)
             # same argmax hops: every generic candidate sits on a winning shell
             assert all(shell.contains(v) for v in explicit.members)
             want = set()
@@ -490,20 +509,20 @@ def test_generic_mle_single_snapshot_matches_single_mle():
 def test_generic_mle_even_even_equals_path_minimizer():
     s1 = snap(3, 8, (0, 0), (0, 0))
     s2 = snap(3, 10, (1, 0, 0), (1, 0, 0))
-    cands, _ = generic_mle_candidates([s1, s2], UNI3)
-    path_set, _ = two_obs_path_candidates(s1, s2)
+    cands, _ = generic_mle_candidates(UNI3.d, labs([s1, s2]), UNI3)
+    path_set, _ = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
     assert cands.members == path_set.members
 
 
 def test_generic_mle_coincident_edges_d3_twelve_way_tie():
     s1 = snap(3, 5, (0,), (0, 0))
     s2 = snap(3, 5, (0,), (0, 0))
-    cands, _ = generic_mle_candidates([s1, s2], UNI3)
+    cands, _ = generic_mle_candidates(UNI3.d, labs([s1, s2]), UNI3)
     assert cands.size() == 12
     assert cands.members == shell_members(3, [(0,), (0, 0)], 1) | shell_members(
         3, [(0,), (0, 0)], 2
     )
-    cases, diag = uniform_mle_cases_candidates(s1, s2)
+    cases, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert diag["case"] == "odd-odd-7(d=3)"
     assert cases.members == cands.members
 
@@ -515,7 +534,7 @@ def test_generic_mle_empty_domain_falls_back():
     proto = local_spreading_protocol(3, 0.5)
     s1 = snap(3, 10, (0,), (0,))
     s2 = snap(3, 10, (0, 0, 1, 0), (0, 0, 1, 0))
-    cands, diag = generic_mle_candidates([s1, s2], proto)
+    cands, diag = generic_mle_candidates(proto.d, labs([s1, s2]), proto)
     assert diag["fallback"]
     assert cands.members == {(), (0, 0), (0, 1)}
     est = generic_mle([s1, s2], proto, random.Random(0))
@@ -581,7 +600,7 @@ def test_generic_mle_equals_brute_force(name, d):
             sample_snapshot(proto, t, derive_seed(32, d, n, i)) for i, t in enumerate(times)
         ]
         want, feasible = _brute_force_generic_mle(snaps, hop, proto)
-        got, diag = generic_mle_candidates(snaps, proto)
+        got, diag = generic_mle_candidates(proto.d, labs(snaps), proto)
         assert diag["feasible_count"] == feasible, (name, d, times)
         assert diag["fallback"] == (want is None), (name, d, times)
         if want is not None:
@@ -595,7 +614,7 @@ def test_generic_mle_skips_the_empty_pieces_of_interior_core_vertices():
     snaps = [snap(3, 8, v, v) for v in [(0, 0), (0,), (0, 0, 0), (0, 0, 1)]]
     hop = hop_distribution(UNI3, 8)
     want, feasible = _brute_force_generic_mle(snaps, hop, UNI3)
-    got, diag = generic_mle_candidates(snaps, UNI3)
+    got, diag = generic_mle_candidates(UNI3.d, labs(snaps), UNI3)
     assert got.members == want and diag["feasible_count"] == feasible
     assert not diag["fallback"]
 
@@ -612,7 +631,7 @@ def reference_generic_mle_candidates(snaps, protocol):
     for s in snaps:
         vs = s.virtual_sources()
         all_vs.extend(vs)
-        per_snap.append((vs, _hop_scores(s, protocol)))
+        per_snap.append((vs, _hop_scores(s.t, s.is_ball, protocol)))
 
     # Every virtual source lies on the core, so a vertex at outward depth r
     # from core vertex c has hop vector x(c) + r.  Each piece (c, r) thus has
@@ -677,7 +696,7 @@ def _reference_outward(d, core, c, r):
 
 
 def _assert_same_as_reference(snaps, proto, why):
-    got, diag = generic_mle_candidates(snaps, proto)
+    got, diag = generic_mle_candidates(proto.d, labs(snaps), proto)
     want, want_diag = reference_generic_mle_candidates(snaps, proto)
     assert got == want, why
     assert list(diag.items()) == list(want_diag.items()), why
@@ -798,8 +817,8 @@ def test_generic_mle_float_mode_matches_exact_mode():
         t1, t2 = (8, 9, 12, 13)[seed % 4], (4, 5, 6, 7)[(seed // 4) % 4]
         s1 = simulate(UNI3, t1, seed=derive_seed(5, seed, 0)).snapshot_at(t1)
         s2 = simulate(UNI3, t2, seed=derive_seed(5, seed, 1)).snapshot_at(t2)
-        a, _ = generic_mle_candidates([s1, s2], UNI3)
-        b, _ = generic_mle_candidates([s1, s2], uni3_f)
+        a, _ = generic_mle_candidates(UNI3.d, labs([s1, s2]), UNI3)
+        b, _ = generic_mle_candidates(uni3_f.d, labs([s1, s2]), uni3_f)
         assert a.members == b.members
 
 
@@ -839,7 +858,7 @@ def test_hop_scores_order_and_tie_like_the_rational_scores(name, d):
     }[name](d)
     hop = hop_distribution(proto, 20)
     for s in _row_snapshots(d):
-        row, old = _hop_scores(s, proto), _old_hop_terms(s, hop, proto, True)
+        row, old = _hop_scores(s.t, s.is_ball, proto), _old_hop_terms(s, hop, proto, True)
         assert all(type(v) is int and v >= 0 for v in row), (s.t, s.is_ball)
         # one positive factor scales every entry, so zeros stay zeros and
         # any product of rows orders and ties like the Fraction product
@@ -863,7 +882,7 @@ def test_float_hop_scores_equal_the_old_log_terms_bit_for_bit(d):
     hop = hop_distribution(proto, 20)
     seen_none = False
     for s in _row_snapshots(d):
-        row, old = _hop_scores(s, proto), _old_hop_terms(s, hop, proto, False)
+        row, old = _hop_scores(s.t, s.is_ball, proto), _old_hop_terms(s, hop, proto, False)
         assert [v if v is None else v.hex() for v in row] == [
             w if w is None else w.hex() for w in old
         ], (s.t, s.is_ball)
@@ -882,11 +901,11 @@ def test_hop_rows_kept_on_a_long_lived_hop_change_no_result():
         snaps = [
             sample_snapshot(proto, t, derive_seed(42, n, i)) for i, t in enumerate(times)
         ]
-        got = generic_mle_candidates(snaps, proto)
-        assert got == generic_mle_candidates(snaps, replace(proto)), times
+        got = generic_mle_candidates(proto.d, labs(snaps), proto)
+        assert got == generic_mle_candidates(proto.d, labs(snaps), replace(proto)), times
         for s in snaps:
-            got = single_mle_candidates(s, proto)
-            assert got == single_mle_candidates(s, replace(proto)), s
+            got = single_mle_candidates(s.d, lab(s), proto)
+            assert got == single_mle_candidates(s.d, lab(s), replace(proto)), s
     for proto in kept:
         assert proto._hops and proto._scores and proto._success  # rows and hit rates kept
         fresh = replace(proto)
@@ -901,7 +920,7 @@ def test_hop_rows_kept_on_a_long_lived_hop_change_no_result():
 def test_cases_even_even_coincident_sources():
     s1 = snap(3, 8, (0, 1), (0, 1))
     s2 = snap(3, 12, (0, 1), (0, 1))
-    cands, diag = uniform_mle_cases_candidates(s1, s2)
+    cands, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert diag["case"] == "even-even-1"
     assert cands.members == set(neighbors(3, (0, 1)))
 
@@ -909,7 +928,7 @@ def test_cases_even_even_coincident_sources():
 def test_cases_even_even_adjacent_sources():
     s1 = snap(3, 8, (0,), (0,))
     s2 = snap(3, 8, (0, 1), (0, 1))
-    cands, diag = uniform_mle_cases_candidates(s1, s2)
+    cands, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert diag["case"] == "even-even-2"
     assert cands.size() == 4  # 2d - 2
 
@@ -917,7 +936,7 @@ def test_cases_even_even_adjacent_sources():
 def test_cases_even_odd_ball_adjacent():
     se = snap(3, 8, (0,), (0,))
     so = snap(3, 7, (0, 1), (0, 1))
-    cands, diag = uniform_mle_cases_candidates(se, so)
+    cands, diag = uniform_mle_cases_candidates(se.d, lab(se), lab(so))
     assert diag["case"] == "even-odd-3"
     assert cands.members == {(0, 1, 0), (0, 1, 1)}  # neighbors of vs2 minus vs1
 
@@ -925,7 +944,7 @@ def test_cases_even_odd_ball_adjacent():
 def test_cases_even_odd_swapped_dispatch():
     so = snap(3, 7, (0, 1), (0, 1))
     se = snap(3, 8, (0,), (0,))
-    cands, diag = uniform_mle_cases_candidates(so, se)
+    cands, diag = uniform_mle_cases_candidates(so.d, lab(so), lab(se))
     assert diag["case"] == "even-odd-3-swapped"
     assert cands.members == {(0, 1, 0), (0, 1, 1)}
 
@@ -935,17 +954,17 @@ def test_cases_odd_odd_shared_edge_vertex():
     # seven-vertex candidate set at distance <= 2 from the shared vertex
     s1 = snap(3, 5, (0,), (0, 0))
     s2 = snap(3, 5, (0,), (0, 1))
-    cands, diag = uniform_mle_cases_candidates(s1, s2)
+    cands, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert diag["case"] == "odd-odd-8(d=3)"
     assert cands.size() == 7
-    got, _ = generic_mle_candidates([s1, s2], UNI3)
+    got, _ = generic_mle_candidates(UNI3.d, labs([s1, s2]), UNI3)
     assert got.members == cands.members
 
 
 def test_cases_odd_odd_edges_at_distance_one():
     s1 = snap(4, 5, (0,), (0, 0))
     s2 = snap(4, 5, (0, 0, 0), (0, 0, 0, 0))
-    cands, diag = uniform_mle_cases_candidates(s1, s2)
+    cands, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert diag["case"] == "odd-odd-9"
     assert cands.size() == 2 * (4 - 2)
     assert cands.members == {(0, 0, 1), (0, 0, 2), (0, 0, 0, 1), (0, 0, 0, 2)}
@@ -954,23 +973,19 @@ def test_cases_odd_odd_edges_at_distance_one():
 def test_cases_odd_odd_d3_distance_two_exception():
     s1 = snap(3, 5, (0, 0), (0, 0, 0))
     s2 = snap(3, 5, (0, 1), (0, 1, 0))  # nearest endpoints (0,0) and (0,1)
-    cands, diag = uniform_mle_cases_candidates(s1, s2)
+    cands, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert diag["case"] == "odd-odd-10(d=3,gap=2)"
     # w is the midpoint, w' its third neighbor: here the origin itself
     assert cands.members == {(0,), ()}
-    got, _ = generic_mle_candidates([s1, s2], UNI3)
+    got, _ = generic_mle_candidates(UNI3.d, labs([s1, s2]), UNI3)
     assert got.members == cands.members
 
 
 def test_cases_refuse_too_early_times():
     with pytest.raises(ValueError):
-        uniform_mle_cases_candidates(
-            snap(3, 2, (0,), (0,)), snap(3, 8, (1,), (1,))
-        )
+        uniform_mle_cases_candidates(3, (2, (0,), (0,)), (8, (1,), (1,)))
     with pytest.raises(ValueError):
-        uniform_mle_cases_candidates(
-            snap(3, 8, (0,), (0,)), snap(3, 3, (1,), (1,))
-        )
+        uniform_mle_cases_candidates(3, (8, (0,), (0,)), (3, (1,), (1,)))
 
 
 CASE_TAGS = {
@@ -990,8 +1005,8 @@ def snapshot_kind(s):
 def swap_tags(s1, s2):
     """Both orders of one pair: the same members and base tag, and a
     ``-swapped`` tag exactly when the first snapshot has the higher kind."""
-    a, da = uniform_mle_cases_candidates(s1, s2)
-    b, db = uniform_mle_cases_candidates(s2, s1)
+    a, da = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
+    b, db = uniform_mle_cases_candidates(s2.d, lab(s2), lab(s1))
     assert a.members == b.members, (s1, s2)
     assert da["case"].removesuffix("-swapped") == db["case"].removesuffix("-swapped")
     assert da["case"].endswith("-swapped") == (snapshot_kind(s1) > snapshot_kind(s2))
@@ -1050,7 +1065,7 @@ def test_cases_refuse_an_empty_candidate_set(case, s1, s2, swap):
     if swap:
         s1, s2 = s2, s1
     with pytest.raises(ValueError) as err:
-        uniform_mle_cases_candidates(s1, s2)
+        uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
     assert str(err.value) == f"inconsistent snapshot pair: empty candidate set in case {case}"
 
 
@@ -1065,8 +1080,8 @@ def test_cases_match_generic_mle_randomized():
         t2 = rng.choice([4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
         s1 = simulate(proto, t1, seed=derive_seed(6, trial, 0)).snapshot_at(t1)
         s2 = simulate(proto, t2, seed=derive_seed(6, trial, 1)).snapshot_at(t2)
-        a, _ = generic_mle_candidates([s1, s2], proto)
-        b, _ = uniform_mle_cases_candidates(s1, s2)
+        a, _ = generic_mle_candidates(proto.d, labs([s1, s2]), proto)
+        b, _ = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
         assert a.members == b.members, (d, t1, t2, s1, s2)
 
 
@@ -1113,7 +1128,7 @@ def test_cases_match_independent_brute_force():
         s1 = simulate(proto, t1, seed=derive_seed(8, trial, 0)).snapshot_at(t1)
         s2 = simulate(proto, t2, seed=derive_seed(8, trial, 1)).snapshot_at(t2)
         brute = _brute_force_pair_mle(s1, s2, hops[d], proto)
-        cands, diag = uniform_mle_cases_candidates(s1, s2)
+        cands, diag = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
         assert cands.members == brute, (d, t1, t2, diag["case"], s1, s2)
 
 
@@ -1206,11 +1221,9 @@ def test_path_window_and_two_obs_path_equal_the_per_vertex_reference(name, d):
         # no virtual source lies inside the closest pair's path, so the
         # estimator needs no known-vertex filter there
         assert not set(interior) & (set(vs1) | set(vs2)), (s1, s2)
-        lo, window = _path_window(a, b, s1.radius, s2.radius, lcp_len(a, b))
-        reference = reference_feasible_interior(a, b, s1, s2)
-        assert window == reference, (s1, s2)
-        assert [distance(a, v) for v in window] == list(range(lo, lo + len(window)))
-        cands, diagnostics = two_obs_path_candidates(s1, s2)
+        window = _path_window(a, b, s1.radius, s2.radius, lcp_len(a, b))
+        assert window == reference_feasible_interior(a, b, s1, s2), (s1, s2)
+        cands, diagnostics = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
         assert (cands.members, diagnostics) == reference_two_obs_path_candidates(s1, s2)
 
 
@@ -1219,7 +1232,7 @@ def test_path_window_and_two_obs_path_equal_the_per_vertex_reference(name, d):
 def test_cases_path_picks_equal_the_per_vertex_reference(name, d):
     picked = 0
     for s1, s2 in window_pairs(name, d, (4, 5)):
-        cands, diagnostics = uniform_mle_cases_candidates(s1, s2)
+        cands, diagnostics = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
         reference = reference_path_case(diagnostics["case"], s1, s2)
         if reference is not None:
             picked += 1
@@ -1229,7 +1242,7 @@ def test_cases_path_picks_equal_the_per_vertex_reference(name, d):
 
 def test_path_window_is_the_two_radius_filter_of_any_path():
     # the window itself, for any labels: the interior vertices within ra of
-    # a and rb of b, or only its first or last vertex at its position
+    # a and rb of b, or only the one nearest a (position 0) or b
     rng = random.Random(5)
     for _ in range(3_000):
         a, b = (tuple(rng.randrange(2) for _ in range(rng.randrange(7))) for _ in "ab")
@@ -1238,9 +1251,34 @@ def test_path_window_is_the_two_radius_filter_of_any_path():
         path = path_between(a, b)
         expected = [(i, v) for i, v in enumerate(path[1:-1], 1)
                     if i <= ra and len(path) - 1 - i <= rb]
-        for end, kept in (("", expected), ("first", expected[:1]), ("last", expected[-1:])):
-            lo, window = _path_window(a, b, ra, rb, k, end)
-            assert list(enumerate(window, lo)) == kept, (a, b, ra, rb, end)
+        for twice, kept in ((None, expected), (0, expected[:1]),
+                            (2 * (len(path) - 1), expected[-1:])):
+            window = _path_window(a, b, ra, rb, k, twice)
+            assert [(distance(a, v), v) for v in window] == kept, (a, b, ra, rb, twice)
+
+
+def test_path_window_peak_is_the_argmax_of_a_concave_score():
+    # the scored cases build only the window positions nearest the peak of
+    # their score, odd-odd-3's at (t1 - t2 + 2L) / 4 and odd-odd-10's at
+    # L / 2; on random windows that is the brute-force argmax of the score
+    # over every position, including windows of one and two positions and
+    # two-way ties
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(4_000):
+        a, b = (tuple(rng.randrange(2) for _ in range(rng.randrange(8))) for _ in "ab")
+        ra, rb = rng.randrange(8), rng.randrange(8)
+        k, gap = lcp_len(a, b), distance(a, b)
+        t1, t2 = (2 * rng.randrange(8) + 1 for _ in "12")
+        window = _path_window(a, b, ra, rb, k)
+        for twice, score in (((t1 - t2) // 2 + gap,
+                              lambda i: (t1 + 1 - 2 * i) * (t2 + 1 - 2 * (gap - i))),
+                             (gap, lambda i: i * (gap - i))):
+            scores = [score(distance(a, v)) for v in window]
+            want = [v for v, sc in zip(window, scores) if sc == max(scores)]
+            assert _path_window(a, b, ra, rb, k, twice) == want, (a, b, ra, rb, t1, t2)
+            seen[len(window), len(want)] += 1
+    assert all(seen[n, m] for n, m in ((0, 0), (1, 1), (2, 1), (2, 2), (5, 1), (5, 2))), seen
 
 
 # ---------------------------------------------------------------------------
@@ -1360,9 +1398,9 @@ def frozen_cases_candidates(s1, s2):
     return frozenset(members), {"case": case + "-swapped" if swapped else case}
 
 
-def _members_or_refusal(core, s1, s2):
+def _members_or_refusal(core, *args):
     try:
-        cands, diagnostics = core(s1, s2)
+        cands, diagnostics = core(*args)
     except ValueError as err:
         return "ValueError", str(err)
     return getattr(cands, "members", cands), diagnostics
@@ -1372,13 +1410,15 @@ def test_two_snapshot_cores_equal_the_frozen_reference_on_every_orbit():
     # every canonical joint outcome the exact oracle visits at d in {3, 4}
     # and 2 <= t1, t2 <= 11, in both orders, then the hand-built pairs (a
     # moved pair stored deep end first, windows left empty): the same
-    # members and diagnostics, or the same refusal
+    # members and diagnostics, or the same refusal; the frozen cores read
+    # Snapshots, the cores their labels
     pairs = []
     for d in (3, 4):
         proto = uniform_protocol(d)
         for times in itertools.product(range(2, 12), repeat=2):
             laws = [oracle._law(proto, t) for t in times]
-            oracle._orbits(d, times, laws, lambda snaps, _: pairs.append(tuple(snaps)))
+            oracle._orbits(d, times, laws, lambda labels, _: pairs.append(
+                tuple(Snapshot(d, *label) for label in labels)))
     pairs += RARE_CASE_PAIRS + [(s1, s2) for _, s1, s2 in EMPTY_CASE_PAIRS]
     cores = [(two_obs_path_candidates, frozen_two_obs_path_candidates),
              (uniform_mle_cases_candidates, frozen_cases_candidates)]
@@ -1386,7 +1426,7 @@ def test_two_snapshot_cores_equal_the_frozen_reference_on_every_orbit():
     for s1, s2 in pairs:
         for pair in ((s1, s2), (s2, s1)):
             for core, frozen in cores:
-                got = _members_or_refusal(core, *pair)
+                got = _members_or_refusal(core, s1.d, *labs(pair))
                 assert got == _members_or_refusal(frozen, *pair), (core.__name__, pair)
                 refused[core.__name__, got[0] == "ValueError"] += 1
     assert len(pairs) > 11_000
@@ -1424,20 +1464,20 @@ def test_relabelling_invariance_of_candidate_sets():
         s2 = simulate(proto, t2, seed=derive_seed(7, trial, 1)).snapshot_at(t2)
         m1, m2 = _map_snapshot(phi, s1), _map_snapshot(phi, s2)
 
-        a, _ = uniform_mle_cases_candidates(s1, s2)
-        b, _ = uniform_mle_cases_candidates(m1, m2)
+        a, _ = uniform_mle_cases_candidates(s1.d, lab(s1), lab(s2))
+        b, _ = uniform_mle_cases_candidates(m1.d, lab(m1), lab(m2))
         assert {phi(v) for v in a.members} == b.members
 
-        a, _ = two_obs_path_candidates(s1, s2)
-        b, _ = two_obs_path_candidates(m1, m2)
+        a, _ = two_obs_path_candidates(s1.d, lab(s1), lab(s2))
+        b, _ = two_obs_path_candidates(m1.d, lab(m1), lab(m2))
         assert {phi(v) for v in a.members} == b.members
 
-        a, _ = generic_mle_candidates([s1, s2], proto)
-        b, _ = generic_mle_candidates([m1, m2], proto)
+        a, _ = generic_mle_candidates(proto.d, labs([s1, s2]), proto)
+        b, _ = generic_mle_candidates(proto.d, labs([m1, m2]), proto)
         assert {phi(v) for v in a.members} == b.members
 
-        sh_a, da = single_mle_candidates(s1, proto)
-        sh_b, db = single_mle_candidates(m1, proto)
+        sh_a, da = single_mle_candidates(s1.d, lab(s1), proto)
+        sh_b, db = single_mle_candidates(m1.d, lab(m1), proto)
         assert da["h_star"] == db["h_star"]
         assert sh_a.size() == sh_b.size()
         assert sh_a.contains(SOURCE) == sh_b.contains(SOURCE)
@@ -1458,14 +1498,14 @@ def test_relabelling_invariance_of_candidate_sets():
             o1, o2 = (sample_snapshot(other, t, derive_seed(9, trial, i))
                       for i, t in enumerate((t1, t2)))
             n1, n2 = _map_snapshot(phi, o1), _map_snapshot(phi, o2)
-            a, _ = generic_mle_candidates([o1, o2], other)
-            b, _ = generic_mle_candidates([n1, n2], other)
+            a, _ = generic_mle_candidates(other.d, labs([o1, o2]), other)
+            b, _ = generic_mle_candidates(other.d, labs([n1, n2]), other)
             assert {phi(v) for v in a.members} == b.members
             for o, n in ((o1, n1), (o2, n2)):
                 _assert_shells_correspond(
                     phi,
-                    single_mle_candidates(o, other)[0],
-                    single_mle_candidates(n, other)[0],
+                    single_mle_candidates(o.d, lab(o), other)[0],
+                    single_mle_candidates(n.d, lab(n), other)[0],
                 )
 
 
@@ -1511,7 +1551,8 @@ def _equal_time_snapshots(protocol):
     for times in ((4, 4), (5, 5), (7, 7), (5, 4, 5), (5, 5, 5)):
         seen = []
         laws = [oracle._law(protocol, t) for t in times]
-        oracle._orbits(d, times, laws, lambda snaps, _: seen.append(list(snaps)))
+        oracle._orbits(d, times, laws, lambda labels, _: seen.append(
+            [Snapshot(d, *label) for label in labels]))
         yield from seen
     for i, times in enumerate(((9, 9), (10, 10), (8, 8, 8), (9, 9, 9))):
         for trial in range(10):
@@ -1535,9 +1576,9 @@ def test_candidates_ignore_the_order_of_equal_time_snapshots(d):
                 for name, info in ESTIMATORS.items():
                     if info.arity not in (None, k) or info.uniform_only and protocol.name != "uniform":
                         continue
-                    want = _member_multiset(info.candidates(part, protocol))
+                    want = _member_multiset(info.candidates(d, labs(part), protocol))
                     for order in orders:
-                        got = info.candidates([part[j] for j in order], protocol)
+                        got = info.candidates(d, labs([part[j] for j in order]), protocol)
                         assert _member_multiset(got) == want, (name, protocol.name, part, order)
                     checked[name] += 1
     assert min(checked.values()) > 0, checked

@@ -1,11 +1,12 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
-from adl import estimators, experiments, oracle
-from adl.diffusion import Snapshot, sample_snapshot
+from adl import diffusion, estimators, experiments, oracle
+from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import ESTIMATORS
 from adl.experiments import (
     ESTIMATOR_STREAM,
@@ -19,7 +20,7 @@ from adl.experiments import (
     run,
     wilson_interval,
 )
-from adl.protocol import uniform_protocol
+from adl.protocol import perfect_protocol, uniform_protocol
 from adl.tree import SOURCE
 from conftest import BODY_DIGESTS, CONFIG_DIR
 
@@ -382,37 +383,64 @@ def test_run_matches_a_fresh_generator_per_stream(doc):
     assert moved > 0 or all(t % 2 == 0 for t in config.times)
 
 
+# the eight exact_success instances of the oracle_exact benchmark workload
+ORACLE_INSTANCES = [
+    ("uniform_mle_cases", uniform_protocol(3), (10, 10)),
+    ("uniform_mle_cases", uniform_protocol(3), (10, 11)),
+    ("uniform_mle_cases", uniform_protocol(3), (9, 9)),
+    ("two_obs_path", perfect_protocol(3), (10, 10)),
+    ("generic_mle", uniform_protocol(3), (8, 8)),
+    ("single_mle", perfect_protocol(4), (12,)),
+    ("three_obs_intersection", uniform_protocol(3), (6, 6, 6)),
+    ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4)),
+]
+
+
 @pytest.mark.parametrize("cap", [0, experiments.MEMO_CAP])
-def test_snapshots_are_built_only_where_a_core_reads_them(cap, monkeypatch):
-    # a trial keeps its walks' labels; the k-snapshot estimators score from
-    # them alone, and a two-time job builds its two snapshots only on a trial
-    # whose orbit the memo does not hold
+def test_no_snapshot_is_built_by_the_oracle_or_the_trial_loop(cap, monkeypatch):
+    # every core reads label triples: neither the exact oracle nor run(), on
+    # every estimator in one-, two- and many-time jobs, builds a Snapshot,
+    # checked (Snapshot.__post_init__) or stored (diffusion.stored_snapshot,
+    # spied on in every adl module that binds it)
     calls = []
-    real = experiments.stored_snapshot
+    checked, stored = Snapshot.__post_init__, diffusion.stored_snapshot
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted_checked(self):
+        calls.append("Snapshot")
+        checked(self)
 
+    def counted_stored(*args):
+        calls.append("stored_snapshot")
+        return stored(*args)
+
+    monkeypatch.setattr(Snapshot, "__post_init__", counted_checked)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "adl" and getattr(module, "stored_snapshot", None) is stored:
+            monkeypatch.setattr(module, "stored_snapshot", counted_stored)
     monkeypatch.setattr(experiments, "MEMO_CAP", cap)
-    monkeypatch.setattr(experiments, "stored_snapshot", counted)
-    for doc in ({"d": 4, "protocol": {"name": "uniform"}, "times": 9, "k": 6,
-                 "estimators": [{"method": "k_obs_subtree"}]},
-                {"d": 3, "protocol": {"name": "uniform"}, "times": [7, 8, 9],
-                 "estimators": [{"method": "three_obs_intersection"}]}):
-        run(ExperimentConfig.from_dict({"trials": 100, "seed": 5, **doc}))
+    for name, protocol, times in ORACLE_INSTANCES:
+        oracle.exact_success(name, protocol, times)
+    docs = [
+        MEMO_DOCS[0],  # two times: the three memoized estimators and k_obs_subtree
+        MEMO_DOCS[1],  # every trial refused
+        {"d": 4, "protocol": {"name": "uniform"}, "times": [9],
+         "estimators": [{"method": "single_mle"}, {"method": "generic_mle"},
+                        {"method": "k_obs_subtree"}]},
+        {"d": 3, "protocol": {"name": "uniform"}, "times": [7, 8, 9],
+         "estimators": [{"method": "three_obs_intersection"}, {"method": "generic_mle"}]},
+        {"d": 4, "protocol": {"name": "uniform"}, "times": 9, "k": 6,
+         "estimators": [{"method": "k_obs_subtree"}, {"method": "generic_mle"}]},
+    ]
+    methods = set()
+    for doc in docs:
+        report = run(ExperimentConfig.from_dict({"trials": 100, "seed": 5, **doc}))
+        methods.update(r.method for r in report.results)
+    assert methods == set(ESTIMATORS)
     assert calls == []
-    config = ExperimentConfig.from_dict({**MEMO_DOCS[0], "trials": 300, "seed": 5})
-    stored, misses = set(), 0
-    for n in range(config.trials):
-        key = orbit_key(labels_of(trial_snapshots(config, n)))
-        if key not in stored:
-            misses += 1
-            if len(stored) < cap:
-                stored.add(key)
-    run(config)
-    assert len(calls) == 2 * misses
-    assert misses < config.trials if cap else misses == config.trials
+    # the spies see both ways a Snapshot is made
+    simulate(uniform_protocol(3), 4, 0).snapshot_at(4)
+    Snapshot(d=3, t=4, vs_prev=(0,), vs_now=(0,))
+    assert calls == ["stored_snapshot", "Snapshot"]
 
 
 @pytest.mark.parametrize("doc", MEMO_DOCS, ids=MEMO_IDS)
@@ -473,9 +501,9 @@ def test_orbit_key_counts_the_oracle_orbits(d, times):
     laws = [oracle._law(protocol, t) for t in times]
     keys, reversed_keys = [], set()
 
-    def visit(snaps, _):
-        keys.append(orbit_key(labels_of(snaps)))
-        reversed_keys.add(orbit_key(labels_of(snaps[::-1])))
+    def visit(labels, _):
+        keys.append(orbit_key(labels))
+        reversed_keys.add(orbit_key(labels[::-1]))
 
     oracle._orbits(d, times, laws, visit)
     assert len(set(keys)) == len(keys)
@@ -497,7 +525,7 @@ def test_an_orbit_decides_what_the_memo_stores(doc):
             if not info.tie_break_only:
                 continue
             try:
-                cands = info.candidates(snaps, config.protocol)[0]
+                cands = info.candidates(config.protocol.d, labels_of(snaps), config.protocol)[0]
                 outcome = (cands.contains(SOURCE), cands.size())
             except ValueError:
                 outcome = None

@@ -282,7 +282,7 @@ def test_two_snapshot_core_candidate_digest(name):
     lines = []
     for d in (3, 4):
         for s1, s2 in _core_pairs(name, d):
-            cands, diagnostics = core(s1, s2)
+            cands, diagnostics = core(d, *[(s.t, s.vs_prev, s.vs_now) for s in (s1, s2)])
             labels = sorted(format_label(v) for v in cands.members)
             lines.append(json.dumps([labels, diagnostics], sort_keys=True))
     assert len(lines) == 2_000

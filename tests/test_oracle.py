@@ -19,7 +19,7 @@ from adl.protocol import (
     uniform_protocol,
 )
 from adl.tree import SOURCE, labels_at_depth, sphere_size
-from conftest import assert_stored_equals_checked, nondyadic_table, walk_law
+from conftest import nondyadic_table, walk_law
 
 UNI3 = uniform_protocol(3)
 
@@ -33,14 +33,14 @@ def brute_force_success(estimator, protocol, times):
     info = estimator_for(estimator, len(times), protocol)
     exact = protocol.exact
 
-    def success_fraction(snaps):
+    def success_fraction(labels):
         # P(chosen = origin | these snapshots)
         def hit(cands):
             if not cands.contains(SOURCE):
                 return Fraction(0) if exact else 0.0
             return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
 
-        sets = info.candidates(snaps, protocol)
+        sets = info.candidates(protocol.d, labels, protocol)
         if len(sets) == 1:  # no virtual-source draw to average over
             return hit(sets[0])
         w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
@@ -49,11 +49,8 @@ def brute_force_success(estimator, protocol, times):
             total += w * hit(cands)
         return total
 
-    singles = [
-        [(Snapshot(d=protocol.d, t=t, vs_prev=prev, vs_now=now), p)
-         for (prev, now), p in walk_law(protocol, t).items()]
-        for t in times
-    ]
+    singles = [[((t, prev, now), p) for (prev, now), p in walk_law(protocol, t).items()]
+               for t in times]
     total = Fraction(0) if exact else 0.0
     for combo in itertools.product(*singles):
         weight = math.prod(p for _, p in combo)
@@ -262,15 +259,16 @@ def test_exact_success_refuses_t1_as_the_estimators_do(name, times):
 
 @pytest.mark.parametrize("times", [(1,), (2, 3), (5, 4, 5), (7, 6)])
 def test_orbit_snapshots_equal_checked_ones(times):
-    # _orbits stores its canonical outcomes without checking them again;
-    # each is the snapshot Snapshot(...) builds
+    # _orbits hands over its canonical outcomes' labels without checking
+    # them; each is a snapshot Snapshot.from_dict accepts, one a walk produces
     for d in (3, 4, 5):
         laws = [oracle._law(uniform_protocol(d), t) for t in times]
-        seen = {}
-        oracle._orbits(d, times, laws, lambda snaps, _: seen.update((id(s), s) for s in snaps))
+        seen = set()
+        oracle._orbits(d, times, laws, lambda labels, _: seen.update(labels))
         assert seen
-        for s in seen.values():
-            assert_stored_equals_checked(s)
+        for t, prev, now in seen:
+            s = Snapshot(d=d, t=t, vs_prev=prev, vs_now=now)
+            assert Snapshot.from_dict(s.to_dict()) == s
 
 
 def test_orbits_sum_each_sorted_row_tuple_of_equal_times_once():
@@ -293,7 +291,7 @@ def one_level_orbits(d, times, laws, visit):
     outcomes and the weights ``oracle._orbits`` gives."""
     k = len(laws)
     used = {}
-    snaps = [None] * k
+    labels = [None] * k
     rows = [0] * k
     same = {}
     prev = []
@@ -307,7 +305,7 @@ def one_level_orbits(d, times, laws, visit):
 
     def pick(i, weight):
         if i == k:
-            visit(snaps, weight)
+            visit(labels, weight)
             return
         start = 0 if prev[i] is None else rows[prev[i]]
         for r in range(start, len(laws[i])):
@@ -321,7 +319,7 @@ def one_level_orbits(d, times, laws, visit):
 
     def descend(i, v, depth, moved, weight):
         if len(v) == depth:
-            snaps[i] = Snapshot(d=d, t=times[i], vs_prev=v[:-1] if moved else v, vs_now=v)
+            labels[i] = (times[i], v[:-1] if moved else v, v)
             pick(i + 1, weight)
             return
         m = used.get(v, 0)
@@ -340,8 +338,7 @@ def orbit_visits(walk, d, times, laws):
     # each call's (t, vs_prev, vs_now) per snapshot, copied because the walk
     # reuses its list, and the weight
     seen = []
-    walk(d, times, laws, lambda snaps, w: seen.append(
-        ([(s.t, s.vs_prev, s.vs_now) for s in snaps], w)))
+    walk(d, times, laws, lambda labels, w: seen.append((list(labels), w)))
     return seen
 
 
@@ -382,9 +379,9 @@ def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
     def counting(d, times, laws, visit):
         counts.append(0)
 
-        def counted(snaps, weight):
+        def counted(labels, weight):
             counts[-1] += 1
-            visit(snaps, weight)
+            visit(labels, weight)
 
         walk(d, times, laws, counted)
 
