@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from adl import closed_form, oracle
 from adl.diffusion import Snapshot, sample_snapshot, simulate
-from adl.estimators import ESTIMATORS, estimator_for
+from adl.estimators import ESTIMATORS, estimate, estimator_for
 from adl.experiments import MAX_TIME, ConfigError, ExperimentConfig, run
 from adl.protocol import (
     PROTOCOLS,
@@ -128,12 +128,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             raise ValueError(f"snapshot degree {s.d} disagrees with --d {args.d}")
         _check_time(s.t, "snapshot time")
         walk_horizon(protocol, s.t)
-    name, info = next((n, i) for n, i in ESTIMATORS.items() if i.alias == args.method)
+    name = next(n for n, info in ESTIMATORS.items() if info.alias == args.method)
     estimator_for(name, len(snaps), protocol)
     for n, s in enumerate(snaps):
         _check_possible(protocol, s, n)
-    est = info.estimate(snaps, protocol, random.Random(args.seed))
-    print(est.to_json())
+    print(estimate(name, snaps, protocol, random.Random(args.seed)).to_json())
     return 0
 
 

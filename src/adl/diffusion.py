@@ -29,8 +29,9 @@ which times a table protocol can serve, shared with hop tables and snapshot
 laws.
 
 Checks run where a pair enters: ``Snapshot(...)``, ``Snapshot.from_dict``,
-``sample_snapshot`` and ``Trajectory``.  A checked Trajectory's pairs are
-stored by ``stored_snapshot`` without running them again.
+``sample_snapshot`` and ``Trajectory``; ``Trajectory.snapshot_at`` builds
+its pairs with ``Snapshot(...)`` too.  A Monte Carlo trial hands its walks'
+labels to the estimator cores and builds no Snapshot.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Trajectory:
     def snapshot_at(self, t: int) -> "Snapshot":
         if not 1 <= t <= self.T:
             raise ValueError(f"snapshot time must be in 1..{self.T}, got {t}")
-        return stored_snapshot(self.d, t, self.vs[t - 1], self.vs[t])
+        return Snapshot(self.d, t, self.vs[t - 1], self.vs[t])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -289,20 +290,6 @@ class Snapshot:
         elif depth > (s.t + 1) // 2:
             raise ValueError(f"no walk reaches depth {depth} by t={s.t}")
         return s
-
-
-def stored_snapshot(d: int, t: int, vs_prev: Label, vs_now: Label) -> Snapshot:
-    """A Snapshot stored without the constructor's checks, its fields set in
-    field order as the generated ``__init__`` sets them.
-
-    Precondition: the pair came from an already checked ``Trajectory``.
-    """
-    s = object.__new__(Snapshot)
-    object.__setattr__(s, "d", d)
-    object.__setattr__(s, "t", t)
-    object.__setattr__(s, "vs_prev", vs_prev)
-    object.__setattr__(s, "vs_now", vs_now)
-    return s
 
 
 def local_radius(trajectory: Trajectory, t: int) -> int:

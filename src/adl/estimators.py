@@ -12,15 +12,17 @@ the caller-supplied RNG.  The two underspecified corners (empty path set in
 the two-snapshot estimator, ill-defined minimum in the subtree-count
 estimator) follow the same policy and flag themselves in diagnostics.
 
-Each public estimator has a deterministic ``*_candidates`` core (used by the
-exhaustive oracle, which integrates the tie-break analytically instead of
-sampling it).  A core takes the degree and each snapshot's labels
-(t, vs_prev, vs_now), read once off a public estimator's checked Snapshots;
-the oracle and the Monte Carlo loop pass the labels they build and build no
-Snapshot.  Every core refuses a time below 2.  The three-snapshot path
-intersection has none of its own: on a tree the meet of the three pairwise
-paths is the median, the k-snapshot subtree-count core's unique winner at
-k = 3, so it runs that core.  No estimator takes a tuning parameter: the
+Each estimator is one ``ESTIMATORS`` entry: a deterministic ``*_candidates``
+core and the rule its public estimator draws by (:class:`EstimatorInfo`).
+A core takes the degree and each snapshot's labels (t, vs_prev, vs_now);
+:func:`estimate`, behind every public estimator, reads them once off its
+checked Snapshots, while the exhaustive oracle (which integrates the draws
+analytically instead of sampling them, through :func:`candidate_sets`) and
+the Monte Carlo loop pass the labels they build and build no Snapshot.
+Every core refuses a time below 2.  The three-snapshot path intersection
+has none of its own: on a tree the meet of the three pairwise paths is the
+median, the k-snapshot subtree-count core's unique winner at k = 3, so it
+runs that core.  No estimator takes a tuning parameter: the
 likelihood-based ones score their whole feasible set, so each returns the
 true argmax.
 
@@ -44,7 +46,7 @@ import json
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -182,16 +184,6 @@ class Estimate:
         )
 
 
-def _finish(method: str, cands: Candidates, diagnostics: dict, rng: random.Random) -> Estimate:
-    return Estimate(
-        method=method, chosen=cands.sample(rng), candidates=cands, diagnostics=diagnostics
-    )
-
-
-def _labels(snaps: Sequence[Snapshot]) -> list:
-    return [(s.t, s.vs_prev, s.vs_now) for s in snaps]
-
-
 # ---------------------------------------------------------------------------
 # single-snapshot maximum likelihood
 # ---------------------------------------------------------------------------
@@ -267,8 +259,7 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
     the diagnostics carry the exact success probability
     max_h p(t, h) / (d (d-1)^(h-1)).
     """
-    cands, diagnostics = single_mle_candidates(s.d, *_labels([s]), protocol)
-    return _finish("single_mle", cands, diagnostics, rng)
+    return estimate("single_mle", [s], protocol, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +349,7 @@ def two_obs_path(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimate:
     S is the closest-pair window of the module docstring.  When S is empty
     the pick falls back to the fringe of the virtual sources.
     """
-    cands, diagnostics = two_obs_path_candidates(s1.d, *_labels((s1, s2)))
-    return _finish("two_obs_path", cands, diagnostics, rng)
+    return estimate("two_obs_path", [s1, s2], None, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +424,7 @@ def k_obs_label_candidates(
     given by its labels (t, vs_prev, vs_now): vs_now for a ball; for a moved
     pair, vs_prev if ``coin()`` returns 0 and vs_now if it returns 1, one
     call per moved pair in snapshot order.  Refuses a time below 2, as every
-    estimator does.  The one resolve-then-core rule behind ``k_obs_subtree``
-    (coins drawn from its generator), the oracle's every-resolution cores
-    and ``experiments.run``'s scoring of a trial from its walks' labels.
+    estimator does.  The core of both ``"coins"`` estimators.
     """
     resolved = []
     for t, prev, now in labels:
@@ -450,9 +438,7 @@ def k_obs_subtree(snaps: Sequence[Snapshot], rng: random.Random) -> Estimate:
     """The minimax subtree-count vertex of one virtual source per snapshot:
     a uniform draw from an odd snapshot's moved pair, then the tie-break,
     both from ``rng``."""
-    cands, diagnostics = k_obs_label_candidates(
-        snaps[0].d, _labels(snaps), lambda: rng.randrange(2))
-    return _finish("k_obs_subtree", cands, diagnostics, rng)
+    return estimate("k_obs_subtree", snaps, None, rng)
 
 
 def three_obs_intersection(
@@ -467,7 +453,7 @@ def three_obs_intersection(
     Odd non-ball snapshots contribute a uniformly chosen element of their
     virtual-source pair.
     """
-    return replace(k_obs_subtree([s1, s2, s3], rng), method="three_obs_intersection")
+    return estimate("three_obs_intersection", [s1, s2, s3], None, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +584,7 @@ def generic_mle(snaps: Sequence[Snapshot], protocol: Protocol, rng: random.Rando
     so a piece p below the running best b <= B has |p| >= |b| >= |B| and
     |p - b| <= |p - B|: if p is close to B, it is close to b.
     """
-    cands, diagnostics = generic_mle_candidates(snaps[0].d, _labels(snaps), protocol)
-    return _finish("generic_mle", cands, diagnostics, rng)
+    return estimate("generic_mle", snaps, protocol, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +634,7 @@ def uniform_mle_cases(s1: Snapshot, s2: Snapshot, rng: random.Random) -> Estimat
     even-odd-5 takes the window's last vertex, even-odd-6 and odd-odd-6 its
     first.
     """
-    cands, diagnostics = uniform_mle_cases_candidates(s1.d, *_labels((s1, s2)))
-    return _finish("uniform_mle_cases", cands, diagnostics, rng)
+    return estimate("uniform_mle_cases", [s1, s2], None, rng)
 
 
 def _cases_even_even(d, s1, s2, gap, v1, v2, k):
@@ -734,92 +718,87 @@ _CASES = {
 
 @dataclass(frozen=True)
 class EstimatorInfo:
-    """One estimator as the config, the CLI and the oracle see it.
+    """One estimator as every entry point (config, CLI, oracle, Monte Carlo
+    loop) sees it.
 
-    ``estimate(snaps, protocol, rng)`` runs the public estimator on
-    Snapshots.  ``candidates(d, labels, protocol)`` lists its deterministic
-    core's candidate set, from each snapshot's labels (t, vs_prev, vs_now),
-    once per equally likely choice of one virtual source per snapshot (a
-    single set unless the estimator draws that choice); the oracle and
-    ``experiments.run`` pass the labels they build and build no Snapshot.
-    Both look the estimator functions up as module attributes on every
-    call, so a wrapper installed on this module is seen.
+    ``core(d, labels, protocol, coin)`` returns the candidate set and
+    diagnostics from the degree and each snapshot's labels (t, vs_prev,
+    vs_now).  A ``"coins"`` core calls ``coin()`` once per moved pair, in
+    snapshot order, for 0 (vs_prev) or 1 (vs_now); no other core calls it.
+    Each core is a lambda that looks its ``*_candidates`` function up as a
+    module attribute on every call, so a wrapper installed on this module is
+    seen.
+
+    ``draws`` names the public estimator's draw rule, all from one
+    generator: ``"tie_break"``, one ``ExplicitCandidates.sample`` over a set
+    computed from the snapshots alone; ``"coins"``, one ``randrange(2)`` coin
+    per moved pair, then that tie-break; ``"shell"``, one
+    ``ShellCandidates.sample``, which starts with ``randrange(size)``.
 
     Contract the exact oracle relies on: permuting snapshots taken at equal
-    times leaves ``candidates`` unchanged as a multiset of member sets, and
-    relabelling child indices maps it onto the relabelled snapshots' sets.
-    So whether the origin is a candidate, how many candidates there are, and
-    whether the estimator refuses the snapshots with ValueError depend only
-    on the orbit of the snapshot tuple under the automorphisms fixing the
-    origin.
-
-    ``tie_break_only`` marks the estimators whose one draw is the uniform
-    tie-break ``ExplicitCandidates.sample`` over a set computed from the
-    snapshots alone.  By the contract, their hit or miss on a trial is
-    decided by the orbit's (origin in the set, set size) and that one draw
-    (:func:`sample_is_origin`), where equal-time snapshots in either order
-    are one orbit.  That lets ``experiments.run`` score every trial of a
-    one- or two-time job from ``candidates``, run once per orbit.
-
-    ``label_core(d, labels, coin)``, set for the k-snapshot estimators, is
-    their core on the virtual sources ``coin`` picks
-    (:func:`k_obs_label_candidates`).  Their draw rule: one ``randrange(2)``
-    coin per moved pair, in snapshot order, then the tie-break, from one
-    stream.  ``experiments.run`` seeds that stream at its first draw, so a
-    trial with no coin whose set has one member seeds nothing, and scores
-    the tie-break with :func:`sample_is_origin`.
+    times leaves :func:`candidate_sets` unchanged as a multiset of member
+    sets, and relabelling child indices maps it onto the relabelled
+    snapshots' sets.  So whether the origin is a candidate, how many
+    candidates there are, and whether the estimator refuses the snapshots
+    with ValueError depend only on the orbit of the snapshot tuple under the
+    automorphisms fixing the origin.  For a ``"tie_break"`` estimator that
+    orbit and the one draw (:func:`sample_is_origin`) decide a trial's hit,
+    which lets ``experiments.run`` run the core once per orbit.
     """
 
     alias: str  # the CLI --method name
     arity: Optional[int]  # number of snapshots taken; None for any k >= 1
     uniform_only: bool  # valid only for snapshots of the uniform protocol
-    tie_break_only: bool  # the only draw is the tie-break over an ExplicitCandidates
-    estimate: Callable
-    candidates: Callable
-    label_core: Optional[Callable] = None
-
-
-def _k_obs_cores(d: int, labels: Sequence[tuple]) -> list:
-    """The core on every choice of one virtual source per snapshot."""
-    moved = sum(prev != now for _, prev, now in labels)
-    return [k_obs_label_candidates(d, labels, iter(coins).__next__)[0]
-            for coins in itertools.product((0, 1), repeat=moved)]
+    draws: str  # "tie_break", "coins" or "shell"
+    core: Callable
 
 
 ESTIMATORS = {
     "single_mle": EstimatorInfo(
-        alias="single-mle", arity=1, uniform_only=False, tie_break_only=False,
-        estimate=lambda snaps, protocol, rng: single_mle(*snaps, protocol, rng),
-        candidates=lambda d, labels, protocol: [single_mle_candidates(d, *labels, protocol)[0]],
-    ),
+        alias="single-mle", arity=1, uniform_only=False, draws="shell",
+        core=lambda d, labels, protocol, coin: single_mle_candidates(d, *labels, protocol)),
     "two_obs_path": EstimatorInfo(
-        alias="two-obs-path", arity=2, uniform_only=False, tie_break_only=True,
-        estimate=lambda snaps, protocol, rng: two_obs_path(*snaps, rng),
-        candidates=lambda d, labels, protocol: [two_obs_path_candidates(d, *labels)[0]],
-    ),
+        alias="two-obs-path", arity=2, uniform_only=False, draws="tie_break",
+        core=lambda d, labels, protocol, coin: two_obs_path_candidates(d, *labels)),
     "three_obs_intersection": EstimatorInfo(
-        alias="three-obs", arity=3, uniform_only=False, tie_break_only=False,
-        estimate=lambda snaps, protocol, rng: three_obs_intersection(*snaps, rng),
-        candidates=lambda d, labels, protocol: _k_obs_cores(d, labels),
-        label_core=lambda d, labels, coin: k_obs_label_candidates(d, labels, coin),
-    ),
+        alias="three-obs", arity=3, uniform_only=False, draws="coins",
+        core=lambda d, labels, protocol, coin: k_obs_label_candidates(d, labels, coin)),
     "k_obs_subtree": EstimatorInfo(
-        alias="k-obs", arity=None, uniform_only=False, tie_break_only=False,
-        estimate=lambda snaps, protocol, rng: k_obs_subtree(snaps, rng),
-        candidates=lambda d, labels, protocol: _k_obs_cores(d, labels),
-        label_core=lambda d, labels, coin: k_obs_label_candidates(d, labels, coin),
-    ),
+        alias="k-obs", arity=None, uniform_only=False, draws="coins",
+        core=lambda d, labels, protocol, coin: k_obs_label_candidates(d, labels, coin)),
     "generic_mle": EstimatorInfo(
-        alias="mle", arity=None, uniform_only=False, tie_break_only=True,
-        estimate=lambda snaps, protocol, rng: generic_mle(snaps, protocol, rng),
-        candidates=lambda d, labels, protocol: [generic_mle_candidates(d, labels, protocol)[0]],
-    ),
+        alias="mle", arity=None, uniform_only=False, draws="tie_break",
+        core=lambda d, labels, protocol, coin: generic_mle_candidates(d, labels, protocol)),
     "uniform_mle_cases": EstimatorInfo(
-        alias="cases", arity=2, uniform_only=True, tie_break_only=True,
-        estimate=lambda snaps, protocol, rng: uniform_mle_cases(*snaps, rng),
-        candidates=lambda d, labels, protocol: [uniform_mle_cases_candidates(d, *labels)[0]],
-    ),
+        alias="cases", arity=2, uniform_only=True, draws="tie_break",
+        core=lambda d, labels, protocol, coin: uniform_mle_cases_candidates(d, *labels)),
 }
+
+
+def estimate(name: str, snaps: Sequence[Snapshot], protocol: Optional[Protocol],
+             rng: random.Random) -> Estimate:
+    """Estimator ``name`` on ``snaps``: its core on their labels, with its
+    coins and then its pick from the candidate set drawn from ``rng``.
+    ``protocol`` is read only by the likelihood estimators."""
+    if not snaps:
+        raise ValueError("at least one snapshot required")
+    cands, diagnostics = ESTIMATORS[name].core(
+        snaps[0].d, [(s.t, s.vs_prev, s.vs_now) for s in snaps], protocol,
+        lambda: rng.randrange(2))
+    return Estimate(method=name, chosen=cands.sample(rng), candidates=cands,
+                    diagnostics=diagnostics)
+
+
+def candidate_sets(info: EstimatorInfo, d: int, labels: Sequence[tuple],
+                   protocol: Protocol) -> list:
+    """The core's candidate set once per equally likely choice of coins:
+    2^moved sets for a ``"coins"`` estimator, one set otherwise."""
+    core = info.core
+    if info.draws != "coins":
+        return [core(d, labels, protocol, None)[0]]
+    moved = sum(prev != now for _, prev, now in labels)
+    return [core(d, labels, protocol, iter(coins).__next__)[0]
+            for coins in itertools.product((0, 1), repeat=moved)]
 
 
 def estimator_for(name, k: int, protocol: Protocol) -> EstimatorInfo:

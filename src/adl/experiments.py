@@ -18,17 +18,17 @@ snapshot's labels (t, vs_prev, vs_now) are read from the walk's stages
 t // 2 and (t + 1) // 2.  An estimator's stream is seeded at its first draw,
 and a stream that draws nothing is never seeded.
 
-Every estimator is scored from the labels by its core, so no Snapshot is
-built.  The k-snapshot estimators draw one coin per moved pair and run their
-core on that choice (``EstimatorInfo.label_core``).  The ``tie_break_only``
-ones run ``EstimatorInfo.candidates``; whether its set holds the origin, its
-size and a refusal depend only on the orbit of a trial's snapshots under the
-automorphisms fixing the origin and the swaps of equal-time snapshots (the
-``EstimatorInfo`` contract), and with one or two observation times orbits
-repeat ((12, 12) at d = 3 has 77), so such a job keeps a memo per estimator
-keyed by ``orbit_key`` and runs the core only when it misses.  Both score
-the tie-break with ``estimators.sample_is_origin``.  ``single_mle`` runs its
-core, then its public estimator's one draw, ``sample`` on the shells.
+Every estimator is scored from the labels by one call of its core
+(``EstimatorInfo.core``), so no Snapshot is built; the core draws the
+coins of a ``"coins"`` estimator from its stream.  A ``"shell"`` set is
+then sampled, as the public estimator does; any other set is scored by
+whether it holds the origin and its size, and the tie-break by
+``estimators.sample_is_origin``.  For a ``"tie_break"`` estimator that
+score and a refusal depend only on the orbit of a trial's snapshots under
+the automorphisms fixing the origin and the swaps of equal-time snapshots
+(the ``EstimatorInfo`` contract), and with one or two observation times
+orbits repeat ((12, 12) at d = 3 has 77), so such a job keeps a memo per
+estimator keyed by ``orbit_key`` and calls the core only when it misses.
 """
 
 from __future__ import annotations
@@ -397,29 +397,23 @@ def orbit_key(labels: Sequence[tuple]) -> tuple:
     return *a, *b, lcp_len(u, v)
 
 
-def _outcome(core: Callable, *args) -> tuple:
-    """(origin in the set, set size) of the first candidate set ``core(*args)``
-    lists, or ``_REFUSED`` when it refuses its input."""
-    try:
-        cands = core(*args)[0]
-    except ValueError:
-        return _REFUSED
-    return cands.contains(SOURCE), cands.size()
-
-
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute the job: every trial walks each diffusion once, keeps the
-    walk's labels (t, vs_prev, vs_now) and scores every estimator from them.
+    walk's labels (t, vs_prev, vs_now) and scores every estimator from them
+    by one core call, or a memo hit.
 
-    A memo maps :func:`orbit_key` to (origin in the candidate set, set
-    size), or to ``_REFUSED`` for a precondition failure, filled by the
-    orbit's first trial; it stores at most ``MEMO_CAP`` orbits, and later
-    new orbits are scored unstored.  No Snapshot is built.
+    An estimator's outcome is (origin in the candidate set, set size), or
+    ``_REFUSED`` for a precondition failure; a ``"shell"`` estimator's is
+    (its sample is the origin, 1).  A ``"tie_break"`` estimator in a job of
+    one or two times keeps a memo from :func:`orbit_key` to the outcome,
+    filled by the orbit's first trial; it stores at most ``MEMO_CAP`` orbits,
+    and later new orbits are scored unstored.  No Snapshot is built.
     """
     start = time.perf_counter()
     infos = [ESTIMATORS[s.method] for s in config.estimators]
     tallies = [[0, 0] for _ in config.estimators]
-    memos = [{} if info.tie_break_only and len(config.times) <= 2 else None for info in infos]
+    memos = [{} if info.draws == "tie_break" and len(config.times) <= 2 else None
+             for info in infos]
     keyed = any(memo is not None for memo in memos)
     protocol = config.protocol
     d = protocol.d
@@ -454,21 +448,17 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         key = orbit_key(labels) if keyed else None
         for j, (info, memo) in enumerate(zip(infos, memos)):
             seeded = stream(trial, j)
-            if info.label_core is not None:
-                outcome = _outcome(info.label_core, d, labels, lambda: seeded().randrange(2))
-            elif memo is not None and key in memo:
-                outcome = memo[key]
-            elif info.tie_break_only:
-                outcome = _outcome(info.candidates, d, labels, protocol)
-                if memo is not None and len(memo) < MEMO_CAP:
-                    memo[key] = outcome
-            else:  # single_mle samples a shell
+            outcome = None if memo is None else memo.get(key)
+            if outcome is None:
                 try:
-                    cands = info.candidates(d, labels, protocol)[0]
+                    cands = info.core(d, labels, protocol, lambda: seeded().randrange(2))[0]
                 except ValueError:
                     outcome = _REFUSED
                 else:
-                    outcome = cands.sample(seeded()) == SOURCE, 1
+                    outcome = ((cands.sample(seeded()) == SOURCE, 1) if info.draws == "shell"
+                               else (cands.contains(SOURCE), cands.size()))
+                if memo is not None and len(memo) < MEMO_CAP:
+                    memo[key] = outcome
             if outcome is _REFUSED:
                 tallies[j][1] += 1
             elif sample_is_origin(*outcome, seeded):

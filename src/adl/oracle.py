@@ -3,14 +3,17 @@
 Instead of sampling the virtual-source chain, enumerate every reachable
 snapshot endpoint pair (vs_{t-1}, vs_t) with its exact probability, run an
 estimator's deterministic candidate core on the joint outcomes, and
-integrate the uniform tie-break analytically (a candidate set C contributes
-[origin in C] / |C|).  With a built-in protocol the sum runs in integers
-and ends in one exact Fraction; table protocols fall back to floats.  The
-probability of each single outcome is read from the protocol's
-single-snapshot law (``Protocol.snapshot_weights``); the oracle only
-spreads it over the labels at each hop.  The protocol keeps its hop rows
-and their stayed/moved splits, so a protocol reused across calls runs the
-hop recurrence once, and a call builds each distinct time's law once.
+integrate its draws analytically: each of the L equally likely coin choices
+of ``estimators.candidate_sets`` (L = 1 unless the estimator draws coins)
+gives a set C contributing [origin in C] / (L |C|).  The draw rule is read
+once per call, and an estimator without coins has its core called directly.
+With a built-in protocol the sum runs in integers and ends in one exact
+Fraction; table protocols fall back to floats.  The probability of each
+single outcome is read from the protocol's single-snapshot law
+(``Protocol.snapshot_weights``); the oracle only spreads it over the labels
+at each hop.  The protocol keeps its hop rows and their stayed/moved splits,
+so a protocol reused across calls runs the hop recurrence once, and a call
+builds each distinct time's law once.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
@@ -36,7 +39,7 @@ from math import factorial, fsum, lcm, prod
 from operator import itemgetter
 from typing import Sequence
 
-from adl.estimators import estimator_for
+from adl.estimators import candidate_sets, estimator_for
 from adl.protocol import Protocol, walk_horizon
 from adl.tree import SOURCE, ball_size, sphere_size
 
@@ -182,9 +185,9 @@ def exact_success(
     number of joint outcomes that sum stands for.  Every source of estimator
     randomness (tie-break, odd-snapshot virtual-source disambiguation) is
     integrated analytically, so the result carries no sampling noise at all:
-    an orbit's weight goes to hits[q], q = L |C|, for each of the core's L
-    candidate sets C holding the origin, and the result is sum_q hits[q] / q
-    over the laws' denominators.
+    an orbit's weight goes to hits[q], q = L |C|, for each of its L candidate
+    sets C holding the origin, and the result is sum_q hits[q] / q over the
+    laws' denominators.
     """
     times = list(times)
     if not times:
@@ -207,15 +210,17 @@ def exact_success(
     laws = [law_of[t] for t in times]
 
     hits: dict = {}  # q -> summed weight of the candidate sets with 1/q mass on the origin
+    d, core, coins = protocol.d, info.core, info.draws == "coins"
 
     def visit(labels, weight):
-        sets = info.candidates(protocol.d, labels, protocol)
+        sets = candidate_sets(info, d, labels, protocol) if coins else (
+            core(d, labels, protocol, None)[0],)
         for cands in sets:
             if cands.contains(SOURCE):
                 q = len(sets) * cands.size()
                 hits[q] = hits.get(q, 0) + weight
 
-    _orbits(protocol.d, times, laws, visit)
+    _orbits(d, times, laws, visit)
     if not exact:
         return fsum(w / q for q, w in hits.items())
     scale = lcm(*hits)

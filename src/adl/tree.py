@@ -13,9 +13,8 @@ through the operations in this module only (results must be invariant under
 relabelling of child indices; see the test suite).
 
 Labels are checked once, where they enter: ``Snapshot(...)`` and
-``Trajectory`` call :func:`check_degree` and :func:`check_label`, and
-``diffusion.stored_snapshot`` stores a checked Trajectory's pairs
-unchecked.  Every other operation here takes its labels as given.
+``Trajectory`` call :func:`check_degree` and :func:`check_label`.  Every
+other operation here takes its labels as given.
 """
 
 from __future__ import annotations

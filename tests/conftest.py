@@ -1,23 +1,19 @@
 """Shared test helpers: independent infected-set construction, the
 single-diffusion law by stepping the walk, a non-dyadic table protocol,
-child-index relabelling automorphisms, shell enumeration, the check that an
-unchecked snapshot is the one the checked constructor builds, and the shipped
+child-index relabelling automorphisms, shell enumeration, and the shipped
 configs with their recorded report-body digests."""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import pathlib
-import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from adl.diffusion import Snapshot, Trajectory
+from adl.diffusion import Trajectory
 from adl.experiments import derive_seed
 from adl.protocol import Protocol, load_protocol_table
 from adl.tree import SOURCE, bfs_depths, distance, neighbors
@@ -120,18 +116,3 @@ def shell_members(d: int, centers, radius: int) -> set:
 @pytest.fixture
 def rng():
     return random.Random(12345)
-
-
-def assert_stored_equals_checked(s: Snapshot) -> None:
-    """``s``, stored without checks, is the snapshot ``Snapshot(...)`` builds
-    from its fields: equal, with the same hash, repr, instance dict and
-    pickle bytes (protocols 0-5), and copied alike."""
-    checked = Snapshot(**vars(s))
-    assert type(s) is Snapshot and s == checked, s
-    assert hash(s) == hash(checked) and repr(s) == repr(checked)
-    assert list(vars(s)) == list(vars(checked)) == ["d", "t", "vs_prev", "vs_now"]
-    assert sys.getsizeof(vars(s)) == sys.getsizeof(vars(checked))
-    for protocol in range(6):
-        assert pickle.dumps(s, protocol) == pickle.dumps(checked, protocol), (s, protocol)
-    for twin in (copy.copy(s), copy.deepcopy(s)):
-        assert type(twin) is Snapshot and twin == checked and vars(twin) == vars(checked)

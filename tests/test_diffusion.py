@@ -14,7 +14,6 @@ from adl.diffusion import (
     local_radius,
     sample_snapshot,
     simulate,
-    stored_snapshot,
     walker,
 )
 from adl.experiments import derive_seed
@@ -28,7 +27,7 @@ from adl.protocol import (
     uniform_protocol,
 )
 from adl.tree import SOURCE, bfs_depths, distance
-from conftest import assert_stored_equals_checked, stepwise_infected_set
+from conftest import stepwise_infected_set
 
 
 def test_always_stay_keeps_h_one():
@@ -342,10 +341,9 @@ def test_one_sampler_reused_across_streams_matches_reference_loop(name, d):
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))
 def test_trial_loop_snapshots_equal_checked_ones(name):
     # a Monte Carlo job hands the pairs its walkers draw to the estimator
-    # cores without checking them again (experiments.run), and
-    # Trajectory.snapshot_at stores the pairs of a checked trajectory: each
-    # is a pair Snapshot(...) accepts, and stored it is the snapshot
-    # Snapshot(...) builds
+    # cores without checking them again (experiments.run): each is a pair
+    # Snapshot(...) accepts, and Trajectory.snapshot_at is the snapshot
+    # Snapshot(...) builds from the trajectory's pair
     rng = random.Random()
     for d in (3, 4, 5):
         proto = CONTRACT_PROTOCOLS[name](d)
@@ -358,10 +356,10 @@ def test_trial_loop_snapshots_equal_checked_ones(name):
                 pair = (states[T // 2], states[(T + 1) // 2])
                 pairs.setdefault(pair, pair)
             for prev, now in pairs.values():
-                assert_stored_equals_checked(stored_snapshot(d, T, prev, now))
+                Snapshot(d, T, prev, now)
             tr = simulate(proto, T, derive_seed(36, d, T))
             for t in range(1, T + 1):
-                assert_stored_equals_checked(tr.snapshot_at(t))
+                assert tr.snapshot_at(t) == Snapshot(d, t, tr.vs[t - 1], tr.vs[t])
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_PROTOCOLS))

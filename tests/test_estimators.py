@@ -17,6 +17,7 @@ from adl.estimators import (
     ShellCandidates,
     _hop_scores,
     _path_window,
+    candidate_sets,
     generic_mle,
     generic_mle_candidates,
     k_obs_candidates,
@@ -1576,9 +1577,9 @@ def test_candidates_ignore_the_order_of_equal_time_snapshots(d):
                 for name, info in ESTIMATORS.items():
                     if info.arity not in (None, k) or info.uniform_only and protocol.name != "uniform":
                         continue
-                    want = _member_multiset(info.candidates(d, labs(part), protocol))
+                    want = _member_multiset(candidate_sets(info, d, labs(part), protocol))
                     for order in orders:
-                        got = info.candidates(d, labs([part[j] for j in order]), protocol)
+                        got = candidate_sets(info, d, labs([part[j] for j in order]), protocol)
                         assert _member_multiset(got) == want, (name, protocol.name, part, order)
                     checked[name] += 1
     assert min(checked.values()) > 0, checked
@@ -1595,3 +1596,70 @@ def test_estimate_json_shape():
     assert obj["ties"] == est.tie_count()
     assert obj["chosen"].startswith("/")
     assert isinstance(obj["diagnostics"], dict)
+
+
+def test_public_estimators_refuse_no_snapshots():
+    # the k-snapshot estimators take a list, which may be empty
+    with pytest.raises(ValueError, match="at least one snapshot required"):
+        k_obs_subtree([], random.Random(0))
+    with pytest.raises(ValueError, match="at least one snapshot required"):
+        generic_mle([], UNI3, random.Random(0))
+
+
+class RecordingRandom(random.Random):
+    """A generator that lists the arguments of every ``randrange`` call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return super().randrange(*args)
+
+
+PUBLIC = {  # each registry entry's public estimator, on a snapshot list
+    "single_mle": lambda snaps, protocol, rng: single_mle(*snaps, protocol, rng),
+    "two_obs_path": lambda snaps, protocol, rng: two_obs_path(*snaps, rng),
+    "three_obs_intersection": lambda snaps, protocol, rng: three_obs_intersection(*snaps, rng),
+    "k_obs_subtree": lambda snaps, protocol, rng: k_obs_subtree(snaps, rng),
+    "generic_mle": lambda snaps, protocol, rng: generic_mle(snaps, protocol, rng),
+    "uniform_mle_cases": lambda snaps, protocol, rng: uniform_mle_cases(*snaps, rng),
+}
+DRAW_TIMES = {  # arity -> observation times, odd ones for moved pairs
+    1: [(5,), (6,), (9,)],
+    2: [(5, 5), (7, 9), (6, 5), (8, 8)],
+    3: [(5, 5, 5), (7, 6, 9)],
+    None: [(5,), (5, 7), (6, 6), (5, 5, 5, 5), (7, 6, 7, 6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_each_entry_draws_what_its_public_estimator_draws(name):
+    # "tie_break": one randrange(size); "coins": one randrange(2) per moved
+    # pair, then randrange(size); "shell": first randrange(size).
+    # candidate_sets lists one set per equally likely coin choice
+    info = ESTIMATORS[name]
+    moved_seen = multi_seen = 0
+    for d in (3, 4):
+        protocol = uniform_protocol(d)
+        for i, times in enumerate(DRAW_TIMES[info.arity]):
+            for trial in range(30):
+                snaps = [sample_snapshot(protocol, t, derive_seed(71, d, i, trial, j))
+                         for j, t in enumerate(times)]
+                rng = RecordingRandom(trial)
+                est = PUBLIC[name](snaps, protocol, rng)
+                assert est.method == name
+                moved, size = sum(not s.is_ball for s in snaps), est.tie_count()
+                if info.draws == "tie_break":
+                    assert rng.calls == [(size,)]
+                elif info.draws == "coins":
+                    assert rng.calls == [(2,)] * moved + [(size,)]
+                else:
+                    assert info.draws == "shell" and rng.calls[0] == (size,)
+                sets = candidate_sets(info, d, labs(snaps), protocol)
+                assert len(sets) == (2 ** moved if info.draws == "coins" else 1)
+                moved_seen += moved > 0
+                multi_seen += size > 1
+    assert moved_seen
+    assert multi_seen or name == "three_obs_intersection"  # the median is unique

@@ -1,13 +1,12 @@
 import json
 import math
 import random
-import sys
 
 import pytest
 
-from adl import diffusion, estimators, experiments, oracle
+from adl import estimators, experiments, oracle
 from adl.diffusion import Snapshot, sample_snapshot, simulate
-from adl.estimators import ESTIMATORS
+from adl.estimators import ESTIMATORS, candidate_sets, estimate
 from adl.experiments import (
     ESTIMATOR_STREAM,
     MAX_WALKS,
@@ -288,7 +287,7 @@ def reference_report(config):
         for j, spec in enumerate(config.estimators):
             rng = random.Random(derive_seed(config.seed, n, ESTIMATOR_STREAM + j))
             try:
-                est = ESTIMATORS[spec.method].estimate(snaps, protocol, rng)
+                est = estimate(spec.method, snaps, protocol, rng)
             except ValueError:
                 tallies[j][1] += 1
                 continue
@@ -399,24 +398,16 @@ ORACLE_INSTANCES = [
 @pytest.mark.parametrize("cap", [0, experiments.MEMO_CAP])
 def test_no_snapshot_is_built_by_the_oracle_or_the_trial_loop(cap, monkeypatch):
     # every core reads label triples: neither the exact oracle nor run(), on
-    # every estimator in one-, two- and many-time jobs, builds a Snapshot,
-    # checked (Snapshot.__post_init__) or stored (diffusion.stored_snapshot,
-    # spied on in every adl module that binds it)
+    # every estimator in one-, two- and many-time jobs, builds a Snapshot
+    # (Snapshot.__post_init__, which every construction runs)
     calls = []
-    checked, stored = Snapshot.__post_init__, diffusion.stored_snapshot
+    checked = Snapshot.__post_init__
 
     def counted_checked(self):
         calls.append("Snapshot")
         checked(self)
 
-    def counted_stored(*args):
-        calls.append("stored_snapshot")
-        return stored(*args)
-
     monkeypatch.setattr(Snapshot, "__post_init__", counted_checked)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "adl" and getattr(module, "stored_snapshot", None) is stored:
-            monkeypatch.setattr(module, "stored_snapshot", counted_stored)
     monkeypatch.setattr(experiments, "MEMO_CAP", cap)
     for name, protocol, times in ORACLE_INSTANCES:
         oracle.exact_success(name, protocol, times)
@@ -437,10 +428,10 @@ def test_no_snapshot_is_built_by_the_oracle_or_the_trial_loop(cap, monkeypatch):
         methods.update(r.method for r in report.results)
     assert methods == set(ESTIMATORS)
     assert calls == []
-    # the spies see both ways a Snapshot is made
+    # the spy sees a Snapshot made from a trajectory and one made directly
     simulate(uniform_protocol(3), 4, 0).snapshot_at(4)
     Snapshot(d=3, t=4, vs_prev=(0,), vs_now=(0,))
-    assert calls == ["stored_snapshot", "Snapshot"]
+    assert calls == ["Snapshot", "Snapshot"]
 
 
 @pytest.mark.parametrize("doc", MEMO_DOCS, ids=MEMO_IDS)
@@ -522,10 +513,11 @@ def test_an_orbit_decides_what_the_memo_stores(doc):
         snaps = trial_snapshots(config, n)
         for spec in config.estimators:
             info = ESTIMATORS[spec.method]
-            if not info.tie_break_only:
+            if info.draws != "tie_break":
                 continue
             try:
-                cands = info.candidates(config.protocol.d, labels_of(snaps), config.protocol)[0]
+                cands = candidate_sets(info, config.protocol.d, labels_of(snaps),
+                                       config.protocol)[0]
                 outcome = (cands.contains(SOURCE), cands.size())
             except ValueError:
                 outcome = None

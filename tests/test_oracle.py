@@ -9,7 +9,13 @@ import pytest
 from adl import closed_form as cf
 from adl import oracle
 from adl.diffusion import Snapshot, simulate
-from adl.estimators import ESTIMATORS, estimator_for, three_obs_intersection, uniform_mle_cases
+from adl.estimators import (
+    ESTIMATORS,
+    candidate_sets,
+    estimator_for,
+    three_obs_intersection,
+    uniform_mle_cases,
+)
 from adl.experiments import derive_seed
 from adl.protocol import (
     constant_protocol,
@@ -40,7 +46,7 @@ def brute_force_success(estimator, protocol, times):
                 return Fraction(0) if exact else 0.0
             return Fraction(1, cands.size()) if exact else 1.0 / cands.size()
 
-        sets = info.candidates(protocol.d, labels, protocol)
+        sets = candidate_sets(info, protocol.d, labels, protocol)
         if len(sets) == 1:  # no virtual-source draw to average over
             return hit(sets[0])
         w = Fraction(1, len(sets)) if exact else 1.0 / len(sets)
