@@ -45,7 +45,6 @@ from adl.protocol import Protocol, walk_horizon
 from adl.tree import (
     Label,
     SOURCE,
-    ball_size,
     check_degree,
     check_label,
     distance,
@@ -230,27 +229,22 @@ class Snapshot:
 
     def virtual_sources(self) -> tuple:
         """The identifiable virtual-source set: one label (ball) or two (edge)."""
-        if self.vs_prev == self.vs_now:
-            return (self.vs_now,)
-        return (self.vs_prev, self.vs_now)
+        return (self.vs_now,) if self.vs_prev == self.vs_now else (self.vs_prev, self.vs_now)
 
     def min_vs_distance(self, v: Label) -> int:
         """min over the virtual-source set of the distance to v."""
-        dv = distance(v, self.vs_now)
-        if self.vs_prev == self.vs_now:
-            return dv
-        return min(dv, distance(v, self.vs_prev))
+        return min(distance(v, c) for c in self.virtual_sources())
 
     def contains(self, v: Label) -> bool:
         """Membership in the infected set."""
         return self.min_vs_distance(v) <= self.radius
 
     def infected_count(self) -> int:
-        """|V_t|: ball-size formula, or two joined depth-(t-1)/2 trees."""
-        d = self.d
-        if self.is_ball:
-            return ball_size(d, self.radius)
-        return 2 * ((d - 1) ** ((self.t + 1) // 2) - 1) // (d - 2)
+        """|V_t| = k + k (d-k+1) ((d-1)^radius - 1) / (d-2) around the k
+        virtual sources: each has d - k + 1 neighbours off the set, each the
+        root of a (d-1)-ary tree of depth radius - 1."""
+        d, k = self.d, len(self.virtual_sources())
+        return k + k * (d - k + 1) * ((d - 1) ** self.radius - 1) // (d - 2)
 
     def to_dict(self) -> dict:
         return {

@@ -45,7 +45,7 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
@@ -110,10 +110,11 @@ def sample_is_origin(origin_in: bool, size: int, seeded: Callable[[], random.Ran
 class ShellCandidates:
     """Union of equal-score distance shells around a center or a center edge.
 
-    A shell at radius r holds every vertex whose distance to the center set
-    is exactly r: d(d-1)^(r-1) vertices around a single center, 2(d-1)^r
-    around an adjacent pair.  Used where the candidate set is exponentially
-    large (single-snapshot MLE), so membership stays symbolic.
+    A shell at radius r holds every vertex whose distance to the k centers
+    (one, or two adjacent) is exactly r: each center has d - k + 1
+    neighbours off the set, so the shell has k (d-k+1) (d-1)^(r-1)
+    vertices.  Used where the candidate set is exponentially large
+    (single-snapshot MLE), so membership stays symbolic.
     """
 
     d: int
@@ -121,36 +122,23 @@ class ShellCandidates:
     radii: tuple  # strictly increasing radii >= 1
 
     def _shell_size(self, r: int) -> int:
-        if len(self.centers) == 1:
-            return self.d * (self.d - 1) ** (r - 1)
-        return 2 * (self.d - 1) ** r
+        k = len(self.centers)
+        return k * (self.d - k + 1) * (self.d - 1) ** (r - 1)
 
     def size(self) -> int:
         return sum(self._shell_size(r) for r in self.radii)
 
-    def _set_distance(self, v: Label) -> int:
-        return min(distance(v, c) for c in self.centers)
-
     def contains(self, v: Label) -> bool:
-        return self._set_distance(v) in self.radii
+        return min(distance(v, c) for c in self.centers) in self.radii
 
     def sample(self, rng: random.Random) -> Label:
-        # shell proportional to its size, then an outward non-backtracking walk
-        total = self.size()
-        pick = rng.randrange(total)
-        for r in self.radii:
-            s = self._shell_size(r)
-            if pick < s:
-                break
-            pick -= s
-        if len(self.centers) == 1:
-            prev, cur = self.centers[0], None
-            options = neighbors(self.d, prev)
-        else:
-            a, b = self.centers
-            prev = a if rng.randrange(2) == 0 else b
-            other = b if prev == a else a
-            options = [w for w in neighbors(self.d, prev) if w != other]
+        # shell proportional to its size, then a center (a coin between two),
+        # then an outward non-backtracking walk leaving the center set
+        ends = list(itertools.accumulate(map(self._shell_size, self.radii)))
+        r = self.radii[bisect_right(ends, rng.randrange(ends[-1]))]
+        centers = self.centers
+        prev = centers[rng.randrange(2) if len(centers) == 2 else 0]
+        options = [w for w in neighbors(self.d, prev) if w not in centers]
         cur = options[rng.randrange(len(options))]
         for _ in range(r - 1):
             options = [w for w in neighbors(self.d, cur) if w != prev]
@@ -198,7 +186,8 @@ def _hop_scores(t: int, ball: bool, protocol: Protocol) -> list:
     weight(x) / (d (d-1)^(x-1)), all scaled by the lcm of their
     denominators, so products of rows order and tie exactly as the rational
     products do.  Float: log weight(x) - (x-1) log(d-1), None where
-    weight(x) <= 0.  A row depends only on (t, ball), so it is built once
+    weight(x) <= 0.  Both likelihood cores score from these rows and tie by
+    :func:`_winners`.  A row depends only on (t, ball), so it is built once
     and kept on the protocol.  The snapshot is on the protocol's tree, as
     every entry point checks.
     """
@@ -220,27 +209,27 @@ def _hop_scores(t: int, ball: bool, protocol: Protocol) -> list:
     return row
 
 
+def _winners(kept: list, best, exact: bool) -> list:
+    """The entries of ``kept``, tuples led by a score, that tie with the best
+    score ``best``: the one tie rule of both likelihood cores.  Exact: equal
+    to it, when it is positive (0 is a zero likelihood); float (log scores):
+    within relative 1e-12 of it."""
+    if exact:
+        return [p for p in kept if p[0] == best] if best > 0 else []
+    return [p for p in kept if math.isclose(p[0], best, rel_tol=_REL_TOL, abs_tol=1e-300)]
+
+
 def single_mle_candidates(d: int, label: tuple, protocol: Protocol) -> tuple[Candidates, dict]:
-    """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)), as shells
-    around the virtual sources of the snapshot with labels ``label``."""
+    """Hops h (1-based) maximizing weight(h) / (d (d-1)^(h-1)) by the joint
+    MLE's rows and tie rule (:func:`_hop_scores`, :func:`_winners`), as
+    shells around the virtual sources of the snapshot with labels ``label``."""
     t, prev, now = label
     if t < 2:
         raise ValueError(_TOO_EARLY)
     ball = prev == now
-    if protocol.exact:
-        scores = _hop_scores(t, ball, protocol)
-        best = max(scores)
-        h_star = [h + 1 for h, sc in enumerate(scores) if sc == best]
-    else:
-        weights = protocol.snapshot_weights(t, ball)
-        scores = [w / (d * (d - 1) ** h) for h, w in enumerate(weights)]
-        best = max(scores)
-        h_star = [
-            h + 1
-            for h, sc in enumerate(scores)
-            if math.isclose(sc, best, rel_tol=_REL_TOL, abs_tol=0.0)
-        ]
-    if best <= 0:
+    scored = [(sc, h + 1) for h, sc in enumerate(_hop_scores(t, ball, protocol)) if sc is not None]
+    h_star = [h for _, h in _winners(scored, max(scored, default=(None,))[0], protocol.exact)]
+    if not h_star:
         raise ValueError("all hop likelihoods are zero for this snapshot")
     cands = ShellCandidates(d=d, centers=(now,) if ball else (prev, now), radii=tuple(h_star))
     diagnostics = {"h_star": h_star, "ball": ball, "candidate_count": cands.size()}
@@ -255,9 +244,10 @@ def single_mle(s: Snapshot, protocol: Protocol, rng: random.Random) -> Estimate:
     The likelihood of a non-excluded vertex depends only on its hop distance
     X(v) to the virtual-source set, so the argmax is taken over hops and the
     candidate set is the union of the maximizing distance shells; the
-    representative is sampled by walking a uniform outward path.  At even t
-    the diagnostics carry the exact success probability
-    max_h p(t, h) / (d (d-1)^(h-1)).
+    representative is sampled by walking a uniform outward path.  Hops are
+    scored and tied as :func:`generic_mle` scores and ties one snapshot, so
+    both give the same candidate set on every protocol.  At even t the
+    diagnostics carry the success probability max_h p(t, h) / (d (d-1)^(h-1)).
     """
     return estimate("single_mle", [s], protocol, rng)
 
@@ -531,10 +521,7 @@ def generic_mle_candidates(
                         kept.append((score, i, ell, r))
                         best = max(best, score)
 
-    if exact:
-        win = [p for p in kept if p[0] == best]
-    else:
-        win = [p for p in kept if math.isclose(p[0], best, rel_tol=_REL_TOL, abs_tol=1e-300)]
+    win = _winners(kept, best, exact)
 
     diagnostics = {"feasible_count": feasible, "exact": exact, "fallback": not win}
     if not win:
@@ -779,10 +766,9 @@ def estimate(name: str, snaps: Sequence[Snapshot], protocol: Optional[Protocol],
              rng: random.Random) -> Estimate:
     """Estimator ``name`` on ``snaps``: its core on their labels, with its
     coins and then its pick from the candidate set drawn from ``rng``.
-    ``protocol`` is read only by the likelihood estimators."""
-    if not snaps:
-        raise ValueError("at least one snapshot required")
-    cands, diagnostics = ESTIMATORS[name].core(
+    ``protocol`` is read only by the likelihood estimators and is not
+    checked; the snapshot count is (:func:`estimator_for`)."""
+    cands, diagnostics = estimator_for(name, len(snaps), None).core(
         snaps[0].d, [(s.t, s.vs_prev, s.vs_now) for s in snaps], protocol,
         lambda: rng.randrange(2))
     return Estimate(method=name, chosen=cands.sample(rng), candidates=cands,
@@ -801,9 +787,9 @@ def candidate_sets(info: EstimatorInfo, d: int, labels: Sequence[tuple],
             for coins in itertools.product((0, 1), repeat=moved)]
 
 
-def estimator_for(name, k: int, protocol: Protocol) -> EstimatorInfo:
+def estimator_for(name, k: int, protocol: Optional[Protocol]) -> EstimatorInfo:
     """The registry entry of ``name``, once it is known to accept ``k``
-    snapshots of ``protocol``; ValueError otherwise."""
+    snapshots (of ``protocol``, when one is given); ValueError otherwise."""
     info = ESTIMATORS.get(name) if isinstance(name, str) else None
     if info is None:
         raise ValueError(f"unknown method {name!r} (known: {sorted(ESTIMATORS)})")
@@ -811,6 +797,6 @@ def estimator_for(name, k: int, protocol: Protocol) -> EstimatorInfo:
         raise ValueError("at least one snapshot required")
     if info.arity is not None and k != info.arity:
         raise ValueError(f"{name} needs exactly {info.arity} snapshots, got {k}")
-    if info.uniform_only and protocol.name != "uniform":
+    if info.uniform_only and protocol is not None and protocol.name != "uniform":
         raise ValueError(f"{name} is valid only under the uniform protocol, not {protocol.name!r}")
     return info

@@ -86,18 +86,13 @@ def gamma_fraction(gamma: Union[float, str, Fraction]) -> Fraction:
 
 
 def alpha_local_spreading(gamma: Union[float, str, Fraction], t: int, h: int) -> int:
-    """0/1 stay rule of the local-spreading protocol with parameter gamma.
-
-    Returns 1 for t <= 2/gamma; afterwards 1 exactly when
-    floor(gamma * t/2) == floor(gamma * (t/2 + 1)), i.e. when the deterministic
-    hop target does not advance at the next even time.  Evaluated in exact
-    rational arithmetic so floor boundaries are unambiguous.
-    """
+    """0/1 stay rule of the local-spreading protocol with parameter gamma:
+    1 exactly when the hop target :func:`local_hop_target` (exact rational,
+    so floor boundaries are unambiguous) does not advance at the next even
+    time, which holds at every t <= 2/gamma."""
     g = gamma_fraction(gamma)
     _check_domain(t, h)
-    if t * g <= 2:
-        return 1
-    return 1 if (g * t // 2) == (g * (t + 2) // 2) else 0
+    return int(local_hop_target(g, t) == local_hop_target(g, t + 2))
 
 
 def local_hop_target(gamma: Union[float, str, Fraction], t: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -210,16 +211,35 @@ def test_verify_oracle_large_t_suite(capsys):
     assert out.count("[PASS]") == 8 and "FAIL" not in out
 
 
+# sha256 of each suite's stdout, pinned so a refactor that changes any check's
+# label or order, or adds or drops one, shows up here
+VERIFY_SHA256 = {
+    "identities": "e60e71f2fd7c413f455894b608f619694bead1f935d584a65117b7e54055e34e",
+    "dp-perfect": "5cd26f7cef540a06642f1d4c645372a07dd85e70afd8a9a38c83a058a7773ef1",
+    "oracle-even-even": "3cfebcff1c494768282cec2800aa81b392a1caf1dc6a78ed3e828023c1a456f6",
+    "oracle-even-odd": "6db751e3f7c5158903b97d68130ee7ccb7c637d32f840bccf490a7e1b597f981",
+    "oracle-odd-odd": "dcee9d1609c0dec00933b44bce9b25f92959d320fc75cbc401c0b69e1329482a",
+    "oracle-large-t": "50438cb4c9ece48a6db608d1cd4d4f08db8c45d82ac172ef89310e093affe82f",
+    "generic-vs-cases": "250431f885cb201dc9577b6e6e346e156a77e060fbd563ef97c6e2b80b7de94b",
+    "all": "716400ecc8f564ed88d05f60757e679e1131987bf9e8563bfea78be452282fe9",
+}
+
+
 @pytest.mark.parametrize("suite, passes", [
     ("dp-perfect", 45),
     ("oracle-even-odd", 2),
     ("oracle-odd-odd", 2),
     ("generic-vs-cases", 2),
+    ("identities", 472),
+    ("oracle-even-even", 3),
+    ("oracle-large-t", 8),
+    ("all", 534),
 ])
 def test_verify_suite_passes_every_check(capsys, suite, passes):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
     assert out.count("[PASS]") == passes and "FAIL" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[suite]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -18,6 +18,7 @@ from adl.estimators import (
     _hop_scores,
     _path_window,
     candidate_sets,
+    estimate,
     generic_mle,
     generic_mle_candidates,
     k_obs_candidates,
@@ -94,6 +95,63 @@ def test_shell_candidates_count_and_membership():
     pair = ShellCandidates(d=3, centers=((0,), (0, 1)), radii=(1,))
     assert pair.size() == 4
     assert pair.contains(SOURCE)
+
+
+class FrozenShellCandidates(ShellCandidates):
+    """The two-branch shell size and sample of the earlier ShellCandidates,
+    kept as the reference the one-rule class must match draw for draw."""
+
+    def _shell_size(self, r: int) -> int:
+        if len(self.centers) == 1:
+            return self.d * (self.d - 1) ** (r - 1)
+        return 2 * (self.d - 1) ** r
+
+    def contains(self, v) -> bool:
+        return min(distance(v, c) for c in self.centers) in self.radii
+
+    def sample(self, rng: random.Random):
+        total = self.size()
+        pick = rng.randrange(total)
+        for r in self.radii:
+            s = self._shell_size(r)
+            if pick < s:
+                break
+            pick -= s
+        if len(self.centers) == 1:
+            prev, cur = self.centers[0], None
+            options = neighbors(self.d, prev)
+        else:
+            a, b = self.centers
+            prev = a if rng.randrange(2) == 0 else b
+            other = b if prev == a else a
+            options = [w for w in neighbors(self.d, prev) if w != other]
+        cur = options[rng.randrange(len(options))]
+        for _ in range(r - 1):
+            options = [w for w in neighbors(self.d, cur) if w != prev]
+            prev, cur = cur, options[rng.randrange(len(options))]
+        return cur
+
+
+def test_shell_candidates_draw_as_the_two_branch_rule():
+    # one size formula and one sampling rule for one center or an adjacent
+    # pair: the same sizes, members and draws as the frozen two-branch rule,
+    # leaving the generator in the same state
+    maker = random.Random(11)
+    for case in range(200):
+        d = maker.randrange(3, 6)
+        center = tuple(maker.randrange(d - 1 if i else d) for i in range(maker.randrange(0, 4)))
+        if maker.randrange(2) and center:
+            centers = (center, center + (maker.randrange(d - 1),))
+        else:
+            centers = (center,)
+        radii = tuple(sorted(maker.sample(range(1, 5), maker.randrange(1, 4))))
+        new, old = ShellCandidates(d, centers, radii), FrozenShellCandidates(d, centers, radii)
+        assert new.size() == old.size()
+        near = bfs_depths(d, list(centers), radii[-1] + 1)  # every vertex a shell could hold, and more
+        assert all(new.contains(v) == old.contains(v) for v in near)
+        r_new, r_old = random.Random(case), random.Random(case)
+        assert [new.sample(r_new) for _ in range(20)] == [old.sample(r_old) for _ in range(20)]
+        assert r_new.getstate() == r_old.getstate()
 
 
 def test_shell_sampling_is_uniform():
@@ -188,6 +246,57 @@ def test_single_mle_odd_ball_and_nonball():
     assert cands.size() == 2 * 2 + 2 * 4
     chosen = single_mle(s_edge, UNI3, random.Random(0)).chosen
     assert cands.contains(chosen)
+
+
+THREE_ROW_TABLE = "t,h,alpha\n2,1,0.5\n4,1,0.666666666667\n4,2,0.333333333333\n"
+
+
+def _shell_set(d, cands):
+    return set().union(*(shell_members(d, cands.centers, r) for r in cands.radii))
+
+
+def test_single_mle_ties_as_generic_mle_on_a_float_table():
+    # the uniform alphas to 12 digits: the moved t = 5 pair ties hops 1 and
+    # 2 in float, as it does exactly under the uniform protocol
+    table = load_protocol_table(THREE_ROW_TABLE, 3)
+    s = snap(3, 5, (0,), (0, 0))
+    shell, diag = single_mle_candidates(3, lab(s), table)
+    explicit, _ = generic_mle_candidates(3, labs([s]), table)
+    assert diag["h_star"] == [1, 2]
+    assert shell.size() == explicit.size() == 12
+    assert _shell_set(3, shell) == explicit.members
+    exact, _ = single_mle_candidates(3, lab(s), UNI3)
+    assert exact.radii == shell.radii
+
+
+def test_single_mle_matches_generic_mle_on_a_rounded_uniform_table():
+    rows = [f"{t},{h},{(t - 2 * h + 2) / (t + 2):.12g}"
+            for t in range(2, 41, 2) for h in range(1, t // 2 + 1)]
+    table = load_protocol_table("t,h,alpha\n" + "\n".join(rows) + "\n", 3)
+    snaps = [snap(3, t, (0,), (0,)) for t in range(4, 41)]
+    snaps += [snap(3, t, (0,), (0, 0)) for t in range(5, 41, 2)]
+    assert len(snaps) == 55
+    for s in snaps:
+        shell, _ = single_mle_candidates(3, lab(s), table)
+        explicit, _ = generic_mle_candidates(3, labs([s]), table)
+        assert _shell_set(3, shell) == explicit.members, lab(s)
+
+
+def test_estimate_refuses_a_wrong_snapshot_count():
+    # the registry's count rule, in estimator_for's words, for a caller that
+    # skips estimator_for; the protocol is still not checked
+    s = snap(3, 6, (0,), (0,))
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="two_obs_path needs exactly 2 snapshots, got 1"):
+        estimate("two_obs_path", [s], None, rng)
+    with pytest.raises(ValueError, match="single_mle needs exactly 1 snapshots, got 2"):
+        estimate("single_mle", [s, s], UNI3, rng)
+    with pytest.raises(ValueError, match="three_obs_intersection needs exactly 3 snapshots"):
+        estimate("three_obs_intersection", [s, s], None, rng)
+    with pytest.raises(ValueError, match="at least one snapshot required"):
+        estimate("generic_mle", [], UNI3, rng)
+    moved = snap(3, 5, (1,), (1, 0))
+    assert estimate("uniform_mle_cases", [s, moved], None, rng).method == "uniform_mle_cases"
 
 
 def test_single_mle_chosen_lies_on_the_shell():

@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 from adl.cli import main
 from adl.protocol import (
     Protocol,
+    _check_domain,
     alpha_local_spreading,
     alpha_perfect,
     alpha_uniform,
     constant_protocol,
+    gamma_fraction,
     hop_distribution,
     infected_count_even,
     load_protocol_table,
@@ -43,6 +45,35 @@ def test_alpha_local_spreading_values():
     assert alpha_local_spreading(0.25, 10, 1) == 1
     with pytest.raises(ValueError):
         alpha_local_spreading(1.5, 4, 1)
+
+
+def frozen_alpha_local_spreading(gamma, t: int, h: int) -> int:
+    """The earlier stay rule, written out on its own, kept as the reference
+    the rule read from local_hop_target must match."""
+    g = gamma_fraction(gamma)
+    _check_domain(t, h)
+    if t * g <= 2:
+        return 1
+    return 1 if (g * t // 2) == (g * (t + 2) // 2) else 0
+
+
+def test_alpha_local_spreading_matches_the_written_out_rule():
+    gammas = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+    gammas += [0.3, 0.7, "1/3", "0.05", 0.999]
+    cases = 0
+    for g in gammas:
+        for t in range(2, 81, 2):
+            for h in range(1, t // 2 + 1):
+                assert alpha_local_spreading(g, t, h) == frozen_alpha_local_spreading(g, t, h)
+                cases += 1
+    assert cases == 41_000
+    # the same refusals, the gamma check first
+    for args in [(1.5, 4, 1), (0.5, 3, 1), (0.5, 4, 3), (1.5, 3, 9), ("x", 0, 0)]:
+        with pytest.raises(ValueError) as new:
+            alpha_local_spreading(*args)
+        with pytest.raises(ValueError) as old:
+            frozen_alpha_local_spreading(*args)
+        assert str(new.value) == str(old.value)
 
 
 def test_alpha_domain_is_enforced():
