@@ -255,13 +255,17 @@ def load_protocol_table(source: Union[str, bytes], d: int) -> Protocol:
     """
     text = source.decode("utf-8") if isinstance(source, bytes) else source
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a lone \r, a field past csv's size limit, a NUL before 3.11
+        raise ValueError(f"invalid protocol table: line {reader.line_num}: {exc}") from None
+    header = rows[0] if rows else None
     if header is None or [c.strip() for c in header] != ["t", "h", "alpha"]:
         raise ValueError(f"expected header 't,h,alpha', got {header}")
 
     table: dict = {}
     problems: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:

@@ -329,7 +329,14 @@ def test_trajectory_from_json_validates_fields():
     ("t,h,alpha\n", "protocol table is empty"),
     ("t,h,alpha\n2,1\n", "line 2: expected 3 fields, got 2"),
     ("t,h,alpha\n2,1,x\n", "line 2: malformed row ['2', '1', 'x']"),
-], ids=["wrong-header", "empty-file", "no-rows", "two-fields", "non-numeric-alpha"])
+    # csv itself refuses these; each is one ValueError naming the line, not a
+    # _csv.Error traceback.  Python 3.11+ reads a NUL into the field, which
+    # then fails as a malformed row; 3.10's csv refuses the line
+    ("t,h,alpha\n2,1,0.5\r7\n", "line 2: new-line character seen in unquoted field"),
+    ("t,h,alpha\n2,1," + "0" * 131_073 + "\n", "line 2: field larger than field limit"),
+    ("t,h,alpha\n2,1,0.5\0\n", "invalid protocol table: line 2: "),
+], ids=["wrong-header", "empty-file", "no-rows", "two-fields", "non-numeric-alpha",
+        "lone-carriage-return", "field-past-csv-limit", "nul-byte"])
 def test_hopdist_rejects_malformed_protocol_table(table, token, tmp_path):
     path = tmp_path / "table.csv"
     path.write_text(table)
@@ -438,6 +445,13 @@ def cases_with(**entry):
     (config_with(estimators=[{"method": "generic_mle", "target": {
         "formula": "multi_obs_lower", "params": {"k": 50}}}]),
      "formula 'multi_obs_lower' reads k=50, but the config takes 2 snapshots"),
+    # an inline table csv itself refuses is a config error, not a traceback
+    (config_with(protocol={"name": "table", "table_csv": "t,h,alpha\n2,1,0.5\r7\n"}),
+     "protocol: invalid protocol table: line 2: new-line character seen in unquoted field"),
+    (config_with(protocol={"name": "table", "table_csv": "t,h,alpha\n2,1," + "0" * 131_073}),
+     "protocol: invalid protocol table: line 2: field larger than field limit"),
+    (config_with(protocol={"name": "table", "table_csv": "t,h,alpha\n2,1,0.5\0\n"}),
+     "protocol: invalid protocol table: line 2: "),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+from adl import cli
 from adl.cli import main
-from adl.protocol import load_protocol_table
+from adl.protocol import alpha_perfect, load_protocol_table
 from adl.tree import parse_label
 
 
@@ -242,6 +248,14 @@ def test_verify_suite_passes_every_check(capsys, suite, passes):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[suite]
 
 
+def test_verify_exits_1_on_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setitem(cli._SUITES, "failing", lambda: [("holds", True), ("does not hold", False)])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "failing")
+    assert code == 1
+    assert out == ("[PASS] failing: holds\n[FAIL] failing: does not hold\n"
+                   "FAILED (1 failing checks)\n")
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -275,6 +289,56 @@ def test_protocol_dump_round_trips(capsys, tmp_path):
     proto = load_protocol_table(out_path.read_text(), 3)
     assert proto.t_max == 8
     assert proto.alpha(8, 4) == pytest.approx(2 / 10)
+
+
+def test_protocol_dump_exact_perfect_rows(capsys, tmp_path):
+    out_path = tmp_path / "perfect.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "protocol-dump", "--d", "3", "--protocol", "perfect", "-T", "8", "--exact",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    header, *rows = out_path.read_text().splitlines()
+    assert header == "t,h,alpha"
+    parsed = [(int(t), int(h), Fraction(a)) for t, h, a in (row.split(",") for row in rows)]
+    assert parsed == [
+        (t, h, alpha_perfect(3, t, h)) for t in range(2, 9, 2) for h in range(1, t // 2 + 1)
+    ]
+
+
+def run_module(*argv):
+    """Run ``python -m adl.cli`` in a child process, as a shell would, on the
+    package these tests import."""
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "adl.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # 0 when every check passes, 1 for a failing verdict with its report still
+    # written, 2 for a malformed config with a one-line message
+    assert run_module("verify", "--suite", "oracle-odd-odd").returncode == 0
+
+    config = {
+        "d": 3, "protocol": {"name": "uniform"}, "times": [6, 6], "trials": 50, "seed": 1,
+        "estimators": [{"method": "two_obs_path",
+                        "target": {"kind": "exact", "value": 0.9, "provenance": "inline"}}],
+    }
+    config_path, report_path = tmp_path / "config.json", tmp_path / "report.json"
+    config_path.write_text(json.dumps(config))
+    done = run_module("experiment", "--config", str(config_path), "--out", str(report_path))
+    assert done.returncode == 1
+    assert [r["verdict"] for r in json.loads(report_path.read_text())["results"]] == ["fail"]
+
+    config_path.write_text(json.dumps({**config, "trials": True}))
+    done = run_module("experiment", "--config", str(config_path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_usage_error_exit_code():

@@ -203,7 +203,7 @@ def test_shipped_acceptance_configs_are_valid():
 
 
 def test_every_shipped_config_has_a_recorded_digest():
-    # the acceptance criteria and CI check each config's body against its digest
+    # acceptance criteria 05-08 check each config's body against its digest
     assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(BODY_DIGESTS)
 
 
