@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from adl.diffusion import Snapshot
 from adl.protocol import Protocol
@@ -146,7 +146,7 @@ class ShellCandidates:
         return cur
 
 
-Candidates = Union[ExplicitCandidates, ShellCandidates]
+Candidates = ExplicitCandidates | ShellCandidates
 
 
 @dataclass(frozen=True)

@@ -22,21 +22,25 @@ independent draws from one law, and every core's candidate sets, as a
 multiset, do not depend on their order (the ``EstimatorInfo`` contract).
 So the joint sum runs over the orbits of a larger group, the automorphisms
 that fix the origin times the permutations of equal-time snapshots: one
-canonical joint outcome per orbit, weighted by the orbit's size and reached
-by callback.  The orbit count grows polynomially in t, not like
-(d-1)^(t/2) per snapshot; the budget still caps the nominal number of joint
-outcomes the sum stands for.  Below a child first opened by an outcome every
-step is forced, so the walk builds that tail of a label in one step.  An
-outcome is handed to the core as the labels (t, vs_prev, vs_now) of each
-snapshot, which every core reads, so no Snapshot is built.
+canonical joint outcome per orbit, reached by callback and generated
+directly (see ``_orbits``).  Its canonical form is the shape the snapshots
+span from the origin, each vertex marked with the (time, law row) types that
+end there, its children in a fixed order; its weight is the orbit's mass,
+the embeddings of the shape times the assignments of equal-time snapshots to
+its slots times the row weights.  The orbit count grows polynomially in t,
+not like (d-1)^(t/2) per snapshot; the budget still caps the nominal number
+of joint outcomes the sum stands for.  Below a child first opened by an
+outcome every step is forced, so the walk builds that tail of a label in one
+step.  An outcome is handed to the core as the labels (t, vs_prev, vs_now)
+of each snapshot, which every core reads, so no Snapshot is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, fsum, lcm, prod
-from operator import itemgetter
+from itertools import combinations_with_replacement, groupby
+from math import comb, factorial, fsum, lcm, perm, prod
 from typing import Sequence
 
 from adl.estimators import candidate_sets, estimator_for
@@ -86,88 +90,293 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     """Call ``visit(labels, weight)`` once per orbit of the origin-fixing
     automorphisms times the permutations of equal-time snapshots, with one
     canonical joint outcome, the labels (t, vs_prev, vs_now) of each of its
-    snapshots, and the orbit's size times the product of its row weights.
-    Equal times must come with equal laws.
-
-    In canonical form, the snapshots at one time pick their law rows in
-    non-decreasing row index, in position order; the weight carries the
-    number of distinct orderings of that row tuple, (positions)! / prod over
-    rows of (positions on the row)!, taken once the last position of the time
-    has picked and computed once per row tuple in a call.  Permuting those
-    positions maps the outcomes of one ordering one-to-one onto those of
-    another, with equal weights and candidate sets.  The children used at
-    each vertex across snapshots 1..k are numbered in first-use order.  A
-    label is built from the origin down: at a vertex that already uses m
-    children it either steps into one of them or opens child m, which has
-    n - m images under the automorphisms (n = d at the origin, d - 1
-    elsewhere).  No child below an opened one is in use, so every deeper
-    step takes child 0, with d - 1 images: the label's whole tail is built
-    in one step, and marked in use only while a later position picks.  Each
-    label triple is built once and shared by every outcome that extends it;
+    snapshots, and the orbit's mass: the number of joint outcomes in it times
+    the product of its row weights.  Equal times must come with equal laws;
     ``visit`` must not keep ``labels``.
+
+    A snapshot's type is its time and its law row.  An orbit is a shape, the
+    subtree its snapshots span from the origin up to relabelling children,
+    each vertex marked with the types that end there; its number of joint
+    outcomes is the embeddings of the shape times the assignments of
+    equal-time snapshots to its slots.  The snapshots at one time take rows
+    in non-decreasing order, in runs of one row, counted by C(positions
+    left, run).  A type taken once is distinguishable from every other, so
+    its snapshot goes down alone as soon as its row is taken: into a child an
+    earlier one uses, or into the next child in first-use order, which has n
+    - m images (m of the n children in use; n = d at the origin, d - 1
+    elsewhere).  Below that child every step is forced (child 0, d - 1
+    images), so the whole tail is built in one step.
+
+    The copies of the types taken more than once go down together, over the
+    tree the others fixed.  At a vertex in use each copy goes on into a child
+    in use or into the pool of the free ones, counted by the multinomial of
+    each type's copies.  At a free vertex, and for the pool, the share is
+    split among the free children as a multiset partition: its blocks in
+    non-increasing order take the next free children, c blocks of n free
+    children counted by n!/(n - c)! over the product of (equal blocks)!,
+    times the multinomial of each type's copies.  A block of one copy has a
+    forced tail; equal blocks of more copies take a multiset of the orbits of
+    one such block, each orbit listed once per call, counted by its
+    arrangements.  Below a free child the walk follows the chain on which
+    all of a share goes on to child 0, taking every other split at each
+    vertex of it, until a copy ends.
     """
     k = len(laws)
-    used: dict = {}  # vertex -> number of its children in use
     labels: list = [None] * k
-    rows = [0] * k  # the law row each position picked
-    same: dict = {}  # time -> its positions, in order
-    prev = []  # the position before i with i's time, or None
+    kind = [0] * k  # a position's type: its time's first type plus its row
+    depth, moved = [0] * k, [False] * k
+    first: dict = {}  # time -> the type of its row 0
     for i, t in enumerate(times):
-        prev.append(same[t][-1] if t in same else None)
-        same.setdefault(t, []).append(i)
-    closes: list = [None] * k  # at the last of 2+ positions sharing a time: their rows' getter
-    for ps in same.values():
-        if len(ps) > 1:
-            closes[ps[-1]] = itemgetter(*ps)
-    orderings: dict = {}  # row tuple of one time's positions -> its distinct orderings
+        first.setdefault(t, sum(map(len, laws[:i])))
+    order = sorted(range(k), key=lambda i: (first[times[i]], i))  # by time, in first-seen order
+    # the positions of order[x]'s time from x on
+    left = [sum(times[j] == times[i] for j in order[x:]) for x, i in enumerate(order)]
+    top = max(h for law in laws for h, _, _ in law)
+    forced = [(d - 1) ** e for e in range(top + 1)]  # the images of a forced tail of e steps
+    zeros = [(0,) * e for e in range(top)]  # e forced steps
+    used: dict = {}  # vertex -> number of its children the types taken once use
+    repeated: list = []  # the positions of the types taken more than once, in type order
+    ways: dict = {}  # a share's count per type -> its splits
+    shared: dict = {}  # (types of a share, depth) -> its orbits below a free child at that depth
 
-    def pick(i, weight):
-        if i == k:
-            visit(labels, weight)
+    def pick(x, lo, weight):
+        # order[x:] take rows, lo the least one order[x] may take; the
+        # positions of one time are consecutive in order
+        if x == k:
+            if repeated:
+                spread(SOURCE, repeated, None, weight)
+            else:
+                visit(labels, weight)
             return
-        start = 0 if prev[i] is None else rows[prev[i]]
-        for r in range(start, len(laws[i])):
-            depth, moved, p = laws[i][r]
-            rows[i] = r
-            w = weight * p
-            if closes[i]:
-                key = closes[i](rows)
-                n = orderings.get(key)
-                if n is None:
-                    runs = Counter(key).values()
-                    n = orderings[key] = factorial(len(key)) // prod(map(factorial, runs))
-                w *= n
-            descend(i, SOURCE, depth, moved, w)
+        i, n = order[x], left[x]
+        for r in range(lo, len(laws[i])):
+            h, mv, p = laws[i][r]
+            w = weight
+            for run in range(1, n + 1):
+                j = order[x + run - 1]
+                kind[j], depth[j], moved[j] = first[times[i]] + r, h, mv
+                w *= p
+                nxt = 0 if run == n else r + 1
+                if run == 1:
+                    descend(i, SOURCE, w * n, x + 1, nxt)
+                else:
+                    repeated.extend(order[x:x + run])
+                    pick(x + run, nxt, w * comb(n, run))
+                    del repeated[-run:]
 
-    def descend(i, v, depth, moved, weight):
-        if len(v) == depth:
-            labels[i] = (times[i], v[:-1] if moved else v, v)
-            pick(i + 1, weight)
+    def descend(i, v, weight, x, lo):
+        # the one snapshot of its type goes down from v; then order[x:] take
+        # rows
+        if len(v) == depth[i]:
+            labels[i] = (times[i], v[:-1] if moved[i] else v, v)
+            pick(x, lo, weight)
             return
         m = used.get(v, 0)
         for c in range(m):
-            descend(i, v + (c,), depth, moved, weight)
+            descend(i, v + (c,), weight, x, lo)
         n = d - 1 if v else d
         if m == n:
             return
-        weight *= n - m
-        tail = range(len(v) + 1, depth)  # lengths of the vertices the forced steps leave
-        for _ in tail:
-            weight *= d - 1
-        u = v + (m,) + (0,) * len(tail)
-        labels[i] = (times[i], u[:-1] if moved else u, u)
-        if i + 1 == k:  # no later position reads the marks
+        tail = depth[i] - len(v) - 1
+        u = v + (m,) + zeros[tail]
+        labels[i] = (times[i], u[:-1] if moved[i] else u, u)
+        weight *= (n - m) * forced[tail]
+        if x == k and not repeated:  # no later snapshot reads the marks
             visit(labels, weight)
             return
         used[v] = m + 1
-        for j in tail:
+        for j in range(len(v) + 1, len(u)):
             used[u[:j]] = 1
-        pick(i + 1, weight)
-        for j in tail:
+        pick(x, lo, weight)
+        for j in range(len(v) + 1, len(u)):
             used[u[:j]] = 0
         used[v] = m
 
-    pick(0, 1)
+    def splits(counts):
+        # every split of a share into at most d blocks, the share given as
+        # its count per type, the split into one block first: (blocks, its
+        # factor but the embeddings, its one-copy blocks as (child, index
+        # into the share), its runs of equal larger blocks as (children,
+        # index blocks), those last in reverse order).  Share indices are
+        # placed in order; the copies of a type go to blocks in
+        # non-decreasing order, and a block equal to the one before it up to
+        # this type takes no more copies of it than that one, so the blocks
+        # come out in non-increasing order and each split once
+        kinds = [x for x, c in enumerate(counts) for _ in range(c)]
+        blocks: list = []  # share indices per block
+        types: list = []  # their types
+        num = prod(map(factorial, counts))
+        out = []
+
+        def place(x, lo, den):
+            if x == len(kinds):
+                record(den)
+                return
+            kd = kinds[x]
+            for b in range(lo, len(blocks) + (len(blocks) < d)):
+                if b == len(blocks):
+                    blocks.append([])
+                    types.append([])
+                mine = types[b]
+                a = mine.count(kd) + 1  # its copies of kd once x joins
+                if b:
+                    theirs = types[b - 1]
+                    c = theirs.count(kd)
+                    if a > c and mine[:len(mine) - a + 1] == theirs[:len(theirs) - c]:
+                        if not mine:
+                            blocks.pop()
+                            types.pop()
+                        continue
+                blocks[b].append(x)
+                mine.append(kd)
+                place(x + 1, b if x + 1 < len(kinds) and kinds[x + 1] == kd else 0, den * a)
+                blocks[b].pop()
+                mine.pop()
+                if not mine:
+                    blocks.pop()
+                    types.pop()
+
+        def record(den):
+            singles, multis, b = [], [], 0
+            while b < len(blocks):
+                e = b + 1
+                while e < len(blocks) and types[e] == types[b]:
+                    e += 1
+                den *= factorial(e - b)
+                if len(blocks[b]) == 1:
+                    singles += ((c, blocks[c][0]) for c in range(b, e))
+                else:
+                    multis.insert(0, (range(b, e), [list(block) for block in blocks[b:e]]))
+                b = e
+            out.append((b, num // den, singles, multis))
+
+        place(0, 0, 1)
+        return out
+
+    def fan(v, go, option, at, n, rest, weight):
+        # share go at v by one split into the free children at, at + 1, ...
+        # (n of them), then run the pending tasks
+        c, factor, singles, multis = option
+        weight *= perm(n, c) * factor
+        here = len(v)
+        for c, x in singles:
+            i = go[x]
+            tail = depth[i] - here - 1
+            u = v + (at + c,) + zeros[tail]
+            labels[i] = (times[i], u[:-1] if moved[i] else u, u)
+            weight *= forced[tail]
+        for children, blocks in multis:
+            rest = ([v + (at + c,) for c in children],
+                    [[go[x] for x in block] for block in blocks], rest)
+        run(rest, weight)
+
+    def spread(v, ps, rest, weight):
+        # the copies ps reach v, in type order: end those of v's depth there,
+        # share the rest among v's children, then run the pending tasks
+        here = len(v)
+        go = ps
+        while True:
+            going, counts, last = [], [], None
+            for i in go:
+                if depth[i] == here:
+                    labels[i] = (times[i], v[:-1] if moved[i] else v, v)
+                else:
+                    going.append(i)
+                    if kind[i] == last:
+                        counts[-1] += 1
+                    else:
+                        counts.append(1)
+                        last = kind[i]
+            go = going
+            if not go:
+                run(rest, weight)
+                return
+            n = d - 1 if here else d
+            m = used.get(v, 0)
+            if m:
+                assign(v, go, 0, 0, 0, 0, [[] for _ in range(m + 1)], 1, 1, rest, weight)
+                return
+            counts = tuple(counts)
+            options = ways.get(counts)
+            if options is None:
+                options = ways[counts] = splits(counts)
+            stop = min([depth[i] for i in go])
+            while here < stop:
+                for option in options[1:]:
+                    if option[0] <= n:
+                        fan(v, go, option, 0, n, rest, weight)
+                weight *= n
+                v += (0,)
+                here += 1
+                n = d - 1
+
+    def assign(v, go, x, lo, a, j, portions, num, den, rest, weight):
+        # go[x:] take a child of v in use or the pool, the last portion; the
+        # copies of a type in non-decreasing order, counted by the
+        # multinomial num / den.  The copy before go[x] is the j-th of its
+        # type and the a-th of it in portion lo
+        if x == len(go):
+            weight *= num // den
+            m = len(portions) - 1
+            for c in range(m):
+                if portions[c]:
+                    rest = ((v + (c,),), [portions[c]], rest)
+            pool = portions[m]
+            if not pool:
+                run(rest, weight)
+                return
+            counts = tuple(len(list(g)) for _, g in groupby(kind[i] for i in pool))
+            options = ways.get(counts)
+            if options is None:
+                options = ways[counts] = splits(counts)
+            n = (d - 1 if v else d) - m
+            for option in options:
+                if option[0] <= n:
+                    fan(v, pool, option, m, n, rest, weight)
+            return
+        i = go[x]
+        if x and kind[go[x - 1]] == kind[i]:
+            j += 1
+        else:
+            lo, a, j = 0, 0, 1
+        for c in range(lo, len(portions)):
+            there = a + 1 if c == lo else 1
+            portions[c].append(i)
+            assign(v, go, x + 1, c, there, j, portions, num * j, den * there, rest, weight)
+            portions[c].pop()
+
+    def run(tasks, weight):
+        if tasks is None:
+            visit(labels, weight)
+            return
+        us, pss, rest = tasks
+        if len(us) == 1:
+            spread(us[0], pss[0], rest, weight)
+            return
+        if not us:  # the end of one share's own walk: pss records its orbit
+            pss(weight)
+            return
+        # free children with equal shares take a multiset of the orbits of
+        # one share, each kept as its labels' tails below the child
+        here, ps = len(us[0]), pss[0]
+        key = (tuple([kind[i] for i in ps]), here)
+        subs = shared.get(key)
+        if subs is None:
+            subs = shared[key] = []
+            record = lambda w: subs.append((w, [labels[i][2][here:] for i in ps]))
+            spread(us[0], ps, ((), record, None), 1)
+        j = len(us)
+        for chosen in combinations_with_replacement(range(len(subs)), j):
+            w = weight * (factorial(j) // prod(map(factorial, Counter(chosen).values())))
+            for u, ps, o in zip(us, pss, chosen):
+                n, tails = subs[o]
+                w *= n
+                for i, tail in zip(ps, tails):
+                    x = u + tail
+                    labels[i] = (times[i], x[:-1] if moved[i] else x, x)
+            run(rest, w)
+
+    pick(0, 0, 1)
 
 
 def exact_success(

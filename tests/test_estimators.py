@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -1772,3 +1776,28 @@ def test_each_entry_draws_what_its_public_estimator_draws(name):
                 multi_seen += size > 1
     assert moved_seen
     assert multi_seen or name == "three_obs_intersection"  # the median is unique
+
+
+REIMPORT = """
+import gc, sys, weakref
+classes = []
+for _ in range(5):
+    for name in [m for m in sys.modules if m == "adl" or m.startswith("adl.")]:
+        del sys.modules[name]
+    import adl.estimators
+    classes.append(weakref.ref(adl.estimators.ExplicitCandidates))
+gc.collect()
+print(sum(ref() is not None for ref in classes))
+"""
+
+
+def test_a_purged_package_copy_is_freed():
+    # the Candidates alias must not pin each imported copy of the package
+    # (typing's subscription cache would, through ExplicitCandidates and its
+    # functions' globals); run in a child so this process's modules stay put
+    package_root = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]

@@ -240,12 +240,14 @@ def test_exact_success_two_obs_at_acceptance_times():
     assert per >= Fraction(1, 9)
 
 
-# times per number of snapshots: t = 1, odd, even and unequal times
+# times per number of snapshots: t = 1, odd, even and unequal times, and
+# blocks of equal rows below depth 1; (4, 4, 4, 4) is checked at d = 3 only,
+# its full product at d = 4 (65,536 outcomes per case) tripling the test
 CROSS_CHECK_TIMES = {
     1: [(1,), (4,), (5,), (7,), (2,)],
     2: [(1, 4), (4, 5), (3, 3), (5, 3), (6, 3), (4, 4), (5, 5)],
-    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1), (2, 3, 3), (4, 2, 4)],
-    4: [(2, 3, 1, 2), (2, 3, 3, 2), (2, 2, 2, 2), (3, 2, 3, 2)],
+    3: [(1, 2, 3), (3, 4, 2), (5, 2, 1), (2, 3, 3), (4, 2, 4), (4, 4, 4)],
+    4: [(2, 3, 1, 2), (2, 3, 3, 2), (2, 2, 2, 2), (3, 2, 3, 2), (4, 4, 4, 4)],
 }
 
 
@@ -278,11 +280,12 @@ def test_orbit_snapshots_equal_checked_ones(times):
 
 
 def test_orbits_sum_each_sorted_row_tuple_of_equal_times_once():
-    # equal-time snapshots pick their law rows in non-decreasing order, and
-    # the weight counts the orderings of that row tuple: fewer leaves, the
-    # same total mass
-    # (the automorphisms alone give 348, 231 and 170; (2, 3, 3, 2) checks the mass)
-    for times, leaves in (((4, 4, 4, 4), 124), ((6, 6, 6), 94), ((10, 11), 170),
+    # equal-time snapshots pick their law rows in non-decreasing order, the
+    # weight counts the orderings of that row tuple, and the snapshots of one
+    # type are interchangeable: fewer leaves, the same total mass
+    # (the automorphisms alone give 348, 231 and 170, and sorting the rows
+    # alone 124, 94 and 170; (2, 3, 3, 2) checks the mass)
+    for times, leaves in (((4, 4, 4, 4), 43), ((6, 6, 6), 64), ((10, 11), 170),
                           ((2, 3, 3, 2), None)):
         laws = [oracle._law(UNI3, t) for t in times]
         weights = []
@@ -292,9 +295,11 @@ def test_orbits_sum_each_sorted_row_tuple_of_equal_times_once():
 
 
 def one_level_orbits(d, times, laws, visit):
-    """The orbit walk written one label level per call, with the orderings
-    factor counted afresh at every pick: the reference for the order, the
-    outcomes and the weights ``oracle._orbits`` gives."""
+    """The orbit walk of the automorphisms, with the rows of equal-time
+    snapshots sorted, written one label level per call and with the
+    orderings factor counted afresh at every pick: it reaches several
+    orderings of snapshots of one type, so it is the reference the orbits of
+    ``oracle._orbits`` are grouped from."""
     k = len(laws)
     used = {}
     labels = [None] * k
@@ -348,27 +353,72 @@ def orbit_visits(walk, d, times, laws):
     return seen
 
 
+def orbit_form(labels, times):
+    """The brute-force canonical form of a joint outcome under the
+    origin-fixing automorphisms times the permutations of equal-time
+    snapshots: child indices relabelled in first-use order, then the least
+    such form over those permutations."""
+    groups = {}
+    for i, t in enumerate(times):
+        groups.setdefault(t, []).append(i)
+    forms = []
+    for perms in itertools.product(*map(itertools.permutations, groups.values())):
+        order = [None] * len(times)
+        for slots, picked in zip(groups.values(), perms):
+            for slot, i in zip(slots, picked):
+                order[slot] = i
+        names, children, form = {(): ()}, {}, []
+        for i in order:
+            t, prev, now = labels[i]
+            for j in range(1, len(now) + 1):
+                if now[:j] not in names:
+                    parent = now[:j - 1]
+                    children[parent] = children.get(parent, 0) + 1
+                    names[now[:j]] = names[parent] + (children[parent] - 1,)
+            form.append((t, prev != now, names[now]))
+        forms.append(tuple(form))
+    return min(forms)
+
+
+# the orbits of oracle._orbits at d = 3 (and d = 4 where it differs), pinned
+ORBIT_COUNTS = {(4, 4, 4, 4): {3: 43}, (6, 6, 6): {3: 64}, (4, 2, 4): {3: 15},
+                (2, 2, 2, 2): {3: 4, 4: 5}, (9, 9): {3: 122}, (10, 11): {3: 170}}
+
+
 @pytest.mark.parametrize("times", [(1,), (2, 3), (4, 4), (5, 5), (9, 9), (10, 11), (4, 2, 4),
-                                   (3, 2, 3, 2), (2, 2, 2, 2)])
+                                   (3, 2, 3, 2), (2, 2, 2, 2), (4, 4, 4, 4), (6, 6, 6),
+                                   (4, 4, 4, 4, 4)])
 def test_orbits_visit_what_the_one_level_walk_visits(times):
-    # the forced tails built in one step and the orderings counted once per
-    # row tuple give the same calls, in the same order, with the same
-    # weights: integers on the oracle's rescaled laws, and floats multiplied
-    # in the same order on a table's
+    # the reference walk reaches some orbits more than once; _orbits reaches
+    # each of them once, with the summed weight of the reference's visits in
+    # it: exactly on the oracle's rescaled integer laws, and to 1e-12 on a
+    # table's floats, which it sums in another order
     for d in (3, 4, 5):
         protocols = [uniform_protocol(d)]
         if max(times) <= nondyadic_table(d).t_max + 1:
             protocols.append(nondyadic_table(d))
         for protocol in protocols:
             laws = [oracle._law(protocol, t) for t in times]
+            want = {}
+            for labels, w in orbit_visits(one_level_orbits, d, times, laws):
+                form = orbit_form(labels, times)
+                want[form] = want.get(form, 0) + w
             got = orbit_visits(oracle._orbits, d, times, laws)
-            assert got and got == orbit_visits(one_level_orbits, d, times, laws), (d, times)
-            assert all(type(w) is type(laws[0][0][2]) for _, w in got)
+            forms = [orbit_form(labels, times) for labels, _ in got]
+            case = (protocol.name, d, times)
+            assert len(set(forms)) == len(forms) == len(want), case
+            assert ORBIT_COUNTS.get(times, {}).get(d, len(got)) == len(got), case
+            for form, (_, w) in zip(forms, got):
+                assert type(w) is type(laws[0][0][2]), case
+                if protocol.exact:
+                    assert w == want[form], case
+                else:
+                    assert math.isclose(w, want[form], rel_tol=1e-12), case
 
 
-def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
+def test_the_benchmark_instances_walk_535_orbits(monkeypatch):
     # the eight oracle_exact instances of benchmarks/run.py, one core call
-    # per orbit: 646 per pass, and each value the Fraction the benchmark checks
+    # per orbit: 535 per pass, and each value the Fraction the benchmark checks
     instances = [
         ("uniform_mle_cases", uniform_protocol(3), (10, 10), 50, Fraction(113, 450)),
         ("uniform_mle_cases", uniform_protocol(3), (10, 11), 170, Fraction(437, 1350)),
@@ -376,8 +426,8 @@ def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
         ("two_obs_path", perfect_protocol(3), (10, 10), 50, Fraction(3070, 8649)),
         ("generic_mle", uniform_protocol(3), (8, 8), 30, Fraction(89, 288)),
         ("single_mle", perfect_protocol(4), (12,), 6, Fraction(1, 1456)),
-        ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 94, Fraction(2, 9)),
-        ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 124, Fraction(2441, 8640)),
+        ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 64, Fraction(2, 9)),
+        ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 43, Fraction(2441, 8640)),
     ]
     walk = oracle._orbits
     counts = []
@@ -394,7 +444,7 @@ def test_the_benchmark_instances_walk_646_orbits(monkeypatch):
     monkeypatch.setattr(oracle, "_orbits", counting)
     values = [oracle.exact_success(name, protocol, times) for name, protocol, times, *_ in instances]
     assert counts == [orbits for *_, orbits, _ in instances]
-    assert sum(counts) == 646
+    assert sum(counts) == 535
     for got, (*_, want) in zip(values, instances):
         assert type(got) is Fraction and got == want
 
@@ -433,6 +483,8 @@ def test_exact_success_equals_brute_force():
                 arities = [1, 2, 3, 4] if name == "k_obs_subtree" else [1, 2, 3]
             for protocol, k in itertools.product(protocols, arities):
                 for times in CROSS_CHECK_TIMES[k]:
+                    if d > 3 and times == (4, 4, 4, 4):
+                        continue
                     want = _value_or_error(brute_force_success, name, protocol, times)
                     got = _value_or_error(oracle.exact_success, name, protocol, times)
                     case = (name, protocol.name, d, times)
