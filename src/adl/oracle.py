@@ -293,6 +293,13 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 return
             n = d - 1 if here else d
             m = used.get(v, 0)
+            if not m and len(go) == 1:  # a lone copy below a free vertex: its tail is forced
+                i = go[0]
+                tail = depth[i] - here - 1
+                u = v + (0,) + zeros[tail]
+                labels[i] = (times[i], u[:-1] if moved[i] else u, u)
+                run(rest, weight * n * forced[tail])
+                return
             if m:
                 assign(v, go, 0, 0, 0, 0, [[] for _ in range(m + 1)], 1, 1, rest, weight)
                 return
@@ -322,14 +329,21 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 if portions[c]:
                     rest = ((v + (c,),), [portions[c]], rest)
             pool = portions[m]
-            if not pool:
-                run(rest, weight)
+            n = (d - 1 if v else d) - m
+            if len(pool) < 2:
+                if pool and n:  # a lone copy in a free child: its tail is forced
+                    i = pool[0]
+                    tail = depth[i] - len(v) - 1
+                    u = v + (m,) + zeros[tail]
+                    labels[i] = (times[i], u[:-1] if moved[i] else u, u)
+                    run(rest, weight * n * forced[tail])
+                elif not pool:
+                    run(rest, weight)
                 return
             counts = tuple(len(list(g)) for _, g in groupby(kind[i] for i in pool))
             options = ways.get(counts)
             if options is None:
                 options = ways[counts] = splits(counts)
-            n = (d - 1 if v else d) - m
             for option in options:
                 if option[0] <= n:
                     fan(v, pool, option, m, n, rest, weight)
