@@ -29,17 +29,21 @@ end there, its children in a fixed order; its weight is the orbit's mass,
 the embeddings of the shape times the assignments of equal-time snapshots to
 its slots times the row weights.  The orbit count grows polynomially in t,
 not like (d-1)^(t/2) per snapshot; the budget still caps the nominal number
-of joint outcomes the sum stands for.  Below a child first opened by an
-outcome every step is forced, so the walk builds that tail of a label in one
-step.  An outcome is handed to the core as the labels (t, vs_prev, vs_now)
-of each snapshot, which every core reads, so no Snapshot is built.
+of joint outcomes the sum stands for.  The walk takes every snapshot's law
+row first.  If no (time, row) type is taken twice, the snapshots go down one
+after another, each child numbered in first-use order; otherwise they all go
+down from the origin as one share, split among the children of each vertex
+as a multiset partition.  Below a child first opened by a lone snapshot
+every step is forced, so the walk builds that tail of a label in one step.
+An outcome is handed to the core as the labels (t, vs_prev, vs_now) of each
+snapshot, which every core reads, so no Snapshot is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import comb, factorial, fsum, lcm, perm, prod
 from typing import Sequence
 
@@ -100,26 +104,26 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     outcomes is the embeddings of the shape times the assignments of
     equal-time snapshots to its slots.  The snapshots at one time take rows
     in non-decreasing order, in runs of one row, counted by C(positions
-    left, run).  A type taken once is distinguishable from every other, so
-    its snapshot goes down alone as soon as its row is taken: into a child an
-    earlier one uses, or into the next child in first-use order, which has n
-    - m images (m of the n children in use; n = d at the origin, d - 1
+    left, run).  Every row is taken first; then the snapshots go down by one
+    of two routes.
+
+    If no type is taken twice, each snapshot is distinguishable from every
+    other, and they go down one after another: at each vertex into a child
+    an earlier one uses, or into the next child in first-use order, which
+    has n - m images (m of the n children in use; n = d at the origin, d - 1
     elsewhere).  Below that child every step is forced (child 0, d - 1
     images), so the whole tail is built in one step.
 
-    The copies of the types taken more than once go down together, over the
-    tree the others fixed.  At a vertex in use each copy goes on into a child
-    in use or into the pool of the free ones, counted by the multinomial of
-    each type's copies.  At a free vertex, and for the pool, the share is
-    split among the free children as a multiset partition: its blocks in
-    non-increasing order take the next free children, c blocks of n free
-    children counted by n!/(n - c)! over the product of (equal blocks)!,
-    times the multinomial of each type's copies.  A block of one copy has a
-    forced tail; equal blocks of more copies take a multiset of the orbits of
-    one such block, each orbit listed once per call, counted by its
-    arrangements.  Below a free child the walk follows the chain on which
-    all of a share goes on to child 0, taking every other split at each
-    vertex of it, until a copy ends.
+    Otherwise all the snapshots go down from the origin together, as one
+    share.  At each vertex the share is split among its children, all free,
+    as a multiset partition: its blocks in non-increasing order take the
+    first children, c blocks of n children counted by n!/(n - c)! over the
+    product of (equal blocks)!, times the multinomial of each type's copies.
+    A block of one copy has a forced tail; equal blocks of more copies take
+    a multiset of the orbits of one such block, each orbit listed once per
+    call, counted by its arrangements.  Below a vertex the walk follows the
+    chain on which all of a share goes on to child 0, taking every other
+    split at each vertex of it, until a copy ends.
     """
     k = len(laws)
     labels: list = [None] * k
@@ -134,19 +138,19 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     top = max(h for law in laws for h, _, _ in law)
     forced = [(d - 1) ** e for e in range(top + 1)]  # the images of a forced tail of e steps
     zeros = [(0,) * e for e in range(top)]  # e forced steps
-    used: dict = {}  # vertex -> number of its children the types taken once use
-    repeated: list = []  # the positions of the types taken more than once, in type order
+    used: dict = {}  # vertex -> number of its children in use, on the first route
     ways: dict = {}  # a share's count per type -> its splits
     shared: dict = {}  # (types of a share, depth) -> its orbits below a free child at that depth
 
-    def pick(x, lo, weight):
+    def pick(x, lo, weight, repeats):
         # order[x:] take rows, lo the least one order[x] may take; the
-        # positions of one time are consecutive in order
+        # positions of one time are consecutive in order; repeats counts the
+        # runs of more than one position so far
         if x == k:
-            if repeated:
-                spread(SOURCE, repeated, None, weight)
+            if repeats:
+                spread(SOURCE, order, None, weight)
             else:
-                visit(labels, weight)
+                descend(0, SOURCE, weight)
             return
         i, n = order[x], left[x]
         for r in range(lo, len(laws[i])):
@@ -156,24 +160,21 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 j = order[x + run - 1]
                 kind[j], depth[j], moved[j] = first[times[i]] + r, h, mv
                 w *= p
-                nxt = 0 if run == n else r + 1
-                if run == 1:
-                    descend(i, SOURCE, w * n, x + 1, nxt)
-                else:
-                    repeated.extend(order[x:x + run])
-                    pick(x + run, nxt, w * comb(n, run))
-                    del repeated[-run:]
+                pick(x + run, 0 if run == n else r + 1, w * comb(n, run), repeats + (run > 1))
 
-    def descend(i, v, weight, x, lo):
-        # the one snapshot of its type goes down from v; then order[x:] take
-        # rows
+    def descend(x, v, weight):
+        # order[x] goes down from v, then order[x + 1:] from the origin
+        i = order[x]
         if len(v) == depth[i]:
             labels[i] = (times[i], v[:-1] if moved[i] else v, v)
-            pick(x, lo, weight)
+            if x + 1 == k:
+                visit(labels, weight)
+            else:
+                descend(x + 1, SOURCE, weight)
             return
         m = used.get(v, 0)
         for c in range(m):
-            descend(i, v + (c,), weight, x, lo)
+            descend(x, v + (c,), weight)
         n = d - 1 if v else d
         if m == n:
             return
@@ -181,13 +182,13 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
         u = v + (m,) + zeros[tail]
         labels[i] = (times[i], u[:-1] if moved[i] else u, u)
         weight *= (n - m) * forced[tail]
-        if x == k and not repeated:  # no later snapshot reads the marks
+        if x + 1 == k:  # no later snapshot reads the marks
             visit(labels, weight)
             return
         used[v] = m + 1
         for j in range(len(v) + 1, len(u)):
             used[u[:j]] = 1
-        pick(x, lo, weight)
+        descend(x + 1, SOURCE, weight)
         for j in range(len(v) + 1, len(u)):
             used[u[:j]] = 0
         used[v] = m
@@ -253,23 +254,6 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
         place(0, 0, 1)
         return out
 
-    def fan(v, go, option, at, n, rest, weight):
-        # share go at v by one split into the free children at, at + 1, ...
-        # (n of them), then run the pending tasks
-        c, factor, singles, multis = option
-        weight *= perm(n, c) * factor
-        here = len(v)
-        for c, x in singles:
-            i = go[x]
-            tail = depth[i] - here - 1
-            u = v + (at + c,) + zeros[tail]
-            labels[i] = (times[i], u[:-1] if moved[i] else u, u)
-            weight *= forced[tail]
-        for children, blocks in multis:
-            rest = ([v + (at + c,) for c in children],
-                    [[go[x] for x in block] for block in blocks], rest)
-        run(rest, weight)
-
     def spread(v, ps, rest, weight):
         # the copies ps reach v, in type order: end those of v's depth there,
         # share the rest among v's children, then run the pending tasks
@@ -292,16 +276,12 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 run(rest, weight)
                 return
             n = d - 1 if here else d
-            m = used.get(v, 0)
-            if not m and len(go) == 1:  # a lone copy below a free vertex: its tail is forced
+            if len(go) == 1:  # a lone copy: its tail is forced
                 i = go[0]
                 tail = depth[i] - here - 1
                 u = v + (0,) + zeros[tail]
                 labels[i] = (times[i], u[:-1] if moved[i] else u, u)
                 run(rest, weight * n * forced[tail])
-                return
-            if m:
-                assign(v, go, 0, 0, 0, 0, [[] for _ in range(m + 1)], 1, 1, rest, weight)
                 return
             counts = tuple(counts)
             options = ways.get(counts)
@@ -309,55 +289,25 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 options = ways[counts] = splits(counts)
             stop = min([depth[i] for i in go])
             while here < stop:
-                for option in options[1:]:
-                    if option[0] <= n:
-                        fan(v, go, option, 0, n, rest, weight)
+                for c, factor, singles, multis in options[1:]:  # the first goes on to child 0
+                    if c > n:
+                        continue
+                    w = weight * perm(n, c) * factor
+                    for b, x in singles:
+                        i = go[x]
+                        tail = depth[i] - here - 1
+                        u = v + (b,) + zeros[tail]
+                        labels[i] = (times[i], u[:-1] if moved[i] else u, u)
+                        w *= forced[tail]
+                    tasks = rest
+                    for children, blocks in multis:
+                        tasks = ([v + (b,) for b in children],
+                                 [[go[x] for x in block] for block in blocks], tasks)
+                    run(tasks, w)
                 weight *= n
                 v += (0,)
                 here += 1
                 n = d - 1
-
-    def assign(v, go, x, lo, a, j, portions, num, den, rest, weight):
-        # go[x:] take a child of v in use or the pool, the last portion; the
-        # copies of a type in non-decreasing order, counted by the
-        # multinomial num / den.  The copy before go[x] is the j-th of its
-        # type and the a-th of it in portion lo
-        if x == len(go):
-            weight *= num // den
-            m = len(portions) - 1
-            for c in range(m):
-                if portions[c]:
-                    rest = ((v + (c,),), [portions[c]], rest)
-            pool = portions[m]
-            n = (d - 1 if v else d) - m
-            if len(pool) < 2:
-                if pool and n:  # a lone copy in a free child: its tail is forced
-                    i = pool[0]
-                    tail = depth[i] - len(v) - 1
-                    u = v + (m,) + zeros[tail]
-                    labels[i] = (times[i], u[:-1] if moved[i] else u, u)
-                    run(rest, weight * n * forced[tail])
-                elif not pool:
-                    run(rest, weight)
-                return
-            counts = tuple(len(list(g)) for _, g in groupby(kind[i] for i in pool))
-            options = ways.get(counts)
-            if options is None:
-                options = ways[counts] = splits(counts)
-            for option in options:
-                if option[0] <= n:
-                    fan(v, pool, option, m, n, rest, weight)
-            return
-        i = go[x]
-        if x and kind[go[x - 1]] == kind[i]:
-            j += 1
-        else:
-            lo, a, j = 0, 0, 1
-        for c in range(lo, len(portions)):
-            there = a + 1 if c == lo else 1
-            portions[c].append(i)
-            assign(v, go, x + 1, c, there, j, portions, num * j, den * there, rest, weight)
-            portions[c].pop()
 
     def run(tasks, weight):
         if tasks is None:
@@ -390,7 +340,7 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                     labels[i] = (times[i], x[:-1] if moved[i] else x, x)
             run(rest, w)
 
-    pick(0, 0, 1)
+    pick(0, 0, 1, 0)
 
 
 def exact_success(

@@ -380,14 +380,17 @@ def orbit_form(labels, times):
     return min(forms)
 
 
-# the orbits of oracle._orbits at d = 3 (and d = 4 where it differs), pinned
+# the orbits of oracle._orbits at d = 3 (and at d = 4 and 5 where given), pinned;
+# (5, 5, 5) and (3, 3, 3, 3) send three or more copies of one moved odd-time
+# row down as one share
 ORBIT_COUNTS = {(4, 4, 4, 4): {3: 43}, (6, 6, 6): {3: 64}, (4, 2, 4): {3: 15},
-                (2, 2, 2, 2): {3: 4, 4: 5}, (9, 9): {3: 122}, (10, 11): {3: 170}}
+                (2, 2, 2, 2): {3: 4, 4: 5}, (9, 9): {3: 122}, (10, 11): {3: 170},
+                (5, 5, 5): {3: 139, 4: 150, 5: 150}, (3, 3, 3, 3): {3: 43, 4: 52, 5: 53}}
 
 
 @pytest.mark.parametrize("times", [(1,), (2, 3), (4, 4), (5, 5), (9, 9), (10, 11), (4, 2, 4),
                                    (3, 2, 3, 2), (2, 2, 2, 2), (4, 4, 4, 4), (6, 6, 6),
-                                   (4, 4, 4, 4, 4)])
+                                   (4, 4, 4, 4, 4), (5, 5, 5), (3, 3, 3, 3)])
 def test_orbits_visit_what_the_one_level_walk_visits(times):
     # the reference walk reaches some orbits more than once; _orbits reaches
     # each of them once, with the summed weight of the reference's visits in
