@@ -778,11 +778,12 @@ def estimate(name: str, snaps: Sequence[Snapshot], protocol: Optional[Protocol],
 def candidate_sets(info: EstimatorInfo, d: int, labels: Sequence[tuple],
                    protocol: Protocol) -> list:
     """The core's candidate set once per equally likely choice of coins:
-    2^moved sets for a ``"coins"`` estimator, one set otherwise."""
+    2^moved sets for a ``"coins"`` estimator (one call with no coins when no
+    snapshot moved), one set otherwise."""
     core = info.core
-    if info.draws != "coins":
+    moved = sum(prev != now for _, prev, now in labels) if info.draws == "coins" else 0
+    if not moved:
         return [core(d, labels, protocol, None)[0]]
-    moved = sum(prev != now for _, prev, now in labels)
     return [core(d, labels, protocol, iter(coins).__next__)[0]
             for coins in itertools.product((0, 1), repeat=moved)]
 

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 from adl import closed_form
 from adl.diffusion import is_int, walker
 from adl.estimators import ESTIMATORS, estimator_for, sample_is_origin
-from adl.protocol import Protocol, protocol_from_spec, uniform_protocol, walk_horizon
+from adl.protocol import SPEC_KEYS, Protocol, protocol_from_spec, uniform_protocol, walk_horizon
 from adl.tree import MAX_DEGREE, SOURCE, lcp_len
 
 _MASK64 = (1 << 64) - 1
@@ -102,6 +102,18 @@ _FORMULAS = {
 }
 
 
+CONFIG_KEYS = {"d", "trials", "seed", "times", "k", "protocol", "estimators"}
+ESTIMATOR_KEYS = {"method", "params", "target"}
+
+
+def _unread(where: str, obj: dict, known) -> list:
+    """The problem naming every key of ``obj`` that is not in ``known``, if any."""
+    extra = [key for key in obj if key not in known]
+    if not extra:
+        return []
+    return [f"{where}: unknown key{'s' * (len(extra) > 1)} {', '.join(map(repr, extra))}"]
+
+
 class ConfigError(ValueError):
     """Raised with every validation violation collected, not just the first."""
 
@@ -129,7 +141,7 @@ class ExperimentConfig:
         """Validate a parsed config; every problem found goes into one ConfigError."""
         if not isinstance(obj, dict):
             raise ConfigError([f"config must be a JSON object, got {obj!r}"])
-        problems: list[str] = []
+        problems = _unread("config", obj, CONFIG_KEYS)
 
         d = obj.get("d")
         if not is_int(d) or not 3 <= d <= MAX_DEGREE:
@@ -181,6 +193,9 @@ class ExperimentConfig:
         if not isinstance(spec, dict) or "name" not in spec:
             problems.append(f"protocol must be an object with a 'name', got {spec!r}")
         else:
+            known = SPEC_KEYS.get(spec["name"]) if isinstance(spec["name"], str) else None
+            if known:
+                problems += _unread("protocol", spec, known)
             try:
                 protocol = protocol_from_spec(d, spec)
             except (ValueError, OSError) as exc:
@@ -202,6 +217,11 @@ class ExperimentConfig:
                 if not isinstance(e, dict) or "method" not in e:
                     problems.append(f"estimators[{idx}] must be an object with a 'method'")
                     continue
+                problems += _unread(f"estimators[{idx}]", e, ESTIMATOR_KEYS)
+                if isinstance(e.get("target"), dict):  # the keys _build_target reads
+                    known = {"formula", "params"} if "formula" in e["target"] else {
+                        "kind", "value", "provenance"}
+                    problems += _unread(f"estimators[{idx}].target", e["target"], known)
                 params = e.get("params", {})
                 if not isinstance(params, dict):
                     problems.append(f"estimators[{idx}].params must be an object, got {params!r}")

@@ -4,16 +4,16 @@ Instead of sampling the virtual-source chain, enumerate every reachable
 snapshot endpoint pair (vs_{t-1}, vs_t) with its exact probability, run an
 estimator's deterministic candidate core on the joint outcomes, and
 integrate its draws analytically: each of the L equally likely coin choices
-of ``estimators.candidate_sets`` (L = 1 unless the estimator draws coins)
-gives a set C contributing [origin in C] / (L |C|).  The draw rule is read
-once per call, and an estimator without coins has its core called directly.
-With a built-in protocol the sum runs in integers and ends in one exact
-Fraction; table protocols fall back to floats.  The probability of each
-single outcome is read from the protocol's single-snapshot law
-(``Protocol.snapshot_weights``); the oracle only spreads it over the labels
-at each hop.  The protocol keeps its hop rows and their stayed/moved splits,
-so a protocol reused across calls runs the hop recurrence once, and a call
-builds each distinct time's law once.
+of ``estimators.candidate_sets`` (L = 2^moved for a ``"coins"`` estimator,
+else 1) gives a set C contributing [origin in C] / (L |C|).  The draw rule
+is read once per call: unless the estimator draws coins and a law row is a
+moved pair, its core is called directly, once per orbit.  With a built-in
+protocol the sum runs in integers and ends in one exact Fraction; table
+protocols fall back to floats.  The probability of each single outcome is
+read from the protocol's single-snapshot law (``Protocol.snapshot_weights``);
+the oracle only spreads it over the labels at each hop.  The protocol keeps
+its hop rows and their stayed/moved splits, so a protocol reused across
+calls runs the hop recurrence once, and a call builds each time's law once.
 
 An outcome's probability depends only on its hop and on whether the virtual
 source stayed or moved, and every estimator core is equivariant under
@@ -23,19 +23,14 @@ multiset, do not depend on their order (the ``EstimatorInfo`` contract).
 So the joint sum runs over the orbits of a larger group, the automorphisms
 that fix the origin times the permutations of equal-time snapshots: one
 canonical joint outcome per orbit, reached by callback and generated
-directly (see ``_orbits``).  Its canonical form is the shape the snapshots
-span from the origin, each vertex marked with the (time, law row) types that
-end there, its children in a fixed order; its weight is the orbit's mass,
-the embeddings of the shape times the assignments of equal-time snapshots to
-its slots times the row weights.  The orbit count grows polynomially in t,
-not like (d-1)^(t/2) per snapshot; the budget still caps the nominal number
-of joint outcomes the sum stands for.  The walk takes every snapshot's law
-row first.  If no (time, row) type is taken twice, the snapshots go down one
-after another, each child numbered in first-use order; otherwise they all go
-down from the origin as one share, split among the children of each vertex
-as a multiset partition.  Below a child first opened by a lone snapshot
-every step is forced, so the walk builds that tail of a label in one step.
-An outcome is handed to the core as the labels (t, vs_prev, vs_now) of each
+directly (see ``_orbits``), weighted by the orbit's mass.  The orbit count
+grows polynomially in t, not like (d-1)^(t/2) per snapshot; the budget still
+caps the nominal number of joint outcomes the sum stands for.  The walk takes
+every snapshot's law row first; then the snapshots go down one after another
+if no (time, row) type is taken twice, and otherwise all together, as a
+share split among the children of each vertex by the multiset partitions
+``_splits`` lists, type by type, once per call for each count per type.  An
+outcome is handed to the core as the labels (t, vs_prev, vs_now) of each
 snapshot, which every core reads, so no Snapshot is built.
 """
 
@@ -43,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, fsum, lcm, perm, prod
 from typing import Sequence
 
@@ -62,11 +57,6 @@ def outcome_count(d: int, t: int) -> int:
         return d
     inner = ball_size(d, t // 2) - 1
     return inner if t % 2 == 0 else d * inner
-
-
-def _check_time(t: int) -> None:
-    if t < 1:
-        raise ValueError(f"observation time must be >= 1, got {t}")
 
 
 def _law(protocol: Protocol, t: int) -> list:
@@ -88,6 +78,70 @@ def _law(protocol: Protocol, t: int) -> list:
     for h, (s, m) in enumerate(zip(stayed, moved), start=1):
         rows += [(h, False, s / sphere_size(d, h)), (h + 1, True, m / sphere_size(d, h + 1))]
     return [row for row in rows if row[2]]
+
+
+def _splits(counts: Sequence[int], d: int) -> list:
+    """Every split into 2 to d blocks of a share given as its count per type,
+    copies indexed in type order: (c, factor, singles, multis), its blocks in
+    non-increasing order on children 0..c-1, its joint outcomes but the
+    embeddings (each type's multinomial over the product of (equal blocks)!),
+    its one-copy blocks as (child, copy) and its runs of equal larger blocks
+    as (children, copies per block), the last first.  Built type by type: a
+    call gives a block a chunk of one type, a block equal to the one before it
+    so far (bit b of ties) takes no more, and the last chunk sets the factor.
+    """
+    fact = [factorial(a) for a in range(max(*counts, d) + 1)]
+    num = prod([fact[c] for c in counts])
+    ends = list(accumulate(counts))  # one past each type's last copy
+    blocks, out = [], []  # the copies of each block so far; the splits
+
+    def give(t, lo, left, ties, den, before):
+        # type t's last left copies go to blocks lo on, block lo - 1 took before
+        x, nb = ends[t] - left, len(blocks)
+        for b in range(lo, nb + 1 if nb < d else d):
+            if ties >> b & 1:
+                if b > lo:  # it would take more than the empty chunk before it
+                    continue
+                top, bits = min(left, before), ties
+            else:
+                top, bits = left, ties & ~(1 << lo)  # block lo takes none of t
+            least = 1 if b + 1 < d else left  # the last block takes the rest
+            if top < least:
+                continue
+            if b == nb:
+                blocks.append([])
+            block = blocks[b]
+            block += range(x, x + top)
+            for a in range(top, least - 1, -1):  # the chunk shrinks by a copy each time
+                now = bits if a == before else bits & ~(1 << b)
+                if a < left:
+                    give(t, b + 1, left - a, now, den * fact[a], a)
+                elif t + 1 < len(counts):  # the blocks after b take none of t
+                    give(t + 1, 0, counts[t + 1], now & ~(2 << b), den * fact[a], 0)
+                elif len(blocks) > 1:
+                    record(now & ~(2 << b), den * fact[a])
+                block.pop()
+            if b == nb:
+                blocks.pop()
+            elif least > 1:
+                del block[1 - least:]
+
+    def record(ties, den):
+        singles, multis, b, c = [], [], 0, len(blocks)
+        while b < c:  # a run of equal blocks
+            e = b + 1
+            while e < c and ties >> e & 1:
+                e += 1
+            den *= fact[e - b]
+            if len(blocks[b]) == 1:
+                singles += [(j, blocks[j][0]) for j in range(b, e)]
+            else:
+                multis.insert(0, (range(b, e), [block[:] for block in blocks[b:e]]))
+            b = e
+        out.append((c, num // den, singles, multis))
+
+    give(0, 0, counts[0], (1 << d) - 2, 1, 0)
+    return out
 
 
 def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
@@ -115,15 +169,15 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     images), so the whole tail is built in one step.
 
     Otherwise all the snapshots go down from the origin together, as one
-    share.  At each vertex the share is split among its children, all free,
-    as a multiset partition: its blocks in non-increasing order take the
-    first children, c blocks of n children counted by n!/(n - c)! over the
-    product of (equal blocks)!, times the multinomial of each type's copies.
-    A block of one copy has a forced tail; equal blocks of more copies take
-    a multiset of the orbits of one such block, each orbit listed once per
-    call, counted by its arrangements.  Below a vertex the walk follows the
-    chain on which all of a share goes on to child 0, taking every other
-    split at each vertex of it, until a copy ends.
+    share, split at each vertex among its free children as a multiset
+    partition (``_splits``, once per call per count per type): blocks in
+    non-increasing order on the first children, c of n counted by n!/(n - c)!
+    over the product of (equal blocks)!, times each type's multinomial.  A
+    block of one copy has a forced tail; equal blocks of more copies take a
+    multiset of the orbits of one such block, each orbit listed once per
+    call, counted by its arrangements.  The one-block split is the chain on
+    which all of a share goes on to child 0: the walk follows it, taking
+    every other split at each vertex of it, until a copy ends.
     """
     k = len(laws)
     labels: list = [None] * k
@@ -193,67 +247,6 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
             used[u[:j]] = 0
         used[v] = m
 
-    def splits(counts):
-        # every split of a share into at most d blocks, the share given as
-        # its count per type, the split into one block first: (blocks, its
-        # factor but the embeddings, its one-copy blocks as (child, index
-        # into the share), its runs of equal larger blocks as (children,
-        # index blocks), those last in reverse order).  Share indices are
-        # placed in order; the copies of a type go to blocks in
-        # non-decreasing order, and a block equal to the one before it up to
-        # this type takes no more copies of it than that one, so the blocks
-        # come out in non-increasing order and each split once
-        kinds = [x for x, c in enumerate(counts) for _ in range(c)]
-        blocks: list = []  # share indices per block
-        types: list = []  # their types
-        num = prod(map(factorial, counts))
-        out = []
-
-        def place(x, lo, den):
-            if x == len(kinds):
-                record(den)
-                return
-            kd = kinds[x]
-            for b in range(lo, len(blocks) + (len(blocks) < d)):
-                if b == len(blocks):
-                    blocks.append([])
-                    types.append([])
-                mine = types[b]
-                a = mine.count(kd) + 1  # its copies of kd once x joins
-                if b:
-                    theirs = types[b - 1]
-                    c = theirs.count(kd)
-                    if a > c and mine[:len(mine) - a + 1] == theirs[:len(theirs) - c]:
-                        if not mine:
-                            blocks.pop()
-                            types.pop()
-                        continue
-                blocks[b].append(x)
-                mine.append(kd)
-                place(x + 1, b if x + 1 < len(kinds) and kinds[x + 1] == kd else 0, den * a)
-                blocks[b].pop()
-                mine.pop()
-                if not mine:
-                    blocks.pop()
-                    types.pop()
-
-        def record(den):
-            singles, multis, b = [], [], 0
-            while b < len(blocks):
-                e = b + 1
-                while e < len(blocks) and types[e] == types[b]:
-                    e += 1
-                den *= factorial(e - b)
-                if len(blocks[b]) == 1:
-                    singles += ((c, blocks[c][0]) for c in range(b, e))
-                else:
-                    multis.insert(0, (range(b, e), [list(block) for block in blocks[b:e]]))
-                b = e
-            out.append((b, num // den, singles, multis))
-
-        place(0, 0, 1)
-        return out
-
     def spread(v, ps, rest, weight):
         # the copies ps reach v, in type order: end those of v's depth there,
         # share the rest among v's children, then run the pending tasks
@@ -286,10 +279,10 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
             counts = tuple(counts)
             options = ways.get(counts)
             if options is None:
-                options = ways[counts] = splits(counts)
+                options = ways[counts] = _splits(counts, d)
             stop = min([depth[i] for i in go])
             while here < stop:
-                for c, factor, singles, multis in options[1:]:  # the first goes on to child 0
+                for c, factor, singles, multis in options:  # all but the one-block split
                     if c > n:
                         continue
                     w = weight * perm(n, c) * factor
@@ -367,7 +360,8 @@ def exact_success(
         raise ValueError("at least one observation time required")
     info = estimator_for(estimator, len(times), protocol)
     for t in times:
-        _check_time(t)
+        if t < 1:
+            raise ValueError(f"observation time must be >= 1, got {t}")
         walk_horizon(protocol, t)
 
     if prod(outcome_count(protocol.d, t) for t in times) > budget:
@@ -383,17 +377,23 @@ def exact_success(
     laws = [law_of[t] for t in times]
 
     hits: dict = {}  # q -> summed weight of the candidate sets with 1/q mass on the origin
-    d, core, coins = protocol.d, info.core, info.draws == "coins"
+    d, core = protocol.d, info.core
 
     def visit(labels, weight):
-        sets = candidate_sets(info, d, labels, protocol) if coins else (
-            core(d, labels, protocol, None)[0],)
+        cands = core(d, labels, protocol, None)[0]
+        if cands.contains(SOURCE):
+            q = cands.size()
+            hits[q] = hits.get(q, 0) + weight
+
+    def visit_coins(labels, weight):
+        sets = candidate_sets(info, d, labels, protocol)
         for cands in sets:
             if cands.contains(SOURCE):
                 q = len(sets) * cands.size()
                 hits[q] = hits.get(q, 0) + weight
 
-    _orbits(d, times, laws, visit)
+    coins = info.draws == "coins" and any(mv for law in laws for _, mv, _ in law)
+    _orbits(d, times, laws, visit_coins if coins else visit)
     if not exact:
         return fsum(w / q for q, w in hits.items())
     scale = lcm(*hits)

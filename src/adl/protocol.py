@@ -313,7 +313,10 @@ def load_protocol_table(source: Union[str, bytes], d: int) -> Protocol:
     )
 
 
-PROTOCOLS = ("uniform", "perfect", "local", "table")
+# the spec keys protocol_from_spec reads for each protocol name
+SPEC_KEYS = {"uniform": {"name"}, "perfect": {"name"}, "local": {"name", "gamma"},
+             "table": {"name", "table", "table_csv"}}
+PROTOCOLS = tuple(SPEC_KEYS)
 
 
 def protocol_from_spec(d: int, spec: dict) -> Protocol:

@@ -452,6 +452,20 @@ def cases_with(**entry):
      "protocol: invalid protocol table: line 2: field larger than field limit"),
     (config_with(protocol={"name": "table", "table_csv": "t,h,alpha\n2,1,0.5\0\n"}),
      "protocol: invalid protocol table: line 2: "),
+    # a key no reader reads is named, not ignored: a misspelt seed used to run
+    # seed 0, a misspelt target to lose its verdict, and gamma on uniform to vanish
+    (config_with(sed=7), "config: unknown key 'sed'"),
+    (config_with(sed=7, draw_contract=2), "config: unknown keys 'sed', 'draw_contract'"),
+    (cases_with(traget={"formula": "even_even_mle_exact"}),
+     r"estimators\[0\]: unknown key 'traget'"),
+    (config_with(protocol={"name": "uniform", "gamma": 0.5}), "protocol: unknown key 'gamma'"),
+    (config_with(protocol={"name": "perfect", "table": "t.csv"}), "protocol: unknown key 'table'"),
+    (config_with(protocol={"name": "local", "gamma": 0.5, "table_csv": ""}),
+     "protocol: unknown key 'table_csv'"),
+    (cases_with(target={"formula": "even_even_mle_exact", "kind": "exact"}),
+     r"estimators\[0\]\.target: unknown key 'kind'"),
+    (cases_with(target={"kind": "exact", "value": 0.5, "params": {}}),
+     r"estimators\[0\]\.target: unknown key 'params'"),
 ])
 def test_experiment_rejects_malformed_config(doc, token):
     with pytest.raises(ConfigError, match=token):

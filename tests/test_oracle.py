@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from adl import closed_form as cf
-from adl import oracle
+from adl import estimators, oracle
 from adl.diffusion import Snapshot, simulate
 from adl.estimators import (
     ESTIMATORS,
@@ -385,7 +385,54 @@ def orbit_form(labels, times):
 # row down as one share
 ORBIT_COUNTS = {(4, 4, 4, 4): {3: 43}, (6, 6, 6): {3: 64}, (4, 2, 4): {3: 15},
                 (2, 2, 2, 2): {3: 4, 4: 5}, (9, 9): {3: 122}, (10, 11): {3: 170},
-                (5, 5, 5): {3: 139, 4: 150, 5: 150}, (3, 3, 3, 3): {3: 43, 4: 52, 5: 53}}
+                (5, 5, 5): {3: 139, 4: 150, 5: 150}, (3, 3, 3, 3): {3: 43, 4: 52, 5: 53},
+                (4, 4, 4, 4, 4): {3: 92, 4: 123, 5: 133}}
+
+
+def brute_force_splits(counts, d):
+    """{the non-increasing tuple of a split's blocks, each its count per
+    type: the number of ways to send the share's copies, as distinct
+    individuals, to d distinct children that makes that split}, by trying
+    every way."""
+    kinds = [t for t, c in enumerate(counts) for _ in range(c)]
+    ways = Counter()
+    for children in itertools.product(range(d), repeat=len(kinds)):
+        blocks = [[0] * len(counts) for _ in range(d)]
+        for kd, child in zip(kinds, children):
+            blocks[child][kd] += 1
+        ways[tuple(sorted((tuple(b) for b in blocks if any(b)), reverse=True))] += 1
+    return ways
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_splits_are_every_split_once_with_its_factor(d):
+    # every count pattern of at most 5 copies of at most 3 types: each split
+    # into two or more blocks in non-increasing block order, listed once, its
+    # factor times the embeddings n!/(n - c)! the number of assignments that
+    # make it, its blocks the copies' indices in type order; the one-block
+    # split, which the walk takes as the chain to child 0, is not listed
+    patterns = [p for m in range(1, 4) for p in itertools.product(range(1, 6), repeat=m)
+                if sum(p) <= 5]
+    for counts in patterns:
+        kinds = [t for t, c in enumerate(counts) for _ in range(c)]
+        got = {(tuple(counts),): d}  # the one-block split, on any of d children
+        for c, factor, singles, multis in oracle._splits(counts, d):
+            assert c > 1, counts
+            blocks = [None] * c
+            for child, x in singles:
+                blocks[child] = (x,)
+            for children, run in multis:
+                for child, block in zip(children, run):
+                    blocks[child] = tuple(block)
+            assert sorted(x for b in blocks for x in b) == list(range(len(kinds))), counts
+            form = tuple(tuple(sum(kinds[x] == t for x in b) for t in range(len(counts)))
+                         for b in blocks)
+            assert list(form) == sorted(form, reverse=True), (counts, form)
+            for children, _ in multis:  # a run holds equal blocks only
+                assert len({form[child] for child in children}) == 1, (counts, form)
+            assert form not in got, (counts, form)
+            got[form] = math.perm(d, c) * factor
+        assert got == brute_force_splits(counts, d), counts
 
 
 @pytest.mark.parametrize("times", [(1,), (2, 3), (4, 4), (5, 5), (9, 9), (10, 11), (4, 2, 4),
@@ -419,19 +466,24 @@ def test_orbits_visit_what_the_one_level_walk_visits(times):
                     assert math.isclose(w, want[form], rel_tol=1e-12), case
 
 
+# the eight oracle_exact instances of benchmarks/run.py: (estimator, protocol,
+# times, orbits, the Fraction the benchmark checks)
+BENCHMARK_INSTANCES = [
+    ("uniform_mle_cases", uniform_protocol(3), (10, 10), 50, Fraction(113, 450)),
+    ("uniform_mle_cases", uniform_protocol(3), (10, 11), 170, Fraction(437, 1350)),
+    ("uniform_mle_cases", uniform_protocol(3), (9, 9), 122, Fraction(11543, 28800)),
+    ("two_obs_path", perfect_protocol(3), (10, 10), 50, Fraction(3070, 8649)),
+    ("generic_mle", uniform_protocol(3), (8, 8), 30, Fraction(89, 288)),
+    ("single_mle", perfect_protocol(4), (12,), 6, Fraction(1, 1456)),
+    ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 64, Fraction(2, 9)),
+    ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 43, Fraction(2441, 8640)),
+]
+
+
 def test_the_benchmark_instances_walk_535_orbits(monkeypatch):
-    # the eight oracle_exact instances of benchmarks/run.py, one core call
-    # per orbit: 535 per pass, and each value the Fraction the benchmark checks
-    instances = [
-        ("uniform_mle_cases", uniform_protocol(3), (10, 10), 50, Fraction(113, 450)),
-        ("uniform_mle_cases", uniform_protocol(3), (10, 11), 170, Fraction(437, 1350)),
-        ("uniform_mle_cases", uniform_protocol(3), (9, 9), 122, Fraction(11543, 28800)),
-        ("two_obs_path", perfect_protocol(3), (10, 10), 50, Fraction(3070, 8649)),
-        ("generic_mle", uniform_protocol(3), (8, 8), 30, Fraction(89, 288)),
-        ("single_mle", perfect_protocol(4), (12,), 6, Fraction(1, 1456)),
-        ("three_obs_intersection", uniform_protocol(3), (6, 6, 6), 64, Fraction(2, 9)),
-        ("k_obs_subtree", uniform_protocol(3), (4, 4, 4, 4), 43, Fraction(2441, 8640)),
-    ]
+    # one core call per orbit: 535 per pass, and each value the Fraction the
+    # benchmark checks
+    instances = BENCHMARK_INSTANCES
     walk = oracle._orbits
     counts = []
 
@@ -450,6 +502,34 @@ def test_the_benchmark_instances_walk_535_orbits(monkeypatch):
     assert sum(counts) == 535
     for got, (*_, want) in zip(values, instances):
         assert type(got) is Fraction and got == want
+
+
+def test_the_benchmark_instances_make_535_core_calls(monkeypatch):
+    # each *_candidates function wrapped where the benchmark's tracer wraps
+    # it, on the module: a core call that bypasses that lookup at call time
+    # goes uncounted.  k_obs_label_candidates calls k_obs_candidates through
+    # the module too, so a call is counted when no other core is running
+    calls, running = [], []
+
+    def wrap(name, core):
+        def counted(*args):
+            if not running:
+                calls[-1] += 1
+            running.append(name)
+            try:
+                return core(*args)
+            finally:
+                running.pop()
+        return counted
+
+    for name in dir(estimators):
+        if name.endswith("_candidates"):
+            monkeypatch.setattr(estimators, name, wrap(name, getattr(estimators, name)))
+    for name, protocol, times, orbits, want in BENCHMARK_INSTANCES:
+        calls.append(0)
+        assert oracle.exact_success(name, protocol, times) == want
+        assert calls[-1] == orbits, (name, times)
+    assert sum(calls) == 535
 
 
 def test_exact_success_result_types():
