@@ -22,6 +22,7 @@ from adl.estimators import ESTIMATORS, estimate, estimator_for
 from adl.experiments import MAX_TIME, ConfigError, ExperimentConfig, run
 from adl.protocol import (
     PROTOCOLS,
+    SPEC_KEYS,
     Protocol,
     check_horizon,
     hop_distribution,
@@ -48,9 +49,10 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _protocol(args: argparse.Namespace) -> Protocol:
-    return protocol_from_spec(
-        args.d, {"name": args.protocol, "gamma": args.gamma, "table": args.table}
-    )
+    spec = {k: v for k, v in (("gamma", args.gamma), ("table", args.table)) if v is not None}
+    for key in sorted(spec.keys() - SPEC_KEYS[args.protocol]):  # a flag it never reads
+        raise ValueError(f"--{key} is not read by --protocol {args.protocol}")
+    return protocol_from_spec(args.d, {"name": args.protocol, **spec})
 
 
 def _check_time(t: int, what: str) -> None:

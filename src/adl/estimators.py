@@ -92,18 +92,26 @@ class ExplicitCandidates:
         return ordered[rng.randrange(len(ordered))]
 
 
-def sample_is_origin(origin_in: bool, size: int, seeded: Callable[[], random.Random]) -> bool:
+def sample_is_origin(origin_in: bool, size: int, bits: Callable[[int], int],
+                     seed: Optional[Callable[[int], None]] = None, x: int = 0) -> bool:
     """Whether :meth:`ExplicitCandidates.sample` returns the origin from a
     set of ``size`` members that holds it iff ``origin_in``, drawing from the
-    generator ``seeded()`` returns.
+    generator whose ``getrandbits`` is ``bits``.
 
     The origin ``()`` sorts before every other label, so ``sample`` returns
-    it exactly when its ``randrange(size)`` draw is 0.  ``seeded`` is called
-    only when that draw decides: the origin is in the set and is not alone.
+    it exactly when its ``randrange(size)`` draw, ``bits(size.bit_length())``
+    until below ``size`` as CPython draws it, is 0.  ``seed(x)``, if given,
+    seeds the generator first, and only when that draw decides.
     """
-    if not origin_in:
-        return False
-    return size == 1 or seeded().randrange(size) == 0
+    if not origin_in or size == 1:
+        return origin_in
+    if seed is not None:
+        seed(x)
+    k = size.bit_length()
+    r = bits(k)
+    while r >= size:
+        r = bits(k)
+    return r == 0
 
 
 @dataclass(frozen=True)
@@ -729,8 +737,8 @@ class EstimatorInfo:
     candidates there are, and whether the estimator refuses the snapshots
     with ValueError depend only on the orbit of the snapshot tuple under the
     automorphisms fixing the origin.  For a ``"tie_break"`` estimator that
-    orbit and the one draw (:func:`sample_is_origin`) decide a trial's hit,
-    which lets ``experiments.run`` run the core once per orbit.
+    orbit and the one draw (:func:`sample_is_origin`, from those two facts)
+    decide a trial's hit, so ``experiments.run`` runs the core once per orbit.
     """
 
     alias: str  # the CLI --method name

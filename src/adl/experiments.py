@@ -15,8 +15,11 @@ builds one ``diffusion.walker`` per observation time and keeps one
 ``random.Random``, reseeded for every stream through its C-level ``seed``,
 which draws exactly what a fresh ``random.Random(seed)`` would; a time-t
 snapshot's labels (t, vs_prev, vs_now) are read from the walk's stages
-t // 2 and (t + 1) // 2.  An estimator's stream is seeded at its first draw,
-and a stream that draws nothing is never seeded.
+t // 2 and (t + 1) // 2.  A stream's seed, the chain's last link, is
+_splitmix64(derive_seed(master, n) ^ c), c computed once per job.  An
+estimator's stream is seeded at its first draw, so a tie-break that cannot
+decide seeds nothing; it draws ``randrange(size)`` as CPython does,
+``getrandbits(size.bit_length())`` until the value is below size.
 
 Every estimator is scored from the labels by one call of its core
 (``EstimatorInfo.core``), so no Snapshot is built; the core draws the
@@ -38,7 +41,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from adl import closed_form
 from adl.diffusion import is_int, walker
@@ -438,25 +441,37 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     protocol = config.protocol
     d = protocol.d
     walkers = {t: walker(protocol, t) for t in set(config.times)}
-    # walk i's seed _fold(trial, i) is _splitmix64(trial ^ stream_i); stream_i once per job
+    # stream s's seed _fold(trial, s) is _splitmix64(trial ^ c_s); each c_s once per job
     walks = [(walkers[t], t, t // 2, (t + 1) // 2, i * 0x9E3779B97F4A7C15 & _MASK64)
              for i, t in enumerate(config.times)]
+    plan = [(info, memo, (ESTIMATOR_STREAM + j) * 0x9E3779B97F4A7C15 & _MASK64, tally)
+            for j, (info, memo, tally) in enumerate(zip(infos, memos, tallies))]
     root = derive_seed(config.seed)
     rng = random.Random()
     # rng.seed(int) less its reset of gauss_next, which no draw here reads
     reseed = super(random.Random, rng).seed
+    bits = rng.getrandbits
 
-    def stream(trial: int, j: int) -> Callable[[], random.Random]:
-        """A function returning the generator of estimator j's stream in
-        ``trial``, seeded at the first call only."""
-        unseeded = [trial]
+    def seed_stream(x: int) -> None:
+        reseed(_splitmix64(x))
+
+    def score(info, labels: list, x: int) -> tuple:
+        """One core call's outcome, a coin or shell draw first seeding the stream
+        with _splitmix64(x), and the tie-break's seeding: None once that is done."""
+        fresh = [x]
 
         def seeded() -> random.Random:
-            if unseeded:
-                reseed(_fold(unseeded.pop(), ESTIMATOR_STREAM + j))
+            if fresh:
+                seed_stream(fresh.pop())
             return rng
 
-        return seeded
+        try:
+            cands = info.core(d, labels, protocol, lambda: seeded().randrange(2))[0]
+        except ValueError:
+            return _REFUSED, None
+        if info.draws == "shell":
+            return (cands.sample(seeded()) == SOURCE, 1), None
+        return (cands.contains(SOURCE), cands.size()), seed_stream if fresh else None
 
     for n in range(config.trials):
         trial = _fold(root, n)  # derive_seed(seed, n), extended below
@@ -466,34 +481,21 @@ def run(config: ExperimentConfig) -> ExperimentReport:
             states = walk(rng)
             labels.append((t, states[prev], states[now]))
         key = orbit_key(labels) if keyed else None
-        for j, (info, memo) in enumerate(zip(infos, memos)):
-            seeded = stream(trial, j)
+        for info, memo, c, tally in plan:
             outcome = None if memo is None else memo.get(key)
+            seed = seed_stream  # a memo hit draws nothing but its tie-break
             if outcome is None:
-                try:
-                    cands = info.core(d, labels, protocol, lambda: seeded().randrange(2))[0]
-                except ValueError:
-                    outcome = _REFUSED
-                else:
-                    outcome = ((cands.sample(seeded()) == SOURCE, 1) if info.draws == "shell"
-                               else (cands.contains(SOURCE), cands.size()))
+                outcome, seed = score(info, labels, trial ^ c)
                 if memo is not None and len(memo) < MEMO_CAP:
                     memo[key] = outcome
             if outcome is _REFUSED:
-                tallies[j][1] += 1
-            elif sample_is_origin(*outcome, seeded):
-                tallies[j][0] += 1
+                tally[1] += 1
+            elif sample_is_origin(*outcome, bits, seed, trial ^ c):
+                tally[0] += 1
 
-    results = [
-        EstimatorResult(
-            method=spec.method,
-            successes=successes,
-            failures=failures,
-            trials=config.trials,
-            target=spec.target,
-        )
-        for spec, (successes, failures) in zip(config.estimators, tallies)
-    ]
+    results = [EstimatorResult(method=spec.method, successes=hits, failures=fails,
+                               trials=config.trials, target=spec.target)
+               for spec, (hits, fails) in zip(config.estimators, tallies)]
     return ExperimentReport(
         d=d,
         protocol=config.protocol.name,

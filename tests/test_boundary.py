@@ -289,6 +289,11 @@ def test_deeply_nested_snapshot_file_is_a_usage_error(tmp_path):
      "degree must be at most 1000, got 100000000"),
     (["estimate", "--d", str(10 ** 8), "--protocol", "uniform", "--snapshots", "snaps.json",
       "--method", "two-obs-path"], "degree must be at most 1000, got 100000000"),
+    # a protocol flag the named protocol never reads is refused, as in configs
+    (["hopdist", "--d", "3", "--protocol", "uniform", "--gamma", "0.5", "-T", "4"],
+     "--gamma is not read by --protocol uniform"),
+    (["simulate", "--d", "3", "--protocol", "perfect", "--table", "/nonexistent.csv", "-t", "4",
+      "--seed", "1"], "--table is not read by --protocol perfect"),
 ])
 def test_cli_rejects_malformed_flags(argv, token):
     assert_usage_error(run_main(argv), token)

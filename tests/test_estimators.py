@@ -36,7 +36,7 @@ from adl.estimators import (
     uniform_mle_cases,
     uniform_mle_cases_candidates,
 )
-from adl.experiments import derive_seed
+from adl.experiments import ESTIMATOR_STREAM, derive_seed
 from adl.protocol import (
     constant_protocol,
     hop_distribution,
@@ -187,22 +187,41 @@ def test_explicit_candidates_reject_empty():
 ])
 def test_sample_is_origin_is_the_sample_rule(members):
     # the memoized Monte Carlo hit rule counts exactly what sample() picks,
-    # and asks for the seeded generator only when the draw can decide
+    # and seeds the generator only when the draw can decide
     cands = ExplicitCandidates(frozenset(members))
     decides = SOURCE in members and len(members) > 1
     hits = 0
     for seed in range(600):
-        asked = []
-
-        def seeded():
-            asked.append(seed)
-            return random.Random(seed)
-
-        got = sample_is_origin(cands.contains(SOURCE), cands.size(), seeded)
+        rng, asked = random.Random(), []
+        got = sample_is_origin(cands.contains(SOURCE), cands.size(), rng.getrandbits,
+                               lambda x: asked.append(x) or rng.seed(x), seed)
         assert got == (cands.sample(random.Random(seed)) == SOURCE)
         assert asked == ([seed] if decides else [])
         hits += got
     assert 0 < hits < 600 if decides else hits == 600 * (members == {SOURCE})
+
+
+@pytest.mark.parametrize("origin_in", [True, False])
+def test_sample_is_origin_matches_sample_at_every_size(origin_in):
+    # every set size from 1 to 130, past each 2^k and 2^k + 1 where
+    # randrange rejects draws, on the seeds run() gives estimator streams;
+    # the stream is seeded only when the draw decides, and a stream seeded
+    # before the call (seed=None, a coin estimator's) is continued
+    for size in range(1, 131):
+        cands = ExplicitCandidates(frozenset(
+            [SOURCE] * origin_in + [(i,) for i in range(size - origin_in)]))
+        decides = origin_in and size > 1
+        for n in range(30):
+            for j in range(2):
+                seed = derive_seed(11, n, ESTIMATOR_STREAM + j)
+                expected = cands.sample(random.Random(seed)) == SOURCE
+                rng, asked = random.Random(), []
+                got = sample_is_origin(origin_in, size, rng.getrandbits,
+                                       lambda x: asked.append(x) or rng.seed(x), seed)
+                assert got == expected
+                assert asked == ([seed] if decides else [])
+                rng = random.Random(seed)
+                assert sample_is_origin(origin_in, size, rng.getrandbits) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,13 @@ MEMO_IDS = ["orbits", "refused", "one-time", "table-two", "equal-times", "table-
     {"d": 3, "protocol": {"name": "uniform"}, "times": [8, 8, 8],
      "estimators": [{"method": "three_obs_intersection"}]},
     *MEMO_DOCS,
+    # odd times: the coin estimator between memoized ones draws its coins and
+    # its tie-break from one stream, while the others score from their memos
+    {"d": 3, "protocol": {"name": "uniform"}, "times": [7, 9],
+     "estimators": [{"method": "two_obs_path"}, {"method": "k_obs_subtree"},
+                    {"method": "uniform_mle_cases"}, {"method": "generic_mle"}]},
 ], ids=["local", "table", "uniform", "perfect", "single", "edges", "short", "mc-kobs",
-        "three-obs", *MEMO_IDS])
+        "three-obs", *MEMO_IDS, "coins-among-memos"])
 def test_run_matches_a_fresh_generator_per_stream(doc):
     # run() reseeds one generator for every stream and scores a repeated
     # orbit from its memo; the report body must be the one a fresh
