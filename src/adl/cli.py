@@ -19,7 +19,7 @@ from fractions import Fraction
 from adl import closed_form, oracle
 from adl.diffusion import Snapshot, sample_snapshot, simulate
 from adl.estimators import ESTIMATORS, estimate, estimator_for
-from adl.experiments import MAX_TIME, ConfigError, ExperimentConfig, run
+from adl.experiments import MAX_SNAPSHOTS, MAX_TIME, ConfigError, ExperimentConfig, run
 from adl.protocol import (
     PROTOCOLS,
     SPEC_KEYS,
@@ -124,6 +124,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"the snapshots file must hold a JSON array, got {type(raw).__name__}")
+    if len(raw) > MAX_SNAPSHOTS:  # as a config's k, checked before any snapshot is read
+        raise ValueError(f"the snapshots file may list at most {MAX_SNAPSHOTS} snapshots, "
+                         f"got {len(raw)}")
     snaps = [Snapshot.from_dict(obj) for obj in raw]
     for s in snaps:
         if s.d != args.d:

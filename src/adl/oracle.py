@@ -26,12 +26,10 @@ canonical joint outcome per orbit, reached by callback and generated
 directly (see ``_orbits``), weighted by the orbit's mass.  The orbit count
 grows polynomially in t, not like (d-1)^(t/2) per snapshot; the budget still
 caps the nominal number of joint outcomes the sum stands for.  The walk takes
-every snapshot's law row first; then the snapshots go down one after another
-if no (time, row) type is taken twice, and otherwise all together, as a
-share split among the children of each vertex by the multiset partitions
-``_splits`` lists, type by type, once per call for each count per type.  An
-outcome is handed to the core as the labels (t, vs_prev, vs_now) of each
-snapshot, which every core reads, so no Snapshot is built.
+every snapshot's law row first, then sends all the snapshots down together
+as one share, split among the children of each vertex.  An outcome is
+handed to the core as the labels (t, vs_prev, vs_now) of each snapshot,
+which every core reads, so no Snapshot is built.
 """
 
 from __future__ import annotations
@@ -158,26 +156,18 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     outcomes is the embeddings of the shape times the assignments of
     equal-time snapshots to its slots.  The snapshots at one time take rows
     in non-decreasing order, in runs of one row, counted by C(positions
-    left, run).  Every row is taken first; then the snapshots go down by one
-    of two routes.
-
-    If no type is taken twice, each snapshot is distinguishable from every
-    other, and they go down one after another: at each vertex into a child
-    an earlier one uses, or into the next child in first-use order, which
-    has n - m images (m of the n children in use; n = d at the origin, d - 1
-    elsewhere).  Below that child every step is forced (child 0, d - 1
-    images), so the whole tail is built in one step.
-
-    Otherwise all the snapshots go down from the origin together, as one
-    share, split at each vertex among its free children as a multiset
-    partition (``_splits``, once per call per count per type): blocks in
-    non-increasing order on the first children, c of n counted by n!/(n - c)!
-    over the product of (equal blocks)!, times each type's multinomial.  A
-    block of one copy has a forced tail; equal blocks of more copies take a
-    multiset of the orbits of one such block, each orbit listed once per
-    call, counted by its arrangements.  The one-block split is the chain on
-    which all of a share goes on to child 0: the walk follows it, taking
-    every other split at each vertex of it, until a copy ends.
+    left, run).  Every row is taken first; then all the snapshots go down
+    from the origin together, as one share, split at each vertex among its
+    free children as a multiset partition (``_splits``, once per call per
+    count per type): blocks in non-increasing order on the first children, c
+    of n (d at the origin, d - 1 elsewhere) counted by n!/(n - c)! over the
+    product of (equal blocks)!, times each type's multinomial.  Below a
+    block of one copy every step is forced (child 0, d - 1 images), so its
+    tail is built in one step; equal blocks of more copies take a multiset
+    of the orbits of one such block, each orbit listed once per call,
+    counted by its arrangements.  The one-block split is the chain on which
+    all of a share goes on to child 0: the walk follows it, taking every
+    other split at each vertex of it, until a copy ends.
     """
     k = len(laws)
     labels: list = [None] * k
@@ -192,19 +182,15 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
     top = max(h for law in laws for h, _, _ in law)
     forced = [(d - 1) ** e for e in range(top + 1)]  # the images of a forced tail of e steps
     zeros = [(0,) * e for e in range(top)]  # e forced steps
-    used: dict = {}  # vertex -> number of its children in use, on the first route
+    embed = {n: [perm(n, c) for c in range(n + 1)] for n in (d - 1, d)}  # n!/(n - c)!
     ways: dict = {}  # a share's count per type -> its splits
     shared: dict = {}  # (types of a share, depth) -> its orbits below a free child at that depth
 
-    def pick(x, lo, weight, repeats):
+    def pick(x, lo, weight):
         # order[x:] take rows, lo the least one order[x] may take; the
-        # positions of one time are consecutive in order; repeats counts the
-        # runs of more than one position so far
+        # positions of one time are consecutive in order
         if x == k:
-            if repeats:
-                spread(SOURCE, order, None, weight)
-            else:
-                descend(0, SOURCE, weight)
+            spread(SOURCE, order, None, weight)
             return
         i, n = order[x], left[x]
         for r in range(lo, len(laws[i])):
@@ -214,38 +200,7 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 j = order[x + run - 1]
                 kind[j], depth[j], moved[j] = first[times[i]] + r, h, mv
                 w *= p
-                pick(x + run, 0 if run == n else r + 1, w * comb(n, run), repeats + (run > 1))
-
-    def descend(x, v, weight):
-        # order[x] goes down from v, then order[x + 1:] from the origin
-        i = order[x]
-        if len(v) == depth[i]:
-            labels[i] = (times[i], v[:-1] if moved[i] else v, v)
-            if x + 1 == k:
-                visit(labels, weight)
-            else:
-                descend(x + 1, SOURCE, weight)
-            return
-        m = used.get(v, 0)
-        for c in range(m):
-            descend(x, v + (c,), weight)
-        n = d - 1 if v else d
-        if m == n:
-            return
-        tail = depth[i] - len(v) - 1
-        u = v + (m,) + zeros[tail]
-        labels[i] = (times[i], u[:-1] if moved[i] else u, u)
-        weight *= (n - m) * forced[tail]
-        if x + 1 == k:  # no later snapshot reads the marks
-            visit(labels, weight)
-            return
-        used[v] = m + 1
-        for j in range(len(v) + 1, len(u)):
-            used[u[:j]] = 1
-        descend(x + 1, SOURCE, weight)
-        for j in range(len(v) + 1, len(u)):
-            used[u[:j]] = 0
-        used[v] = m
+                pick(x + run, 0 if run == n else r + 1, w * comb(n, run))
 
     def spread(v, ps, rest, weight):
         # the copies ps reach v, in type order: end those of v's depth there,
@@ -282,10 +237,11 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                 options = ways[counts] = _splits(counts, d)
             stop = min([depth[i] for i in go])
             while here < stop:
+                images = embed[n]
                 for c, factor, singles, multis in options:  # all but the one-block split
                     if c > n:
                         continue
-                    w = weight * perm(n, c) * factor
+                    w = weight * images[c] * factor
                     for b, x in singles:
                         i = go[x]
                         tail = depth[i] - here - 1
@@ -296,7 +252,10 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                     for children, blocks in multis:
                         tasks = ([v + (b,) for b in children],
                                  [[go[x] for x in block] for block in blocks], tasks)
-                    run(tasks, w)
+                    if tasks is None:
+                        visit(labels, w)
+                    else:
+                        run(tasks, w)
                 weight *= n
                 v += (0,)
                 here += 1
@@ -333,7 +292,7 @@ def _orbits(d: int, times: Sequence[int], laws: Sequence[list], visit) -> None:
                     labels[i] = (times[i], x[:-1] if moved[i] else x, x)
             run(rest, w)
 
-    pick(0, 0, 1, 0)
+    pick(0, 0, 1)
 
 
 def exact_success(

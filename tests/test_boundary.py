@@ -156,6 +156,9 @@ def test_snapshot_from_dict_rejects_malformed_fields(snap, token):
     ([with_snapshot(t=10 ** 400), SNAPSHOTS[1]], "snapshot time must be at most 1000, got 10"),
     ([with_snapshot(d=10 ** 8), SNAPSHOTS[1]], "degree must be at most 1000, got 100000000"),
     ([with_snapshot(d=4), SNAPSHOTS[1]], "snapshot degree 4 disagrees with --d 3"),
+    # more snapshots than a config may list: refused before any is read, so
+    # before the estimator's own count check
+    ([SNAPSHOTS[0]] * 10_001, "may list at most 10000 snapshots, got 10001"),
 ])
 def test_estimate_rejects_malformed_snapshot_file(doc, token):
     assert_usage_error(estimate(doc), token)
@@ -243,6 +246,15 @@ def test_estimate_refuses_a_time_one_snapshot(method):
 def test_estimate_refuses_an_empty_snapshot_file(method):
     # the estimators that take any number of snapshots still need one
     assert_usage_error(estimate([], method), "at least one snapshot required")
+
+
+@pytest.mark.parametrize("method", ["mle", "k-obs"])
+def test_estimate_refuses_more_snapshots_than_a_config_may_list(method):
+    # the estimators that take any number of snapshots are capped as a
+    # config's k is; a file at the cap is still read
+    doc = [with_snapshot(t=10, vs_prev="/0/0/0", vs_now="/0/0/0")] * 10_001
+    assert_usage_error(estimate(doc, method), "may list at most 10000 snapshots, got 10001")
+    assert estimate(doc[1:], method)[0] == 0
 
 
 @pytest.mark.parametrize("d", [3, 4])

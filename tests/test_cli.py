@@ -10,7 +10,8 @@ import pytest
 
 from adl import cli
 from adl.cli import main
-from adl.protocol import alpha_perfect, load_protocol_table
+from adl.estimators import generic_mle_candidates, single_mle_candidates
+from adl.protocol import alpha_perfect, load_protocol_table, uniform_protocol
 from adl.tree import parse_label
 
 
@@ -289,6 +290,35 @@ def test_protocol_dump_round_trips(capsys, tmp_path):
     proto = load_protocol_table(out_path.read_text(), 3)
     assert proto.t_max == 8
     assert proto.alpha(8, 4) == pytest.approx(2 / 10)
+
+
+def test_protocol_dump_keeps_the_uniform_ties(capsys, tmp_path):
+    # the dump writes repr floats, so a table loaded back from it ties hops
+    # as the exact uniform protocol does (within the relative 1e-12 of
+    # estimators._winners); at 12 significant digits the rounding moves the
+    # log scores of the moved snapshot /0 -> /0/0 further apart than that
+    out_path = tmp_path / "uniform.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "protocol-dump", "--d", "3", "--protocol", "uniform", "-T", "40",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    text = out_path.read_text()
+    header, *rows = text.splitlines()
+    full = load_protocol_table(text, 3)
+    rounded = load_protocol_table(
+        "\n".join([header] + [f"{t},{h},{float(a):.12g}" for t, h, a in
+                              (row.split(",") for row in rows)]) + "\n", 3)
+    uniform = uniform_protocol(3)
+    lost = []
+    for t in (11, 23, 27, 29, 35, 37):
+        label = (t, (0,), (0, 0))
+        assert single_mle_candidates(3, label, full)[1]["h_star"] == [1, 2], t
+        want = generic_mle_candidates(3, [label], uniform)[0].members
+        assert generic_mle_candidates(3, [label], full)[0].members == want, t
+        lost.append(single_mle_candidates(3, label, rounded)[1]["h_star"])
+    assert lost == [[1], [2], [1], [1], [1], [2]]
 
 
 def test_protocol_dump_exact_perfect_rows(capsys, tmp_path):

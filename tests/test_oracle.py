@@ -381,12 +381,15 @@ def orbit_form(labels, times):
 
 
 # the orbits of oracle._orbits at d = 3 (and at d = 4 and 5 where given), pinned;
+# every row tuple goes down as one share, split among children at each vertex;
 # (5, 5, 5) and (3, 3, 3, 3) send three or more copies of one moved odd-time
-# row down as one share
+# row down together, and in (4, 5, 6) and (2, 3, 4, 5) every snapshot has a
+# type of its own
 ORBIT_COUNTS = {(4, 4, 4, 4): {3: 43}, (6, 6, 6): {3: 64}, (4, 2, 4): {3: 15},
                 (2, 2, 2, 2): {3: 4, 4: 5}, (9, 9): {3: 122}, (10, 11): {3: 170},
                 (5, 5, 5): {3: 139, 4: 150, 5: 150}, (3, 3, 3, 3): {3: 43, 4: 52, 5: 53},
-                (4, 4, 4, 4, 4): {3: 92, 4: 123, 5: 133}}
+                (4, 4, 4, 4, 4): {3: 92, 4: 123, 5: 133},
+                (4, 5, 6): {3: 183, 4: 189, 5: 189}, (2, 3, 4, 5): {3: 304, 4: 326, 5: 326}}
 
 
 def brute_force_splits(counts, d):
@@ -437,7 +440,8 @@ def test_splits_are_every_split_once_with_its_factor(d):
 
 @pytest.mark.parametrize("times", [(1,), (2, 3), (4, 4), (5, 5), (9, 9), (10, 11), (4, 2, 4),
                                    (3, 2, 3, 2), (2, 2, 2, 2), (4, 4, 4, 4), (6, 6, 6),
-                                   (4, 4, 4, 4, 4), (5, 5, 5), (3, 3, 3, 3)])
+                                   (4, 4, 4, 4, 4), (5, 5, 5), (3, 3, 3, 3), (4, 5, 6),
+                                   (2, 3, 4, 5)])
 def test_orbits_visit_what_the_one_level_walk_visits(times):
     # the reference walk reaches some orbits more than once; _orbits reaches
     # each of them once, with the summed weight of the reference's visits in
